@@ -12,7 +12,7 @@ from polycarleson.battery import get_symbol
 from polycarleson.measure import WeightParam
 from polycarleson.output import write_csv
 from polycarleson.sublevel import fit_exponent
-from polycarleson.svgplot import write_loglog_svg
+from polycarleson.svgplot import write_fit_svg
 
 
 def main():
@@ -36,10 +36,7 @@ def main():
         stem = f"{args.out_dir}/sweep_{args.symbol}_beta{beta:g}"
         header, rows = fit.csv_rows()
         write_csv(f"{stem}.csv", header, rows)
-        write_loglog_svg(f"{stem}.svg", fit.deltas, fit.volumes, fit.stderrs,
-                         slope=fit.slope, intercept=fit.intercept,
-                         slope_stderr=fit.slope_stderr,
-                         title=f"{args.symbol}, beta={beta:g}", ylabel="volume")
+        write_fit_svg(f"{stem}.svg", fit, f"{args.symbol}, beta={beta:g}")
 
 
 if __name__ == "__main__":

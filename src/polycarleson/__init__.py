@@ -18,7 +18,6 @@ from .measure import (
     AnnulusArc,
     CarlesonBox,
     FullPolydisc,
-    ProductCorner,
     WeightParam,
     carleson_box_measure,
     disc_cap_measure,
@@ -51,7 +50,6 @@ __all__ = [
     "FullPolydisc",
     "LabConfig",
     "PolySymbol",
-    "ProductCorner",
     "RankReport",
     "RatioScan",
     "SublevelEstimate",

@@ -41,7 +41,7 @@ from .measure import (
 )
 from .output import write_csv, write_json
 from .sublevel import fit_exponent
-from .svgplot import write_loglog_svg
+from .svgplot import write_fit_svg, write_scan_svg
 from .symbols import PolySymbol, TorusPoint
 
 BASE_SEED = 20260801
@@ -209,36 +209,14 @@ class CriterionResult:
         return f"[{status}] criterion {self.number}: {self.name}"
 
 
-def _maybe_write_fit(out_dir, stem, fit, title):
+def _maybe_write(out_dir, stem, result, title, write_svg):
     if out_dir is None:
         return
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows = fit.csv_rows()
+    header, rows = result.csv_rows()
     write_csv(out_dir / f"{stem}.csv", header, rows)
-    write_loglog_svg(
-        out_dir / f"{stem}.svg",
-        fit.deltas, fit.volumes, fit.stderrs,
-        slope=fit.slope, intercept=fit.intercept, slope_stderr=fit.slope_stderr,
-        title=title, xlabel="delta", ylabel="volume",
-    )
-
-
-def _maybe_write_scan(out_dir, stem, scan, title):
-    if out_dir is None:
-        return
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows = scan.csv_rows()
-    write_csv(out_dir / f"{stem}.csv", header, rows)
-    xs = [d for d, e in zip(scan.deltas, scan.estimates) if e.trusted]
-    ys = [e.ratio for e in scan.estimates if e.trusted]
-    es = [e.stderr for e in scan.estimates if e.trusted]
-    write_loglog_svg(
-        out_dir / f"{stem}.svg", xs, ys, es,
-        slope=scan.slope, intercept=scan.intercept, slope_stderr=scan.slope_stderr,
-        title=title, xlabel="delta", ylabel="ratio",
-    )
+    write_svg(out_dir / f"{stem}.svg", result, title)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +248,8 @@ def criterion_1(shared: dict, out_dir=None, threads=None,
             "slope": fit.slope, "target": target, "stderr": fit.slope_stderr,
             "seconds": round(elapsed, 2), "ok": ok,
         }
-        _maybe_write_fit(out_dir, f"exponent_{name}_beta{beta:g}", fit,
-                         f"{name} volume scaling, beta={beta:g}")
+        _maybe_write(out_dir, f"exponent_{name}_beta{beta:g}", fit,
+                     f"{name} volume scaling, beta={beta:g}", write_fit_svg)
     return CriterionResult(1, "product-symbol exponent n(beta+1)+1", passed,
                            details, untrusted)
 
@@ -296,8 +274,8 @@ def criterion_2(shared: dict, out_dir=None, threads=None,
         details[f"{name}, beta={beta:g}"] = {
             "slope": fit.slope, "target": target, "stderr": fit.slope_stderr, "ok": ok,
         }
-        _maybe_write_fit(out_dir, f"exponent_{name}_beta{beta:g}", fit,
-                         f"{name} volume scaling, beta={beta:g}")
+        _maybe_write(out_dir, f"exponent_{name}_beta{beta:g}", fit,
+                     f"{name} volume scaling, beta={beta:g}", write_fit_svg)
     return CriterionResult(2, "power-sum exponent n(beta+1)+(n+1)/2", passed,
                            details, untrusted)
 
@@ -377,8 +355,8 @@ def criterion_5(shared: dict, out_dir=None, threads=None,
         untrusted |= any(not e.trusted for e in scan.estimates)
         details[label] = {"slope": scan.slope, "target": spec[label][5],
                           "tolerance": spec[label][6], "ok": ok}
-        _maybe_write_scan(out_dir, f"scan_{spec[label][0]}", scan,
-                          f"{spec[label][0]} ratio growth")
+        _maybe_write(out_dir, f"scan_{spec[label][0]}", scan,
+                     f"{spec[label][0]} ratio growth", write_scan_svg)
     return CriterionResult(5, "sharpness thresholds n <= beta+3", passed,
                            details, untrusted)
 
@@ -417,7 +395,8 @@ def criterion_6(shared: dict, out_dir=None, threads=None,
     passed &= ok
     untrusted = any(not e.trusted for e in scan.estimates)
     details["mean_product scan"] = {"slope": scan.slope, "target": target, "ok": ok}
-    _maybe_write_scan(out_dir, "scan_mean_product", scan, "mean_product ratio growth")
+    _maybe_write(out_dir, "scan_mean_product", scan, "mean_product ratio growth",
+                 write_scan_svg)
     return CriterionResult(6, "bidisc criterion with diagonal witness", passed,
                            details, untrusted)
 
@@ -447,8 +426,8 @@ def criterion_7(shared: dict, out_dir=None, threads=None,
     shared["scan/repeated_product3"] = scan
     ok3 = abs(scan.slope - target) <= tol
     details["repeated_product3 scan"] = {"slope": scan.slope, "target": target, "ok": ok3}
-    _maybe_write_scan(out_dir, "scan_repeated_product3", scan,
-                      "repeated_product3 ratio growth")
+    _maybe_write(out_dir, "scan_repeated_product3", scan,
+                 "repeated_product3 ratio growth", write_scan_svg)
     passed = ok1 and ok2 and ok3
     untrusted = any(not e.trusted for e in scan.estimates)
     return CriterionResult(7, "tridisc criterion (gradients or entries)", passed,
@@ -510,29 +489,35 @@ def criterion_9(shared: dict, out_dir=None, threads=None,
                            ok_bound and ok_slopes, details)
 
 
+def property_reports(seed: int) -> list:
+    """The sampled analytic property checks, seeded seed, seed+1, ..., seed+4."""
+
+    def mobius(x, k):
+        return (x + k) / (1.0 + k * x)
+
+    arc = merge_arcs([(-0.2, 0.4)])
+    return [
+        mobius_margin_check(mobius, np.linspace(0.0, 0.9, 10), seed=seed),
+        linearization_bound_check(get_symbol("product2"), TorusPoint((0.0, 0.0)), 1.0,
+                                  seed=seed + 1),
+        linearization_bound_check(get_symbol("powersum2"), TorusPoint((0.0, 0.0)), 1.0,
+                                  seed=seed + 2),
+        schwarz_product_check(get_symbol("coord_square"),
+                              AnnulusArc(depths=(0.05, 0.05), arcs=(arc, arc)),
+                              1.9, samples=100_000, seed=seed + 3),
+        schwarz_product_check(get_symbol("identity2"),
+                              AnnulusArc(depths=(0.3, 0.3), arcs=(None, None)),
+                              1.0, samples=100_000, seed=seed + 4),
+    ]
+
+
 def criterion_10(shared: dict, out_dir=None, threads=None,
                  config: LabConfig = DEFAULTS) -> CriterionResult:
     """Property battery plus identity-map ratio sanity."""
     spec = MANIFEST["property_battery"]
     seed = spec["seed"]
     details = {}
-    reports = []
-
-    def mobius(x, k):
-        return (x + k) / (1.0 + k * x)
-
-    reports.append(mobius_margin_check(mobius, np.linspace(0.0, 0.9, 10), seed=seed))
-    reports.append(linearization_bound_check(get_symbol("product2"),
-                                             TorusPoint((0.0, 0.0)), 1.0, seed=seed + 1))
-    reports.append(linearization_bound_check(get_symbol("powersum2"),
-                                             TorusPoint((0.0, 0.0)), 1.0, seed=seed + 2))
-    arc = merge_arcs([(-0.2, 0.4)])
-    reports.append(schwarz_product_check(get_symbol("coord_square"),
-                                         AnnulusArc(depths=(0.05, 0.05), arcs=(arc, arc)),
-                                         1.9, samples=100_000, seed=seed + 3))
-    reports.append(schwarz_product_check(get_symbol("identity2"),
-                                         AnnulusArc(depths=(0.3, 0.3), arcs=(None, None)),
-                                         1.0, samples=100_000, seed=seed + 4))
+    reports = property_reports(seed)
 
     slice_ok = True
     psi = PolySymbol.monomial(2, (0, 1))

@@ -19,23 +19,28 @@ import numpy as np
 from .config import DEFAULTS, LabConfig
 from .fitting import FitRefused, loglog_wls
 from .measure import CarlesonBox, WeightParam, carleson_box_measure
-from .sublevel import PROVABLY_EMPTY, build_proposal, estimate_indicator
+from .sublevel import PROVABLY_EMPTY, SublevelEstimate, build_proposal, estimate_indicator
 from .symbols import PolySymbol, TorusPoint, _eval_table
 
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    ratio: float
-    stderr: float
-    numerator: float
-    numerator_stderr: float
+    """Preimage volume estimate over the exact box measure; trust is the numerator's."""
+
+    numerator: SublevelEstimate
     denominator: float
-    hits: int
-    region_mass: float
-    leakage: float
-    upper_bound: float | None
-    trusted: bool
-    reason: str
+
+    @property
+    def ratio(self) -> float:
+        return self.numerator.volume / self.denominator
+
+    @property
+    def stderr(self) -> float:
+        return self.numerator.stderr / self.denominator
+
+    @property
+    def trusted(self) -> bool:
+        return self.numerator.trusted
 
 
 @dataclass(frozen=True)
@@ -113,28 +118,12 @@ def preimage_box_ratio(
     ]
     region = build_proposal(bindings, n, config) if bindings else build_proposal([], n, config)
     if region == PROVABLY_EMPTY:
-        return RatioEstimate(
-            ratio=0.0, stderr=0.0, numerator=0.0, numerator_stderr=0.0,
-            denominator=denominator, hits=0, region_mass=0.0, leakage=0.0,
-            upper_bound=0.0, trusted=True, reason="preimage empty by structure",
-        )
+        return RatioEstimate(SublevelEstimate.empty("preimage empty by structure"), denominator)
     est = estimate_indicator(
         membership, n, beta, region, budget, seed,
         f"carleson[{seed}]", threads=threads, config=config,
     )
-    return RatioEstimate(
-        ratio=est.volume / denominator,
-        stderr=est.stderr / denominator,
-        numerator=est.volume,
-        numerator_stderr=est.stderr,
-        denominator=denominator,
-        hits=est.hits,
-        region_mass=est.region_mass,
-        leakage=est.leakage,
-        upper_bound=None if est.upper_bound is None else est.upper_bound / denominator,
-        trusted=est.trusted,
-        reason=est.reason,
-    )
+    return RatioEstimate(est, denominator)
 
 
 def _scan_boxes(center: TorusPoint, shrink, delta: float) -> CarlesonBox:

@@ -20,9 +20,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .battery import SYMBOL_NAMES, get_symbol, run_battery
+from .battery import SYMBOL_NAMES, get_symbol, property_reports, run_battery
 from .carleson import ratio_growth_scan
 from .config import DEFAULTS
 from .criteria import (
@@ -34,12 +32,11 @@ from .criteria import (
 )
 from .contact import find_contact_set
 from .fitting import FitRefused
-from .inequality_lab import linearization_bound_check, mobius_margin_check, schwarz_product_check
-from .measure import AnnulusArc, WeightParam, merge_arcs
+from .measure import WeightParam
 from .montecarlo import resolve_threads
 from .output import write_csv, write_json
 from .sublevel import DEFAULT_DELTA_GRID, fit_exponent
-from .svgplot import write_loglog_svg
+from .svgplot import write_fit_svg, write_scan_svg
 from .symbols import PolySymbol, SymbolNotSelfMap, TorusPoint
 
 USAGE_ERROR = 2
@@ -235,14 +232,10 @@ def _cmd_exponent(cfg: ExperimentConfig, out_dir: Path) -> int:
     if "csv" in cfg.formats:
         write_csv(out_dir / f"{stem}.csv", header, rows)
     if "svg" in cfg.formats:
-        write_loglog_svg(out_dir / f"{stem}.svg", fit.deltas, fit.volumes, fit.stderrs,
-                         slope=fit.slope, intercept=fit.intercept,
-                         slope_stderr=fit.slope_stderr,
-                         title=f"{_stem(cfg.symbol)} volume scaling",
-                         ylabel="volume")
+        write_fit_svg(out_dir / f"{stem}.svg", fit, f"{_stem(cfg.symbol)} volume scaling")
     summary = {"slope": fit.slope, "slope_stderr": fit.slope_stderr,
                "intercept": fit.intercept, "max_abs_residual": fit.max_abs_residual,
-               "deltas": list(fit.deltas)}
+               "deltas": [d for d, p in zip(fit.deltas, fit.points) if p.trusted]}
     print(json.dumps(summary, indent=2, sort_keys=True))
     if "json" in cfg.formats:
         write_json(out_dir / f"{stem}.json", summary)
@@ -268,12 +261,7 @@ def _cmd_carleson(cfg: ExperimentConfig, out_dir: Path) -> int:
     if "csv" in cfg.formats:
         write_csv(out_dir / f"{stem}.csv", header, rows)
     if "svg" in cfg.formats:
-        xs = [d for d, e in zip(scan.deltas, scan.estimates) if e.trusted]
-        ys = [e.ratio for e in scan.estimates if e.trusted]
-        es = [e.stderr for e in scan.estimates if e.trusted]
-        write_loglog_svg(out_dir / f"{stem}.svg", xs, ys, es, slope=scan.slope,
-                         intercept=scan.intercept, slope_stderr=scan.slope_stderr,
-                         title=f"{_stem(cfg.symbol)} ratio growth", ylabel="ratio")
+        write_scan_svg(out_dir / f"{stem}.svg", scan, f"{_stem(cfg.symbol)} ratio growth")
     summary = {"slope": scan.slope, "slope_stderr": scan.slope_stderr,
                "ratios": [e.ratio for e in scan.estimates],
                "trusted": [e.trusted for e in scan.estimates]}
@@ -296,22 +284,7 @@ def _cmd_contact(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _cmd_check_props(cfg: ExperimentConfig, out_dir: Path) -> int:
-    seed = cfg.seed
-    arc = merge_arcs([(-0.2, 0.4)])
-    reports = [
-        mobius_margin_check(lambda x, k: (x + k) / (1.0 + k * x),
-                            np.linspace(0.0, 0.9, 10), seed=seed),
-        linearization_bound_check(get_symbol("product2"), TorusPoint((0.0, 0.0)),
-                                  1.0, seed=seed + 1),
-        linearization_bound_check(get_symbol("powersum2"), TorusPoint((0.0, 0.0)),
-                                  1.0, seed=seed + 2),
-        schwarz_product_check(get_symbol("coord_square"),
-                              AnnulusArc(depths=(0.05, 0.05), arcs=(arc, arc)),
-                              1.9, seed=seed + 3),
-        schwarz_product_check(get_symbol("identity2"),
-                              AnnulusArc(depths=(0.3, 0.3), arcs=(None, None)),
-                              1.0, seed=seed + 4),
-    ]
+    reports = property_reports(cfg.seed)
     for i, rep in enumerate(reports):
         payload = rep.to_dict()
         print(json.dumps({"name": rep.name, "passed": rep.passed,

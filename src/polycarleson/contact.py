@@ -4,9 +4,10 @@ A contact set collects the points of T^n where selected components of a
 certified self-map attain unit modulus.  Detection screens a dense angle grid
 (min over selected component moduli within a coarse margin of 1) and then
 drives candidates onto the contact locus with a damped Newton ascent on the
-smooth objective sum_i |Phi_i|^2.  Whether the refined set is a finite point
-list or a sampled positive-dimensional locus is decided by the fraction of
-accepted grid cells.
+smooth objective sum_i |Phi_i|^2; the same routine, run as a descent on
+|f - eta|^2, solves the value fibers f = eta for the sublevel proposals.
+Whether the refined set is a finite point list or a sampled
+positive-dimensional locus is decided by the fraction of accepted grid cells.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULTS, LabConfig, contact_grid_res
-from .symbols import MonomialTable, PolySymbol, TorusPoint, _eval_table
+from .symbols import MonomialTable, PolySymbol, TorusPoint, _derivative_table_cached, _eval_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,24 +131,20 @@ def _grid_angles(idx: np.ndarray, n: int, res: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _refine(sym: PolySymbol, index_set: tuple[int, ...], theta: np.ndarray,
-            contact_tol: float, max_iter: int = 30) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton ascent of F(theta) = sum_i |Phi_i(e^{i theta})|^2.
+def _torus_newton(tables, targets, theta: np.ndarray, ascend: bool) -> np.ndarray:
+    """Damped Newton on F(theta) = sum_i |P_i(e^{i theta}) - t_i|^2 over T^n.
 
-    Returns refined angles and residuals 1 - min_i |Phi_i|.  Stationary
-    directions (flat contact loci) are handled through the pseudo-inverse.
+    Ascends F when ``ascend`` (contact refinement: targets 0, moduli pushed up
+    to 1), otherwise descends it (value fibers: P = eta).  Steps are clipped
+    to length 0.5 and halved until F does not get worse; stationary
+    directions (flat loci) go through the pseudo-inverse.  Returns the
+    unwrapped angles, so callers can evaluate residuals before reducing
+    mod 2 pi.
     """
-    n = sym.n_in
-    comps = [sym.components[i] for i in index_set]
-    d1 = [[sym.derivative_table(i, j) for j in range(n)] for i in index_set]
-    d2 = [[[sym.second_derivative_table(i, j, k) for k in range(n)] for j in range(n)]
-          for i in index_set]
-
-    def moduli_residual(th):
-        z = np.exp(1j * th)
-        cache: dict = {}
-        mods = [np.abs(_eval_table(t, z, cache)) for t in comps]
-        return 1.0 - np.minimum.reduce(mods)
+    n = theta.shape[1]
+    d1 = [[_derivative_table_cached(t, j) for j in range(n)] for t in tables]
+    d2 = [[[_derivative_table_cached(d, k) for k in range(n)] for d in row] for row in d1]
+    sign = 1.0 if ascend else -1.0
 
     def f_g_h(th):
         z = np.exp(1j * th)
@@ -156,28 +153,28 @@ def _refine(sym: PolySymbol, index_set: tuple[int, ...], theta: np.ndarray,
         F = np.zeros(B)
         g = np.zeros((B, n))
         H = np.zeros((B, n, n))
-        for ci, i in enumerate(index_set):
-            phi = _eval_table(comps[ci], z, cache)
-            dphi = [_eval_table(d1[ci][j], z, cache) for j in range(n)]
-            w = [1j * z[:, j] * dphi[j] for j in range(n)]
-            F += np.abs(phi) ** 2
-            conj_phi = np.conj(phi)
+        for ci, table in enumerate(tables):
+            val = _eval_table(table, z, cache) - targets[ci]
+            dval = [_eval_table(d1[ci][j], z, cache) for j in range(n)]
+            w = [1j * z[:, j] * dval[j] for j in range(n)]
+            F += np.abs(val) ** 2
+            conj_val = np.conj(val)
             for j in range(n):
-                g[:, j] += 2.0 * np.real(conj_phi * w[j])
+                g[:, j] += 2.0 * np.real(conj_val * w[j])
             for j in range(n):
                 for k in range(j, n):
-                    d2phi = _eval_table(d2[ci][j][k], z, cache)
-                    dw = -z[:, j] * z[:, k] * d2phi
+                    d2val = _eval_table(d2[ci][j][k], z, cache)
+                    dw = -z[:, j] * z[:, k] * d2val
                     if j == k:
-                        dw = dw - z[:, j] * dphi[j]
-                    val = 2.0 * np.real(np.conj(w[k]) * w[j] + conj_phi * dw)
-                    H[:, j, k] += val
+                        dw = dw - z[:, j] * dval[j]
+                    h = 2.0 * np.real(np.conj(w[k]) * w[j] + conj_val * dw)
+                    H[:, j, k] += h
                     if k != j:
-                        H[:, k, j] += val
+                        H[:, k, j] += h
         return F, g, H
 
     th = theta.copy()
-    for _ in range(max_iter):
+    for _ in range(30):
         F, g, H = f_g_h(th)
         gnorm = np.linalg.norm(g, axis=1)
         active = gnorm > 1e-13
@@ -194,7 +191,7 @@ def _refine(sym: PolySymbol, index_set: tuple[int, ...], theta: np.ndarray,
         if np.any(bad):
             sa[bad] = -np.einsum("bij,bj->bi", np.linalg.pinv(Ha[bad]), ga[bad])
         step[active] = sa
-        # clip absurd steps, then damp until F does not decrease
+        # clip absurd steps, then damp until F does not get worse
         norms = np.linalg.norm(step, axis=1, keepdims=True)
         step = np.where(norms > 0.5, step * (0.5 / np.maximum(norms, 1e-300)), step)
         improved = np.zeros(th.shape[0], dtype=bool)
@@ -202,13 +199,13 @@ def _refine(sym: PolySymbol, index_set: tuple[int, ...], theta: np.ndarray,
         for t in (1.0, 0.5, 0.25, 0.125):
             cand = th + t * step
             Fc = f_g_h(cand)[0]
-            take = (~improved) & (Fc >= F - 1e-15)
+            take = (~improved) & (sign * Fc >= sign * F - 1e-15)
             trial[take] = cand[take]
             improved |= take
         th = trial
         if np.max(gnorm) < 1e-12:
             break
-    return th % TWO_PI, moduli_residual(th)
+    return th
 
 
 def _dedupe(theta: np.ndarray, residuals: np.ndarray, merge_radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +293,12 @@ def find_contact_set(
     stride = max(1, math.ceil(len(candidates) / config.posdim_sample_cap))
     seeds = candidates[::stride]
     theta0 = _grid_angles(seeds, n, res)
-    theta, residual = _refine(sym, tuple(grid_components), theta0, config.contact_tol)
+    tables = [sym.components[i] for i in grid_components]
+    theta = _torus_newton(tables, [0j] * len(tables), theta0, ascend=True)
+    z = np.exp(1j * theta)
+    cache: dict = {}
+    residual = 1.0 - np.minimum.reduce([np.abs(_eval_table(t, z, cache)) for t in tables])
+    theta %= TWO_PI
     accepted = residual <= config.contact_tol
     acc_rate = float(np.mean(accepted)) if len(accepted) else 0.0
     frac = frac_coarse * acc_rate

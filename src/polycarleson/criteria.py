@@ -62,19 +62,12 @@ class IndexEvidence:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str  # SufficiencyHolds | NecessityFails | Inconclusive
-    witness: RankReport | None
-    witness_index_set: tuple[int, ...] | None
-    evidence: tuple[IndexEvidence, ...]
-    reason: str
-    config: LabConfig
+class _WitnessedResult:
+    """JSON encoding shared by verdicts and decisions: head fields, evidence, witness."""
 
-    def to_dict(self) -> dict:
+    def _encode(self, head: dict) -> dict:
         d = {
-            "outcome": self.outcome,
-            "reason": self.reason,
+            **head,
             "evidence": [e.to_dict() for e in self.evidence],
             "tolerances": self.config.to_dict(),
         }
@@ -93,7 +86,20 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class Decision:
+class Verdict(_WitnessedResult):
+    outcome: str  # SufficiencyHolds | NecessityFails | Inconclusive
+    witness: RankReport | None
+    witness_index_set: tuple[int, ...] | None
+    evidence: tuple[IndexEvidence, ...]
+    reason: str
+    config: LabConfig
+
+    def to_dict(self) -> dict:
+        return self._encode({"outcome": self.outcome, "reason": self.reason})
+
+
+@dataclass(frozen=True)
+class Decision(_WitnessedResult):
     outcome: str  # Bounded | Unbounded | Inconclusive
     spaces: tuple[str, ...]
     witness: RankReport | None
@@ -103,25 +109,8 @@ class Decision:
     config: LabConfig
 
     def to_dict(self) -> dict:
-        d = {
-            "outcome": self.outcome,
-            "spaces": list(self.spaces),
-            "detail": self.detail,
-            "evidence": [e.to_dict() for e in self.evidence],
-            "tolerances": self.config.to_dict(),
-        }
-        if self.witness is not None:
-            d["witness"] = {
-                "angles": list(self.witness.point.angles),
-                "index_set": list(self.witness_index_set or ()),
-                "rank_found": self.witness.rank,
-                "rank_required": self.witness.target,
-                "singular_values": list(self.witness.singular_values),
-            }
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return self._encode({"outcome": self.outcome, "spaces": list(self.spaces),
+                             "detail": self.detail})
 
 
 def _subset_evidence(sym: PolySymbol, index_set: tuple[int, ...], cs: ContactSet,
@@ -313,15 +302,3 @@ def decide_tridisc(sym: PolySymbol, config: LabConfig = DEFAULTS,
     return Decision(outcome=BOUNDED, spaces=spaces, witness=None, witness_index_set=None,
                     detail="all contact-rank and derivative-entry conditions hold",
                     evidence=tuple(evidence), config=config)
-
-
-def reverify_witness(sym: PolySymbol, witness: RankReport,
-                     index_set: tuple[int, ...], config: LabConfig = DEFAULTS) -> bool:
-    """Re-evaluate a failure witness from scratch: contact residual and rank."""
-    z = witness.point.point()
-    vals = sym.evaluate(z)
-    residual = max(1.0 - abs(vals[i]) for i in index_set)
-    if residual > config.contact_tol * 1.001:
-        return False
-    rep = rank_report(sym, index_set, witness.point, config)
-    return rep.rank == witness.rank and rep.rank < rep.target

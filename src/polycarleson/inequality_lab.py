@@ -16,9 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULTS, LabConfig
-from .contact import ContactRequired, jc_check
+from .contact import ContactRequired
 from .measure import Region, WeightParam, restricted_sample
-from .sublevel import DEFAULT_DELTA_GRID, fit_exponent
 from .symbols import PolySymbol, TorusPoint
 
 TWO_PI = 2.0 * math.pi
@@ -236,45 +235,4 @@ def schwarz_product_check(
         seed=seed,
         worst_sample=tuple(z[idx]),
         details={"required_constant": const, "jacobian_floor": c_floor},
-    )
-
-
-def upper_bound_battery(
-    f: PolySymbol,
-    zeta: TorusPoint,
-    eta: complex,
-    delta_grid=DEFAULT_DELTA_GRID,
-    budget: int = 1_000_000,
-    beta: WeightParam = WeightParam(0.0),
-    seed: int = 0,
-    threads: int | None = None,
-    config: LabConfig = DEFAULTS,
-) -> PropertyReport:
-    """Sandwich check: the fitted volume exponent lies in [n+1 - 0.2, (3n+1)/2 + 0.2].
-
-    Valid only for symbols whose rotated boundary derivatives at the contact
-    point are all nonvanishing (checked, not assumed); maps that ignore one of
-    their variables genuinely escape the upper bound.
-    """
-    jc = jc_check(f, zeta, eta, config)
-    if not jc.passed or min(v.real for v in jc.values) <= config.jc_tol:
-        raise ContactRequired(
-            "sandwich bounds need nonvanishing rotated boundary derivatives"
-        )
-    n = f.n_in
-    fit = fit_exponent(f, eta, beta, delta_grid=delta_grid, budget=budget,
-                       seed=seed, threads=threads, config=config)
-    lo = n + 1.0 - 0.2
-    hi = (3.0 * n + 1.0) / 2.0 + 0.2
-    violation = min(fit.slope - lo, hi - fit.slope)
-    return PropertyReport(
-        name="volume_exponent_sandwich",
-        sample_count=budget * len(delta_grid),
-        worst_violation=float(violation),
-        empirical_constant=fit.slope,
-        passed=bool(violation >= 0.0),
-        seed=seed,
-        worst_sample=(),
-        details={"band": (lo, hi), "slope_stderr": fit.slope_stderr,
-                 "deltas": tuple(fit.deltas)},
     )

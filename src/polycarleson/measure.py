@@ -6,9 +6,9 @@ V_beta.  Carleson boxes are products of disc caps |z_j - xi_j| < delta_j, and
 their measures reduce to a 1-D radial integral because the angular width of a
 cap slice is available in closed form.
 
-Sampling regions come in three shapes: the full polydisc, products of disc
-caps around torus points ("corners"), and annulus-arc products with an
-optional angle-sum window (the shape carved out by near-torus sublevel sets).
+Sampling regions come in two shapes: the full polydisc, and annulus-arc
+products with an optional angle-sum window (the shape carved out by
+near-torus sublevel sets).
 All samplers draw exactly from V_beta restricted to the region and report the
 exact region mass, so indicator Monte Carlo over them is unbiased.
 """
@@ -78,15 +78,21 @@ class CarlesonBox:
         return self.center.n
 
 
+# Largest double below 1.  Near the boundary the inverse-CDF radius is
+# sqrt(1 - t) with t below half an ulp of 1 (for 2.4% of draws at beta = -0.9),
+# which rounds onto the torus r = 1; the samplers clamp to keep r in [0, 1).
+_R_MAX = float(np.nextafter(1.0, 0.0))
+
+
 def radial_sample(beta: WeightParam | float, u):
-    """Inverse-CDF radius: r = sqrt(1 - (1-u)^{1/(beta+1)}).
+    """Inverse-CDF radius: r = sqrt(1 - (1-u)^{1/(beta+1)}), clamped to _R_MAX.
 
     Maps uniform u in [0,1) to the radial law with density
     (beta+1)(1-r^2)^beta * 2r on [0,1).
     """
     b = beta.beta if isinstance(beta, WeightParam) else float(beta)
     u = np.asarray(u, dtype=float)
-    return np.sqrt(1.0 - (1.0 - u) ** (1.0 / (b + 1.0)))
+    return np.minimum(np.sqrt(1.0 - (1.0 - u) ** (1.0 / (b + 1.0))), _R_MAX)
 
 
 def annulus_mass(beta: WeightParam, s: float) -> float:
@@ -280,28 +286,6 @@ class FullPolydisc:
 
 
 @dataclass(frozen=True)
-class ProductCorner:
-    """Product of disc caps around torus-point coordinates: prod_j D(xi_j, rho_j) ∩ D."""
-
-    centers: tuple[complex, ...]
-    radii: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.centers) != len(self.radii):
-            raise ValueError("centers and radii length mismatch")
-        if any(rho <= 0 for rho in self.radii):
-            raise EmptyRegion("corner radii must be positive")
-        if any(abs(abs(complex(c)) - 1.0) > 1e-9 for c in self.centers):
-            raise ValueError("corner centers must lie on the torus")
-        object.__setattr__(self, "centers", tuple(complex(c) for c in self.centers))
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-
-    @property
-    def n(self) -> int:
-        return len(self.centers)
-
-
-@dataclass(frozen=True)
 class AnnulusArc:
     """Product region {r_j in [1-s_j, 1), theta_j in arcs_j} ∩ optional angle-sum window.
 
@@ -330,20 +314,13 @@ class AnnulusArc:
         return len(self.depths)
 
 
-Region = FullPolydisc | ProductCorner | AnnulusArc
+Region = FullPolydisc | AnnulusArc
 
 
-def region_mass(region: Region, beta: WeightParam, quad_tol: float = DEFAULTS.quad_tol) -> float:
-    """Exact V_beta mass of a sampling region (closed form except corner caps)."""
+def region_mass(region: Region, beta: WeightParam) -> float:
+    """Exact V_beta mass of a sampling region, in closed form."""
     if isinstance(region, FullPolydisc):
         return 1.0
-    if isinstance(region, ProductCorner):
-        total = 1.0
-        for c, rho in zip(region.centers, region.radii):
-            total *= disc_cap_measure(c, rho, beta, quad_tol=quad_tol)
-        if total == 0.0:
-            raise EmptyRegion("corner region has zero mass")
-        return total
     total = 1.0
     for s, arcs in zip(region.depths, region.arcs):
         total *= annulus_mass(beta, s)
@@ -357,10 +334,10 @@ def region_mass(region: Region, beta: WeightParam, quad_tol: float = DEFAULTS.qu
 
 
 def _sample_restricted_radius(beta: WeightParam, s: float, u: np.ndarray) -> np.ndarray:
-    """Radii with law A_beta restricted to [1-s, 1)."""
+    """Radii with law A_beta restricted to [1-s, 1), clamped to _R_MAX."""
     b = beta.beta
     tail = (s * (2.0 - s)) ** (b + 1.0)  # 1 - F(1-s)
-    return np.sqrt(1.0 - ((1.0 - u) * tail) ** (1.0 / (b + 1.0)))
+    return np.minimum(np.sqrt(1.0 - ((1.0 - u) * tail) ** (1.0 / (b + 1.0))), _R_MAX)
 
 
 def _sample_multi_arc(arcs: tuple[Arc, ...], rng: np.random.Generator, size: int) -> np.ndarray:
@@ -371,50 +348,12 @@ def _sample_multi_arc(arcs: tuple[Arc, ...], rng: np.random.Generator, size: int
     return (starts[pick] + rng.random(size) * lengths[pick]) % TWO_PI
 
 
-def _sample_corner_coordinate(
-    center: complex, rho: float, beta: WeightParam, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Rejection sampling of A_beta restricted to D(center, rho) ∩ D.
-
-    The proposal is the bounding annulus-arc (radial depth min(rho,1), angular
-    half-width arcsin(min(rho,1))), which contains the cap for torus centers.
-    """
-    amod = abs(center)
-    base = math.atan2(center.imag, center.real)
-    s = min(rho, 1.0)
-    if rho >= 1.0 + amod:
-        theta = rng.random(size) * TWO_PI
-        r = radial_sample(beta, rng.random(size))
-        return r * np.exp(1j * theta)
-    halfw = math.asin(min(rho / max(amod, 1e-15), 1.0)) if amod > 0 else math.pi
-    out = np.empty(size, dtype=complex)
-    filled = 0
-    while filled < size:
-        m = max(2 * (size - filled), 1024)
-        r = _sample_restricted_radius(beta, s, rng.random(m))
-        theta = base + (rng.random(m) * 2.0 - 1.0) * halfw
-        z = r * np.exp(1j * theta)
-        keep = np.abs(z - center) < rho
-        z = z[keep]
-        take = min(len(z), size - filled)
-        out[filled : filled + take] = z[:take]
-        filled += take
-    return out
-
-
-def restricted_sample(
-    region: Region, beta: WeightParam, rng: np.random.Generator, size: int,
-    quad_tol: float = DEFAULTS.quad_tol,
-) -> tuple[np.ndarray, float]:
+def restricted_sample(region: Region, beta: WeightParam, rng: np.random.Generator,
+                      size: int) -> tuple[np.ndarray, float]:
     """(size, n) points uniform w.r.t. V_beta restricted to the region, plus its exact mass."""
-    mass = region_mass(region, beta, quad_tol=quad_tol)
+    mass = region_mass(region, beta)
     if isinstance(region, FullPolydisc):
         return sample_polydisc(region.n, beta, rng, size), mass
-    if isinstance(region, ProductCorner):
-        z = np.empty((size, region.n), dtype=complex)
-        for j, (c, rho) in enumerate(zip(region.centers, region.radii)):
-            z[:, j] = _sample_corner_coordinate(c, rho, beta, rng, size)
-        return z, mass
 
     n = region.n
     r = np.empty((size, n), dtype=float)
@@ -445,11 +384,6 @@ def region_contains(region: Region, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if isinstance(region, FullPolydisc):
         return np.ones(z.shape[0], dtype=bool)
-    if isinstance(region, ProductCorner):
-        ok = np.ones(z.shape[0], dtype=bool)
-        for j, (c, rho) in enumerate(zip(region.centers, region.radii)):
-            ok &= np.abs(z[:, j] - c) < rho
-        return ok
     ok = np.ones(z.shape[0], dtype=bool)
     r = np.abs(z)
     theta = np.angle(z) % TWO_PI

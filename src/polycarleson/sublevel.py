@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULTS, LabConfig
-from .contact import _dedupe, find_contact_set
+from .contact import _dedupe, _torus_newton, find_contact_set
 from .fitting import FitRefused, LogLogFit, loglog_wls
 from .measure import (
     AngleSumWindow,
@@ -65,7 +65,8 @@ class SublevelQuery:
 
 @dataclass(frozen=True)
 class SublevelEstimate:
-    delta: float
+    """Monte Carlo V_beta volume of an indicator over D^n with its trust flags."""
+
     volume: float          # restricted estimate plus measured leakage
     stderr: float
     hits: int
@@ -76,6 +77,13 @@ class SublevelEstimate:
     trusted: bool
     reason: str
 
+    @staticmethod
+    def empty(reason: str) -> "SublevelEstimate":
+        """Exact zero for a set that is empty by structure; no sampling needed."""
+        return SublevelEstimate(volume=0.0, stderr=0.0, hits=0, region_mass=0.0,
+                                leakage=0.0, leakage_stderr=0.0, upper_bound=0.0,
+                                trusted=True, reason=reason)
+
 
 @dataclass(frozen=True)
 class ExponentFit:
@@ -83,16 +91,14 @@ class ExponentFit:
     intercept: float
     slope_stderr: float
     max_abs_residual: float
-    deltas: tuple[float, ...]          # trusted grid points used in the fit
-    volumes: tuple[float, ...]
-    stderrs: tuple[float, ...]         # per-delta standard errors
-    points: tuple[SublevelEstimate, ...]  # every grid point, trusted or not
+    deltas: tuple[float, ...]             # the full grid
+    points: tuple[SublevelEstimate, ...]  # one per grid delta, trusted or not
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
         header = ["delta", "estimate", "stderr", "hits", "region_mass", "trusted"]
         rows = [
-            [p.delta, p.volume, p.stderr, p.hits, p.region_mass, int(p.trusted)]
-            for p in self.points
+            [d, p.volume, p.stderr, p.hits, p.region_mass, int(p.trusted)]
+            for d, p in zip(self.deltas, self.points)
         ]
         return header, rows
 
@@ -108,68 +114,6 @@ class ValueFiber:
     points: tuple[TorusPoint, ...]
 
 
-def _newton_fiber(f: PolySymbol, eta: complex, theta0: np.ndarray, tol: float,
-                  max_iter: int = 40) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton minimization of |f(e^{i theta}) - eta|^2."""
-    n = f.n_in
-    table = f.components[0]
-    d1 = [f.derivative_table(0, j) for j in range(n)]
-    d2 = [[f.second_derivative_table(0, j, k) for k in range(n)] for j in range(n)]
-
-    def value(th):
-        z = np.exp(1j * th)
-        return np.abs(_eval_table(table, z, {}) - eta)
-
-    def f_g_h(th):
-        z = np.exp(1j * th)
-        cache: dict = {}
-        val = _eval_table(table, z, cache) - eta
-        dphi = [_eval_table(d1[j], z, cache) for j in range(n)]
-        w = [1j * z[:, j] * dphi[j] for j in range(n)]
-        G = np.abs(val) ** 2
-        g = np.empty((th.shape[0], n))
-        H = np.empty((th.shape[0], n, n))
-        conj_val = np.conj(val)
-        for j in range(n):
-            g[:, j] = 2.0 * np.real(conj_val * w[j])
-        for j in range(n):
-            for k in range(j, n):
-                d2phi = _eval_table(d2[j][k], z, cache)
-                dw = -z[:, j] * z[:, k] * d2phi
-                if j == k:
-                    dw = dw - z[:, j] * dphi[j]
-                h = 2.0 * np.real(np.conj(w[k]) * w[j] + conj_val * dw)
-                H[:, j, k] = h
-                H[:, k, j] = h
-        return G, g, H
-
-    th = theta0.copy()
-    for _ in range(max_iter):
-        G, g, H = f_g_h(th)
-        gnorm = np.linalg.norm(g, axis=1)
-        if np.max(gnorm) < 1e-14:
-            break
-        try:
-            step = -np.linalg.solve(H, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = -np.einsum("bij,bj->bi", np.linalg.pinv(H), g)
-        bad = ~np.isfinite(step).all(axis=1)
-        if np.any(bad):
-            step[bad] = -np.einsum("bij,bj->bi", np.linalg.pinv(H[bad]), g[bad])
-        norms = np.linalg.norm(step, axis=1, keepdims=True)
-        step = np.where(norms > 0.5, step * (0.5 / np.maximum(norms, 1e-300)), step)
-        improved = np.zeros(th.shape[0], dtype=bool)
-        trial = th.copy()
-        for t in (1.0, 0.5, 0.25, 0.125):
-            cand = th + t * step
-            Gc = f_g_h(cand)[0]
-            take = (~improved) & (Gc <= G + 1e-18)
-            trial[take] = cand[take]
-            improved |= take
-        th = trial
-    return th % TWO_PI, value(th)
-
-
 @lru_cache(maxsize=64)
 def _value_fiber_cached(f: PolySymbol, eta: complex, contact_tol: float,
                         merge_radius: float, fiber_cap: int) -> ValueFiber:
@@ -177,12 +121,14 @@ def _value_fiber_cached(f: PolySymbol, eta: complex, contact_tol: float,
     if cs.is_empty:
         return ValueFiber("empty", ())
     seeds = np.array([p.angles for p in cs.points], dtype=float)
-    z = np.exp(1j * seeds)
-    vals = _eval_table(f.components[0], z, {})
+    table = f.components[0]
+    vals = _eval_table(table, np.exp(1j * seeds), {})
     close = np.abs(vals - eta) <= 0.7
     if not np.any(close):
         return ValueFiber("empty", ())
-    theta, resid = _newton_fiber(f, eta, seeds[close], contact_tol)
+    theta = _torus_newton([table], [eta], seeds[close], ascend=False)
+    resid = np.abs(_eval_table(table, np.exp(1j * theta), {}) - eta)
+    theta %= TWO_PI
     ok = resid <= contact_tol
     if not np.any(ok):
         return ValueFiber("empty", ())
@@ -371,21 +317,6 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndicatorEstimate:
-    """Restricted Monte Carlo integral of an indicator over D^n with trust flags."""
-
-    volume: float
-    stderr: float
-    hits: int
-    region_mass: float
-    leakage: float
-    leakage_stderr: float
-    upper_bound: float | None
-    trusted: bool
-    reason: str
-
-
 def estimate_indicator(
     membership,
     n: int,
@@ -396,7 +327,7 @@ def estimate_indicator(
     label: str,
     threads: int | None = None,
     config: LabConfig = DEFAULTS,
-) -> IndicatorEstimate:
+) -> SublevelEstimate:
     """Shared engine: restricted estimate plus uniform leakage audit.
 
     ``membership(z)`` maps an (N, n) complex batch to a boolean mask.  The
@@ -405,10 +336,10 @@ def estimate_indicator(
     above the threshold fraction of the estimate mark the result untrusted
     (zero hits also report a one-sided upper confidence bound).
     """
-    mass = region_mass(region, beta, quad_tol=config.quad_tol)
+    mass = region_mass(region, beta)
 
     def main_worker(rng, count):
-        z, _ = restricted_sample(region, beta, rng, count, quad_tol=config.quad_tol)
+        z, _ = restricted_sample(region, beta, rng, count)
         return (int(np.count_nonzero(membership(z))),)
 
     (hits,) = sum_counts(
@@ -452,7 +383,7 @@ def estimate_indicator(
             f"leakage audit {leakage:.3e} exceeds {config.leakage_threshold:.0%} "
             f"of estimate {restricted:.3e}"
         )
-    return IndicatorEstimate(
+    return SublevelEstimate(
         volume=total, stderr=total_stderr, hits=hits, region_mass=mass,
         leakage=leakage, leakage_stderr=leak_stderr, upper_bound=upper,
         trusted=trusted, reason=reason,
@@ -475,25 +406,15 @@ def estimate_sublevel(query: SublevelQuery, config: LabConfig = DEFAULTS) -> Sub
     if region == AUTO:
         region = build_proposal([(f, eta, delta)], n, config)
     if region == PROVABLY_EMPTY:
-        return SublevelEstimate(
-            delta=delta, volume=0.0, stderr=0.0, hits=0, region_mass=0.0,
-            leakage=0.0, leakage_stderr=0.0, upper_bound=0.0,
-            trusted=True, reason="target beyond component range; set empty",
-        )
+        return SublevelEstimate.empty("target beyond component range; set empty")
     table = f.components[0]
 
     def membership(z):
         return np.abs(_eval_table(table, z, {}) - eta) <= delta
 
-    est = estimate_indicator(
+    return estimate_indicator(
         membership, n, beta, region, query.budget, query.seed,
         f"sublevel[{query.seed}]", threads=query.threads, config=config,
-    )
-    return SublevelEstimate(
-        delta=delta, volume=est.volume, stderr=est.stderr, hits=est.hits,
-        region_mass=est.region_mass, leakage=est.leakage,
-        leakage_stderr=est.leakage_stderr, upper_bound=est.upper_bound,
-        trusted=est.trusted, reason=est.reason,
     )
 
 
@@ -532,22 +453,18 @@ def fit_exponent(
         q = SublevelQuery(f=f, eta=eta, delta=delta, beta=beta, budget=budget,
                           proposal=proposal, seed=seed + 7919 * k, threads=threads)
         points.append(estimate_sublevel(q, config))
-    trusted = [p for p in points if p.trusted]
+    trusted = [(d, p) for d, p in zip(deltas, points) if p.trusted]
     if len(trusted) < 4:
         raise FitRefused(
             f"only {len(trusted)} trusted points out of {len(points)}; need at least 4"
         )
-    xs = [p.delta for p in trusted]
-    ys = [p.volume for p in trusted]
-    rel = [p.stderr / p.volume for p in trusted]
-    fit: LogLogFit = loglog_wls(xs, ys, rel)
+    fit: LogLogFit = loglog_wls([d for d, _ in trusted], [p.volume for _, p in trusted],
+                                [p.stderr / p.volume for _, p in trusted])
     return ExponentFit(
         slope=fit.slope,
         intercept=fit.intercept,
         slope_stderr=fit.slope_stderr,
         max_abs_residual=fit.max_abs_residual,
-        deltas=tuple(xs),
-        volumes=tuple(ys),
-        stderrs=tuple(p.stderr for p in trusted),
+        deltas=deltas,
         points=tuple(points),
     )

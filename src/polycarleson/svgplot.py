@@ -146,3 +146,21 @@ def write_loglog_svg(
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts), encoding="utf-8")
+
+
+def write_fit_svg(path, fit, title: str) -> None:
+    """Chart an ExponentFit: trusted volumes with error bars and the fitted line."""
+    pts = [(d, p.volume, p.stderr) for d, p in zip(fit.deltas, fit.points) if p.trusted]
+    _write_fitted_svg(path, pts, fit, title, "volume")
+
+
+def write_scan_svg(path, scan, title: str) -> None:
+    """Chart a RatioScan: trusted ratios with error bars and the fitted line."""
+    pts = [(d, e.ratio, e.stderr) for d, e in zip(scan.deltas, scan.estimates) if e.trusted]
+    _write_fitted_svg(path, pts, scan, title, "ratio")
+
+
+def _write_fitted_svg(path, pts, result, title: str, ylabel: str) -> None:
+    xs, ys, es = zip(*pts)
+    write_loglog_svg(path, xs, ys, es, slope=result.slope, intercept=result.intercept,
+                     slope_stderr=result.slope_stderr, title=title, ylabel=ylabel)

@@ -190,7 +190,7 @@ class PolySymbol:
 
     def derivative_table(self, i: int, j: int) -> MonomialTable:
         """Exact table of d(component i)/dz_j."""
-        return _derivative_table(self.components[i], j)
+        return _derivative_table_cached(self.components[i], j)
 
     def jacobian(self, z) -> np.ndarray:
         """Exact Jacobian matrix (n_out x n_in) at a point."""
@@ -212,7 +212,7 @@ class PolySymbol:
         return out
 
     def second_derivative_table(self, i: int, j: int, k: int) -> MonomialTable:
-        return _derivative_table(self.derivative_table(i, j), k)
+        return _derivative_table_cached(self.derivative_table(i, j), k)
 
     def restrict(self, fixed: Mapping[int, complex]) -> "PolySymbol":
         """Fold a partial variable assignment into the coefficients exactly.
@@ -299,10 +299,6 @@ def _derivative_table_cached(table: MonomialTable, j: int) -> MonomialTable:
     return tuple(sorted(out.items(), key=lambda t: t[0]))
 
 
-def _derivative_table(table: MonomialTable, j: int) -> MonomialTable:
-    return _derivative_table_cached(table, j)
-
-
 def certify_self_map(sym: PolySymbol, cert_tol: float = DEFAULTS.cert_tol) -> PolySymbol:
     """Torus-grid self-map screen; rejects symbols with grid max above 1 + cert_tol.
 
@@ -337,13 +333,3 @@ def certify_self_map(sym: PolySymbol, cert_tol: float = DEFAULTS.cert_tol) -> Po
         strong=(grid_max + margin <= 1.0 + cert_tol),
     )
     return PolySymbol(n_in=sym.n_in, components=sym.components, certificate=cert)
-
-
-def merge_assignment(n: int, fixed: Mapping[int, complex], free_values) -> np.ndarray:
-    """Assemble a full point from a partial assignment plus values for the rest."""
-    free_values = list(free_values)
-    out = np.empty(n, dtype=complex)
-    it = iter(free_values)
-    for j in range(n):
-        out[j] = fixed[j] if j in fixed else next(it)
-    return out

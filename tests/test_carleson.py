@@ -25,7 +25,7 @@ class TestPreimageRatio:
         beta = WeightParam(1.0)
         est = preimage_box_ratio(PolySymbol.identity(2), box, beta, 500_000, seed=2)
         target = carleson_box_measure(box, beta)
-        assert abs(est.numerator - target) < 3 * est.numerator_stderr
+        assert abs(est.numerator.volume - target) < 3 * est.numerator.stderr
 
     def test_rotation_preserves_ratio(self):
         alpha = np.exp(0.9j)

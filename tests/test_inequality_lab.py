@@ -9,7 +9,6 @@ from polycarleson.inequality_lab import (
     linearization_bound_check,
     mobius_margin_check,
     schwarz_product_check,
-    upper_bound_battery,
 )
 from polycarleson.measure import AnnulusArc, merge_arcs
 from polycarleson.symbols import PolySymbol, TorusPoint
@@ -115,18 +114,3 @@ class TestSchwarzProduct:
         with pytest.raises(RegionRejected):
             schwarz_product_check(sym, self.region(0.5, 0.5), 1.9,
                                   samples=20_000, seed=12)
-
-
-class TestUpperBoundBattery:
-    def test_product2_in_band(self):
-        rep = upper_bound_battery(product_symbol(2), TorusPoint((0.0, 0.0)), 1.0,
-                                  delta_grid=[2.0**-k for k in range(3, 7)],
-                                  budget=300_000, seed=13)
-        assert rep.passed
-        assert 2.8 <= rep.empirical_constant <= 3.7
-
-    def test_degenerate_map_refused(self):
-        # f = z1 inside D^2 ignores z2: rotated derivative vanishes
-        f = PolySymbol.monomial(2, (1, 0))
-        with pytest.raises(ContactRequired):
-            upper_bound_battery(f, TorusPoint((0.0, 0.0)), 1.0)

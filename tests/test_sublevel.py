@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from polycarleson.config import DEFAULTS
 from polycarleson.fitting import FitRefused, loglog_wls
-from polycarleson.measure import AnnulusArc, WeightParam, disc_cap_measure, merge_arcs
+from polycarleson.measure import AnnulusArc, FullPolydisc, WeightParam, disc_cap_measure, merge_arcs
 from polycarleson.sublevel import (
     SublevelQuery,
     build_proposal,
@@ -25,6 +26,47 @@ def power_sum_symbol(n):
         alpha[j] = n
         entries.append((tuple(alpha), 1.0 / n))
     return PolySymbol.from_tables([entries], n)
+
+
+def general_symbol():
+    """f = (z1 + z2 + z1 z2)/3: neither a monomial nor separable; |f| = 1 on T^2 only at (1, 1)."""
+    return PolySymbol.from_tables([[((1, 0), 1 / 3), ((0, 1), 1 / 3), ((1, 1), 1 / 3)]], 2)
+
+
+def wrapped(a):
+    return abs((a + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+class TestGeneralSymbol:
+    """The value-fiber Newton solve and fiber-arc proposal used by general symbols."""
+
+    def test_fiber_is_the_single_point_one_one(self):
+        fiber = find_value_fiber(general_symbol(), 1.0)
+        assert fiber.kind == "finite"
+        assert len(fiber.points) == 1
+        assert max(wrapped(a) for a in fiber.points[0].angles) < 1e-6
+
+    def test_proposal_arcs_centred_on_fiber(self):
+        delta = 2.0**-6
+        region = build_proposal([(general_symbol(), 1.0, delta)], 2)
+        assert isinstance(region, AnnulusArc)
+        assert region.window is None
+        half = DEFAULTS.proposal_margin * math.sqrt(delta)
+        for arcs in region.arcs:
+            assert arcs is not None and len(arcs) == 1
+            start, length = arcs[0]
+            assert length == pytest.approx(2.0 * half)
+            assert wrapped(start + length / 2.0) < 1e-6
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_auto_proposal_agrees_with_uniform(self, k):
+        args = dict(f=general_symbol(), eta=1.0, delta=2.0**-k, beta=WeightParam(0.0),
+                    budget=1_000_000, seed=31 + k)
+        auto = estimate_sublevel(SublevelQuery(**args))
+        plain = estimate_sublevel(SublevelQuery(proposal=FullPolydisc(2), **args))
+        assert auto.trusted and plain.trusted
+        z = (auto.volume - plain.volume) / math.hypot(auto.stderr, plain.stderr)
+        assert abs(z) <= 4.0
 
 
 class TestValueFiber:
@@ -70,8 +112,6 @@ class TestBuildProposal:
 
     def test_large_delta_degrades_to_full_polydisc(self):
         region = build_proposal([(product_symbol(2), 1.0, 2.0)], 2)
-        from polycarleson.measure import FullPolydisc
-
         assert isinstance(region, FullPolydisc)
 
 
