@@ -116,7 +116,7 @@ def preimage_box_ratio(
         for j in range(sym.n_out)
         if box.radii[j] < 1.0
     ]
-    region = build_proposal(bindings, n, config) if bindings else build_proposal([], n, config)
+    region = build_proposal(bindings, n, config)
     if region == PROVABLY_EMPTY:
         return RatioEstimate(SublevelEstimate.empty("preimage empty by structure"), denominator)
     est = estimate_indicator(

@@ -73,6 +73,13 @@ class ExperimentConfig:
             if not hasattr(cfg, k):
                 raise ValueError(f"unknown config key {k!r}")
             setattr(cfg, k, v)
+        known = {f.name for f in dataclasses.fields(DEFAULTS)}
+        for k in cfg.tolerances:
+            if k not in known:
+                raise ValueError(f"unknown tolerances key {k!r}")
+        for k in ("budget", "seed", "beta"):
+            if type(getattr(cfg, k)) not in (int, float):
+                raise ValueError(f"config key {k!r} must be a number, got {getattr(cfg, k)!r}")
         return cfg
 
     def lab_config(self):

@@ -444,8 +444,8 @@ def fit_exponent(
 ) -> ExponentFit:
     """Weighted log-log fit of sublevel volume against delta over a geometric grid.
 
-    Untrusted points are excluded; the fit refuses to run on fewer than four
-    trusted points.
+    Untrusted points and exact zeros (sets empty by structure) are excluded;
+    the fit refuses to run on fewer than four trusted positive points.
     """
     deltas = _check_geometric(delta_grid)
     points = []
@@ -453,7 +453,7 @@ def fit_exponent(
         q = SublevelQuery(f=f, eta=eta, delta=delta, beta=beta, budget=budget,
                           proposal=proposal, seed=seed + 7919 * k, threads=threads)
         points.append(estimate_sublevel(q, config))
-    trusted = [(d, p) for d, p in zip(deltas, points) if p.trusted]
+    trusted = [(d, p) for d, p in zip(deltas, points) if p.trusted and p.volume > 0]
     if len(trusted) < 4:
         raise FitRefused(
             f"only {len(trusted)} trusted points out of {len(points)}; need at least 4"

@@ -211,9 +211,6 @@ class PolySymbol:
                 out[:, i, j] = _eval_table(self.derivative_table(i, j), z, cache)
         return out
 
-    def second_derivative_table(self, i: int, j: int, k: int) -> MonomialTable:
-        return _derivative_table_cached(self.derivative_table(i, j), k)
-
     def restrict(self, fixed: Mapping[int, complex]) -> "PolySymbol":
         """Fold a partial variable assignment into the coefficients exactly.
 
@@ -248,9 +245,6 @@ class PolySymbol:
         return sym
 
     # -- structure introspection --------------------------------------------
-
-    def degree(self) -> int:
-        return max((sum(a) for t in self.components for a, _ in t), default=0)
 
     def depends_on(self, j: int) -> bool:
         return any(a[j] > 0 for t in self.components for a, _ in t)

@@ -1,60 +1,62 @@
 """Acceptance suite: every pinned battery criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line.  The criteria share expensive fits and
-scans through a session-scoped cache, exactly as the ``battery`` CLI
-subcommand does, so the verdict pairs asserted here come from a single run.
+scans through one module-scoped battery run and its memo, exactly as the
+``battery`` CLI subcommand does, so the verdict pairs asserted here come from a
+single run.  The tolerances below are literals on purpose: they guard against
+the manifest being loosened.
 """
 
 import pytest
 
 from polycarleson.battery import (
-    CRITERIA,
+    BASE_SEED,
+    GRID_4_8,
     MANIFEST,
     SYMBOL_NAMES,
+    BatteryRun,
+    FitCase,
     get_symbol,
+    run_battery,
 )
-
-RESULTS = {}
 
 
 @pytest.fixture(scope="module")
-def shared():
-    return {}
+def run():
+    return BatteryRun()
 
 
-def _run(number, shared):
-    if number not in RESULTS:
-        RESULTS[number] = CRITERIA[number](shared)
-    result = RESULTS[number]
+def _run(number, run):
+    result = run.criterion(number)
     print(result.line())
     return result
 
 
-def test_criterion_01_product_exponents(shared):
-    result = _run(1, shared)
+def test_criterion_01_product_exponents(run):
+    result = _run(1, run)
     for case, info in result.details.items():
         assert abs(info["slope"] - info["target"]) <= 0.15, (case, info)
         assert info["seconds"] <= 300.0, (case, info)
     assert result.passed
 
 
-def test_criterion_02_power_sum_exponents(shared):
-    result = _run(2, shared)
+def test_criterion_02_power_sum_exponents(run):
+    result = _run(2, run)
     for case, info in result.details.items():
         assert abs(info["slope"] - info["target"]) <= 0.2, (case, info)
     assert result.passed
 
 
-def test_criterion_03_sandwich_bounds(shared):
-    result = _run(3, shared)
+def test_criterion_03_sandwich_bounds(run):
+    result = _run(3, run)
     for case, info in result.details.items():
         lo, hi = info["band"]
         assert lo <= info["slope"] <= hi, (case, info)
     assert result.passed
 
 
-def test_criterion_04_disc_cap_scaling(shared):
-    result = _run(4, shared)
+def test_criterion_04_disc_cap_scaling(run):
+    result = _run(4, run)
     for case, info in result.details.items():
         if case == "seconds":
             assert info <= 10.0
@@ -63,15 +65,15 @@ def test_criterion_04_disc_cap_scaling(shared):
     assert result.passed
 
 
-def test_criterion_05_sharpness_thresholds(shared):
-    result = _run(5, shared)
+def test_criterion_05_sharpness_thresholds(run):
+    result = _run(5, run)
     assert abs(result.details["bounded3"]["slope"]) <= 0.1, result.details
     assert abs(result.details["unbounded4"]["slope"] + 1.0) <= 0.2, result.details
     assert result.passed
 
 
-def test_criterion_06_bidisc(shared):
-    result = _run(6, shared)
+def test_criterion_06_bidisc(run):
+    result = _run(6, run)
     for name in MANIFEST["bidisc"]["bounded"]:
         assert result.details[name]["outcome"] == "Bounded"
     assert result.details["mean_product"]["outcome"] == "Unbounded"
@@ -80,31 +82,31 @@ def test_criterion_06_bidisc(shared):
     assert result.passed
 
 
-def test_criterion_07_tridisc(shared):
-    result = _run(7, shared)
+def test_criterion_07_tridisc(run):
+    result = _run(7, run)
     assert result.details["stacked_product3"]["outcome"] == "Bounded"
     assert result.details["repeated_product3"]["outcome"] == "Unbounded"
     assert abs(result.details["repeated_product3 scan"]["slope"] + 1.0) <= 0.2
     assert result.passed
 
 
-def test_criterion_08_sufficient_not_necessary(shared):
-    result = _run(8, shared)
+def test_criterion_08_sufficient_not_necessary(run):
+    result = _run(8, run)
     assert result.details["rank_sufficiency"] == "NecessityFails"
     assert result.details["tridisc_decision"] == "Bounded"
     assert result.passed
 
 
-def test_criterion_09_beta_uniformity(shared):
-    result = _run(9, shared)
+def test_criterion_09_beta_uniformity(run):
+    result = _run(9, run)
     assert result.details["max_ratio"] <= 10.0 * result.details["beta0_max_ratio"]
     for beta, slope in result.details["slopes"].items():
         assert abs(slope) <= 0.1, (beta, slope)
     assert result.passed
 
 
-def test_criterion_10_property_battery(shared):
-    result = _run(10, shared)
+def test_criterion_10_property_battery(run):
+    result = _run(10, run)
     assert all(result.details["properties"].values()), result.details
     assert result.details["slice_gradient_constancy"]
     assert result.details["boundary_derivative_checks"]
@@ -113,22 +115,41 @@ def test_criterion_10_property_battery(shared):
     assert result.passed
 
 
-def test_criterion_11_determinism(shared):
-    result = _run(11, shared)
+def test_criterion_11_determinism(run):
+    result = _run(11, run)
     assert result.details["identical"]
     assert result.passed
 
 
-def test_cross_validation_slope_signs(shared):
+def test_cross_validation_slope_signs(run):
     """Measured ratio slopes agree in sign with the rank-based verdicts."""
-    for key in ("scan/bounded3",):
-        if key in shared:
-            assert shared[key].slope >= -0.1
-    for key in ("scan/unbounded4", "scan/mean_product", "scan/repeated_product3"):
-        if key in shared:
-            assert shared[key].slope <= -0.3
+    for number in (5, 6, 7):
+        _run(number, run)
+    bounded = [MANIFEST["sharpness_scans"]["bounded3"]]
+    unbounded = [MANIFEST["sharpness_scans"]["unbounded4"], MANIFEST["bidisc"]["scan"],
+                 MANIFEST["tridisc"]["scan"]]
+    assert all(case in run.memo for case in bounded + unbounded)
+    for case in bounded:
+        assert run.result(case).slope >= -0.1, case
+    for case in unbounded:
+        assert run.result(case).slope <= -0.3, case
 
 
 def test_every_battery_symbol_is_certified():
     for name in SYMBOL_NAMES:
         assert get_symbol(name).certificate is not None, name
+
+
+def test_refused_case_fails_its_criterion(monkeypatch):
+    """A refused fit fails its own case as untrusted; the remaining criteria still run."""
+    refusing = FitCase("powersum3", 0.0, GRID_4_8, 200, BASE_SEED + 22)
+    monkeypatch.setitem(MANIFEST, "power_sum_exponent",
+                        {**MANIFEST["power_sum_exponent"], "cases": (refusing,)})
+    lines = []
+    results, code = run_battery(only={2, 4}, emit=lines.append)
+    detail = results[0].details["powersum3, beta=0"]
+    assert not detail["ok"] and detail["untrusted"]
+    assert "only 0 trusted points" in detail["refused"]
+    assert not results[0].passed and results[0].untrusted
+    assert results[1].passed and len(lines) == 2
+    assert code == 3

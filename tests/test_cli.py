@@ -95,8 +95,17 @@ class TestExponentCommand:
 
     def test_bad_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert run_cli(["exponent", "--config", str(path)]) == 2
+        for text in ("{not json", '{"tolerances": {"no_such_tol": 1.0}}', '{"budget": "ten"}'):
+            path.write_text(text)
+            assert run_cli(["exponent", "--config", str(path), "--symbol", "product2",
+                            "--out-dir", str(tmp_path)]) == 2, text
+
+    def test_structurally_empty_fit_exit_3(self, tmp_path, capsys):
+        # |0.5 z1 z2| <= 0.5, so every sublevel set around eta = 1 is empty
+        code = run_cli(["exponent", "--symbol", "[[[0.5, 0, 1, 1]]]", "--budget", "1000",
+                        "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "fit refused" in capsys.readouterr().err
 
 
 class TestCarlesonCommand:

@@ -209,6 +209,12 @@ class TestFitExponent:
                          delta_grid=[2.0**-k for k in range(4, 8)],
                          budget=10_000, proposal=wrong, seed=9)
 
+    def test_refuses_structurally_empty_grid(self):
+        # every point is an exact, trusted zero: |0.5 z1 z2 - 1| >= 0.5 > delta
+        with pytest.raises(FitRefused):
+            fit_exponent(PolySymbol.monomial(2, (1, 1), 0.5), 1.0, WeightParam(0.0),
+                         budget=1000)
+
     def test_csv_rows_shape(self):
         fit = fit_exponent(PolySymbol.identity(1), 1.0, WeightParam(0.0),
                            delta_grid=[2.0**-k for k in range(4, 8)],
