@@ -97,7 +97,7 @@ def load_symbol(spec: str) -> PolySymbol:
     if spec.lstrip().startswith("["):
         return PolySymbol.from_literal(json.loads(spec))
     path = Path(spec)
-    if path.exists():
+    if path.is_file():
         return PolySymbol.from_literal(json.loads(path.read_text()))
     raise ValueError(
         f"unknown symbol {spec!r}: not a battery name, literal, or readable file"

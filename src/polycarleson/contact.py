@@ -6,12 +6,22 @@ certified self-map attain unit modulus.  Detection screens a dense angle grid
 drives candidates onto the contact locus with a damped Newton ascent on the
 smooth objective sum_i |Phi_i|^2; the same routine, run as a descent on
 |f - eta|^2, solves the value fibers f = eta for the sublevel proposals.
+Each component's modulus grid is evaluated only along the angles its table
+depends on and kept with length-1 axes for the others, so a two-variable
+component of a tridisc map costs res^2 cells, not res^3, and the test on the
+minimum over components combines the per-component tests by broadcasting.
 Whether the refined set is a finite point list or a sampled
 positive-dimensional locus is decided by the fraction of accepted grid cells.
+
+Rank checks take a whole contact set at once: one batched Jacobian
+evaluation and one stacked SVD give a ``RankBatch`` holding every point's
+singular values, rank and inconclusive flag, from which the per-point
+``RankReport`` records are built on demand.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -100,25 +110,28 @@ class SliceReport:
 # ---------------------------------------------------------------------------
 
 
+_GRID_BLOCK = 1 << 16  # grid rows evaluated per _eval_table call
+
+
 @lru_cache(maxsize=6)
 def _modulus_grid(table: MonomialTable, n: int, res: int) -> np.ndarray:
-    """|polynomial| over the res^n torus grid, float32, flat C order."""
-    theta = TWO_PI * np.arange(res) / res
-    ring = np.exp(1j * theta)
-    if n == 1:
-        vals = _eval_table(table, ring[:, None], {})
-        return np.abs(vals).astype(np.float32)
-    out = np.empty(res**n, dtype=np.float32)
-    block = res ** (n - 1)
-    tail = np.meshgrid(*([ring] * (n - 1)), indexing="ij")
-    tail_flat = np.stack([g.reshape(-1) for g in tail], axis=1)
-    z = np.empty((block, n), dtype=complex)
-    z[:, 1:] = tail_flat
-    for i0 in range(res):
-        z[:, 0] = ring[i0]
-        vals = _eval_table(table, z, {})
-        out[i0 * block : (i0 + 1) * block] = np.abs(vals)
-    return out
+    """|polynomial| over the res^n torus grid, float32, shaped to broadcast.
+
+    Axis j has length res if the table depends on z_j and length 1 otherwise.
+    ``_eval_table`` never reads a variable whose exponents are all zero, so
+    every value has the same bits as in the full res^n evaluation.
+    """
+    live = [j for j in range(n) if any(alpha[j] for alpha, _ in table)]
+    ring = np.exp(1j * (TWO_PI * np.arange(res) / res))
+    cells = res ** len(live)
+    out = np.empty(cells, dtype=np.float32)
+    for start in range(0, cells, _GRID_BLOCK):
+        flat = np.arange(start, min(start + _GRID_BLOCK, cells))
+        z = np.ones((len(flat), n), dtype=complex)
+        for j, i in zip(live, np.unravel_index(flat, (res,) * len(live))):
+            z[:, j] = ring[i]
+        out[start : start + len(flat)] = np.abs(_eval_table(table, z, {}))
+    return out.reshape([res if j in live else 1 for j in range(n)])
 
 
 def _grid_angles(idx: np.ndarray, n: int, res: int) -> np.ndarray:
@@ -209,19 +222,50 @@ def _torus_newton(tables, targets, theta: np.ndarray, ascend: bool) -> np.ndarra
 
 
 def _dedupe(theta: np.ndarray, residuals: np.ndarray, merge_radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy clustering in the wrap-around sup metric; keeps the best residual."""
-    order = np.lexsort(theta.T[::-1])
+    """Greedy clustering in the wrap-around sup metric; keeps the best residual.
+
+    Points are visited in lexicographic order.  Each joins the earliest-listed
+    representative closer than merge_radius, replacing it when its residual is
+    smaller, or else becomes a new representative.  Representatives are
+    bucketed by cells at least merge_radius wide in their first min(n, 3)
+    angles, so a point is compared only with those in the (at most 27) cells
+    around its own.
+    """
+    k = min(theta.shape[1], 3)
+    # a hair under 2 pi / merge_radius cells per angle, so that rounding cannot
+    # put two close points two cells apart; at most 2^20, so that a cell's
+    # code fits in an int64
+    cells = (1 << 20 if merge_radius * (1 << 20) < TWO_PI
+             else max(1, int(TWO_PI / merge_radius * (1.0 - 1e-9))))
+    key = np.floor((theta[:, :k] % TWO_PI) * (cells / TWO_PI)).astype(np.int64) % cells
+    weights = cells ** np.arange(k, dtype=np.int64)
+    code = key @ weights
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=k)))
+    around = ((key[:, None, :] + offsets) % cells) @ weights
+    # only cells that hold some point can ever hold a representative
+    occupied = np.isin(around, code)
+    flat = around[occupied].tolist()
+    end = np.cumsum(occupied.sum(axis=1)).tolist()
+    near_cells = [flat[a:b] for a, b in zip([0, *end[:-1]], end)]
+    code = code.tolist()
+    rows = theta.tolist()
+    resid = residuals.tolist()
+
+    def gap(i, j):  # wrap-around sup distance
+        return max(abs((a - b + math.pi) % TWO_PI - math.pi) for a, b in zip(rows[i], rows[j]))
+
+    buckets: dict[int, list[int]] = {}  # cell code -> positions in reps
     reps: list[int] = []
-    for idx in order:
-        if reps:
-            d = np.abs((theta[idx] - theta[reps] + math.pi) % TWO_PI - math.pi)
-            close = np.flatnonzero(np.max(d, axis=1) < merge_radius)
-            if close.size:
-                r_pos = int(close[0])
-                if residuals[idx] < residuals[reps[r_pos]]:
-                    reps[r_pos] = idx
-                continue
-        reps.append(idx)
+    for idx in np.lexsort(theta.T[::-1]).tolist():
+        near = sorted({pos for c in near_cells[idx] for pos in buckets.get(c, ())})
+        joined = next((pos for pos in near if gap(idx, reps[pos]) < merge_radius), None)
+        if joined is None:
+            buckets.setdefault(code[idx], []).append(len(reps))
+            reps.append(idx)
+        elif resid[idx] < resid[reps[joined]]:
+            buckets[code[reps[joined]]].remove(joined)
+            buckets.setdefault(code[idx], []).append(joined)
+            reps[joined] = idx
     reps_arr = np.array(reps, dtype=int)
     final_order = np.lexsort(theta[reps_arr].T[::-1])
     reps_arr = reps_arr[final_order]
@@ -253,8 +297,8 @@ def find_contact_set(
     def _result(kind, pts, res_vals, frac):
         return ContactSet(
             symbol=sym, index_set=index_set, kind=kind,
-            points=tuple(TorusPoint(tuple(p)) for p in pts),
-            residuals=tuple(float(r) for r in res_vals),
+            points=tuple(TorusPoint(tuple(p)) for p in np.reshape(pts, (-1, n)).tolist()),
+            residuals=tuple(np.asarray(res_vals, dtype=float).tolist()),
             grid_res=res, accepted_fraction=float(frac),
             contact_tol=config.contact_tol, merge_radius=config.merge_radius,
         )
@@ -282,9 +326,13 @@ def find_contact_set(
         pts = np.stack([g.reshape(-1) for g in grids], axis=1)
         return _result("positive_dimensional", pts, np.zeros(len(pts)), 1.0)
 
-    mods = [_modulus_grid(sym.components[i], n, res) for i in grid_components]
-    m = mods[0] if len(mods) == 1 else np.minimum.reduce(mods)
-    candidates = np.flatnonzero(m >= 1.0 - config.coarse_margin)
+    # the minimum modulus is within the margin iff every component's is; the
+    # per-component masks broadcast against each other
+    near_unit = functools.reduce(np.logical_and, [
+        _modulus_grid(sym.components[i], n, res) >= 1.0 - config.coarse_margin
+        for i in grid_components
+    ])
+    candidates = np.flatnonzero(np.broadcast_to(near_unit, (res,) * n))
     total_cells = res**n
     frac_coarse = len(candidates) / total_cells
     if len(candidates) == 0:
@@ -335,6 +383,16 @@ def find_contact_set(
 # ---------------------------------------------------------------------------
 
 
+def _stacked_rank(blocks: np.ndarray, rank_tol: float, rank_band: float):
+    """Singular values, ranks and inconclusive flags of an (N, k, m) matrix stack."""
+    sv = np.linalg.svd(np.asarray(blocks, dtype=complex), compute_uv=False)
+    top = sv[:, :1]
+    nonzero = top != 0.0  # a zero (or empty) block has rank 0 and is never inconclusive
+    rel = sv / np.where(nonzero, top, 1.0)
+    counted = (rel > rank_tol) & nonzero
+    return sv, counted.sum(axis=1), (counted & (rel < rank_band)).any(axis=1)
+
+
 def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULTS.rank_tol,
                    rank_band: float = DEFAULTS.rank_band) -> RankInfo:
     """Rank by singular values: sigma_k counts iff sigma_k > rank_tol * sigma_1.
@@ -343,31 +401,50 @@ def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULTS.rank_tol,
     are an honest gray zone and set the inconclusive flag instead of being
     silently tie-broken.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return RankInfo(rank=0, singular_values=tuple(float(s) for s in sv), inconclusive=False)
-    rel = sv / sv[0]
-    rank = int(np.sum(rel > rank_tol))
-    inconclusive = bool(np.any((rel > rank_tol) & (rel < rank_band)))
-    return RankInfo(rank=rank, singular_values=tuple(float(s) for s in sv), inconclusive=inconclusive)
+    sv, ranks, inconclusive = _stacked_rank(np.asarray(matrix)[None], rank_tol, rank_band)
+    return RankInfo(rank=int(ranks[0]), singular_values=tuple(float(s) for s in sv[0]),
+                    inconclusive=bool(inconclusive[0]))
 
 
-def rank_report(sym: PolySymbol, index_set: tuple[int, ...], point: TorusPoint,
-                config: LabConfig = DEFAULTS) -> RankReport:
-    """Rank of the Jacobian block d_zeta Phi_I against the target |I|."""
-    J = sym.jacobian(point.point())
-    block = J[list(index_set), :]
-    info = numerical_rank(block, config.rank_tol, config.rank_band)
-    target = len(index_set)
-    return RankReport(
-        point=point,
-        singular_values=info.singular_values,
-        rank=info.rank,
-        target=target,
-        passed=(info.rank == target and not info.inconclusive),
-        inconclusive=info.inconclusive,
-    )
+@dataclass(frozen=True, eq=False)
+class RankBatch:
+    """Rank of the Jacobian block d_zeta Phi_I at every point of a contact set.
+
+    Row k of each array belongs to ``points[k]``; ``report(k)`` builds that
+    point's ``RankReport``.
+    """
+
+    points: tuple[TorusPoint, ...]
+    target: int
+    jacobians: np.ndarray        # (N, |I|, n) Jacobian blocks
+    singular_values: np.ndarray  # (N, min(|I|, n)), descending
+    ranks: np.ndarray            # (N,)
+    inconclusive: np.ndarray     # (N,) bool
+
+    @property
+    def passed(self) -> np.ndarray:
+        return (self.ranks == self.target) & ~self.inconclusive
+
+    def report(self, k: int) -> RankReport:
+        return RankReport(
+            point=self.points[k],
+            singular_values=tuple(float(s) for s in self.singular_values[k]),
+            rank=int(self.ranks[k]),
+            target=self.target,
+            passed=bool(self.passed[k]),
+            inconclusive=bool(self.inconclusive[k]),
+        )
+
+
+def rank_report(sym: PolySymbol, index_set: tuple[int, ...], points,
+                config: LabConfig = DEFAULTS) -> RankBatch:
+    """Rank of the Jacobian block d_zeta Phi_I against the target |I| at every point."""
+    points = tuple(points)
+    angles = np.array([p.angles for p in points], dtype=float).reshape(len(points), sym.n_in)
+    blocks = sym.jacobian_batch(np.exp(1j * angles))[:, list(index_set), :]
+    sv, ranks, inconclusive = _stacked_rank(blocks, config.rank_tol, config.rank_band)
+    return RankBatch(points=points, target=len(index_set), jacobians=blocks,
+                     singular_values=sv, ranks=ranks, inconclusive=inconclusive)
 
 
 # ---------------------------------------------------------------------------

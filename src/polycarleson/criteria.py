@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS, LabConfig
-from .contact import ContactSet, RankReport, find_contact_set, jc_check, rank_report
+from .contact import ContactSet, RankBatch, RankReport, find_contact_set, jc_check, rank_report
 from .measure import WeightParam
 from .symbols import PolySymbol
 
@@ -113,22 +113,23 @@ class Decision(_WitnessedResult):
                              "detail": self.detail})
 
 
+def _evidence(index_set: tuple[int, ...], cs: ContactSet, ranks: RankBatch, checked: int,
+              jc_passed: bool | None = None) -> IndexEvidence:
+    """Evidence from the rank rows of the first ``checked`` contact points."""
+    return IndexEvidence(
+        index_set=index_set, contact_kind=cs.kind, points_checked=len(cs.points),
+        min_rank=int(ranks.ranks[:checked].min()) if checked else None,
+        reports=tuple(ranks.report(k) for k in range(min(checked, EVIDENCE_CAP))),
+        jc_passed=jc_passed,
+    )
+
+
 def _subset_evidence(sym: PolySymbol, index_set: tuple[int, ...], cs: ContactSet,
                      config: LabConfig) -> tuple[IndexEvidence, RankReport | None, bool]:
     """Check rank at every stored contact point; returns (evidence, failure, inconclusive)."""
-    reports = []
-    failure = None
-    inconclusive = False
-    min_rank = None
-    for pt in cs.points:
-        rep = rank_report(sym, index_set, pt, config)
-        min_rank = rep.rank if min_rank is None else min(min_rank, rep.rank)
-        if len(reports) < EVIDENCE_CAP:
-            reports.append(rep)
-        if rep.inconclusive:
-            inconclusive = True
-        elif rep.rank < rep.target and failure is None:
-            failure = rep
+    ranks = rank_report(sym, index_set, cs.points, config)
+    deficient = np.flatnonzero((ranks.ranks < ranks.target) & ~ranks.inconclusive)
+    failure = ranks.report(int(deficient[0])) if deficient.size else None
     jc_ok = None
     if len(index_set) == 1 and cs.points:
         jc_ok = True
@@ -140,11 +141,8 @@ def _subset_evidence(sym: PolySymbol, index_set: tuple[int, ...], cs: ContactSet
             if not jc_check(comp, pt, eta, config).passed:
                 jc_ok = False
                 break
-    ev = IndexEvidence(
-        index_set=index_set, contact_kind=cs.kind, points_checked=len(cs.points),
-        min_rank=min_rank, reports=tuple(reports), jc_passed=jc_ok,
-    )
-    return ev, failure, inconclusive
+    ev = _evidence(index_set, cs, ranks, len(cs.points), jc_ok)
+    return ev, failure, bool(ranks.inconclusive.any())
 
 
 def check_rank_sufficiency(sym: PolySymbol, config: LabConfig = DEFAULTS,
@@ -259,46 +257,34 @@ def decide_tridisc(sym: PolySymbol, config: LabConfig = DEFAULTS,
 
     for pair in itertools.combinations(range(3), 2):
         cs = find_contact_set(sym, pair, grid_res=grid_res, config=config)
-        reports = []
-        min_rank = None
-        for pt in cs.points:
-            rep = rank_report(sym, pair, pt, config)
-            min_rank = rep.rank if min_rank is None else min(min_rank, rep.rank)
-            if len(reports) < EVIDENCE_CAP:
-                reports.append(rep)
-            if rep.passed:
-                continue  # gradients independent: condition (a)
-            J = sym.jacobian(pt.point())
-            entries = np.abs(J[list(pair), :]).reshape(-1)
-            min_entry = float(entries.min())
-            if rep.inconclusive and min_entry <= config.entry_tol:
-                evidence.append(IndexEvidence(pair, cs.kind, len(cs.points), min_rank,
-                                              tuple(reports), None))
-                return Decision(outcome=INCONCLUSIVE, spaces=spaces, witness=None,
-                                witness_index_set=None,
-                                detail=f"pair {pair} rank in tolerance band",
-                                evidence=tuple(evidence), config=config)
-            if min_entry > config.entry_tol:
-                continue  # condition (b): every derivative entry away from zero
-            if min_entry > config.entry_band_floor:
-                evidence.append(IndexEvidence(pair, cs.kind, len(cs.points), min_rank,
-                                              tuple(reports), None))
-                return Decision(outcome=INCONCLUSIVE, spaces=spaces, witness=None,
-                                witness_index_set=None,
-                                detail=f"pair {pair} derivative entry in tolerance band",
-                                evidence=tuple(evidence), config=config)
-            evidence.append(IndexEvidence(pair, cs.kind, len(cs.points), min_rank,
-                                          tuple(reports), None))
-            return Decision(
-                outcome=UNBOUNDED, spaces=spaces, witness=rep, witness_index_set=pair,
-                detail=(
-                    f"pair {pair}: dependent gradients and a vanishing derivative "
-                    f"entry (min modulus {min_entry:.2e})"
-                ),
-                evidence=tuple(evidence), config=config,
-            )
-        evidence.append(IndexEvidence(pair, cs.kind, len(cs.points), min_rank,
-                                      tuple(reports), None))
+        ranks = rank_report(sym, pair, cs.points, config)
+        min_entry = np.abs(ranks.jacobians).min(axis=(1, 2))
+        # a point decides the pair unless its gradients are independent
+        # (condition (a)) or every derivative entry is away from zero (condition (b))
+        decisive = np.flatnonzero(~ranks.passed & (min_entry <= config.entry_tol))
+        if not decisive.size:
+            evidence.append(_evidence(pair, cs, ranks, len(cs.points)))
+            continue
+        k = int(decisive[0])
+        evidence.append(_evidence(pair, cs, ranks, k + 1))
+        if ranks.inconclusive[k]:
+            return Decision(outcome=INCONCLUSIVE, spaces=spaces, witness=None,
+                            witness_index_set=None,
+                            detail=f"pair {pair} rank in tolerance band",
+                            evidence=tuple(evidence), config=config)
+        if min_entry[k] > config.entry_band_floor:
+            return Decision(outcome=INCONCLUSIVE, spaces=spaces, witness=None,
+                            witness_index_set=None,
+                            detail=f"pair {pair} derivative entry in tolerance band",
+                            evidence=tuple(evidence), config=config)
+        return Decision(
+            outcome=UNBOUNDED, spaces=spaces, witness=ranks.report(k), witness_index_set=pair,
+            detail=(
+                f"pair {pair}: dependent gradients and a vanishing derivative "
+                f"entry (min modulus {min_entry[k]:.2e})"
+            ),
+            evidence=tuple(evidence), config=config,
+        )
     return Decision(outcome=BOUNDED, spaces=spaces, witness=None, witness_index_set=None,
                     detail="all contact-rank and derivative-entry conditions hold",
                     evidence=tuple(evidence), config=config)

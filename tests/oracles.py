@@ -59,3 +59,29 @@ def radial_moment(beta, power):
         epsrel=1e-12,
     )
     return val
+
+
+def greedy_dedupe(theta, residuals, merge_radius):
+    """Reference clustering in the wrap-around sup metric, O(N * representatives).
+
+    Visits the points in lexicographic order; each joins the earliest-listed
+    representative closer than merge_radius (replacing it when its residual is
+    smaller) or becomes a new one.  Returns the representatives in
+    lexicographic order.
+    """
+    two_pi = 2.0 * np.pi
+    order = np.lexsort(theta.T[::-1])
+    reps = []
+    for idx in order:
+        if reps:
+            d = np.abs((theta[idx] - theta[reps] + np.pi) % two_pi - np.pi)
+            close = np.flatnonzero(np.max(d, axis=1) < merge_radius)
+            if close.size:
+                r_pos = int(close[0])
+                if residuals[idx] < residuals[reps[r_pos]]:
+                    reps[r_pos] = idx
+                continue
+        reps.append(idx)
+    reps = np.array(reps, dtype=int)
+    reps = reps[np.lexsort(theta[reps].T[::-1])]
+    return theta[reps], residuals[reps]

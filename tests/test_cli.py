@@ -100,6 +100,13 @@ class TestExponentCommand:
             assert run_cli(["exponent", "--config", str(path), "--symbol", "product2",
                             "--out-dir", str(tmp_path)]) == 2, text
 
+    def test_missing_symbol_exit_2(self, tmp_path, capsys):
+        # no --symbol is the empty spec, which names the working directory
+        for extra in ([], ["--symbol", str(tmp_path)]):
+            code = run_cli(["exponent", "--budget", "1000", "--out-dir", str(tmp_path), *extra])
+            assert code == 2, extra
+            assert "unknown symbol" in capsys.readouterr().err
+
     def test_structurally_empty_fit_exit_3(self, tmp_path, capsys):
         # |0.5 z1 z2| <= 0.5, so every sublevel set around eta = 1 is empty
         code = run_cli(["exponent", "--symbol", "[[[0.5, 0, 1, 1]]]", "--budget", "1000",

@@ -4,17 +4,38 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import greedy_dedupe
+from polycarleson.battery import SYMBOL_NAMES, get_symbol
+from polycarleson.config import DEFAULTS
 from polycarleson.contact import (
     ContactRequired,
+    _dedupe,
+    _modulus_grid,
+    _stacked_rank,
     find_contact_set,
     jc_check,
     numerical_rank,
     rank_report,
     slice_gradient_constancy,
 )
-from polycarleson.symbols import PolySymbol, TorusPoint
+from polycarleson.symbols import PolySymbol, TorusPoint, _eval_table
 
 TWO_PI = 2.0 * math.pi
+# ((z1 + z2)/2, (z2 + z3)/2, z1 z2 z3): a tridisc self-map with non-monomial components
+GENERAL3 = PolySymbol.from_tables(
+    [
+        [((1, 0, 0), 0.5), ((0, 1, 0), 0.5)],
+        [((0, 1, 0), 0.5), ((0, 0, 1), 0.5)],
+        [((1, 1, 1), 1.0)],
+    ],
+    3,
+)
+SELF_MAPS = [sym for sym in map(get_symbol, SYMBOL_NAMES) if sym.n_in == sym.n_out] + [GENERAL3]
+ANGLE = st.floats(0.0, TWO_PI, exclude_max=True)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 def product_symbol(n):
@@ -130,8 +151,137 @@ class TestNumericalRank:
 
     def test_rank_report(self):
         sym = PolySymbol.identity(2)
-        rep = rank_report(sym, (0, 1), TorusPoint((0.3, 1.2)))
+        rep = rank_report(sym, (0, 1), [TorusPoint((0.3, 1.2))]).report(0)
         assert rep.passed and rep.rank == 2 and rep.target == 2
+
+    def test_rank_report_no_points(self):
+        ranks = rank_report(PolySymbol.identity(2), (0, 1), [])
+        assert ranks.jacobians.shape == (0, 2, 2)
+        assert ranks.ranks.shape == ranks.inconclusive.shape == (0,)
+
+
+class TestBatchedRank:
+    """Each row of a batched rank check equals the one-matrix check of that row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SELF_MAPS), st.data())
+    def test_rows_match_single_point(self, sym, data):
+        n = sym.n_in
+        points = [TorusPoint(a) for a in data.draw(
+            st.lists(st.tuples(*[ANGLE] * n), min_size=1, max_size=8))]
+        order = data.draw(st.permutations(range(n)))
+        index_set = tuple(sorted(order[: data.draw(st.integers(1, n))]))
+        ranks = rank_report(sym, index_set, points)
+        assert ranks.points == tuple(points) and ranks.target == len(index_set)
+        for k, pt in enumerate(points):
+            block = sym.jacobian(pt.point())[list(index_set), :]
+            info = numerical_rank(block)
+            rep = ranks.report(k)
+            assert rep.point == pt
+            assert (rep.rank, rep.inconclusive) == (info.rank, info.inconclusive)
+            assert rep.passed == (info.rank == len(index_set) and not info.inconclusive)
+            np.testing.assert_array_equal(bits(rep.singular_values), bits(info.singular_values))
+            np.testing.assert_array_equal(ranks.jacobians[k].view(np.uint64),
+                                          block.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4), st.integers(3, 7),
+           st.floats(-7.5, -4.5))
+    def test_stacked_blocks_match_numerical_rank(self, seed, k, m, count, log_ratio):
+        rng = np.random.default_rng(seed)
+        blocks = rng.normal(size=(count, k, m)) + 1j * rng.normal(size=(count, k, m))
+        blocks[0] = 0.0  # rank 0
+        # singular values (1, 10^log_ratio): the second lies inside (rank_tol, rank_band)
+        u = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
+        v = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+        blocks[1] = u[:, :2] @ np.diag([1.0, 10.0**log_ratio]) @ v[:, :2].conj().T
+        sv, ranks, inconclusive = _stacked_rank(blocks, DEFAULTS.rank_tol, DEFAULTS.rank_band)
+        assert ranks[0] == 0 and not inconclusive[0]
+        assert ranks[1] == 2 and inconclusive[1]
+        for row, block in enumerate(blocks):
+            info = numerical_rank(block)
+            assert (ranks[row], inconclusive[row]) == (info.rank, info.inconclusive)
+            np.testing.assert_array_equal(bits(sv[row]), bits(info.singular_values))
+            np.testing.assert_array_equal(bits(sv[row]),
+                                          bits(np.linalg.svd(block, compute_uv=False)))
+
+
+@st.composite
+def clustered_angles(draw):
+    """Clusters of angles within a few merge radii, some straddling 0 / 2 pi.
+
+    Offsets are drawn in half merge radii, so many pairs sit exactly one
+    merge radius apart before reduction mod 2 pi; residuals come from a small
+    set, so ties occur.  A zero radius merges nothing.
+    """
+    n = draw(st.integers(1, 3))
+    radius = draw(st.sampled_from([DEFAULTS.merge_radius, 1e-2, 0.3, 0.0]))
+    edge = st.sampled_from([0.0, radius / 3, TWO_PI - radius / 3])
+    centres = draw(st.lists(st.tuples(*[st.one_of(edge, ANGLE)] * n), min_size=1, max_size=6))
+    offset = st.one_of(st.integers(-4, 4).map(lambda h: h * radius / 2),
+                       st.floats(-2.0 * radius, 2.0 * radius))
+    rows = []
+    for centre in centres:
+        for _ in range(draw(st.integers(1, 8))):
+            rows.append([c + draw(offset) for c in centre])
+    theta = np.array(rows) % TWO_PI
+    residuals = np.array(draw(st.lists(st.sampled_from([0.0, 1e-12, 3e-10, 1e-9]),
+                                       min_size=len(rows), max_size=len(rows))))
+    return theta, residuals, radius
+
+
+class TestDedupe:
+    @settings(max_examples=150, deadline=None)
+    @given(clustered_angles())
+    def test_matches_greedy_oracle(self, case):
+        theta, residuals, radius = case
+        got = _dedupe(theta, residuals, radius)
+        want = greedy_dedupe(theta, residuals, radius)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_dense_cloud_matches_greedy_oracle(self):
+        rng = np.random.default_rng(3)
+        centres = rng.random((40, 3)) * TWO_PI
+        theta = (centres[rng.integers(0, 40, 3000)]
+                 + rng.normal(scale=DEFAULTS.merge_radius, size=(3000, 3))) % TWO_PI
+        residuals = rng.random(3000) * 1e-9
+        got = _dedupe(theta, residuals, DEFAULTS.merge_radius)
+        want = greedy_dedupe(theta, residuals, DEFAULTS.merge_radius)
+        assert 40 < len(got[0]) < 3000
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def full_modulus_grid(table, n, res):
+    """|polynomial| evaluated at every point of the res^n grid, float32."""
+    theta = TWO_PI * np.arange(res) / res
+    ring = np.exp(1j * theta)
+    z = np.stack([g.reshape(-1) for g in np.meshgrid(*([ring] * n), indexing="ij")], axis=1)
+    return np.abs(_eval_table(table, z, {})).astype(np.float32).reshape((res,) * n)
+
+
+class TestModulusGrid:
+    @pytest.mark.parametrize("table, n, live", [
+        (GENERAL3.components[0], 3, (0, 1)),
+        (GENERAL3.components[1], 3, (1, 2)),
+        (GENERAL3.components[2], 3, (0, 1, 2)),
+        ((((0, 0, 0), 0.5), ((0, 0, 2), 0.5)), 3, (2,)),
+        ((((0, 1), 0.25), ((1, 1), 0.75)), 2, (0, 1)),
+        ((((0,), 0.5), ((3,), 0.5)), 1, (0,)),
+    ])
+    def test_broadcast_grid_matches_full_grid(self, table, n, live):
+        res = 48
+        grid = _modulus_grid(table, n, res)
+        assert grid.dtype == np.float32
+        assert grid.shape == tuple(res if j in live else 1 for j in range(n))
+        full = np.broadcast_to(grid, (res,) * n)
+        np.testing.assert_array_equal(full.view(np.uint32), full_modulus_grid(table, n, res).view(np.uint32))
+
+    def test_two_variable_table_costs_res_squared(self):
+        grid = _modulus_grid(GENERAL3.components[0], 3, 256)
+        assert grid.shape == (256, 256, 1)
+        assert grid.nbytes == 256 * 256 * 4  # 256 KiB, not the 64 MiB of the full 256^3 grid
 
 
 class TestJCCheck:

@@ -1,7 +1,10 @@
 import math
 
+from polycarleson import criteria
 from polycarleson.criteria import (
     BOUNDED,
+    EVIDENCE_CAP,
+    INCONCLUSIVE,
     NECESSITY_FAILS,
     SUFFICIENCY_HOLDS,
     UNBOUNDED,
@@ -10,8 +13,8 @@ from polycarleson.criteria import (
     decide_tridisc,
 )
 from polycarleson.config import DEFAULTS
-from polycarleson.contact import numerical_rank
-from polycarleson.symbols import PolySymbol
+from polycarleson.contact import ContactSet, numerical_rank
+from polycarleson.symbols import PolySymbol, TorusPoint
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,6 +134,55 @@ class TestTridisc:
         assert d.outcome == UNBOUNDED
         assert d.witness is not None
         assert d.witness_index_set == (0, 1)
+
+    def test_derivative_entry_in_band_inconclusive(self):
+        # the stacked pair has dependent gradients and unimodular entries, which
+        # an entry tolerance of 5 puts inside (entry_band_floor, entry_tol)
+        d = decide_tridisc(stacked_product(3), DEFAULTS.replace(entry_tol=5.0), grid_res=64)
+        assert d.outcome == INCONCLUSIVE
+        assert d.detail == "pair (0, 1) derivative entry in tolerance band"
+        ev = d.evidence[-1]
+        assert ev.index_set == (0, 1) and ev.min_rank == 1 and len(ev.reports) == 1
+
+    def test_rank_in_band_inconclusive(self):
+        # rank_band > 1 flags even the largest singular value as inconclusive
+        config = DEFAULTS.replace(entry_tol=5.0, rank_band=2.0)
+        d = decide_tridisc(stacked_product(3), config, grid_res=64)
+        assert d.outcome == INCONCLUSIVE
+        assert d.detail == "pair (0, 1) rank in tolerance band"
+        assert d.witness is None
+        assert d.evidence[-1].reports[0].inconclusive
+
+    def test_decisive_point_past_evidence_cap(self, monkeypatch):
+        # ((z1^2 + z2^2)/2, (z1 + z2)/2, z3): the pair (0, 1) has gradient rows
+        # (z1, z2, 0) and (1/2, 1/2, 0), independent off the diagonal z1 = z2 and
+        # dependent on it, where the zero d/dz3 entries decide Unbounded
+        sym = PolySymbol.from_tables(
+            [[((2, 0, 0), 0.5), ((0, 2, 0), 0.5)], [((1, 0, 0), 0.5), ((0, 1, 0), 0.5)],
+             [((0, 0, 1), 1.0)]], 3)
+        off = [(0.05 * k, 0.05 * k + 1.0, 0.0) for k in range(EVIDENCE_CAP + 8)]
+        pair_points = off + [(0.5, 0.5, 0.0), (1.5, 1.5, 0.0)]
+
+        def stub(sym_, index_set, grid_res=None, config=DEFAULTS):
+            pts = pair_points if tuple(index_set) == (0, 1) else []
+            return ContactSet(
+                symbol=sym_, index_set=tuple(index_set), kind="finite" if pts else "empty",
+                points=tuple(TorusPoint(p) for p in pts), residuals=(0.0,) * len(pts),
+                grid_res=64, accepted_fraction=0.0, contact_tol=config.contact_tol,
+                merge_radius=config.merge_radius,
+            )
+
+        monkeypatch.setattr(criteria, "find_contact_set", stub)
+        d = decide_tridisc(sym)
+        assert d.outcome == UNBOUNDED and d.witness_index_set == (0, 1)
+        assert d.witness.point.angles == (0.5, 0.5, 0.0)
+        assert d.witness.rank == 1
+        ev = d.evidence[-1]
+        assert ev.points_checked == len(pair_points)
+        assert len(ev.reports) == EVIDENCE_CAP
+        assert all(r.rank == 2 and r.passed for r in ev.reports)
+        assert [r.point.angles for r in ev.reports] == [TorusPoint(p).angles for p in off[:EVIDENCE_CAP]]
+        assert ev.min_rank == 1
 
     def test_sufficient_but_not_necessary_separation(self):
         sym = stacked_product(3)
