@@ -246,9 +246,10 @@ class CriterionResult:
 class BatteryRun:
     """One battery run: its output directory, threads, config and memo.
 
-    The memo keys fits and scans by their frozen case, tridisc decisions by
-    symbol name and criterion results by number, so a criterion that needs
-    another's fit, scan or decision reads it instead of recomputing it.
+    The memo keys fits and scans by their frozen case and criterion results
+    by number, so a criterion that needs another's fit or scan reads it
+    instead of recomputing it.  Decisions are not memoised: their contact
+    sets are cached in ``contact``, so deciding again is cheap.
     """
 
     out_dir: Path | str | None = None
@@ -263,10 +264,6 @@ class BatteryRun:
 
     def result(self, case: FitCase | ScanCase):
         return self._memo(case, lambda: case.run(self.threads, self.config))
-
-    def tridisc(self, name: str):
-        return self._memo(("tridisc", name), lambda: decide_tridisc(
-            get_symbol(name), config=self.config, grid_res=MANIFEST["tridisc"]["grid_res"]))
 
     def criterion(self, number: int) -> CriterionResult:
         """Criterion ``number``'s result; a fit or scan it refuses fails it as untrusted."""
@@ -429,7 +426,7 @@ def criterion_7(run: BatteryRun):
     spec = MANIFEST["tridisc"]
     details = {}
     for name, expected in ((spec["bounded"], BOUNDED), (spec["unbounded"], UNBOUNDED)):
-        d = run.tridisc(name)
+        d = decide_tridisc(get_symbol(name), config=run.config, grid_res=spec["grid_res"])
         details[name] = {"outcome": d.outcome, "ok": d.outcome == expected}
         run.write_json(f"decide_{name}.json", d.to_dict())
     scanned = details[f"{spec['scan'].symbol} scan"] = _scan_case(run, spec["scan"])
@@ -442,7 +439,7 @@ def criterion_8(run: BatteryRun):
     name = spec["bounded"]
     verdict = check_rank_sufficiency(get_symbol(name), config=run.config,
                                      grid_res=spec["grid_res"])
-    decision = run.tridisc(name)
+    decision = decide_tridisc(get_symbol(name), config=run.config, grid_res=spec["grid_res"])
     details = {
         "rank_sufficiency": verdict.outcome,
         "tridisc_decision": decision.outcome,

@@ -246,7 +246,7 @@ def _cmd_exponent(cfg: ExperimentConfig, out_dir: Path) -> int:
     print(json.dumps(summary, indent=2, sort_keys=True))
     if "json" in cfg.formats:
         write_json(out_dir / f"{stem}.json", summary)
-    return 0
+    return 0 if all(p.trusted for p in fit.points) else UNTRUSTED
 
 
 def _cmd_carleson(cfg: ExperimentConfig, out_dir: Path) -> int:

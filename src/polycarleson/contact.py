@@ -149,8 +149,9 @@ def _torus_newton(tables, targets, theta: np.ndarray, ascend: bool) -> np.ndarra
 
     Ascends F when ``ascend`` (contact refinement: targets 0, moduli pushed up
     to 1), otherwise descends it (value fibers: P = eta).  Steps are clipped
-    to length 0.5 and halved until F does not get worse; stationary
-    directions (flat loci) go through the pseudo-inverse.  Returns the
+    to length 0.5 and halved until F does not get worse.  Every step is
+    -pinv(H) g, so flat directions (positive-dimensional loci) get no step
+    and a row's step never depends on the other rows.  Returns the
     unwrapped angles, so callers can evaluate residuals before reducing
     mod 2 pi.
     """
@@ -194,16 +195,7 @@ def _torus_newton(tables, targets, theta: np.ndarray, ascend: bool) -> np.ndarra
         if not np.any(active):
             break
         step = np.zeros_like(th)
-        Ha = H[active]
-        ga = g[active]
-        try:
-            sa = -np.linalg.solve(Ha, ga[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            sa = -np.einsum("bij,bj->bi", np.linalg.pinv(Ha), ga)
-        bad = ~np.isfinite(sa).all(axis=1)
-        if np.any(bad):
-            sa[bad] = -np.einsum("bij,bj->bi", np.linalg.pinv(Ha[bad]), ga[bad])
-        step[active] = sa
+        step[active] = -np.einsum("bij,bj->bi", np.linalg.pinv(H[active]), g[active])
         # clip absurd steps, then damp until F does not get worse
         norms = np.linalg.norm(step, axis=1, keepdims=True)
         step = np.where(norms > 0.5, step * (0.5 / np.maximum(norms, 1e-300)), step)
@@ -282,7 +274,10 @@ def find_contact_set(
 
     Components that are single monomials impose either no constraint (unit
     coefficient modulus: the full torus) or an impossible one, so they are
-    resolved structurally before any grid work.
+    resolved structurally before any grid work.  The components that remain
+    are the constraint; index sets with the same constraint share one cached
+    detection, so e.g. {0} and {0, 2} cost one grid screen and one Newton
+    refinement when component 2 is a unimodular monomial.
     """
     sym.require_certificate()
     index_set = tuple(sorted(int(i) for i in index_set))
@@ -291,34 +286,33 @@ def find_contact_set(
     for i in index_set:
         if not 0 <= i < sym.n_out:
             raise ValueError(f"component index {i} out of range")
-    n = sym.n_in
-    res = grid_res if grid_res is not None else contact_grid_res(n)
-
-    def _result(kind, pts, res_vals, frac):
-        return ContactSet(
-            symbol=sym, index_set=index_set, kind=kind,
-            points=tuple(TorusPoint(tuple(p)) for p in np.reshape(pts, (-1, n)).tolist()),
-            residuals=tuple(np.asarray(res_vals, dtype=float).tolist()),
-            grid_res=res, accepted_fraction=float(frac),
-            contact_tol=config.contact_tol, merge_radius=config.merge_radius,
-        )
-
-    # structural shortcut for monomial components
-    grid_components: list[int] = []
+    res = grid_res if grid_res is not None else contact_grid_res(sym.n_in)
+    constraint = []
     for i in index_set:
         mono = sym.monomial_structure(i)
         if mono is None:
-            grid_components.append(i)
-            continue
-        c, _alpha = mono
-        if abs(abs(c) - 1.0) <= config.contact_tol:
-            continue  # unit modulus everywhere on T^n: no constraint
-        return _result("empty", [], [], 0.0)
-    zero_components = [i for i in index_set if not sym.components[i]]
-    if zero_components:
-        return _result("empty", [], [], 0.0)
+            constraint.append(sym.components[i])
+        elif abs(abs(mono[0]) - 1.0) > config.contact_tol:
+            constraint = None  # |c z^alpha| = |c| != 1 everywhere on T^n
+            break
+    if constraint is None or not all(constraint):  # or a zero component
+        kind, points, residuals, frac = "empty", (), (), 0.0
+    else:
+        kind, points, residuals, frac = _contact_locus(tuple(constraint), sym.n_in, res, config)
+    return ContactSet(symbol=sym, index_set=index_set, kind=kind, points=points,
+                      residuals=residuals, grid_res=res, accepted_fraction=frac,
+                      contact_tol=config.contact_tol, merge_radius=config.merge_radius)
 
-    if not grid_components:
+
+@lru_cache(maxsize=32)
+def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, config: LabConfig):
+    """(kind, points, residuals, accepted fraction) of {|P| = 1 for every P in tables}."""
+
+    def _result(kind, pts, res_vals, frac):
+        return (kind, tuple(TorusPoint(tuple(p)) for p in np.reshape(pts, (-1, n)).tolist()),
+                tuple(np.asarray(res_vals, dtype=float).tolist()), float(frac))
+
+    if not tables:
         # whole torus; deterministic coarse sample grid
         side = max(2, int(round(config.posdim_sample_cap ** (1.0 / n))))
         theta = TWO_PI * np.arange(side) / side
@@ -329,8 +323,7 @@ def find_contact_set(
     # the minimum modulus is within the margin iff every component's is; the
     # per-component masks broadcast against each other
     near_unit = functools.reduce(np.logical_and, [
-        _modulus_grid(sym.components[i], n, res) >= 1.0 - config.coarse_margin
-        for i in grid_components
+        _modulus_grid(t, n, res) >= 1.0 - config.coarse_margin for t in tables
     ])
     candidates = np.flatnonzero(np.broadcast_to(near_unit, (res,) * n))
     total_cells = res**n
@@ -341,7 +334,6 @@ def find_contact_set(
     stride = max(1, math.ceil(len(candidates) / config.posdim_sample_cap))
     seeds = candidates[::stride]
     theta0 = _grid_angles(seeds, n, res)
-    tables = [sym.components[i] for i in grid_components]
     theta = _torus_newton(tables, [0j] * len(tables), theta0, ascend=True)
     z = np.exp(1j * theta)
     cache: dict = {}
@@ -369,10 +361,11 @@ def find_contact_set(
         for a, b in itertools.combinations(range(len(pts)), 2):
             d = np.abs((pts[a] - pts[b] + math.pi) % TWO_PI - math.pi)
             if np.max(d) < 2.0 * h:
+                # cached, so this fires once per constraint and process
                 warnings.warn(
                     f"grid resolution {res} may be too small to separate contact points "
                     f"{pts[a]} and {pts[b]}",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 break
     return _result("finite", pts, resid, frac)

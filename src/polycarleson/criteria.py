@@ -85,11 +85,11 @@ class _WitnessedResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Verdict(_WitnessedResult):
     outcome: str  # SufficiencyHolds | NecessityFails | Inconclusive
-    witness: RankReport | None
-    witness_index_set: tuple[int, ...] | None
+    witness: RankReport | None = None
+    witness_index_set: tuple[int, ...] | None = None
     evidence: tuple[IndexEvidence, ...]
     reason: str
     config: LabConfig
@@ -98,12 +98,12 @@ class Verdict(_WitnessedResult):
         return self._encode({"outcome": self.outcome, "reason": self.reason})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Decision(_WitnessedResult):
     outcome: str  # Bounded | Unbounded | Inconclusive
     spaces: tuple[str, ...]
-    witness: RankReport | None
-    witness_index_set: tuple[int, ...] | None
+    witness: RankReport | None = None
+    witness_index_set: tuple[int, ...] | None = None
     detail: str
     evidence: tuple[IndexEvidence, ...]
     config: LabConfig
@@ -124,25 +124,44 @@ def _evidence(index_set: tuple[int, ...], cs: ContactSet, ranks: RankBatch, chec
     )
 
 
-def _subset_evidence(sym: PolySymbol, index_set: tuple[int, ...], cs: ContactSet,
-                     config: LabConfig) -> tuple[IndexEvidence, RankReport | None, bool]:
-    """Check rank at every stored contact point; returns (evidence, failure, inconclusive)."""
-    ranks = rank_report(sym, index_set, cs.points, config)
-    deficient = np.flatnonzero((ranks.ranks < ranks.target) & ~ranks.inconclusive)
-    failure = ranks.report(int(deficient[0])) if deficient.size else None
-    jc_ok = None
-    if len(index_set) == 1 and cs.points:
-        jc_ok = True
-        i = index_set[0]
-        comp = sym.component(i)
-        for pt in cs.points[: min(len(cs.points), EVIDENCE_CAP)]:
-            val = comp.evaluate(pt.point())[0]
-            eta = val / abs(val)
-            if not jc_check(comp, pt, eta, config).passed:
-                jc_ok = False
-                break
-    ev = _evidence(index_set, cs, ranks, len(cs.points), jc_ok)
-    return ev, failure, bool(ranks.inconclusive.any())
+def _rank_walk(sym: PolySymbol, index_sets, config: LabConfig, grid_res: int | None):
+    """Rank the Jacobian block on each index set's contact set, lazily, in order.
+
+    Yields (index set, contact set, RankBatch, evidence over every point, the
+    first rank-deficient point's report or None).  Singleton sets also run the
+    boundary-derivative sanity layer on their first EVIDENCE_CAP points.
+    """
+    for index_set in index_sets:
+        cs = find_contact_set(sym, index_set, grid_res=grid_res, config=config)
+        ranks = rank_report(sym, index_set, cs.points, config)
+        deficient = np.flatnonzero((ranks.ranks < ranks.target) & ~ranks.inconclusive)
+        jc_passed = None
+        if len(index_set) == 1 and cs.points:
+            comp = sym.component(index_set[0])
+            values = (comp.evaluate(pt.point())[0] for pt in cs.points[:EVIDENCE_CAP])
+            jc_passed = all(jc_check(comp, pt, v / abs(v), config).passed
+                            for pt, v in zip(cs.points, values))
+        yield (index_set, cs, ranks, _evidence(index_set, cs, ranks, len(cs.points), jc_passed),
+               ranks.report(int(deficient[0])) if deficient.size else None)
+
+
+def _joint_rank(sym: PolySymbol, spaces: tuple[str, ...], where: str, band: str,
+                config: LabConfig, grid_res: int | None) -> tuple[IndexEvidence, Decision | None]:
+    """Rank step on the joint contact set: its evidence and the decision it forces.
+
+    Unbounded at a singular point, Inconclusive (detail ``band``) for a rank in
+    the tolerance band, None when the Jacobian is invertible everywhere on it.
+    """
+    full = tuple(range(sym.n_out))
+    _, _, ranks, ev, failure = next(_rank_walk(sym, [full], config, grid_res))
+    if failure is not None:
+        return ev, Decision(outcome=UNBOUNDED, spaces=spaces, witness=failure,
+                            witness_index_set=full, evidence=(ev,), config=config,
+                            detail=f"Jacobian singular at a {where} contact point")
+    if ranks.inconclusive.any():
+        return ev, Decision(outcome=INCONCLUSIVE, spaces=spaces, detail=band, evidence=(ev,),
+                            config=config)
+    return ev, None
 
 
 def check_rank_sufficiency(sym: PolySymbol, config: LabConfig = DEFAULTS,
@@ -159,36 +178,26 @@ def check_rank_sufficiency(sym: PolySymbol, config: LabConfig = DEFAULTS,
     if sym.n_in != sym.n_out:
         raise ValueError("rank sufficiency applies to self-maps (square symbols)")
     n = sym.n_in
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(1, n + 1))
     evidence: list[IndexEvidence] = []
-    inconclusive_reason = ""
-    for size in range(1, n + 1):
-        for index_set in itertools.combinations(range(n), size):
-            cs = find_contact_set(sym, index_set, grid_res=grid_res, config=config)
-            ev, failure, inconclusive = _subset_evidence(sym, index_set, cs, config)
-            evidence.append(ev)
-            if failure is not None:
-                return Verdict(
-                    outcome=NECESSITY_FAILS, witness=failure,
-                    witness_index_set=index_set, evidence=tuple(evidence),
-                    reason=(
-                        f"rank {failure.rank} < {failure.target} at a contact point "
-                        f"of components {index_set}"
-                    ),
-                    config=config,
-                )
-            if inconclusive and not inconclusive_reason:
-                inconclusive_reason = (
-                    f"singular values in the tolerance band for components {index_set}"
-                )
-            if ev.jc_passed is False and not inconclusive_reason:
-                inconclusive_reason = (
-                    f"boundary derivative sanity check failed for component {index_set[0]}"
-                )
-    if inconclusive_reason:
-        return Verdict(outcome=INCONCLUSIVE, witness=None, witness_index_set=None,
-                       evidence=tuple(evidence), reason=inconclusive_reason, config=config)
-    return Verdict(outcome=SUFFICIENCY_HOLDS, witness=None, witness_index_set=None,
-                   evidence=tuple(evidence), reason="all contact ranks full", config=config)
+    reason = ""
+    for index_set, _, ranks, ev, failure in _rank_walk(sym, subsets, config, grid_res):
+        evidence.append(ev)
+        if failure is not None:
+            return Verdict(
+                outcome=NECESSITY_FAILS, witness=failure, witness_index_set=index_set,
+                evidence=tuple(evidence), config=config,
+                reason=f"rank {failure.rank} < {failure.target} at a contact point "
+                       f"of components {index_set}",
+            )
+        if not reason and ranks.inconclusive.any():
+            reason = f"singular values in the tolerance band for components {index_set}"
+        elif not reason and ev.jc_passed is False:
+            reason = f"boundary derivative sanity check failed for component {index_set[0]}"
+    return Verdict(outcome=INCONCLUSIVE if reason else SUFFICIENCY_HOLDS,
+                   reason=reason or "all contact ranks full", evidence=tuple(evidence),
+                   config=config)
 
 
 def decide_bidisc(sym: PolySymbol, beta: WeightParam | float = 0.0,
@@ -205,23 +214,13 @@ def decide_bidisc(sym: PolySymbol, beta: WeightParam | float = 0.0,
         raise ValueError("bidisc decision needs a self-map of D^2")
     b = beta.beta if isinstance(beta, WeightParam) else float(beta)
     spaces = (f"A2_beta(D^2), beta={b:g}", "H2(D^2)")
-    cs = find_contact_set(sym, (0, 1), grid_res=grid_res, config=config)
-    ev, failure, inconclusive = _subset_evidence(sym, (0, 1), cs, config)
-    if failure is not None:
-        return Decision(
-            outcome=UNBOUNDED, spaces=spaces, witness=failure, witness_index_set=(0, 1),
-            detail="Jacobian singular at a joint contact point", evidence=(ev,),
-            config=config,
-        )
-    if inconclusive:
-        return Decision(outcome=INCONCLUSIVE, spaces=spaces, witness=None,
-                        witness_index_set=None,
-                        detail="rank within the tolerance band", evidence=(ev,),
-                        config=config)
-    detail = "no joint contact with T^2 (vacuously bounded)" if cs.is_empty else \
-        "Jacobian invertible on the joint contact set"
-    return Decision(outcome=BOUNDED, spaces=spaces, witness=None, witness_index_set=None,
-                    detail=detail, evidence=(ev,), config=config)
+    ev, decision = _joint_rank(sym, spaces, "joint", "rank within the tolerance band",
+                               config, grid_res)
+    if decision is not None:
+        return decision
+    detail = "no joint contact with T^2 (vacuously bounded)" if ev.contact_kind == "empty" \
+        else "Jacobian invertible on the joint contact set"
+    return Decision(outcome=BOUNDED, spaces=spaces, detail=detail, evidence=(ev,), config=config)
 
 
 def decide_tridisc(sym: PolySymbol, config: LabConfig = DEFAULTS,
@@ -238,53 +237,28 @@ def decide_tridisc(sym: PolySymbol, config: LabConfig = DEFAULTS,
     if sym.n_in != 3 or sym.n_out != 3:
         raise ValueError("tridisc decision needs a self-map of D^3")
     spaces = ("A2(D^3)",)
-    evidence: list[IndexEvidence] = []
-
-    full = (0, 1, 2)
-    cs = find_contact_set(sym, full, grid_res=grid_res, config=config)
-    ev, failure, inconclusive = _subset_evidence(sym, full, cs, config)
-    evidence.append(ev)
-    if failure is not None:
-        return Decision(outcome=UNBOUNDED, spaces=spaces, witness=failure,
-                        witness_index_set=full,
-                        detail="Jacobian singular at a full contact point",
-                        evidence=tuple(evidence), config=config)
-    if inconclusive:
-        return Decision(outcome=INCONCLUSIVE, spaces=spaces, witness=None,
-                        witness_index_set=None,
-                        detail="full-rank check inside the tolerance band",
-                        evidence=tuple(evidence), config=config)
-
-    for pair in itertools.combinations(range(3), 2):
-        cs = find_contact_set(sym, pair, grid_res=grid_res, config=config)
-        ranks = rank_report(sym, pair, cs.points, config)
+    ev, decision = _joint_rank(sym, spaces, "full", "full-rank check inside the tolerance band",
+                               config, grid_res)
+    if decision is not None:
+        return decision
+    evidence, pairs = [ev], itertools.combinations(range(3), 2)
+    for pair, cs, ranks, ev, _ in _rank_walk(sym, pairs, config, grid_res):
         min_entry = np.abs(ranks.jacobians).min(axis=(1, 2))
         # a point decides the pair unless its gradients are independent
         # (condition (a)) or every derivative entry is away from zero (condition (b))
         decisive = np.flatnonzero(~ranks.passed & (min_entry <= config.entry_tol))
         if not decisive.size:
-            evidence.append(_evidence(pair, cs, ranks, len(cs.points)))
+            evidence.append(ev)
             continue
         k = int(decisive[0])
         evidence.append(_evidence(pair, cs, ranks, k + 1))
-        if ranks.inconclusive[k]:
-            return Decision(outcome=INCONCLUSIVE, spaces=spaces, witness=None,
-                            witness_index_set=None,
-                            detail=f"pair {pair} rank in tolerance band",
-                            evidence=tuple(evidence), config=config)
-        if min_entry[k] > config.entry_band_floor:
-            return Decision(outcome=INCONCLUSIVE, spaces=spaces, witness=None,
-                            witness_index_set=None,
-                            detail=f"pair {pair} derivative entry in tolerance band",
-                            evidence=tuple(evidence), config=config)
-        return Decision(
-            outcome=UNBOUNDED, spaces=spaces, witness=ranks.report(k), witness_index_set=pair,
-            detail=(
-                f"pair {pair}: dependent gradients and a vanishing derivative "
-                f"entry (min modulus {min_entry[k]:.2e})"
-            ),
-            evidence=tuple(evidence), config=config,
-        )
-    return Decision(outcome=BOUNDED, spaces=spaces, witness=None, witness_index_set=None,
-                    detail="all contact-rank and derivative-entry conditions hold",
-                    evidence=tuple(evidence), config=config)
+        if ranks.inconclusive[k] or min_entry[k] > config.entry_band_floor:
+            what = "rank" if ranks.inconclusive[k] else "derivative entry"
+            return Decision(outcome=INCONCLUSIVE, spaces=spaces, evidence=tuple(evidence),
+                            detail=f"pair {pair} {what} in tolerance band", config=config)
+        return Decision(outcome=UNBOUNDED, spaces=spaces, witness=ranks.report(k),
+                        witness_index_set=pair, evidence=tuple(evidence), config=config,
+                        detail=f"pair {pair}: dependent gradients and a vanishing derivative "
+                               f"entry (min modulus {min_entry[k]:.2e})")
+    return Decision(outcome=BOUNDED, spaces=spaces, evidence=tuple(evidence), config=config,
+                    detail="all contact-rank and derivative-entry conditions hold")

@@ -334,7 +334,7 @@ def region_mass(region: Region, beta: WeightParam) -> float:
 
 
 def _sample_restricted_radius(beta: WeightParam, s: float, u: np.ndarray) -> np.ndarray:
-    """Radii with law A_beta restricted to [1-s, 1), clamped to _R_MAX."""
+    """Radii with law A_beta restricted to [1-s, 1), clamped to _R_MAX; s = 1 is the whole law."""
     b = beta.beta
     tail = (s * (2.0 - s)) ** (b + 1.0)  # 1 - F(1-s)
     return np.minimum(np.sqrt(1.0 - ((1.0 - u) * tail) ** (1.0 / (b + 1.0))), _R_MAX)
@@ -359,10 +359,7 @@ def restricted_sample(region: Region, beta: WeightParam, rng: np.random.Generato
     r = np.empty((size, n), dtype=float)
     theta = np.empty((size, n), dtype=float)
     for j in range(n):
-        s = region.depths[j]
-        r[:, j] = _sample_restricted_radius(beta, s, rng.random(size)) if s < 1.0 else radial_sample(
-            beta, rng.random(size)
-        )
+        r[:, j] = _sample_restricted_radius(beta, region.depths[j], rng.random(size))
     window = region.window
     for j in range(n):
         if window is not None and j == window.solve_index:

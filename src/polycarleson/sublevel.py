@@ -115,8 +115,9 @@ class ValueFiber:
 
 
 @lru_cache(maxsize=64)
-def _value_fiber_cached(f: PolySymbol, eta: complex, contact_tol: float,
-                        merge_radius: float, fiber_cap: int) -> ValueFiber:
+def find_value_fiber(f: PolySymbol, eta: complex, config: LabConfig = DEFAULTS) -> ValueFiber:
+    """Solve f = eta on T^n, classified as a finite point set or a manifold."""
+    eta = complex(eta)
     cs = find_contact_set(f, [0])
     if cs.is_empty:
         return ValueFiber("empty", ())
@@ -129,19 +130,13 @@ def _value_fiber_cached(f: PolySymbol, eta: complex, contact_tol: float,
     theta = _torus_newton([table], [eta], seeds[close], ascend=False)
     resid = np.abs(_eval_table(table, np.exp(1j * theta), {}) - eta)
     theta %= TWO_PI
-    ok = resid <= contact_tol
+    ok = resid <= config.contact_tol
     if not np.any(ok):
         return ValueFiber("empty", ())
-    pts, _ = _dedupe(theta[ok], resid[ok], merge_radius)
-    if len(pts) > fiber_cap:
+    pts, _ = _dedupe(theta[ok], resid[ok], config.merge_radius)
+    if len(pts) > config.fiber_cap:
         return ValueFiber("manifold", ())
     return ValueFiber("finite", tuple(TorusPoint(tuple(p)) for p in pts))
-
-
-def find_value_fiber(f: PolySymbol, eta: complex, config: LabConfig = DEFAULTS) -> ValueFiber:
-    """Solve f = eta on T^n, classified as a finite point set or a manifold."""
-    return _value_fiber_cached(f, complex(eta), config.contact_tol, config.merge_radius,
-                               config.fiber_cap)
 
 
 # ---------------------------------------------------------------------------

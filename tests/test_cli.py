@@ -114,6 +114,16 @@ class TestExponentCommand:
         assert code == 3
         assert "fit refused" in capsys.readouterr().err
 
+    def test_untrusted_points_exit_3(self, tmp_path, capsys):
+        # the two finest deltas draw no hit at this budget and are not trusted;
+        # the fit over the other four still succeeds
+        code = run_cli(["exponent", "--symbol", "powersum3", "--budget", "30000", "--seed", "1",
+                        "--delta-grid", "0.25,0.125,0.0625,0.03125,0.015625,0.0078125",
+                        "--out-dir", str(tmp_path)])
+        assert code == 3
+        rows = (tmp_path / "exponent_powersum3.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows].count("0") == 2
+
 
 class TestCarlesonCommand:
     def test_scan(self, tmp_path, capsys):

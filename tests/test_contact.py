@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import greedy_dedupe
+from polycarleson import contact
 from polycarleson.battery import SYMBOL_NAMES, get_symbol
 from polycarleson.config import DEFAULTS
 from polycarleson.contact import (
@@ -18,6 +19,7 @@ from polycarleson.contact import (
     rank_report,
     slice_gradient_constancy,
 )
+from polycarleson.criteria import BOUNDED, SUFFICIENCY_HOLDS, check_rank_sufficiency, decide_tridisc
 from polycarleson.symbols import PolySymbol, TorusPoint, _eval_table
 
 TWO_PI = 2.0 * math.pi
@@ -115,6 +117,51 @@ class TestFindContactSet:
         header, rows = cs.to_csv_rows()
         assert header == ["theta_1", "theta_2", "residual", "kind"]
         assert len(rows) == 2
+
+
+class TestContactCache:
+    def test_deciders_share_constraints(self, monkeypatch):
+        # z1 z2 z3 is a unimodular monomial, so general3's seven index sets are
+        # three constraints ({0}, {1}, {0, 1}) and the tridisc decision's four
+        # index sets are among them: three Newton refinements in all
+        newton = contact._torus_newton
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(contact, "_torus_newton", counting)
+        contact._contact_locus.cache_clear()
+        assert check_rank_sufficiency(GENERAL3).outcome == SUFFICIENCY_HOLDS
+        assert decide_tridisc(GENERAL3).outcome == BOUNDED
+        assert len(calls) == 3
+        a, b = find_contact_set(GENERAL3, [0]), find_contact_set(GENERAL3, [0, 2])
+        assert (a.index_set, b.index_set) == ((0,), (0, 2))
+        assert a.points == b.points and a.residuals == b.residuals
+        assert len(calls) == 3
+
+
+class TestTorusNewton:
+    @pytest.mark.parametrize("sym, other", [
+        # the other seed is on the diagonal, the contact locus of (z1 + z2)/2; with
+        # mixed_pair's second component its Hessian is singular at (pi/4, pi/4)
+        # in exact arithmetic
+        (mixed_pair_map(), (math.pi / 4, math.pi / 4)),
+        # mean_product's Hessian is singular everywhere; 1e-9 off the diagonal
+        # the seed is active
+        (mean_product_map(), (math.pi / 4, math.pi / 4 + 1e-9)),
+    ])
+    def test_row_does_not_depend_on_singular_row(self, sym, other):
+        tables, targets = list(sym.components), [0j, 0j]
+        seed = np.array([[0.05, -0.03]])
+        alone = contact._torus_newton(tables, targets, seed, ascend=True)[0]
+        batch = contact._torus_newton(tables, targets, np.vstack([seed, [other]]), ascend=True)
+        assert np.all(np.isfinite(batch))
+        assert np.max(np.abs(batch[0] - alone)) <= 1e-12
+        # the seed reaches the contact locus: mixed_pair's isolated point (0, 0),
+        # mean_product's diagonal
+        assert 1.0 - np.abs(sym.evaluate(np.exp(1j * alone))).min() <= 1e-12
 
 
 class TestNumericalRank:
