@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,9 +41,8 @@ from .measure import (
     disc_cap_measure,
     merge_arcs,
 )
-from .output import write_csv, write_json
+from .output import csv_text, write_csv, write_json, write_result
 from .sublevel import ExponentFit, fit_exponent
-from .svgplot import write_fit_svg, write_scan_svg
 from .symbols import PolySymbol, TorusPoint
 
 BASE_SEED = 20260801
@@ -257,6 +255,11 @@ class BatteryRun:
     config: LabConfig = DEFAULTS
     memo: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.out_dir is not None:
+            self.out_dir = Path(self.out_dir)
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+
     def _memo(self, key, compute):
         if key not in self.memo:
             self.memo[key] = compute()
@@ -280,17 +283,12 @@ class BatteryRun:
 
     def write_json(self, filename: str, payload) -> None:
         if self.out_dir is not None:
-            write_json(Path(self.out_dir) / filename, payload)
+            write_json(self.out_dir / filename, payload)
 
-
-def _maybe_write(out_dir, stem, result, title, write_svg):
-    if out_dir is None:
-        return
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows = result.csv_rows()
-    write_csv(out_dir / f"{stem}.csv", header, rows)
-    write_svg(out_dir / f"{stem}.svg", result, title)
+    def write_result(self, stem: str, result, title: str) -> None:
+        """Write a fit's or scan's CSV and chart when the run has an output directory."""
+        if self.out_dir is not None:
+            write_result(self.out_dir, stem, result, title)
 
 
 def _fit_case(run: BatteryRun, case: FitCase, spec: dict) -> dict:
@@ -305,8 +303,8 @@ def _fit_case(run: BatteryRun, case: FitCase, spec: dict) -> dict:
     except FitRefused as exc:
         return {"target": target, "refused": str(exc), "ok": False, "untrusted": True}
     seconds = time.perf_counter() - t0
-    _maybe_write(run.out_dir, f"exponent_{case.symbol}_beta{case.beta:g}", fit,
-                 f"{case.symbol} volume scaling, beta={case.beta:g}", write_fit_svg)
+    run.write_result(f"exponent_{case.symbol}_beta{case.beta:g}", fit,
+                     f"{case.symbol} volume scaling, beta={case.beta:g}")
     limit = spec["max_seconds"]
     ok = abs(fit.slope - target) <= spec["tolerance"] and (limit is None or seconds <= limit)
     return {"slope": fit.slope, "target": target, "stderr": fit.slope_stderr,
@@ -324,8 +322,7 @@ def _scan_case(run: BatteryRun, case: ScanCase) -> dict:
     except FitRefused as exc:
         return {"target": case.target, "tolerance": case.tolerance, "refused": str(exc),
                 "ok": False, "untrusted": True}
-    _maybe_write(run.out_dir, f"scan_{case.symbol}", scan, f"{case.symbol} ratio growth",
-                 write_scan_svg)
+    run.write_result(f"scan_{case.symbol}", scan, f"{case.symbol} ratio growth")
     return {"slope": scan.slope, "target": case.target, "tolerance": case.tolerance,
             "ok": abs(scan.slope - case.target) <= case.tolerance,
             "untrusted": any(not e.trusted for e in scan.estimates)}
@@ -468,12 +465,9 @@ def criterion_9(run: BatteryRun):
         "slopes_ok": ok_slopes,
     }
     if run.out_dir is not None:
-        rows = []
-        for scan in report.scans:
-            _, scan_rows = scan.csv_rows()
-            rows.extend(scan_rows)
-        write_csv(Path(run.out_dir) / "beta_uniformity.csv",
-                  ["beta", "delta", "ratio", "stderr", "trusted"], rows)
+        tables = [scan.csv_rows() for scan in report.scans]
+        write_csv(run.out_dir / "beta_uniformity.csv", tables[0][0],
+                  [row for _, rows in tables for row in rows])
     return ok_bound and ok_slopes, details, False
 
 
@@ -552,11 +546,6 @@ def criterion_10(run: BatteryRun):
     return passed, details, False
 
 
-def _csv_bytes(path: Path, result) -> bytes:
-    write_csv(path, *result.csv_rows())
-    return path.read_bytes()
-
-
 def criterion_11(run: BatteryRun):
     """Byte-identical CSV artifacts across thread counts {1, 4, 8}.
 
@@ -564,12 +553,11 @@ def criterion_11(run: BatteryRun):
     would hand back one computation to compare with itself.
     """
     spec = MANIFEST["determinism"]
-    with tempfile.TemporaryDirectory() as tmp:
-        blobs = [
-            (_csv_bytes(Path(tmp, "fit.csv"), spec["exponent"].run(tc, run.config)),
-             _csv_bytes(Path(tmp, "scan.csv"), spec["scan"].run(tc, run.config)))
-            for tc in spec["thread_counts"]
-        ]
+    blobs = [
+        tuple(csv_text(*case.run(tc, run.config).csv_rows()).encode("utf-8")
+              for case in (spec["exponent"], spec["scan"]))
+        for tc in spec["thread_counts"]
+    ]
     identical = all(b == blobs[0] for b in blobs[1:])
     details = {
         "thread_counts": list(spec["thread_counts"]),
@@ -578,9 +566,8 @@ def criterion_11(run: BatteryRun):
         "identical": identical,
     }
     if run.out_dir is not None:
-        Path(run.out_dir).mkdir(parents=True, exist_ok=True)
-        Path(run.out_dir, "determinism_fit.csv").write_bytes(blobs[0][0])
-        Path(run.out_dir, "determinism_scan.csv").write_bytes(blobs[0][1])
+        (run.out_dir / "determinism_fit.csv").write_bytes(blobs[0][0])
+        (run.out_dir / "determinism_scan.csv").write_bytes(blobs[0][1])
     return identical, details, False
 
 
@@ -612,25 +599,12 @@ def run_battery(out_dir=None, threads=None, only=None, emit=print,
         exit_code = 3
     elif any(not r.passed for r in results):
         exit_code = 1
-    if out_dir is not None:
-        write_json(Path(out_dir) / "battery_summary.json", {
-            "results": [
-                {"criterion": r.number, "name": r.name, "passed": r.passed,
-                 "untrusted": r.untrusted, "details": _plain(r.details)}
-                for r in results
-            ],
-            "exit_code": exit_code,
-        })
+    run.write_json("battery_summary.json", {
+        "results": [
+            {"criterion": r.number, "name": r.name, "passed": r.passed,
+             "untrusted": r.untrusted, "details": r.details}
+            for r in results
+        ],
+        "exit_code": exit_code,
+    })
     return results, exit_code
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj

@@ -12,6 +12,7 @@ estimates encountered.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -23,20 +24,13 @@ from pathlib import Path
 from .battery import SYMBOL_NAMES, get_symbol, property_reports, run_battery
 from .carleson import ratio_growth_scan
 from .config import DEFAULTS
-from .criteria import (
-    BOUNDED,
-    INCONCLUSIVE,
-    check_rank_sufficiency,
-    decide_bidisc,
-    decide_tridisc,
-)
+from .criteria import INCONCLUSIVE, check_rank_sufficiency, decide_bidisc, decide_tridisc
 from .contact import find_contact_set
 from .fitting import FitRefused
 from .measure import WeightParam
 from .montecarlo import resolve_threads
-from .output import write_csv, write_json
+from .output import json_text, write_csv, write_json, write_result
 from .sublevel import DEFAULT_DELTA_GRID, fit_exponent
-from .svgplot import write_fit_svg, write_scan_svg
 from .symbols import PolySymbol, SymbolNotSelfMap, TorusPoint
 
 USAGE_ERROR = 2
@@ -72,6 +66,8 @@ class ExperimentConfig:
         for k, v in data.items():
             if not hasattr(cfg, k):
                 raise ValueError(f"unknown config key {k!r}")
+            if isinstance(getattr(cfg, k), list) and not isinstance(v, list):
+                raise ValueError(f"config key {k!r} must be a list, got {v!r}")
             setattr(cfg, k, v)
         known = {f.name for f in dataclasses.fields(DEFAULTS)}
         for k in cfg.tolerances:
@@ -104,6 +100,24 @@ def load_symbol(spec: str) -> PolySymbol:
     )
 
 
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")] if text else []
+
+
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")] if text else []
+
+
+def _eta(text: str) -> list[float]:
+    """A unimodular target as 're,im' or as one angle, returned as [re, im]."""
+    parts = _floats(text)
+    if len(parts) == 1:
+        return [math.cos(parts[0]), math.sin(parts[0])]
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected 're,im' or an angle, got {text!r}")
+    return parts
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="polycarleson",
@@ -121,107 +135,67 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", dest="out_dir")
         sp.add_argument("--format", dest="formats", action="append",
                         choices=["csv", "json", "svg"])
-        sp.add_argument("--delta-grid", dest="delta_grid",
+        sp.add_argument("--delta-grid", dest="delta_grid", type=_floats,
                         help="comma-separated radii")
 
     for name in ("decide", "exponent", "carleson", "contact", "check-props", "battery"):
         sp = sub.add_parser(name)
         common(sp)
         if name == "exponent":
-            sp.add_argument("--eta", help="unimodular target, as 're,im' or angle")
+            sp.add_argument("--eta", type=_eta, help="unimodular target, as 're,im' or angle")
         if name == "carleson":
-            sp.add_argument("--shrink", help="comma mask, e.g. 1,1,0")
-            sp.add_argument("--center", help="comma-separated torus angles")
+            sp.add_argument("--shrink", type=_ints, help="comma mask, e.g. 1,1,0")
+            sp.add_argument("--center", type=_floats, help="comma-separated torus angles")
         if name == "contact":
-            sp.add_argument("--index-set", dest="index_set",
+            sp.add_argument("--index-set", dest="index_set", type=_ints,
                             help="1-based component indices, e.g. 1,2")
         if name == "battery":
-            sp.add_argument("--only", help="comma-separated criterion numbers")
+            sp.add_argument("--only", type=_ints, help="comma-separated criterion numbers")
     return p
 
 
 def _merge_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if getattr(args, "config", None):
-        data = json.loads(Path(args.config).read_text())
-        cfg = ExperimentConfig.from_dict(data)
-    cfg.subcommand = args.subcommand
-    if getattr(args, "symbol", None):
-        cfg.symbol = args.symbol
-    for key in ("seed", "threads", "budget", "beta", "out_dir"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    if getattr(args, "formats", None):
-        cfg.formats = args.formats
-    if getattr(args, "delta_grid", None):
-        cfg.delta_grid = [float(x) for x in str(args.delta_grid).split(",")]
-    if getattr(args, "eta", None):
-        parts = [float(x) for x in str(args.eta).split(",")]
-        cfg.eta = parts if len(parts) == 2 else [math.cos(parts[0]), math.sin(parts[0])]
-    if getattr(args, "shrink", None):
-        cfg.shrink = [int(x) for x in str(args.shrink).split(",")]
-    if getattr(args, "center", None):
-        cfg.center = [float(x) for x in str(args.center).split(",")]
-    if getattr(args, "index_set", None):
-        cfg.index_set = [int(x) for x in str(args.index_set).split(",")]
-    if getattr(args, "only", None):
-        cfg.only = [int(x) for x in str(args.only).split(",")]
-    return cfg
+    """The config file's keys with every non-empty flag laid over them."""
+    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k != "config" and v not in (None, "", [])}
+    return ExperimentConfig.from_dict({**data, **flags})
 
 
-class _WarningLog:
+@contextlib.contextmanager
+def _warning_log(out_dir: Path):
     """Mirror numerical warnings into a structured JSONL log."""
-
-    def __init__(self, out_dir: Path):
-        self.path = out_dir / "warnings.jsonl"
-        self._entries = []
-
-    def __enter__(self):
-        self._ctx = warnings.catch_warnings(record=True)
-        self._records = self._ctx.__enter__()
+    with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
-        return self
-
-    def __exit__(self, *exc):
-        for w in self._records:
-            self._entries.append(
-                {"category": w.category.__name__, "message": str(w.message)}
-            )
-        if self._entries:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                for e in self._entries:
-                    fh.write(json.dumps(e, sort_keys=True) + "\n")
-        return self._ctx.__exit__(*exc)
+        try:
+            yield
+        finally:
+            if records:
+                (out_dir / "warnings.jsonl").write_text("".join(
+                    json_text({"category": w.category.__name__, "message": str(w.message)},
+                              indent=None) + "\n" for w in records), encoding="utf-8")
 
 
 def _cmd_decide(cfg: ExperimentConfig, out_dir: Path) -> int:
     sym = load_symbol(cfg.symbol)
     lab = cfg.lab_config()
     if sym.n_in == 2 and sym.n_out == 2:
-        decision = decide_bidisc(sym, cfg.beta, config=lab)
-        payload = decision.to_dict()
-        outcome = decision.outcome
+        result = decide_bidisc(sym, cfg.beta, config=lab)
     elif sym.n_in == 3 and sym.n_out == 3:
         if cfg.beta != 0.0:
             print("tridisc decision is specific to the unweighted Bergman space (beta 0)",
                   file=sys.stderr)
             return USAGE_ERROR
-        decision = decide_tridisc(sym, config=lab)
-        payload = decision.to_dict()
-        outcome = decision.outcome
+        result = decide_tridisc(sym, config=lab)
     elif sym.n_in == sym.n_out:
-        verdict = check_rank_sufficiency(sym, config=lab)
-        payload = verdict.to_dict()
-        outcome = BOUNDED if verdict.outcome == "SufficiencyHolds" else verdict.outcome
+        result = check_rank_sufficiency(sym, config=lab)
     else:
         print("decide needs a square self-map", file=sys.stderr)
         return USAGE_ERROR
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    payload = result.to_dict()
+    print(json_text(payload))
     if "json" in cfg.formats:
         write_json(out_dir / f"decide_{_stem(cfg.symbol)}.json", payload)
-    return UNTRUSTED if outcome == INCONCLUSIVE else 0
+    return UNTRUSTED if result.outcome == INCONCLUSIVE else 0
 
 
 def _cmd_exponent(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -234,19 +208,10 @@ def _cmd_exponent(cfg: ExperimentConfig, out_dir: Path) -> int:
     except FitRefused as exc:
         print(f"fit refused: {exc}", file=sys.stderr)
         return UNTRUSTED
-    stem = f"exponent_{_stem(cfg.symbol)}"
-    header, rows = fit.csv_rows()
-    if "csv" in cfg.formats:
-        write_csv(out_dir / f"{stem}.csv", header, rows)
-    if "svg" in cfg.formats:
-        write_fit_svg(out_dir / f"{stem}.svg", fit, f"{_stem(cfg.symbol)} volume scaling")
     summary = {"slope": fit.slope, "slope_stderr": fit.slope_stderr,
                "intercept": fit.intercept, "max_abs_residual": fit.max_abs_residual,
                "deltas": [d for d, p in zip(fit.deltas, fit.points) if p.trusted]}
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if "json" in cfg.formats:
-        write_json(out_dir / f"{stem}.json", summary)
-    return 0 if all(p.trusted for p in fit.points) else UNTRUSTED
+    return _report(cfg, out_dir, "exponent", fit, "volume scaling", summary, fit.points)
 
 
 def _cmd_carleson(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -263,19 +228,20 @@ def _cmd_carleson(cfg: ExperimentConfig, out_dir: Path) -> int:
     except FitRefused as exc:
         print(f"scan refused: {exc}", file=sys.stderr)
         return UNTRUSTED
-    stem = f"carleson_{_stem(cfg.symbol)}"
-    header, rows = scan.csv_rows()
-    if "csv" in cfg.formats:
-        write_csv(out_dir / f"{stem}.csv", header, rows)
-    if "svg" in cfg.formats:
-        write_scan_svg(out_dir / f"{stem}.svg", scan, f"{_stem(cfg.symbol)} ratio growth")
     summary = {"slope": scan.slope, "slope_stderr": scan.slope_stderr,
                "ratios": [e.ratio for e in scan.estimates],
                "trusted": [e.trusted for e in scan.estimates]}
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if "json" in cfg.formats:
-        write_json(out_dir / f"{stem}.json", summary)
-    return 0 if all(e.trusted for e in scan.estimates) else UNTRUSTED
+    return _report(cfg, out_dir, "carleson", scan, "ratio growth", summary, scan.estimates)
+
+
+def _report(cfg: ExperimentConfig, out_dir: Path, command: str, result, caption: str,
+            summary: dict, points) -> int:
+    """Write a fit's or scan's artifacts, print its summary; exit 3 on any untrusted point."""
+    name = _stem(cfg.symbol)
+    write_result(out_dir, f"{command}_{name}", result, f"{name} {caption}", cfg.formats,
+                 summary)
+    print(json_text(summary))
+    return 0 if all(p.trusted for p in points) else UNTRUSTED
 
 
 def _cmd_contact(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -285,26 +251,24 @@ def _cmd_contact(cfg: ExperimentConfig, out_dir: Path) -> int:
     header, rows = cs.to_csv_rows()
     if "csv" in cfg.formats:
         write_csv(out_dir / f"contact_{_stem(cfg.symbol)}.csv", header, rows)
-    print(json.dumps({"kind": cs.kind, "points": len(cs.points),
-                      "accepted_fraction": cs.accepted_fraction}, sort_keys=True))
+    print(json_text({"kind": cs.kind, "points": len(cs.points),
+                     "accepted_fraction": cs.accepted_fraction}, indent=None))
     return 0
 
 
 def _cmd_check_props(cfg: ExperimentConfig, out_dir: Path) -> int:
     reports = property_reports(cfg.seed)
     for i, rep in enumerate(reports):
-        payload = rep.to_dict()
-        print(json.dumps({"name": rep.name, "passed": rep.passed,
-                          "empirical_constant": rep.empirical_constant}, sort_keys=True))
+        print(json_text({"name": rep.name, "passed": rep.passed,
+                         "empirical_constant": rep.empirical_constant}, indent=None))
         if "json" in cfg.formats:
-            write_json(out_dir / f"property_{rep.name}_{i}.json", payload)
+            write_json(out_dir / f"property_{rep.name}_{i}.json", rep.to_dict())
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_battery(cfg: ExperimentConfig, out_dir: Path) -> int:
-    results, code = run_battery(out_dir=out_dir, threads=cfg.threads,
-                                only=set(cfg.only) if cfg.only else None,
-                                config=cfg.lab_config())
+    _, code = run_battery(out_dir=out_dir, threads=cfg.threads,
+                          only=set(cfg.only) if cfg.only else None, config=cfg.lab_config())
     return code
 
 
@@ -334,13 +298,13 @@ def main(argv=None) -> int:
         cfg.threads = resolve_threads(cfg.threads)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        with _WarningLog(out_dir):
+        with _warning_log(out_dir):
             return COMMANDS[cfg.subcommand](cfg, out_dir)
-    except (ValueError, SymbolNotSelfMap, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, SymbolNotSelfMap, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

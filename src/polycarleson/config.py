@@ -75,13 +75,15 @@ DEFAULTS = LabConfig()
 def contact_grid_res(n: int) -> int:
     """Default contact-detection grid resolution per angle.
 
-    High dimensions get coarser grids to keep cell counts near 10^7.
+    High dimensions get coarser grids so that one grid holds at most
+    res^n <= 2^24 cells (64 MiB of float32).
     """
     if n <= 3:
         return 256
-    if n <= 6:
-        return 64
-    raise ValueError(f"contact grids not supported for n={n}")
+    table = {4: 64, 5: 27, 6: 16}
+    if n not in table:
+        raise ValueError(f"contact grids not supported for n={n}")
+    return table[n]
 
 
 def cert_grid_res(n: int) -> int:

@@ -12,7 +12,6 @@ all their partial derivatives stay away from zero.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .config import DEFAULTS, LabConfig
 from .contact import ContactSet, RankBatch, RankReport, find_contact_set, jc_check, rank_report
 from .measure import WeightParam
+from .output import json_text
 from .symbols import PolySymbol
 
 SUFFICIENCY_HOLDS = "SufficiencyHolds"
@@ -82,7 +82,7 @@ class _WitnessedResult:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_dict())
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -10,7 +10,7 @@ numerical bug, never a tolerance to relax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -39,23 +39,7 @@ class PropertyReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, complex):
-                return [v.real, v.imag]
-            if isinstance(v, (tuple, list)):
-                return [enc(x) for x in v]
-            return v
-
-        return {
-            "name": self.name,
-            "sample_count": self.sample_count,
-            "worst_violation": self.worst_violation,
-            "empirical_constant": self.empirical_constant,
-            "passed": self.passed,
-            "seed": self.seed,
-            "worst_sample": enc(self.worst_sample),
-            "details": {k: enc(v) for k, v in self.details.items()},
-        }
+        return asdict(self)
 
 
 def mobius_margin_check(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -115,6 +116,7 @@ def _cap_angular_halfwidth(r: np.ndarray, amod: float, delta: float) -> np.ndarr
     return np.arccos(np.clip(cosval, -1.0, 1.0))
 
 
+@lru_cache(maxsize=256)
 def disc_cap_measure(
     a: complex,
     delta: float,
@@ -128,7 +130,9 @@ def disc_cap_measure(
     integral.  Substituting v = (1-r^2)^(beta+1) absorbs the weight (whose
     derivative is singular at r = 1 for beta < 0) exactly; panels are split at
     the kinks of the angular width and graded geometrically toward r = 1.
-    Error above quad_tol raises instead of silently truncating.
+    Error above quad_tol raises instead of silently truncating.  Results are
+    memoised: the boxes of ratio scans repeat the same caps across
+    coordinates and across scans.
     """
     amod = abs(complex(a))
     delta = float(delta)

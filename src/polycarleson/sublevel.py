@@ -118,7 +118,7 @@ class ValueFiber:
 def find_value_fiber(f: PolySymbol, eta: complex, config: LabConfig = DEFAULTS) -> ValueFiber:
     """Solve f = eta on T^n, classified as a finite point set or a manifold."""
     eta = complex(eta)
-    cs = find_contact_set(f, [0])
+    cs = find_contact_set(f, [0], config=config)
     if cs.is_empty:
         return ValueFiber("empty", ())
     seeds = np.array([p.angles for p in cs.points], dtype=float)
@@ -151,10 +151,10 @@ def _split_structure(f: PolySymbol):
     """Classify a scalar symbol for proposal building.
 
     Returns one of
-      ("monomial", c0, c, alpha)          a single (possibly multi-variable)
-                                          monomial plus an optional constant,
-      ("separable", c0, [(j, m, c), ...]) a sum of single-variable monomials
+      ("monomial", c0, c, alpha)          a single multi-variable monomial
                                           plus an optional constant,
+      ("separable", c0, [(j, m, c), ...]) a sum of one or more single-variable
+                                          monomials plus an optional constant,
       ("general", None, None)             anything else.
     """
     c0 = 0j
@@ -164,7 +164,7 @@ def _split_structure(f: PolySymbol):
             c0 += c
             continue
         terms.append((alpha, c))
-    if len(terms) == 1:
+    if len(terms) == 1 and sum(a > 0 for a in terms[0][0]) > 1:
         return ("monomial", c0, terms[0][1], terms[0][0])
     if terms and all(sum(a > 0 for a in alpha) == 1 for alpha, _ in terms):
         parts = []
@@ -198,12 +198,13 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
     ``bindings`` is a list of (scalar symbol, unimodular target, tolerance).
     Containment bounds per binding:
 
-    * monomial c z^alpha (+ const): modulus pins radii (1 - r_j <= d/alpha_j
-      with d = delta/|c|) and the imaginary part pins the angle combination
-      sum alpha_j theta_j to a window of half-width ~ d;
+    * multi-variable monomial c z^alpha (+ const): modulus pins radii
+      (1 - r_j <= d/alpha_j with d = delta/|c|) and the imaginary part pins
+      the angle combination sum alpha_j theta_j to a window of half-width ~ d;
     * separable sum of single-variable monomials: the real-part alignment
       argument pins each rotated coordinate, 1 - r_j <= d_j/m_j and angle
-      within sqrt(2 d_j)/m_j of each branch root, d_j = delta/|c_j|;
+      within sqrt(2 d_j)/m_j of each branch root, d_j = delta/|c_j|; a
+      single term c z_j^m pins the angle linearly, within d/m;
     * anything else: arcs of width ~ sqrt(delta) around the finite value
       fiber f = eta, radial depth from the interior-slice Schwarz floor.
 
@@ -242,16 +243,10 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
             d = delta / cmod
             base = math.atan2(u.imag, u.real) - math.atan2(c.imag, c.real)
             width = k_half * d
-            live = [j for j in range(n) if alpha[j] > 0]
-            for j in live:
-                depth_candidates[j].append(k_half * d / alpha[j])
-            if len(live) == 1:
-                j = live[0]
-                m = alpha[j]
-                if width / m < math.pi:
-                    for k in range(m):
-                        arc_specs[j].append(((base + TWO_PI * k) / m - width / m, 2.0 * width / m))
-            elif live and width < math.pi:
+            for j in range(n):
+                if alpha[j] > 0:
+                    depth_candidates[j].append(k_half * d / alpha[j])
+            if width < math.pi:
                 windows.append((alpha, base, width))
         elif kind == "separable":
             _, c0, parts = structure
@@ -269,7 +264,7 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
                     continue
                 d = delta / cmod
                 depth_candidates[j].append(k_half * d / m)
-                half = k_half * math.sqrt(2.0 * d) / m
+                half = k_half * (d if len(parts) == 1 else math.sqrt(2.0 * d)) / m
                 if half < math.pi:
                     base = base_u - math.atan2(c.imag, c.real)
                     for k in range(m):

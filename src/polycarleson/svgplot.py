@@ -20,36 +20,18 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [float(e) for e in range(int(lo_e), int(hi_e) + 1, step)]
 
 
-def write_loglog_svg(
-    path,
-    xs,
-    ys,
-    yerrs=None,
-    slope: float | None = None,
-    intercept: float | None = None,
-    slope_stderr: float | None = None,
-    title: str = "",
-    xlabel: str = "delta",
-    ylabel: str = "value",
-) -> None:
-    """Render log10-log10 data with error bars and an optional fitted line."""
-    pts = [(math.log10(x), math.log10(y)) for x, y in zip(xs, ys) if y > 0]
+def write_loglog_svg(path, xs, ys, yerrs, slope: float, intercept: float,
+                     slope_stderr: float, title: str = "", ylabel: str = "value") -> None:
+    """Render log10-log10 data against delta with error bars and a fitted line."""
+    # (log x, log y, log lower bar end, log upper bar end) per positive point
+    pts = [(math.log10(x), math.log10(y), math.log10(max(y - e, y * 1e-3)), math.log10(y + e))
+           for x, y, e in zip(xs, ys, yerrs) if y > 0]
     if not pts:
         raise ValueError("nothing positive to plot")
-    lxs = [p[0] for p in pts]
-    lys = [p[1] for p in pts]
-    err_lo, err_hi = [], []
-    if yerrs is not None:
-        for (x, y), e in zip(zip(xs, ys), yerrs):
-            if y <= 0:
-                continue
-            lo = math.log10(max(y - e, y * 1e-3))
-            hi = math.log10(y + e)
-            err_lo.append(lo)
-            err_hi.append(hi)
-    x_lo, x_hi = min(lxs), max(lxs)
-    y_lo = min(err_lo) if err_lo else min(lys)
-    y_hi = max(err_hi) if err_hi else max(lys)
+    x_lo = min(p[0] for p in pts)
+    x_hi = max(p[0] for p in pts)
+    y_lo = min(p[2] for p in pts)
+    y_hi = max(p[3] for p in pts)
     if x_hi == x_lo:
         x_hi += 1.0
     if y_hi == y_lo:
@@ -105,7 +87,7 @@ def write_loglog_svg(
         )
     parts.append(
         f'<text x="{(WIDTH + MARGIN_L - MARGIN_R) / 2:.1f}" y="{HEIGHT - 12}" '
-        f'text-anchor="middle" font-family="monospace" font-size="12">log10 {xlabel}</text>'
+        f'text-anchor="middle" font-family="monospace" font-size="12">log10 delta</text>'
     )
     parts.append(
         f'<text x="16" y="{(HEIGHT + MARGIN_T - MARGIN_B) / 2:.1f}" text-anchor="middle" '
@@ -113,34 +95,25 @@ def write_loglog_svg(
         f'transform="rotate(-90 16 {(HEIGHT + MARGIN_T - MARGIN_B) / 2:.1f})">log10 {ylabel}</text>'
     )
     # fitted line; the slope is base-invariant, the natural-log intercept rescales
-    if slope is not None and intercept is not None:
-        b10 = intercept / math.log(10.0)
-        xa, xb = x_lo + pad_x * 0.2, x_hi - pad_x * 0.2
-        parts.append(
-            f'<line x1="{px(xa):.1f}" y1="{py(slope * xa + b10):.1f}" '
-            f'x2="{px(xb):.1f}" y2="{py(slope * xb + b10):.1f}" '
-            f'stroke="#c81e1e" stroke-width="1.5"/>'
-        )
-        label = f"slope = {slope:.3f}"
-        if slope_stderr is not None:
-            label += f" &#177; {slope_stderr:.3f}"
-        parts.append(
-            f'<text x="{WIDTH - MARGIN_R - 8}" y="{MARGIN_T + 16}" text-anchor="end" '
-            f'font-family="monospace" font-size="13" fill="#c81e1e">{label}</text>'
-        )
+    b10 = intercept / math.log(10.0)
+    xa, xb = x_lo + pad_x * 0.2, x_hi - pad_x * 0.2
+    parts.append(
+        f'<line x1="{px(xa):.1f}" y1="{py(slope * xa + b10):.1f}" '
+        f'x2="{px(xb):.1f}" y2="{py(slope * xb + b10):.1f}" '
+        f'stroke="#c81e1e" stroke-width="1.5"/>'
+    )
+    parts.append(
+        f'<text x="{WIDTH - MARGIN_R - 8}" y="{MARGIN_T + 16}" text-anchor="end" '
+        f'font-family="monospace" font-size="13" fill="#c81e1e">'
+        f'slope = {slope:.3f} &#177; {slope_stderr:.3f}</text>'
+    )
     # error bars and points
-    if yerrs is not None:
-        for (x, y), e in zip(zip(xs, ys), yerrs):
-            if y <= 0:
-                continue
-            lo = math.log10(max(y - e, y * 1e-3))
-            hi = math.log10(y + e)
-            cx = px(math.log10(x))
-            parts.append(
-                f'<line x1="{cx:.1f}" y1="{py(lo):.1f}" x2="{cx:.1f}" y2="{py(hi):.1f}" '
-                f'stroke="#1d4ed8"/>'
-            )
-    for lx, ly in pts:
+    for lx, _, lo, hi in pts:
+        parts.append(
+            f'<line x1="{px(lx):.1f}" y1="{py(lo):.1f}" x2="{px(lx):.1f}" y2="{py(hi):.1f}" '
+            f'stroke="#1d4ed8"/>'
+        )
+    for lx, ly, _, _ in pts:
         parts.append(
             f'<circle cx="{px(lx):.1f}" cy="{py(ly):.1f}" r="3.5" fill="#1d4ed8"/>'
         )
@@ -162,5 +135,5 @@ def write_scan_svg(path, scan, title: str) -> None:
 
 def _write_fitted_svg(path, pts, result, title: str, ylabel: str) -> None:
     xs, ys, es = zip(*pts)
-    write_loglog_svg(path, xs, ys, es, slope=result.slope, intercept=result.intercept,
-                     slope_stderr=result.slope_stderr, title=title, ylabel=ylabel)
+    write_loglog_svg(path, xs, ys, es, result.slope, result.intercept, result.slope_stderr,
+                     title=title, ylabel=ylabel)

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import pytest
 
-from polycarleson.cli import ExperimentConfig, load_symbol, main
+from polycarleson import cli
+from polycarleson.cli import ExperimentConfig, _build_parser, _merge_config, load_symbol, main
 
 
 def run_cli(args):
@@ -22,6 +24,38 @@ class TestConfigRoundTrip:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"no_such_key": 1})
+
+
+class TestFlags:
+    def test_list_flags_typed_and_laid_over_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"symbol": "product3", "seed": 4, "budget": 10,
+                                    "delta_grid": [0.5, 0.25]}))
+        args = _build_parser().parse_args([
+            "exponent", "--config", str(path), "--symbol", "product2", "--eta", "0",
+            "--delta-grid", "0.25,0.125"])
+        assert _merge_config(args) == ExperimentConfig(
+            subcommand="exponent", symbol="product2", seed=4, budget=10,
+            delta_grid=[0.25, 0.125], eta=[1.0, 0.0])
+
+    def test_malformed_list_flags_exit_2(self, tmp_path):
+        for args in (["exponent", "--eta", "1,0,0"], ["carleson", "--shrink", "1,x"],
+                     ["exponent", "--delta-grid", "0.5,,0.25"]):
+            assert run_cli([*args, "--symbol", "product2", "--out-dir", str(tmp_path)]) == 2, args
+
+
+class TestWarningLog:
+    def test_warnings_mirrored_as_jsonl(self, tmp_path, monkeypatch):
+        def noisy(cfg, out_dir):
+            warnings.warn("grid too coarse", RuntimeWarning)
+            warnings.warn("second", UserWarning)
+            return 0
+
+        monkeypatch.setitem(cli.COMMANDS, "decide", noisy)
+        assert run_cli(["decide", "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "warnings.jsonl").read_text() == (
+            '{"category": "RuntimeWarning", "message": "grid too coarse"}\n'
+            '{"category": "UserWarning", "message": "second"}\n')
 
 
 class TestSymbolLoading:
@@ -95,7 +129,8 @@ class TestExponentCommand:
 
     def test_bad_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
-        for text in ("{not json", '{"tolerances": {"no_such_tol": 1.0}}', '{"budget": "ten"}'):
+        for text in ("{not json", '{"tolerances": {"no_such_tol": 1.0}}', '{"budget": "ten"}',
+                     '{"shrink": "1,0"}'):
             path.write_text(text)
             assert run_cli(["exponent", "--config", str(path), "--symbol", "product2",
                             "--out-dir", str(tmp_path)]) == 2, text

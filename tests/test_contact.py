@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import greedy_dedupe
 from polycarleson import contact
 from polycarleson.battery import SYMBOL_NAMES, get_symbol
-from polycarleson.config import DEFAULTS
+from polycarleson.config import DEFAULTS, contact_grid_res
 from polycarleson.contact import (
     ContactRequired,
     _dedupe,
@@ -329,6 +329,15 @@ class TestModulusGrid:
         grid = _modulus_grid(GENERAL3.components[0], 3, 256)
         assert grid.shape == (256, 256, 1)
         assert grid.nbytes == 256 * 256 * 4  # 256 KiB, not the 64 MiB of the full 256^3 grid
+
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_default_resolution_bounds_cells(self, n):
+        res = contact_grid_res(n)
+        assert res**n <= 2**24  # 64 MiB of float32
+        assert res == 256 or (res + 1) ** n > 2**24
+        if n <= 4:
+            assert res == (256, 256, 256, 64)[n - 1]
 
 
 class TestJCCheck:

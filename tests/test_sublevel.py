@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from polycarleson import sublevel
 from polycarleson.config import DEFAULTS
 from polycarleson.fitting import FitRefused, loglog_wls
 from polycarleson.measure import AnnulusArc, FullPolydisc, WeightParam, disc_cap_measure, merge_arcs
@@ -87,6 +88,20 @@ class TestValueFiber:
     def test_contraction_fiber_empty(self):
         f = PolySymbol.monomial(2, (1, 1), coeff=0.5)
         assert find_value_fiber(f, 1.0).kind == "empty"
+
+    def test_caller_config_reaches_contact_set(self, monkeypatch):
+        seen = []
+        real = sublevel.find_contact_set
+
+        def recorder(*args, **kwargs):
+            seen.append(kwargs.get("config", args[3] if len(args) > 3 else DEFAULTS))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sublevel, "find_contact_set", recorder)
+        find_value_fiber.cache_clear()
+        config = DEFAULTS.replace(coarse_margin=0.2)
+        assert find_value_fiber(general_symbol(), 1.0, config).kind == "finite"
+        assert [c.coarse_margin for c in seen] == [0.2]
 
 
 class TestBuildProposal:
