@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import DEFAULTS, LabConfig
 from .fitting import FitRefused, loglog_wls
 from .measure import CarlesonBox, WeightParam, carleson_box_measure
 from .sublevel import PROVABLY_EMPTY, SublevelEstimate, build_proposal, estimate_indicator
-from .symbols import PolySymbol, TorusPoint, _eval_table
+from .symbols import PolySymbol, TorusPoint
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,10 @@ def preimage_box_ratio(
     """V_beta(Phi^{-1}(S(xi, delta))) / V_beta(S(xi, delta)) with propagated error.
 
     The numerator is importance-sampled from the proposal region built out of
-    the binding components (radius below 1); the denominator is deterministic
+    the binding components (radius below 1), with one torus angle integrated
+    in closed form by ``estimate_indicator``; the denominator is deterministic
     quadrature.  Radius-2 coordinates are vacuous by |Phi_j - xi_j| < 2 and are
-    skipped in the membership test.
+    left out of the tests.
     """
     sym.require_certificate()
     if box.n != sym.n_out:
@@ -99,29 +98,22 @@ def preimage_box_ratio(
     denominator = carleson_box_measure(box, beta, quad_tol=config.quad_tol)
     xi = box.center.point()
 
-    active = [j for j in range(sym.n_out) if box.radii[j] < 2.0]
-    tables = [sym.components[j] for j in active]
-    targets = [complex(xi[j]) for j in active]
-    radii = [box.radii[j] for j in active]
-
-    def membership(z):
-        ok = np.ones(z.shape[0], dtype=bool)
-        cache: dict = {}
-        for table, target, r in zip(tables, targets, radii):
-            ok &= np.abs(_eval_table(table, z, cache) - target) < r
-        return ok
-
     bindings = [
+        (sym.components[j], complex(xi[j]), box.radii[j], True)
+        for j in range(sym.n_out)
+        if box.radii[j] < 2.0
+    ]
+    tight = [
         (sym.component(j), complex(xi[j]), box.radii[j])
         for j in range(sym.n_out)
         if box.radii[j] < 1.0
     ]
-    region = build_proposal(bindings, n, config)
+    region = build_proposal(tight, n, config)
     if region == PROVABLY_EMPTY:
         return RatioEstimate(SublevelEstimate.empty("preimage empty by structure"), denominator)
     est = estimate_indicator(
-        membership, n, beta, region, budget, seed,
-        f"carleson[{seed}]", threads=threads, config=config,
+        bindings, n, beta, region, budget, seed,
+        f"carleson[{seed}]", threads=threads, config=config, auto_region=True,
     )
     return RatioEstimate(est, denominator)
 

@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,13 +112,33 @@ class SliceReport:
 
 
 _GRID_BLOCK = 1 << 16  # grid rows evaluated per _eval_table call
+_GRID_CACHE_BYTES = 128 << 20  # two full 256^3 float32 grids
+_grid_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
-@lru_cache(maxsize=6)
 def _modulus_grid(table: MonomialTable, n: int, res: int) -> np.ndarray:
     """|polynomial| over the res^n torus grid, float32, shaped to broadcast.
 
     Axis j has length res if the table depends on z_j and length 1 otherwise.
+    Grids are kept in a least-recently-used cache bounded by
+    _GRID_CACHE_BYTES, not by a count of entries.
+    """
+    key = (table, n, res)
+    grid = _grid_cache.get(key)
+    if grid is None:
+        grid = _compute_modulus_grid(table, n, res)
+        _grid_cache[key] = grid
+        held = sum(g.nbytes for g in _grid_cache.values())
+        while held > _GRID_CACHE_BYTES:
+            held -= _grid_cache.popitem(last=False)[1].nbytes
+    else:
+        _grid_cache.move_to_end(key)
+    return grid
+
+
+def _compute_modulus_grid(table: MonomialTable, n: int, res: int) -> np.ndarray:
+    """Uncached _modulus_grid.
+
     ``_eval_table`` never reads a variable whose exponents are all zero, so
     every value has the same bits as in the full res^n evaluation.
     """
@@ -188,27 +209,38 @@ def _torus_newton(tables, targets, theta: np.ndarray, ascend: bool) -> np.ndarra
         return F, g, H
 
     th = theta.copy()
+    # A row that an iteration leaves bit-unchanged is a fixed point: its next
+    # iteration would repeat this one exactly.  Such rows retire, and their
+    # last gradient norm stays in the stopping tests, so the other rows run
+    # the same iterations as they would with every row kept.
+    moving = np.arange(th.shape[0])
+    last_gnorm = np.zeros(th.shape[0])
     for _ in range(30):
-        F, g, H = f_g_h(th)
+        rows = th[moving]
+        F, g, H = f_g_h(rows)
         gnorm = np.linalg.norm(g, axis=1)
-        active = gnorm > 1e-13
-        if not np.any(active):
+        last_gnorm[moving] = gnorm
+        if not np.any(last_gnorm > 1e-13):
             break
-        step = np.zeros_like(th)
+        active = gnorm > 1e-13
+        step = np.zeros_like(rows)
         step[active] = -np.einsum("bij,bj->bi", np.linalg.pinv(H[active]), g[active])
         # clip absurd steps, then damp until F does not get worse
         norms = np.linalg.norm(step, axis=1, keepdims=True)
         step = np.where(norms > 0.5, step * (0.5 / np.maximum(norms, 1e-300)), step)
-        improved = np.zeros(th.shape[0], dtype=bool)
-        trial = th.copy()
+        improved = np.zeros(rows.shape[0], dtype=bool)
+        trial = rows.copy()
         for t in (1.0, 0.5, 0.25, 0.125):
-            cand = th + t * step
+            cand = rows + t * step
             Fc = f_g_h(cand)[0]
             take = (~improved) & (sign * Fc >= sign * F - 1e-15)
             trial[take] = cand[take]
             improved |= take
-        th = trial
-        if np.max(gnorm) < 1e-12:
+        th[moving] = trial
+        if np.max(last_gnorm) < 1e-12:
+            break
+        moving = moving[np.any(trial != rows, axis=1)]
+        if not moving.size:
             break
     return th
 

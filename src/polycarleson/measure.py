@@ -4,13 +4,16 @@ The weighted area measure on the disc is dA_beta = (beta+1)(1-|z|^2)^beta dA
 with dA normalized so the disc has measure 1; the polydisc carries the product
 V_beta.  Carleson boxes are products of disc caps |z_j - xi_j| < delta_j, and
 their measures reduce to a 1-D radial integral because the angular width of a
-cap slice is available in closed form.
+cap slice is available in closed form.  The same closed form, vectorised over
+the cap centre, gives the sublevel estimator the angular measure of
+{theta_j : |a + b r_j^m e^{i m theta_j} - eta| <= delta}, so that one torus
+angle is integrated exactly instead of sampled.
 
 Sampling regions come in two shapes: the full polydisc, and annulus-arc
 products with an optional angle-sum window (the shape carved out by
 near-torus sublevel sets).
 All samplers draw exactly from V_beta restricted to the region and report the
-exact region mass, so indicator Monte Carlo over them is unbiased.
+exact region mass, so Monte Carlo averages over them are unbiased.
 """
 
 from __future__ import annotations
@@ -104,15 +107,18 @@ def annulus_mass(beta: WeightParam, s: float) -> float:
     return (s * (2.0 - s)) ** (beta.beta + 1.0)
 
 
-def _cap_angular_halfwidth(r: np.ndarray, amod: float, delta: float) -> np.ndarray:
-    """Half-width in angle of {theta : |r e^{i theta} - a| < delta} for |a| = amod."""
+def _cap_angular_halfwidth(r, amod, delta: float) -> np.ndarray:
+    """Half-width in angle of {theta : |r e^{i theta} - a| < delta} for |a| = amod.
+
+    ``r`` and ``amod`` broadcast against each other.
+    """
     r = np.asarray(r, dtype=float)
-    if amod == 0.0:
-        return np.where(r < delta, math.pi, 0.0)
+    amod = np.asarray(amod, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         cosval = (r * r + amod * amod - delta * delta) / (2.0 * r * amod)
-    # circle of radius r=0 degenerates to the origin: inside iff |a| < delta
-    cosval = np.where(r == 0.0, -2.0 if amod < delta else 2.0, cosval)
+    # a circle of radius 0, or one centred on a = 0, lies wholly inside or outside
+    inside = np.where(r == 0.0, amod < delta, r < delta)
+    cosval = np.where((r == 0.0) | (amod == 0.0), np.where(inside, -2.0, 2.0), cosval)
     return np.arccos(np.clip(cosval, -1.0, 1.0))
 
 

@@ -6,8 +6,18 @@ proposal regions that provably contain the sublevel set: near-torus annuli
 whose radial depth scales with delta, combined with either an angle-sum window
 (when f is a single monomial, whose sublevel sets wrap around the torus) or
 per-coordinate arcs of width ~ sqrt(delta) around the finite solution set of
-f = eta on T^n.  A uniform "leakage audit" pass estimates the mass the region
-might have missed; estimates failing the audit are flagged untrusted.
+f = eta on T^n.
+
+Inside the region one torus angle is integrated in closed form (conditional
+Monte Carlo).  When z_j enters a binding as a + b z_j^m with a and b free of
+z_j, the theta_j-measure of {|f - eta| <= delta} at fixed other coordinates
+and r_j is an arc of half-width arccos((rho^2 + c^2 - delta^2)/(2 rho c)),
+rho = |b| r_j^m, c = |eta - a|.  Each draw contributes that probability
+instead of a 0/1 hit, so the region drops its constraints on theta_j (its
+arcs there and the angle-sum window).  Symbols with no such coordinate fall
+back to plain hit counting.  A uniform "leakage audit" pass estimates the
+mass the region might have missed; estimates failing the audit are flagged
+untrusted.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from .measure import (
     FullPolydisc,
     Region,
     WeightParam,
+    _cap_angular_halfwidth,
     merge_arcs,
     region_contains,
     region_mass,
@@ -34,7 +45,7 @@ from .measure import (
     sample_polydisc,
 )
 from .montecarlo import run_batches, sum_counts
-from .symbols import PolySymbol, TorusPoint, _eval_table, certify_self_map
+from .symbols import MonomialTable, PolySymbol, TorusPoint, _eval_table, certify_self_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,7 +80,7 @@ class SublevelEstimate:
 
     volume: float          # restricted estimate plus measured leakage
     stderr: float
-    hits: int
+    hits: int              # draws with positive weight (conditional probability)
     region_mass: float
     leakage: float
     leakage_stderr: float
@@ -307,8 +318,127 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
 # ---------------------------------------------------------------------------
 
 
+Binding = tuple[MonomialTable, complex, float, bool]  # (table, target, tolerance, strict)
+
+
+def _merge_bindings(bindings) -> list[Binding]:
+    """Bindings in first-seen order; a repeated (table, target) keeps the tighter test."""
+    merged: dict[tuple, Binding] = {}
+    for table, target, tol, strict in bindings:
+        key = (table, complex(target))
+        new = (table, complex(target), float(tol), bool(strict))
+        old = merged.get(key)
+        if old is None or (new[2], not new[3]) < (old[2], not old[3]):
+            merged[key] = new
+    return list(merged.values())
+
+
+def _holds(binding: Binding, z: np.ndarray, cache: dict) -> np.ndarray:
+    table, target, tol, strict = binding
+    dist = np.abs(_eval_table(table, z, cache) - target)
+    return dist < tol if strict else dist <= tol
+
+
+def _members(bindings: list[Binding], z: np.ndarray) -> np.ndarray:
+    cache: dict = {}
+    ok = np.ones(z.shape[0], dtype=bool)
+    for binding in bindings:
+        ok &= _holds(binding, z, cache)
+    return ok
+
+
+def _uses(table: MonomialTable, j: int) -> bool:
+    return any(alpha[j] for alpha, _ in table)
+
+
+@dataclass(frozen=True)
+class _AngleSplit:
+    """Binding ``index`` written as a + b z_j^m with a and b free of z_j."""
+
+    index: int
+    j: int
+    m: int
+    a: MonomialTable
+    b: MonomialTable
+
+
+def _split_coordinate(bindings: list[Binding], n: int) -> _AngleSplit | None:
+    """Lowest j whose first binding containing z_j has a single exponent in z_j."""
+    for j in range(n):
+        index = next((i for i, (table, *_) in enumerate(bindings) if _uses(table, j)), None)
+        if index is None:
+            continue
+        table = bindings[index][0]
+        powers = {alpha[j] for alpha, _ in table if alpha[j]}
+        if len(powers) == 1:
+            a = tuple((alpha, c) for alpha, c in table if not alpha[j])
+            b = tuple((alpha[:j] + (0,) + alpha[j + 1:], c) for alpha, c in table if alpha[j])
+            return _AngleSplit(index, j, powers.pop(), a, b)
+    return None
+
+
+def _constrains_angle(region: Region, j: int) -> bool:
+    if isinstance(region, FullPolydisc):
+        return False
+    window = region.window
+    return region.arcs[j] is not None or (window is not None and window.coeffs[j] > 0)
+
+
+def _free_angle(region: Region, j: int) -> Region:
+    """The region without its arcs on theta_j and without its angle-sum window."""
+    if isinstance(region, FullPolydisc):
+        return region
+    arcs = region.arcs[:j] + (None,) + region.arcs[j + 1:]
+    if all(a is None for a in arcs) and all(s >= 1.0 for s in region.depths):
+        return FullPolydisc(region.n)
+    return AnnulusArc(depths=region.depths, arcs=arcs)
+
+
+def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+    """P(every binding holds | z with theta_j integrated out), one weight per row.
+
+    The split binding holds on an arc of mtheta_j of half-width h, i.e. with
+    probability h/pi.  Bindings free of z_j multiply that by their indicator.
+    Bindings that also contain z_j are tested at one theta_j drawn uniformly
+    from the split binding's arc set, which keeps the weight unbiased.
+    """
+    j, m = split.j, split.m
+    _, target, tol, _ = bindings[split.index]
+    cache: dict = {}
+    u = target - _eval_table(split.a, z, cache)
+    b = _eval_table(split.b, z, cache)
+    r = np.abs(z[:, j])
+    h = _cap_angular_halfwidth(np.abs(b) * r**m, np.abs(u), tol)
+    w = h / math.pi
+    others = [binding for i, binding in enumerate(bindings) if i != split.index]
+    if not others:
+        return w
+    live = np.flatnonzero(h)
+    # the other bindings matter only where the split binding can hold
+    z, u, b, r, h = z[live], u[live], b[live], r[live], h[live]
+    ok = np.ones(live.size, dtype=bool)
+    cache = {}
+    coupled = []
+    for binding in others:
+        if _uses(binding[0], j):
+            coupled.append(binding)
+        else:
+            ok &= _holds(binding, z, cache)
+    if coupled:
+        phi = (2.0 * rng.random(live.size) - 1.0) * h
+        branch = rng.integers(0, m, size=live.size)
+        theta = (phi + np.angle(u) - np.angle(b) + TWO_PI * branch) / m
+        z[:, j] = r * np.exp(1j * theta)
+        cache = {}
+        for binding in coupled:
+            ok &= _holds(binding, z, cache)
+    w[live] *= ok
+    return w
+
+
 def estimate_indicator(
-    membership,
+    bindings,
     n: int,
     beta: WeightParam,
     region: Region,
@@ -317,28 +447,49 @@ def estimate_indicator(
     label: str,
     threads: int | None = None,
     config: LabConfig = DEFAULTS,
+    auto_region: bool = False,
 ) -> SublevelEstimate:
-    """Shared engine: restricted estimate plus uniform leakage audit.
+    """Shared engine: V_beta of {z : every binding holds}, with a leakage audit.
 
-    ``membership(z)`` maps an (N, n) complex batch to a boolean mask.  The
-    region must contain the support up to mass the audit can see; the total
-    reported is restricted estimate + measured leakage.  Zero hits or leakage
-    above the threshold fraction of the estimate mark the result untrusted
-    (zero hits also report a one-sided upper confidence bound).
+    ``bindings`` lists (table, target, tolerance, strict) tests
+    |P(z) - target| < tolerance (strict) or <= tolerance.  When some
+    coordinate z_j enters the first binding containing it with a single
+    exponent, theta_j is integrated in closed form (conditional Monte
+    Carlo): each draw contributes the probability over theta_j that every
+    binding holds.  ``auto_region`` says the region came from
+    ``build_proposal``; its constraints on theta_j are then dropped, since
+    the integration covers that angle exactly.  A caller's region that
+    constrains theta_j, or bindings with no such coordinate, give plain
+    0/1 weights.  The estimate is mass x mean weight; a uniform audit pass
+    measures the mass outside the region.  Zero support (no draw with
+    positive weight) or leakage above the threshold fraction of the estimate
+    marks the result untrusted; zero support also reports a one-sided upper
+    confidence bound.
     """
+    bindings = _merge_bindings(bindings)
+    split = _split_coordinate(bindings, n)
+    if split is not None and auto_region:
+        region = _free_angle(region, split.j)
+    if split is not None and _constrains_angle(region, split.j):
+        split = None
     mass = region_mass(region, beta)
 
     def main_worker(rng, count):
         z, _ = restricted_sample(region, beta, rng, count)
-        return (int(np.count_nonzero(membership(z))),)
+        if split is None:
+            w = _members(bindings, z).astype(float)
+        else:
+            w = _conditional_weights(bindings, split, z, rng)
+        return float(w.sum()), float((w * w).sum()), int(np.count_nonzero(w))
 
-    (hits,) = sum_counts(
-        run_batches(budget, seed, label, main_worker, threads=threads,
-                    batch_size=config.batch_size)
-    )
-    p = hits / budget
-    restricted = mass * p
-    stderr = mass * math.sqrt(max(p * (1.0 - p), 0.0) / budget)
+    batches = run_batches(budget, seed, label, main_worker, threads=threads,
+                          batch_size=config.batch_size)
+    # batches come back in batch order and fsum is exact: the same floats at any thread count
+    mean = math.fsum(s for s, _, _ in batches) / budget
+    var = max(math.fsum(q for _, q, _ in batches) / budget - mean * mean, 0.0)
+    hits = sum(k for _, _, k in batches)
+    restricted = mass * mean
+    stderr = mass * math.sqrt(var / budget)
 
     leakage = 0.0
     leak_stderr = 0.0
@@ -347,7 +498,7 @@ def estimate_indicator(
 
         def audit_worker(rng, count):
             z = sample_polydisc(n, beta, rng, count)
-            outside = membership(z) & ~region_contains(region, z)
+            outside = _members(bindings, z) & ~region_contains(region, z)
             return (int(np.count_nonzero(outside)),)
 
         (leak_hits,) = sum_counts(
@@ -365,7 +516,7 @@ def estimate_indicator(
     upper = None
     if hits == 0:
         trusted = False
-        reason = "zero hits"
+        reason = "zero support"
         upper = config.zero_hit_factor / budget * mass + leakage
     elif leakage > config.leakage_threshold * restricted:
         trusted = False
@@ -385,26 +536,22 @@ def estimate_sublevel(query: SublevelQuery, config: LabConfig = DEFAULTS) -> Sub
 
     The restricted estimate covers the proposal region; a uniform audit pass
     (10% of the budget) measures sublevel mass outside the region.  The total
-    is restricted + leakage; leakage above 1% of the restricted estimate, or a
-    zero hit count, flags the point untrusted (zero hits additionally report a
-    one-sided upper confidence bound).
+    is restricted + leakage; leakage above 1% of the restricted estimate, or
+    zero support, flags the point untrusted (zero support additionally
+    reports a one-sided upper confidence bound).
     """
     f, eta, delta, beta = query.f, complex(query.eta), query.delta, query.beta
     f.require_certificate()
     n = f.n_in
     region = query.proposal
-    if region == AUTO:
+    auto = region == AUTO
+    if auto:
         region = build_proposal([(f, eta, delta)], n, config)
     if region == PROVABLY_EMPTY:
         return SublevelEstimate.empty("target beyond component range; set empty")
-    table = f.components[0]
-
-    def membership(z):
-        return np.abs(_eval_table(table, z, {}) - eta) <= delta
-
     return estimate_indicator(
-        membership, n, beta, region, query.budget, query.seed,
-        f"sublevel[{query.seed}]", threads=query.threads, config=config,
+        [(f.components[0], eta, delta, False)], n, beta, region, query.budget, query.seed,
+        f"sublevel[{query.seed}]", threads=query.threads, config=config, auto_region=auto,
     )
 
 

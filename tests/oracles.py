@@ -85,3 +85,18 @@ def greedy_dedupe(theta, residuals, merge_radius):
     reps = np.array(reps, dtype=int)
     reps = reps[np.lexsort(theta[reps].T[::-1])]
     return theta[reps], residuals[reps]
+
+
+def uniform_sublevel_volume(entries, n, eta, delta, budget, seed):
+    """Plain hit-or-miss V_0({z in D^n : |f(z) - eta| <= delta}) with its stderr.
+
+    Draws ``budget`` points uniformly from the polydisc (Lebesgue, beta = 0)
+    and counts how many satisfy the inequality.
+    """
+    rng = np.random.default_rng(seed)
+    z = np.sqrt(rng.random((budget, n))) * np.exp(2j * np.pi * rng.random((budget, n)))
+    f = np.zeros(budget, dtype=complex)
+    for alpha, c in entries:
+        f += c * np.prod(z ** np.asarray(alpha), axis=1)
+    p = np.count_nonzero(np.abs(f - eta) <= delta) / budget
+    return p, float(np.sqrt(p * (1.0 - p) / budget))

@@ -150,9 +150,10 @@ class TestExponentCommand:
         assert "fit refused" in capsys.readouterr().err
 
     def test_untrusted_points_exit_3(self, tmp_path, capsys):
-        # the two finest deltas draw no hit at this budget and are not trusted;
-        # the fit over the other four still succeeds
-        code = run_cli(["exponent", "--symbol", "powersum3", "--budget", "30000", "--seed", "1",
+        # at this budget two deltas (0.125 and 0.015625) have no draw with
+        # positive weight and are not trusted; the fit over the other four
+        # still succeeds
+        code = run_cli(["exponent", "--symbol", "powersum3", "--budget", "1250", "--seed", "1",
                         "--delta-grid", "0.25,0.125,0.0625,0.03125,0.015625,0.0078125",
                         "--out-dir", str(tmp_path)])
         assert code == 3

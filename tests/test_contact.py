@@ -164,6 +164,25 @@ class TestTorusNewton:
         assert 1.0 - np.abs(sym.evaluate(np.exp(1j * alone))).min() <= 1e-12
 
 
+    def test_fixed_row_retires(self, monkeypatch):
+        # under mixed_pair the seed (pi/4, pi/4) never moves: it goes through
+        # pinv once instead of in every one of the 30 iterations (33 rows in
+        # all before rows retired), and both rows end where they always did
+        rows = []
+        pinv = np.linalg.pinv
+
+        def counting(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting)
+        seeds = np.array([[0.05, -0.03], [math.pi / 4, math.pi / 4]])
+        out = contact._torus_newton(list(mixed_pair_map().components), [0j, 0j], seeds,
+                                    ascend=True)
+        assert sum(rows) == 4
+        assert out.tolist() == [[0.0, 0.0], [math.pi / 4, math.pi / 4]]
+
+
 class TestNumericalRank:
     def test_identity(self):
         assert numerical_rank(np.eye(2)).rank == 2
@@ -324,6 +343,21 @@ class TestModulusGrid:
         assert grid.shape == tuple(res if j in live else 1 for j in range(n))
         full = np.broadcast_to(grid, (res,) * n)
         np.testing.assert_array_equal(full.view(np.uint32), full_modulus_grid(table, n, res).view(np.uint32))
+
+    def test_cache_bounded_by_bytes(self, monkeypatch):
+        res = 64
+        cap = 2 * res**3 * 4  # two full-grid tables
+        monkeypatch.setattr(contact, "_GRID_CACHE_BYTES", cap)
+        monkeypatch.setattr(contact, "_grid_cache", type(contact._grid_cache)())
+        tables = [(((1, 1, 1), 0.5), ((k, 0, 1), 0.5)) for k in range(5)]
+        first = [_modulus_grid(t, 3, res) for t in tables]
+        for t in tables:
+            _modulus_grid(t, 3, res)
+            assert sum(g.nbytes for g in contact._grid_cache.values()) <= cap
+        assert len(contact._grid_cache) == 2
+        assert _modulus_grid(tables[-1], 3, res) is _modulus_grid(tables[-1], 3, res)
+        again = _modulus_grid(tables[0], 3, res)  # evicted, computed again
+        np.testing.assert_array_equal(again.view(np.uint32), first[0].view(np.uint32))
 
     def test_two_variable_table_costs_res_squared(self):
         grid = _modulus_grid(GENERAL3.components[0], 3, 256)

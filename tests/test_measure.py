@@ -11,6 +11,7 @@ from polycarleson.measure import (
     EmptyRegion,
     FullPolydisc,
     WeightParam,
+    _cap_angular_halfwidth,
     carleson_box_measure,
     disc_cap_measure,
     merge_arcs,
@@ -102,6 +103,26 @@ class TestDiscCap:
         vals = np.array([disc_cap_measure(1.0, d, WeightParam(beta)) for d in deltas])
         slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
         assert slope == pytest.approx(beta + 2.0, abs=0.05)
+
+    def test_halfwidth_vectorised_over_centre(self):
+        # one call over an array of centres gives every scalar call's bits,
+        # degenerate radii and centres included
+        r = np.array([0.0, 0.0, 0.1, 0.5, 0.9, 0.97, 1.0, 0.3])
+        amod = np.array([0.0, 0.4, 0.0, 0.6, 1.0, 0.99, 0.2, 0.3])
+        got = _cap_angular_halfwidth(r, amod, 0.25)
+        for k in range(len(r)):
+            assert got[k].hex() == float(_cap_angular_halfwidth(r[k:k + 1], amod[k], 0.25)[0]).hex()
+        assert got[:3].tolist() == [math.pi, 0.0, math.pi]
+
+    @pytest.mark.parametrize("a, delta, beta, bits", [
+        (0.0, 0.5, -0.5, "0x1.126145e9ecd58p-3"),
+        (1.0, 0.25, 0.0, "0x1.e4cb7e96e4f22p-6"),
+        (1.0, 2.0**-6, -0.9, "0x1.bf64c25bd9714p-9"),
+        (0.6j, 0.5, 1.0, "0x1.0aa02fe439622p-2"),
+    ])
+    def test_cap_measure_bits_pinned(self, a, delta, beta, bits):
+        # the quadrature's values from before the half-width was vectorised
+        assert disc_cap_measure(a, delta, WeightParam(beta)).hex() == bits
 
 
 class TestBoxMeasure:

@@ -1,11 +1,23 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import uniform_sublevel_volume
 from polycarleson import sublevel
+from polycarleson.battery import get_symbol
+from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
 from polycarleson.config import DEFAULTS
 from polycarleson.fitting import FitRefused, loglog_wls
-from polycarleson.measure import AnnulusArc, FullPolydisc, WeightParam, disc_cap_measure, merge_arcs
+from polycarleson.measure import (
+    AnnulusArc,
+    CarlesonBox,
+    FullPolydisc,
+    WeightParam,
+    disc_cap_measure,
+    merge_arcs,
+)
+from polycarleson.output import csv_text
 from polycarleson.sublevel import (
     SublevelQuery,
     build_proposal,
@@ -13,7 +25,7 @@ from polycarleson.sublevel import (
     find_value_fiber,
     fit_exponent,
 )
-from polycarleson.symbols import PolySymbol
+from polycarleson.symbols import PolySymbol, TorusPoint
 
 
 def product_symbol(n):
@@ -237,3 +249,76 @@ class TestFitExponent:
         header, rows = fit.csv_rows()
         assert header == ["delta", "estimate", "stderr", "hits", "region_mass", "trusted"]
         assert len(rows) == 4
+
+
+# every monomial of degree <= 2 in two variables
+BIDISC_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def agree(est, volume, stderr):
+    return abs(est.volume - volume) <= 4.0 * math.hypot(est.stderr, stderr) + 1e-12
+
+
+class TestConditionalEstimator:
+    """The integrated-angle estimate against independent values."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(weights=st.lists(st.integers(0, 4), min_size=6, max_size=6).filter(any),
+           k=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+    def test_bidisc_maps_agree_with_uniform_oracle(self, weights, k, seed):
+        # c >= 0 with sum 1 makes f a self-map that reaches 1 at (1, 1)
+        total = sum(weights)
+        entries = [(a, w / total) for a, w in zip(BIDISC_MONOMIALS, weights) if w]
+        f = PolySymbol.from_tables([entries], 2)
+        est = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=2.0**-k,
+                                              beta=WeightParam(0.0), budget=200_000,
+                                              seed=seed))
+        volume, stderr = uniform_sublevel_volume(entries, 2, 1.0, 2.0**-k, 1_000_000, seed)
+        assert agree(est, volume, stderr), (entries, est, volume, stderr)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_identity1_matches_disc_cap(self, beta):
+        delta = 2.0**-3
+        est = estimate_sublevel(SublevelQuery(f=get_symbol("identity1"), eta=1.0, delta=delta,
+                                              beta=WeightParam(beta), budget=500_000, seed=17))
+        assert est.trusted
+        assert agree(est, disc_cap_measure(1.0, delta, WeightParam(beta)), 0.0)
+
+    def test_identity2_box_ratio_is_one(self):
+        box = CarlesonBox(TorusPoint((0.0, 0.0)), (2.0**-4, 2.0**-4))
+        est = preimage_box_ratio(get_symbol("identity2"), box, WeightParam(0.0), 500_000, seed=19)
+        assert est.trusted
+        assert abs(est.ratio - 1.0) <= 4.0 * est.stderr
+
+    def test_symbol_without_split_coordinate_uses_indicator(self):
+        # z1 and z2 each appear with exponents 1 and 2: no angle integrates out
+        entries = [((1, 0), 0.25), ((2, 0), 0.25), ((0, 1), 0.25), ((0, 2), 0.25)]
+        f = PolySymbol.from_tables([entries], 2)
+        assert sublevel._split_coordinate([(f.components[0], 1.0, 0.25, False)], 2) is None
+        est = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=0.25, beta=WeightParam(0.0),
+                                              budget=200_000, seed=23))
+        volume, stderr = uniform_sublevel_volume(entries, 2, 1.0, 0.25, 1_000_000, 23)
+        assert est.trusted
+        assert agree(est, volume, stderr)
+
+    def test_repeated_bindings_merge(self):
+        table = get_symbol("product3").components[0]
+        merged = sublevel._merge_bindings([(table, 1.0, 0.1, True), (table, 1.0, 0.05, True),
+                                           (table, 1j, 0.2, True)])
+        assert merged == [(table, 1.0, 0.05, True), (table, 1j, 0.2, True)]
+
+
+class TestThreadDeterminism:
+    """2.5M draws make three batches; their float sums reduce in batch order."""
+
+    @pytest.mark.parametrize("run", [
+        lambda t: fit_exponent(get_symbol("product2"), 1.0, WeightParam(0.0),
+                               delta_grid=[2.0**-k for k in range(4, 8)],
+                               budget=2_500_000, seed=29, threads=t),
+        lambda t: ratio_growth_scan(get_symbol("mean_product"), TorusPoint((0.0, 0.0)),
+                                    (1, 1), WeightParam(0.0), [2.0**-k for k in range(3, 7)],
+                                    2_500_000, seed=31, threads=t),
+    ], ids=["product2_fit", "mean_product_scan"])
+    def test_csv_identical_across_threads(self, run):
+        texts = [csv_text(*run(t).csv_rows()) for t in (1, 4, 8)]
+        assert texts[1] == texts[0] and texts[2] == texts[0]
