@@ -119,6 +119,12 @@ class FitCase:
     budget: int
     seed: int
 
+    @property
+    def artifact(self) -> tuple[str, str]:
+        """(file stem, chart title) of the fit's CSV and SVG."""
+        return (f"exponent_{self.symbol}_beta{self.beta:g}",
+                f"{self.symbol} volume scaling, beta={self.beta:g}")
+
     def run(self, threads=None, config: LabConfig = DEFAULTS) -> ExponentFit:
         return fit_exponent(get_symbol(self.symbol), 1.0, WeightParam(self.beta),
                             delta_grid=self.grid, budget=self.budget, seed=self.seed,
@@ -141,6 +147,11 @@ class ScanCase:
     target: float | None = None
     tolerance: float | None = None
     beta: float = 0.0
+
+    @property
+    def artifact(self) -> tuple[str, str]:
+        """(file stem, chart title) of the scan's CSV and SVG."""
+        return f"scan_{self.symbol}", f"{self.symbol} ratio growth"
 
     def run(self, threads=None, config: LabConfig = DEFAULTS) -> RatioScan:
         sym = get_symbol(self.symbol)
@@ -266,7 +277,15 @@ class BatteryRun:
         return self.memo[key]
 
     def result(self, case: FitCase | ScanCase):
-        return self._memo(case, lambda: case.run(self.threads, self.config))
+        """The case's fit or scan; its CSV and SVG are written once, when it is computed."""
+
+        def compute():
+            result = case.run(self.threads, self.config)
+            stem, title = case.artifact
+            self.write_result(stem, result, title)
+            return result
+
+        return self._memo(case, compute)
 
     def criterion(self, number: int) -> CriterionResult:
         """Criterion ``number``'s result; a fit or scan it refuses fails it as untrusted."""
@@ -292,7 +311,7 @@ class BatteryRun:
 
 
 def _fit_case(run: BatteryRun, case: FitCase, spec: dict) -> dict:
-    """Fit one case, write its CSV/SVG and check the slope against ``spec``'s law.
+    """Fit one case and check the slope against ``spec``'s law.
 
     A refused fit is a failed, untrusted case that carries the refusal message.
     """
@@ -303,8 +322,6 @@ def _fit_case(run: BatteryRun, case: FitCase, spec: dict) -> dict:
     except FitRefused as exc:
         return {"target": target, "refused": str(exc), "ok": False, "untrusted": True}
     seconds = time.perf_counter() - t0
-    run.write_result(f"exponent_{case.symbol}_beta{case.beta:g}", fit,
-                     f"{case.symbol} volume scaling, beta={case.beta:g}")
     limit = spec["max_seconds"]
     ok = abs(fit.slope - target) <= spec["tolerance"] and (limit is None or seconds <= limit)
     return {"slope": fit.slope, "target": target, "stderr": fit.slope_stderr,
@@ -313,7 +330,7 @@ def _fit_case(run: BatteryRun, case: FitCase, spec: dict) -> dict:
 
 
 def _scan_case(run: BatteryRun, case: ScanCase) -> dict:
-    """Scan one case, write its CSV/SVG and check the slope against its target.
+    """Scan one case and check the slope against its target.
 
     A refused scan is a failed, untrusted case that carries the refusal message.
     """
@@ -322,7 +339,6 @@ def _scan_case(run: BatteryRun, case: ScanCase) -> dict:
     except FitRefused as exc:
         return {"target": case.target, "tolerance": case.tolerance, "refused": str(exc),
                 "ok": False, "untrusted": True}
-    run.write_result(f"scan_{case.symbol}", scan, f"{case.symbol} ratio growth")
     return {"slope": scan.slope, "target": case.target, "tolerance": case.tolerance,
             "ok": abs(scan.slope - case.target) <= case.tolerance,
             "untrusted": any(not e.trusted for e in scan.estimates)}

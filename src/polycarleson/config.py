@@ -58,8 +58,10 @@ class LabConfig:
     leakage_threshold: float = 0.01   # leakage above this fraction of the estimate -> UNTRUSTED
     zero_hit_factor: float = 3.0      # one-sided bound: factor/budget * region mass
 
-    # deterministic parallel Monte Carlo: fixed batch layout.  Results are a
-    # pure function of (seed, batch_size); thread count never enters.
+    # deterministic parallel Monte Carlo: fixed batch layout of the i.i.d.
+    # leakage audit (an estimate's main draws are batched one Sobol replicate
+    # per batch).  Results are a pure function of (seed, budget, batch_size);
+    # thread count never enters.
     batch_size: int = 1_000_000
 
     def to_dict(self) -> dict:

@@ -11,9 +11,13 @@ angle is integrated exactly instead of sampled.
 
 Sampling regions come in two shapes: the full polydisc, and annulus-arc
 products with an optional angle-sum window (the shape carved out by
-near-torus sublevel sets).
-All samplers draw exactly from V_beta restricted to the region and report the
-exact region mass, so Monte Carlo averages over them are unbiased.
+near-torus sublevel sets).  One inverse-CDF map, ``region_points``, turns
+uniforms into region points: one uniform per restricted radius and one per
+angle (through the arc set's CDF, or the window's branch and offset).  Fed
+i.i.d. uniforms (``restricted_sample``) or scrambled Sobol points (the
+sublevel estimator), it gives points of V_beta restricted to the region; with
+the region's exact mass, averages over them are unbiased.  The leakage
+audit's ``sample_polydisc`` draws i.i.d. points of the whole polydisc.
 """
 
 from __future__ import annotations
@@ -343,47 +347,89 @@ def region_mass(region: Region, beta: WeightParam) -> float:
     return total
 
 
-def _sample_restricted_radius(beta: WeightParam, s: float, u: np.ndarray) -> np.ndarray:
-    """Radii with law A_beta restricted to [1-s, 1), clamped to _R_MAX; s = 1 is the whole law."""
+def _restricted_radius(beta: WeightParam, s: float, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF radii of A_beta restricted to [1-s, 1), clamped to _R_MAX.
+
+    s = 1 is the whole law.
+    """
     b = beta.beta
     tail = (s * (2.0 - s)) ** (b + 1.0)  # 1 - F(1-s)
     return np.minimum(np.sqrt(1.0 - ((1.0 - u) * tail) ** (1.0 / (b + 1.0))), _R_MAX)
 
 
-def _sample_multi_arc(arcs: tuple[Arc, ...], rng: np.random.Generator, size: int) -> np.ndarray:
+def _arc_angle(arcs: tuple[Arc, ...], u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the uniform law on a union of arcs: one uniform per angle."""
     lengths = np.array([length for _, length in arcs])
     starts = np.array([start for start, _ in arcs])
     cum = np.cumsum(lengths)
-    pick = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
-    return (starts[pick] + rng.random(size) * lengths[pick]) % TWO_PI
+    t = u * cum[-1]
+    pick = np.minimum(np.searchsorted(cum, t, side="right"), len(arcs) - 1)
+    return (starts[pick] + (t - (cum[pick] - lengths[pick]))) % TWO_PI
+
+
+def sample_dim(region: Region, fixed: tuple[int, ...] = ()) -> int:
+    """Uniforms per point that ``region_points`` reads: n radii and the drawn angles."""
+    return 2 * region.n - len(fixed)
+
+
+def region_points(region: Region, beta: WeightParam, u: np.ndarray,
+                  fixed: tuple[int, ...] = ()) -> np.ndarray:
+    """Map uniforms u, shape (size, sample_dim), to points of V_beta restricted to the region.
+
+    Column j gives radius r_j; the next columns give the angles in coordinate
+    order, each through the inverse CDF of its arc set.  The window's solve
+    coordinate reads one column u: the branch is floor(m u) and the window
+    offset comes from frac(m u).  The map is exact (uniform u gives the
+    restricted law) and piecewise smooth, so scrambled Sobol points pass
+    through it as well as i.i.d. ones.  The ``fixed`` coordinates take no
+    angle column and come back as their real radii r_j: a caller that
+    integrates those angles in closed form reads only their moduli.  Their
+    angles must be free.
+    """
+    n = region.n
+    if isinstance(region, FullPolydisc):
+        region = AnnulusArc(depths=(1.0,) * n, arcs=(None,) * n)
+    window = region.window
+    if any(region.arcs[j] is not None or (window is not None and window.coeffs[j] > 0)
+           for j in fixed):
+        raise ValueError("a fixed coordinate's angle must be unconstrained")
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != sample_dim(region, fixed):
+        raise ValueError("uniforms need one column per radius and per drawn angle")
+    r = np.empty((n, u.shape[0]))
+    theta = np.zeros((n, u.shape[0]))
+    live = [j for j in range(n) if j not in fixed]
+    for j in range(n):
+        r[j] = _restricted_radius(beta, region.depths[j], u[:, j])
+    for j, v in zip(live, u[:, n:].T):
+        if window is not None and j == window.solve_index:
+            t = v * window.coeffs[j]
+            branch = np.floor(t)
+            # window centre plus offset on the branch; the other angles are subtracted below
+            offset = window.halfwidth * (2.0 * (t - branch) - 1.0)
+            theta[j] = window.center + offset + TWO_PI * branch
+        else:
+            arcs = region.arcs[j]
+            theta[j] = v * TWO_PI if arcs is None else _arc_angle(arcs, v)
+    if window is not None:
+        j0 = window.solve_index
+        rest = sum(window.coeffs[j] * theta[j] for j in range(n) if j != j0)
+        theta[j0] = (theta[j0] - rest) / window.coeffs[j0] % TWO_PI
+    z = np.empty((n, u.shape[0]), dtype=complex)
+    for j in range(n):
+        if j in fixed:
+            z[j] = r[j]
+        else:  # r e^{i theta}, without the complex temporaries of np.exp(1j * theta)
+            np.multiply(r[j], np.cos(theta[j]), out=z[j].real)
+            np.multiply(r[j], np.sin(theta[j]), out=z[j].imag)
+    return z.T
 
 
 def restricted_sample(region: Region, beta: WeightParam, rng: np.random.Generator,
                       size: int) -> tuple[np.ndarray, float]:
-    """(size, n) points uniform w.r.t. V_beta restricted to the region, plus its exact mass."""
+    """(size, n) i.i.d. points of V_beta restricted to the region, plus its exact mass."""
     mass = region_mass(region, beta)
-    if isinstance(region, FullPolydisc):
-        return sample_polydisc(region.n, beta, rng, size), mass
-
-    n = region.n
-    r = np.empty((size, n), dtype=float)
-    theta = np.empty((size, n), dtype=float)
-    for j in range(n):
-        r[:, j] = _sample_restricted_radius(beta, region.depths[j], rng.random(size))
-    window = region.window
-    for j in range(n):
-        if window is not None and j == window.solve_index:
-            continue
-        arcs = region.arcs[j]
-        theta[:, j] = rng.random(size) * TWO_PI if arcs is None else _sample_multi_arc(arcs, rng, size)
-    if window is not None:
-        j0 = window.solve_index
-        m = window.coeffs[j0]
-        target = window.center + (rng.random(size) * 2.0 - 1.0) * window.halfwidth
-        rest = sum(window.coeffs[j] * theta[:, j] for j in range(n) if j != j0)
-        branch = rng.integers(0, m, size=size)
-        theta[:, j0] = ((target - rest) + TWO_PI * branch) / m % TWO_PI
-    return r * np.exp(1j * theta), mass
+    return region_points(region, beta, rng.random((size, sample_dim(region)))), mass
 
 
 def region_contains(region: Region, z: np.ndarray) -> np.ndarray:

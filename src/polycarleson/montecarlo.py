@@ -5,6 +5,12 @@ batch_size).  Each batch draws from its own RNG stream derived as
 ``SeedSequence(entropy=seed, spawn_key=(crc32(label), batch_index))``, and the
 per-batch results are reduced in batch order.  Thread count therefore never
 influences the output: it only schedules which batch runs when.
+
+Randomised quasi-Monte Carlo uses the same machinery with one batch per
+replicate: ``replicate_layout`` splits a budget into R >= 16 replicates of
+2^k points, and each batch scrambles its own Sobol point set from its stream
+(``sobol_points``).  The replicates are independent and each is unbiased, so
+their spread gives the standard error.
 """
 
 from __future__ import annotations
@@ -51,6 +57,32 @@ def batch_layout(total: int, batch_size: int = DEFAULTS.batch_size) -> list[int]
     if rem:
         sizes.append(rem)
     return sizes
+
+
+MIN_REPLICATES = 16
+
+
+def replicate_layout(budget: int) -> tuple[int, int]:
+    """(R, 2^k) for a budget: the largest 2^k that leaves R = budget // 2^k >= 16.
+
+    R then lies in [16, 31], so R * 2^k draws at least 16/17 of the budget.
+    Budgets below 16 give single-point replicates.
+    """
+    if budget <= 0:
+        raise ValueError("sample budget must be positive")
+    size = 1 << max((budget // MIN_REPLICATES).bit_length() - 1, 0)
+    return budget // size, size
+
+
+def sobol_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """One scrambled Sobol replicate: ``count`` (a power of two) points in [0, 1)^dim.
+
+    The linear matrix scramble and digital shift come from ``rng``, so every
+    point is uniform and the point set is a (t, m, s)-net.
+    """
+    from scipy.stats import qmc  # imported on first use: scipy.stats costs ~0.5 s to load
+
+    return qmc.Sobol(dim, scramble=True, rng=rng).random_base2(count.bit_length() - 1)
 
 
 def run_batches(

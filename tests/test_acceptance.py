@@ -142,7 +142,7 @@ def test_every_battery_symbol_is_certified():
 
 def test_refused_case_fails_its_criterion(monkeypatch):
     """A refused fit fails its own case as untrusted; the remaining criteria still run."""
-    refusing = FitCase("powersum3", 0.0, GRID_4_8, 100, BASE_SEED + 22)
+    refusing = FitCase("powersum3", 0.0, GRID_4_8, 10, BASE_SEED + 22)
     monkeypatch.setitem(MANIFEST, "power_sum_exponent",
                         {**MANIFEST["power_sum_exponent"], "cases": (refusing,)})
     lines = []

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import warnings
 
 import pytest
 
-from polycarleson import cli
+from polycarleson import battery, cli
 from polycarleson.cli import ExperimentConfig, _build_parser, _merge_config, load_symbol, main
 
 
@@ -150,10 +151,10 @@ class TestExponentCommand:
         assert "fit refused" in capsys.readouterr().err
 
     def test_untrusted_points_exit_3(self, tmp_path, capsys):
-        # at this budget two deltas (0.125 and 0.015625) have no draw with
+        # at this budget two deltas (0.125 and 0.0078125) have no draw with
         # positive weight and are not trusted; the fit over the other four
         # still succeeds
-        code = run_cli(["exponent", "--symbol", "powersum3", "--budget", "1250", "--seed", "1",
+        code = run_cli(["exponent", "--symbol", "powersum3", "--budget", "1000", "--seed", "1",
                         "--delta-grid", "0.25,0.125,0.0625,0.03125,0.015625,0.0078125",
                         "--out-dir", str(tmp_path)])
         assert code == 3
@@ -208,6 +209,19 @@ class TestBatteryCommand:
         assert "[PASS] criterion 4" in out
         summary = json.loads((tmp_path / "battery_summary.json").read_text())
         assert summary["exit_code"] == 0
+
+    def test_sandwich_criterion_writes_its_fits(self, tmp_path, capsys, monkeypatch):
+        # criterion 3 computes the beta-0 fits of criteria 1 and 2 itself; cut
+        # their budgets so the run is quick, the artifacts are what is checked
+        for key in ("product_exponent", "power_sum_exponent"):
+            spec = dict(battery.MANIFEST[key])
+            spec["cases"] = tuple(dataclasses.replace(c, budget=100_000) for c in spec["cases"])
+            monkeypatch.setitem(battery.MANIFEST, key, spec)
+        run_cli(["battery", "--only", "3", "--out-dir", str(tmp_path)])
+        assert "criterion 3" in capsys.readouterr().out
+        written = sorted(p.name for p in tmp_path.glob("exponent_*.csv"))
+        assert written == [f"exponent_{name}_beta0.csv"
+                           for name in ("powersum2", "powersum3", "product2", "product3")]
 
 
 class TestThreadsEnvVar:

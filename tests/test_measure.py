@@ -18,10 +18,12 @@ from polycarleson.measure import (
     radial_sample,
     region_contains,
     region_mass,
+    region_points,
     restricted_sample,
+    sample_dim,
     sample_polydisc,
 )
-from polycarleson.montecarlo import run_batches, sum_counts
+from polycarleson.montecarlo import run_batches, sobol_points, sum_counts
 from polycarleson.symbols import TorusPoint
 
 from oracles import grid_disc_cap, radial_moment
@@ -231,6 +233,20 @@ class TestRegions:
         est2 = mass * p2
         s2 = mass * math.sqrt(p2 * (1 - p2) / len(z2))
         assert abs(est2 - p1) < 3 * math.sqrt(s1 * s1 + s2 * s2)
+
+    def test_sobol_points_map_into_region(self):
+        # coordinate 2 takes no angle column and comes back as its real radius
+        window = AngleSumWindow(coeffs=(1, 2, 0), center=1.0, halfwidth=0.1, solve_index=1)
+        arcs = merge_arcs([(-0.2, 0.4), (2.0, 0.3)])
+        region = AnnulusArc(depths=(0.2, 0.3, 0.4), arcs=(arcs, None, None), window=window)
+        assert sample_dim(region, fixed=(2,)) == 5
+        u = sobol_points(np.random.default_rng(24), 5, 4096)
+        z = region_points(region, WeightParam(-0.5), u, fixed=(2,))
+        assert np.all(region_contains(region, z))
+        assert np.all(z[:, 2].imag == 0.0)
+        assert np.all((z[:, 2].real >= 0.6) & (z[:, 2].real < 1.0))
+        with pytest.raises(ValueError):
+            region_points(region, WeightParam(0.0), u, fixed=(1,))
 
     def test_empty_region_raises(self):
         with pytest.raises(EmptyRegion):

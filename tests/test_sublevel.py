@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from oracles import uniform_sublevel_volume
 from polycarleson import sublevel
@@ -17,6 +18,7 @@ from polycarleson.measure import (
     disc_cap_measure,
     merge_arcs,
 )
+from polycarleson.montecarlo import replicate_layout
 from polycarleson.output import csv_text
 from polycarleson.sublevel import (
     SublevelQuery,
@@ -294,12 +296,22 @@ class TestConditionalEstimator:
         # z1 and z2 each appear with exponents 1 and 2: no angle integrates out
         entries = [((1, 0), 0.25), ((2, 0), 0.25), ((0, 1), 0.25), ((0, 2), 0.25)]
         f = PolySymbol.from_tables([entries], 2)
-        assert sublevel._split_coordinate([(f.components[0], 1.0, 0.25, False)], 2) is None
+        assert sublevel._split_coordinates([(f.components[0], 1.0, 0.25, False)], 2) == []
         est = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=0.25, beta=WeightParam(0.0),
                                               budget=200_000, seed=23))
         volume, stderr = uniform_sublevel_volume(entries, 2, 1.0, 0.25, 1_000_000, 23)
         assert est.trusted
         assert agree(est, volume, stderr)
+
+    @pytest.mark.parametrize("name, split", [("identity2", (0, 1)), ("coord_square", (0, 1)),
+                                             ("swap2", (0, 1)), ("mean_product", (0,)),
+                                             ("mixed_pair", (0,))])
+    def test_independent_box_bindings_integrate_their_own_angles(self, name, split):
+        # a coordinate that a single binding contains, free of the first split's
+        # coordinate, integrates too; shared coordinates keep one split
+        sym = get_symbol(name)
+        bindings = [(table, 1.0, 0.1, True) for table in sym.components]
+        assert tuple(s.j for s in sublevel._split_coordinates(bindings, 2)) == split
 
     def test_repeated_bindings_merge(self):
         table = get_symbol("product3").components[0]
@@ -308,8 +320,55 @@ class TestConditionalEstimator:
         assert merged == [(table, 1.0, 0.05, True), (table, 1j, 0.2, True)]
 
 
+class TestReplicates:
+    """R scrambled Sobol replicates of 2^k points: the layout and the stated interval."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(budget=st.one_of(st.integers(16, 4096), st.integers(16, 2**40)))
+    def test_layout_fits_budget(self, budget):
+        replicates, size = replicate_layout(budget)
+        assert replicates * size <= budget
+        assert 16 <= replicates <= 31
+        assert size & (size - 1) == 0
+
+    def test_zero_support_bound_counts_draws_made(self):
+        # 50,000 gives 24 replicates of 2048: the bound uses the 49,152 draws
+        wrong = AnnulusArc(depths=(0.01,), arcs=(merge_arcs([(math.pi - 0.2, 0.4)]),))
+        est = estimate_sublevel(SublevelQuery(f=PolySymbol.identity(1), eta=1.0, delta=0.05,
+                                              beta=WeightParam(0.0), budget=50_000,
+                                              proposal=wrong, seed=2))
+        assert replicate_layout(50_000) == (24, 2048)
+        assert est.hits == 0
+        expected = DEFAULTS.zero_hit_factor / 49_152 * est.region_mass + est.leakage
+        assert est.upper_bound == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, beta", [("identity2_box", 0.0), ("identity2_box", -0.5),
+                                            ("identity1_cap", 0.0), ("identity1_cap", -0.5)])
+    def test_t_interval_covers_known_value(self, kind, beta):
+        # the 95 % Student t interval on R - 1 degrees of freedom must cover
+        # an exact value in at least 90 % of the seeds
+        budget, seeds = 16_384, range(60)
+        replicates, _ = replicate_layout(budget)
+        q = stats.t.ppf(0.975, replicates - 1)
+        weight = WeightParam(beta)
+        covered = 0
+        for seed in seeds:
+            if kind == "identity2_box":
+                box = CarlesonBox(TorusPoint((0.3, -1.0)), (0.25, 0.125))
+                est = preimage_box_ratio(get_symbol("identity2"), box, weight, budget, seed=seed)
+                value, stderr, exact = est.ratio, est.stderr, 1.0
+            else:
+                est = estimate_sublevel(SublevelQuery(get_symbol("identity1"), 1.0, 0.125,
+                                                      weight, budget, seed=seed))
+                value, stderr = est.volume, est.stderr
+                exact = disc_cap_measure(1.0, 0.125, weight)
+            assert est.trusted and stderr > 0
+            covered += abs(value - exact) <= q * stderr
+        assert covered >= 0.9 * len(seeds)
+
+
 class TestThreadDeterminism:
-    """2.5M draws make three batches; their float sums reduce in batch order."""
+    """2.5M draws make 19 replicates; their means reduce in batch order."""
 
     @pytest.mark.parametrize("run", [
         lambda t: fit_exponent(get_symbol("product2"), 1.0, WeightParam(0.0),
