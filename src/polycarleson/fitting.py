@@ -1,4 +1,4 @@
-"""Weighted least squares on log-log data for power-law exponents."""
+"""Least squares on log-log data for power-law exponents."""
 
 from __future__ import annotations
 
@@ -20,11 +20,17 @@ class LogLogFit:
 
 
 def loglog_wls(x_values, y_values, y_rel_sigma) -> LogLogFit:
-    """Fit log y = intercept + slope * log x, weighting by relative errors.
+    """Fit log y = intercept + slope * log x with equal weights; propagate the errors.
 
     ``y_rel_sigma`` is sigma(y)/y per point, which is the standard deviation of
-    log y to first order.  Zero sigmas (deterministic values) get a uniform
-    tiny weight floor so exact data still fits.
+    log y to first order; the slope is a fixed linear combination of the log y
+    values, so its standard error is that combination applied to the sigmas.
+    The weights do not come from the sigmas: a sigma estimated from a few
+    replicates is itself noisy, and on a grid where log y bends slightly
+    (local slopes drifting by ~1e-2) noisy weights move the slope by several
+    times its stated error.  Each point of a grid has the same budget and a
+    self-similar proposal, so the relative sigmas are close to equal and
+    equal weights lose little.
     """
     x = np.log(np.asarray(x_values, dtype=float))
     y = np.log(np.asarray(y_values, dtype=float))
@@ -33,19 +39,16 @@ def loglog_wls(x_values, y_values, y_rel_sigma) -> LogLogFit:
         raise ValueError("mismatched fit inputs")
     if len(x) < 2:
         raise FitRefused("need at least two points to fit a slope")
-    s = np.maximum(s, 1e-12)
-    w = 1.0 / (s * s)
-    xbar = np.sum(w * x) / np.sum(w)
-    ybar = np.sum(w * y) / np.sum(w)
-    sxx = np.sum(w * (x - xbar) ** 2)
+    xc = x - x.mean()
+    sxx = float(np.sum(xc * xc))
     if sxx <= 0:
         raise FitRefused("degenerate abscissa grid")
-    slope = float(np.sum(w * (x - xbar) * (y - ybar)) / sxx)
-    intercept = float(ybar - slope * xbar)
+    slope = float(np.sum(xc * y) / sxx)
+    intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
     return LogLogFit(
         slope=slope,
         intercept=intercept,
-        slope_stderr=float(1.0 / np.sqrt(sxx)),
+        slope_stderr=float(np.sqrt(np.sum((xc * s) ** 2)) / sxx),
         max_abs_residual=float(np.max(np.abs(resid))),
     )

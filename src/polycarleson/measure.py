@@ -13,10 +13,11 @@ Sampling regions come in two shapes: the full polydisc, and annulus-arc
 products with an optional angle-sum window (the shape carved out by
 near-torus sublevel sets).  One inverse-CDF map, ``region_points``, turns
 uniforms into region points: one uniform per restricted radius and one per
-angle (through the arc set's CDF, or the window's branch and offset).  Fed
-i.i.d. uniforms (``restricted_sample``) or scrambled Sobol points (the
-sublevel estimator), it gives points of V_beta restricted to the region; with
-the region's exact mass, averages over them are unbiased.  The leakage
+angle (through the arc set's CDF, or the window's branch and offset).
+``restricted_sample`` feeds it i.i.d. uniforms or, for the sublevel
+estimator, one scrambled Sobol replicate; either way the points follow V_beta
+restricted to the region, and with the region's exact mass averages over
+them are unbiased.  The leakage
 audit's ``sample_polydisc`` draws i.i.d. points of the whole polydisc.
 """
 
@@ -30,6 +31,7 @@ import numpy as np
 from scipy import integrate
 
 from .config import DEFAULTS
+from .montecarlo import sobol_points
 from .symbols import TorusPoint
 
 TWO_PI = 2.0 * math.pi
@@ -426,10 +428,17 @@ def region_points(region: Region, beta: WeightParam, u: np.ndarray,
 
 
 def restricted_sample(region: Region, beta: WeightParam, rng: np.random.Generator,
-                      size: int) -> tuple[np.ndarray, float]:
-    """(size, n) i.i.d. points of V_beta restricted to the region, plus its exact mass."""
-    mass = region_mass(region, beta)
-    return region_points(region, beta, rng.random((size, sample_dim(region)))), mass
+                      size: int, fixed: tuple[int, ...] = (),
+                      sobol: bool = False) -> tuple[np.ndarray, float]:
+    """(size, n) points of V_beta restricted to the region, plus its exact mass.
+
+    The points are i.i.d., or with ``sobol`` one scrambled Sobol replicate
+    drawn from ``rng`` (``size`` a power of two).  The ``fixed`` coordinates
+    come back as their radii, as in ``region_points``.
+    """
+    d = sample_dim(region, fixed)
+    u = sobol_points(rng, d, size) if sobol else rng.random((size, d))
+    return region_points(region, beta, u, fixed), region_mass(region, beta)
 
 
 def region_contains(region: Region, z: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ per-batch results are reduced in batch order.  Thread count therefore never
 influences the output: it only schedules which batch runs when.
 
 Randomised quasi-Monte Carlo uses the same machinery with one batch per
-replicate: ``replicate_layout`` splits a budget into R >= 16 replicates of
+replicate: ``replicate_layout`` splits a budget into R >= 64 replicates of
 2^k points, and each batch scrambles its own Sobol point set from its stream
 (``sobol_points``).  The replicates are independent and each is unbiased, so
 their spread gives the standard error.
@@ -59,14 +59,19 @@ def batch_layout(total: int, batch_size: int = DEFAULTS.batch_size) -> list[int]
     return sizes
 
 
-MIN_REPLICATES = 16
+MIN_REPLICATES = 64
 
 
 def replicate_layout(budget: int) -> tuple[int, int]:
-    """(R, 2^k) for a budget: the largest 2^k that leaves R = budget // 2^k >= 16.
+    """(R, 2^k) for a budget: the largest 2^k that leaves R = budget // 2^k >= 64.
 
-    R then lies in [16, 31], so R * 2^k draws at least 16/17 of the budget.
-    Budgets below 16 give single-point replicates.
+    R then lies in [64, 127], so R * 2^k draws at least 64/65 of the budget.
+    Budgets below 64 give single-point replicates.  A stderr from R
+    replicates makes (estimate - truth)/stderr Student t with R - 1 degrees
+    of freedom; at R >= 64 its tail beyond 3 is within 1.5x of the normal
+    one (0.39 % against 0.27 %), so checks written with normal thresholds
+    keep close to their stated odds.  Fewer, larger replicates would give
+    smaller errors but heavier tails.
     """
     if budget <= 0:
         raise ValueError("sample budget must be positive")

@@ -14,18 +14,16 @@ z_j, the theta_j-measure of {|f - eta| <= delta} at fixed other coordinates
 and r_j is an arc of half-width arccos((rho^2 + c^2 - delta^2)/(2 rho c)),
 rho = |b| r_j^m, c = |eta - a|.  Each draw contributes that probability
 instead of a 0/1 hit, so the region drops its constraints on theta_j (its
-arcs there and the angle-sum window).  A further binding that alone contains
-some z_k, and none of the split coordinates, integrates theta_k the same way
-(a Carleson box of the identity integrates every angle).  Symbols with no such
-coordinate fall back to plain hit counting.
+arcs there and the angle-sum window).  Symbols with no such coordinate fall
+back to plain hit counting.
 
 The conditioned integrand is a bounded, almost everywhere continuous function
-of the remaining uniforms (n radii and the angles not integrated, 2n - 1 for
-a single binding), so the points are randomised quasi-Monte Carlo: R >= 16
-independently scrambled Sobol replicates, mapped into the region by
-``measure.region_points``.  The stderr is the replicates' standard error.  A
-uniform i.i.d. "leakage audit" pass estimates the mass the region might have
-missed; estimates failing the audit are flagged untrusted.
+of the remaining 2n - 1 uniforms (n radii, n - 1 angles), so the points are
+randomised quasi-Monte Carlo: R >= 64 independently scrambled Sobol
+replicates, mapped into the region by ``measure.restricted_sample``.  The
+stderr is the replicates' standard error.  A uniform i.i.d. "leakage audit"
+pass estimates the mass the region might have missed; estimates failing the
+audit are flagged untrusted.
 """
 
 from __future__ import annotations
@@ -49,12 +47,10 @@ from .measure import (
     merge_arcs,
     region_contains,
     region_mass,
-    region_points,
-    restricted_sample,  # noqa: F401  (traced in this namespace by bench/spans.py)
-    sample_dim,
+    restricted_sample,
     sample_polydisc,
 )
-from .montecarlo import replicate_layout, run_batches, sobol_points, sum_counts
+from .montecarlo import replicate_layout, run_batches, sum_counts
 from .symbols import MonomialTable, PolySymbol, TorusPoint, _eval_table, certify_self_map
 
 TWO_PI = 2.0 * math.pi
@@ -380,39 +376,19 @@ class _AngleSplit:
     b: MonomialTable
 
 
-def _single_power_split(index: int, table: MonomialTable, j: int) -> _AngleSplit | None:
-    powers = {alpha[j] for alpha, _ in table if alpha[j]}
-    if len(powers) != 1:
-        return None
-    a = tuple((alpha, c) for alpha, c in table if not alpha[j])
-    b = tuple((alpha[:j] + (0,) + alpha[j + 1:], c) for alpha, c in table if alpha[j])
-    return _AngleSplit(index, j, powers.pop(), a, b)
-
-
-def _split_coordinates(bindings: list[Binding], n: int) -> list[_AngleSplit]:
-    """The angles to integrate in closed form, at most one per binding.
-
-    The first is the lowest j whose first binding containing z_j has a single
-    exponent in z_j; other bindings may contain that z_j too.  Each further
-    split is a coordinate z_k that only one binding contains, with a single
-    exponent, where that binding contains no coordinate split before it.  The
-    split bindings' theta-arcs are then independent given the radii and the
-    other angles, so their probabilities multiply.
-    """
-    splits: list[_AngleSplit] = []
+def _split_coordinate(bindings: list[Binding], n: int) -> _AngleSplit | None:
+    """Lowest j whose first binding containing z_j has a single exponent in z_j."""
     for j in range(n):
-        users = [i for i, (table, *_) in enumerate(bindings) if _uses(table, j)]
-        if not users:
+        index = next((i for i, (table, *_) in enumerate(bindings) if _uses(table, j)), None)
+        if index is None:
             continue
-        index = users[0]
         table = bindings[index][0]
-        if splits and (len(users) > 1 or any(s.index == index or _uses(table, s.j)
-                                             for s in splits)):
-            continue
-        split = _single_power_split(index, table, j)
-        if split is not None:
-            splits.append(split)
-    return splits
+        powers = {alpha[j] for alpha, _ in table if alpha[j]}
+        if len(powers) == 1:
+            a = tuple((alpha, c) for alpha, c in table if not alpha[j])
+            b = tuple((alpha[:j] + (0,) + alpha[j + 1:], c) for alpha, c in table if alpha[j])
+            return _AngleSplit(index, j, powers.pop(), a, b)
+    return None
 
 
 def _constrains_angle(region: Region, j: int) -> bool:
@@ -432,41 +408,31 @@ def _free_angle(region: Region, j: int) -> Region:
     return AnnulusArc(depths=region.depths, arcs=arcs)
 
 
-def _arc_halfwidth(split: _AngleSplit, binding: Binding, z: np.ndarray, cache: dict):
-    """(h, u, b): the split binding a + b z_j^m holds on an arc of m theta_j of half-width h."""
-    _, target, tol, _ = binding
+def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+    """P(every binding holds | z with theta_j integrated out), one weight per row.
+
+    Column j of ``z`` holds the real radius r_j, as ``restricted_sample``
+    leaves a fixed coordinate.  The split binding holds on an arc of m theta_j
+    of half-width h, i.e. with probability h/pi.  Bindings free of z_j
+    multiply that by their indicator.  Bindings that also contain z_j are
+    tested at one theta_j drawn uniformly from the split binding's arc set,
+    which keeps the weight unbiased.
+    """
+    j, m = split.j, split.m
+    _, target, tol, _ = bindings[split.index]
+    cache: dict = {}
     u = target - _eval_table(split.a, z, cache)
     b = _eval_table(split.b, z, cache)
-    h = _cap_angular_halfwidth(np.abs(b) * z[:, split.j].real ** split.m, np.abs(u), tol)
-    return h, u, b
-
-
-def _conditional_weights(bindings: list[Binding], splits: list[_AngleSplit], z: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
-    """P(every binding holds | z with the split angles integrated out), one weight per row.
-
-    Each split coordinate's column of ``z`` holds the real radius r_j, as
-    ``region_points`` leaves a fixed coordinate.  A split binding holds on an
-    arc of m theta_j of half-width h, i.e. with probability h/pi, and the
-    split probabilities multiply.  Bindings free of the split coordinates
-    multiply that by their indicator.  Bindings that also contain the first
-    split's z_j are tested at one theta_j drawn uniformly from its binding's
-    arc set, which keeps the weight unbiased.
-    """
-    cache: dict = {}
-    first = splits[0]
-    h, u, b = _arc_halfwidth(first, bindings[first.index], z, cache)
+    r = z[:, j].real
+    h = _cap_angular_halfwidth(np.abs(b) * r**m, np.abs(u), tol)
     w = h / math.pi
-    for split in splits[1:]:
-        w *= _arc_halfwidth(split, bindings[split.index], z, cache)[0] / math.pi
-    split_bindings = {split.index for split in splits}
-    others = [binding for i, binding in enumerate(bindings) if i not in split_bindings]
+    others = [binding for i, binding in enumerate(bindings) if i != split.index]
     if not others:
         return w
-    live = np.flatnonzero(w)
-    # the other bindings matter only where the split bindings can hold
-    j, m = first.j, first.m
-    z, u, b, h = z[live], u[live], b[live], h[live]
+    live = np.flatnonzero(h)
+    # the other bindings matter only where the split binding can hold
+    z, u, b, r, h = z[live], u[live], b[live], r[live], h[live]
     ok = np.ones(live.size, dtype=bool)
     cache = {}
     coupled = []
@@ -479,7 +445,7 @@ def _conditional_weights(bindings: list[Binding], splits: list[_AngleSplit], z: 
         phi = (2.0 * rng.random(live.size) - 1.0) * h
         branch = rng.integers(0, m, size=live.size)
         theta = (phi + np.angle(u) - np.angle(b) + TWO_PI * branch) / m
-        z[:, j] = z[:, j].real * np.exp(1j * theta)
+        z[:, j] = r * np.exp(1j * theta)
         cache = {}
         for binding in coupled:
             ok &= _holds(binding, z, cache)
@@ -506,17 +472,15 @@ def estimate_indicator(
     coordinate z_j enters the first binding containing it with a single
     exponent, theta_j is integrated in closed form (conditional Monte
     Carlo): each point contributes the probability over theta_j that every
-    binding holds, and theta_j takes no uniform.  Further angles integrate
-    where ``_split_coordinates`` finds independent bindings.  ``auto_region``
-    says the region came from ``build_proposal``; its constraints on the
-    integrated angles are then dropped, since the integration covers them
-    exactly.  An angle a caller's region constrains is sampled instead, and
-    bindings with no integrable angle give plain 0/1 weights.
+    binding holds, and theta_j takes no uniform.  ``auto_region`` says the
+    region came from ``build_proposal``; its constraints on theta_j are then
+    dropped, since the integration covers that angle exactly.  A caller's
+    region that constrains theta_j, or bindings with no such coordinate, give
+    plain 0/1 weights.
 
     The points are R independently scrambled Sobol replicates of 2^k points
-    each (``replicate_layout``), mapped into the region by ``region_points``;
-    replicate r is batch r of ``run_batches`` and scrambles from that batch's
-    stream.  The estimate is mass x the mean of the replicate means, and the
+    each (``replicate_layout``), drawn by ``restricted_sample``; replicate r
+    is batch r of ``run_batches`` and scrambles from that batch's stream.  The estimate is mass x the mean of the replicate means, and the
     stderr is mass x their standard error (ddof 1), so a Student t quantile
     with R - 1 degrees of freedom gives its confidence interval.  A uniform
     i.i.d. audit pass measures the mass outside the region.  Zero support (no
@@ -525,21 +489,20 @@ def estimate_indicator(
     upper confidence bound.
     """
     bindings = _merge_bindings(bindings)
-    splits = _split_coordinates(bindings, n)
-    if auto_region:
-        for split in splits:
-            region = _free_angle(region, split.j)
-    splits = [split for split in splits if not _constrains_angle(region, split.j)]
+    split = _split_coordinate(bindings, n)
+    if split is not None and auto_region:
+        region = _free_angle(region, split.j)
+    if split is not None and _constrains_angle(region, split.j):
+        split = None
     mass = region_mass(region, beta)
-    fixed = tuple(split.j for split in splits)
-    dim = sample_dim(region, fixed)
+    fixed = () if split is None else (split.j,)
 
     def main_worker(rng, count):
-        z = region_points(region, beta, sobol_points(rng, dim, count), fixed)
-        if splits:
-            w = _conditional_weights(bindings, splits, z, rng)
-        else:
+        z, _ = restricted_sample(region, beta, rng, count, fixed, sobol=True)
+        if split is None:
             w = _members(bindings, z).astype(float)
+        else:
+            w = _conditional_weights(bindings, split, z, rng)
         return float(w.mean()), int(np.count_nonzero(w))
 
     replicates, size = replicate_layout(budget)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
@@ -176,7 +177,8 @@ class TestEstimate:
         e1 = estimate_sublevel(SublevelQuery(budget=1_000_000, **args))
         e2 = estimate_sublevel(SublevelQuery(budget=2_000_000, **args))
         ratio = e1.stderr / e2.stderr
-        assert ratio == pytest.approx(math.sqrt(2.0), rel=0.10)
+        # scrambled Sobol replicates converge at least at the i.i.d. rate N^-1/2
+        assert ratio >= 0.9 * math.sqrt(2.0)
 
     def test_zero_hits_reports_upper_bound(self):
         # proposal region far away from the sublevel set: no hits, one-sided bound
@@ -216,6 +218,24 @@ class TestFitExponent:
         ys = [0.37 * x**3 for x in xs]
         fit = loglog_wls(xs, ys, [1e-3] * len(xs))
         assert fit.slope == pytest.approx(3.0, abs=1e-6)
+
+    def test_slope_stderr_matches_spread_with_estimated_sigmas(self):
+        # log V bends as product3's does (local slopes 4.016 ... 4.001 over
+        # 2^-4 ... 2^-9), and each point's sigma is estimated from 64
+        # replicates: the slope's spread over repeats must match its stderr
+        rng = np.random.default_rng(5)
+        xs = np.array([2.0**-k for k in range(4, 10)])
+        local = np.array([4.016, 4.007, 4.004, 4.002, 4.001])
+        log_v = np.concatenate([[0.0], np.cumsum(local * np.diff(np.log(xs)))])
+        sigma = 3e-4
+        slopes, stderrs = [], []
+        for _ in range(2000):
+            ys = np.exp(log_v + sigma * rng.standard_normal(xs.size))
+            fit = loglog_wls(xs, ys, sigma * np.sqrt(rng.chisquare(63, xs.size) / 63))
+            slopes.append(fit.slope)
+            stderrs.append(fit.slope_stderr)
+        ratio = np.std(slopes, ddof=1) / np.sqrt(np.mean(np.square(stderrs)))
+        assert 0.9 <= ratio <= 1.1
 
     def test_univariate_slope_two(self):
         fit = fit_exponent(PolySymbol.identity(1), 1.0, WeightParam(0.0),
@@ -296,22 +316,12 @@ class TestConditionalEstimator:
         # z1 and z2 each appear with exponents 1 and 2: no angle integrates out
         entries = [((1, 0), 0.25), ((2, 0), 0.25), ((0, 1), 0.25), ((0, 2), 0.25)]
         f = PolySymbol.from_tables([entries], 2)
-        assert sublevel._split_coordinates([(f.components[0], 1.0, 0.25, False)], 2) == []
+        assert sublevel._split_coordinate([(f.components[0], 1.0, 0.25, False)], 2) is None
         est = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=0.25, beta=WeightParam(0.0),
                                               budget=200_000, seed=23))
         volume, stderr = uniform_sublevel_volume(entries, 2, 1.0, 0.25, 1_000_000, 23)
         assert est.trusted
         assert agree(est, volume, stderr)
-
-    @pytest.mark.parametrize("name, split", [("identity2", (0, 1)), ("coord_square", (0, 1)),
-                                             ("swap2", (0, 1)), ("mean_product", (0,)),
-                                             ("mixed_pair", (0,))])
-    def test_independent_box_bindings_integrate_their_own_angles(self, name, split):
-        # a coordinate that a single binding contains, free of the first split's
-        # coordinate, integrates too; shared coordinates keep one split
-        sym = get_symbol(name)
-        bindings = [(table, 1.0, 0.1, True) for table in sym.components]
-        assert tuple(s.j for s in sublevel._split_coordinates(bindings, 2)) == split
 
     def test_repeated_bindings_merge(self):
         table = get_symbol("product3").components[0]
@@ -328,18 +338,22 @@ class TestReplicates:
     def test_layout_fits_budget(self, budget):
         replicates, size = replicate_layout(budget)
         assert replicates * size <= budget
-        assert 16 <= replicates <= 31
+        assert replicates >= 16
         assert size & (size - 1) == 0
+        if budget >= 64:
+            assert 64 <= replicates <= 127
+        else:
+            assert (replicates, size) == (budget, 1)
 
     def test_zero_support_bound_counts_draws_made(self):
-        # 50,000 gives 24 replicates of 2048: the bound uses the 49,152 draws
+        # 50,000 gives 97 replicates of 512: the bound uses the 49,664 draws
         wrong = AnnulusArc(depths=(0.01,), arcs=(merge_arcs([(math.pi - 0.2, 0.4)]),))
         est = estimate_sublevel(SublevelQuery(f=PolySymbol.identity(1), eta=1.0, delta=0.05,
                                               beta=WeightParam(0.0), budget=50_000,
                                               proposal=wrong, seed=2))
-        assert replicate_layout(50_000) == (24, 2048)
+        assert replicate_layout(50_000) == (97, 512)
         assert est.hits == 0
-        expected = DEFAULTS.zero_hit_factor / 49_152 * est.region_mass + est.leakage
+        expected = DEFAULTS.zero_hit_factor / 49_664 * est.region_mass + est.leakage
         assert est.upper_bound == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kind, beta", [("identity2_box", 0.0), ("identity2_box", -0.5),
@@ -366,9 +380,28 @@ class TestReplicates:
             covered += abs(value - exact) <= q * stderr
         assert covered >= 0.9 * len(seeds)
 
+    @pytest.mark.parametrize("name", ["product3", "powersum2"])
+    def test_t_interval_covers_reference_on_fit_cell(self, name):
+        # one cell of the exponent fits (delta = 2^-6): 60 seeds at 16,384
+        # draws against one estimate at 2^22 draws with a far smaller stderr
+        def estimate(budget, seed):
+            return estimate_sublevel(SublevelQuery(get_symbol(name), 1.0, 2.0**-6,
+                                                   WeightParam(0.0), budget, seed=seed))
+
+        reference = estimate(2**22, 1000)
+        replicates, _ = replicate_layout(16_384)
+        q = stats.t.ppf(0.975, replicates - 1)
+        seeds = range(60)
+        covered = 0
+        for seed in seeds:
+            est = estimate(16_384, seed)
+            assert est.trusted and reference.stderr < 0.1 * est.stderr
+            covered += abs(est.volume - reference.volume) <= q * est.stderr
+        assert covered >= 0.9 * len(seeds)
+
 
 class TestThreadDeterminism:
-    """2.5M draws make 19 replicates; their means reduce in batch order."""
+    """2.5M draws make 76 replicates; their means reduce in batch order."""
 
     @pytest.mark.parametrize("run", [
         lambda t: fit_exponent(get_symbol("product2"), 1.0, WeightParam(0.0),
