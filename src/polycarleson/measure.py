@@ -17,8 +17,8 @@ angle (through the arc set's CDF, or the window's branch and offset).
 ``restricted_sample`` feeds it i.i.d. uniforms or, for the sublevel
 estimator, one scrambled Sobol replicate; either way the points follow V_beta
 restricted to the region, and with the region's exact mass averages over
-them are unbiased.  The leakage
-audit's ``sample_polydisc`` draws i.i.d. points of the whole polydisc.
+them are unbiased.  The leakage audit's ``sample_polydisc`` draws i.i.d.
+points of the whole polydisc.
 """
 
 from __future__ import annotations

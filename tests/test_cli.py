@@ -151,7 +151,7 @@ class TestExponentCommand:
         assert "fit refused" in capsys.readouterr().err
 
     def test_untrusted_points_exit_3(self, tmp_path, capsys):
-        # at this budget two deltas (0.125 and 0.0078125) have no draw with
+        # at this budget two deltas (0.0625 and 0.015625) have no draw with
         # positive weight and are not trusted; the fit over the other four
         # still succeeds
         code = run_cli(["exponent", "--symbol", "powersum3", "--budget", "1000", "--seed", "1",
