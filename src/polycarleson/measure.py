@@ -15,7 +15,7 @@ near-torus sublevel sets).  One inverse-CDF map, ``region_points``, turns
 uniforms into region points: one uniform per restricted radius and one per
 angle (through the arc set's CDF, or the window's branch and offset).
 ``restricted_sample`` feeds it i.i.d. uniforms or, for the sublevel
-estimator, one scrambled Sobol replicate; either way the points follow V_beta
+estimator, scrambled Sobol replicates; either way the points follow V_beta
 restricted to the region, and with the region's exact mass averages over
 them are unbiased.  The leakage audit's ``sample_polydisc`` draws i.i.d.
 points of the whole polydisc.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -427,17 +428,25 @@ def region_points(region: Region, beta: WeightParam, u: np.ndarray,
     return z.T
 
 
-def restricted_sample(region: Region, beta: WeightParam, rng: np.random.Generator,
+def restricted_sample(region: Region, beta: WeightParam,
+                      rng: np.random.Generator | Sequence[np.random.Generator],
                       size: int, fixed: tuple[int, ...] = (),
                       sobol: bool = False) -> tuple[np.ndarray, float]:
     """(size, n) points of V_beta restricted to the region, plus its exact mass.
 
-    The points are i.i.d., or with ``sobol`` one scrambled Sobol replicate
-    drawn from ``rng`` (``size`` a power of two).  The ``fixed`` coordinates
-    come back as their radii, as in ``region_points``.
+    The points are i.i.d., or with ``sobol`` scrambled Sobol replicates, one
+    per generator when ``rng`` is a sequence of them, which split ``size``
+    evenly (powers of two).  The ``fixed`` coordinates come back as their
+    radii, as in ``region_points``.
     """
     d = sample_dim(region, fixed)
-    u = sobol_points(rng, d, size) if sobol else rng.random((size, d))
+    if sobol:
+        replicates = 1 if isinstance(rng, np.random.Generator) else len(rng)
+        if size % replicates:
+            raise ValueError(f"{size} points do not split into {replicates} Sobol replicates")
+        u = sobol_points(rng, d, size // replicates)
+    else:
+        u = rng.random((size, d))
     return region_points(region, beta, u, fixed), region_mass(region, beta)
 
 

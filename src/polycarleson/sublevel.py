@@ -50,7 +50,7 @@ from .measure import (
     restricted_sample,
     sample_polydisc,
 )
-from .montecarlo import replicate_layout, run_batches, sum_counts
+from .montecarlo import replicate_bundle, replicate_layout, run_batches, sum_counts
 from .symbols import MonomialTable, PolySymbol, TorusPoint, _eval_table, certify_self_map
 
 TWO_PI = 2.0 * math.pi
@@ -409,7 +409,7 @@ def _free_angle(region: Region, j: int) -> Region:
 
 
 def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
+                         rngs: list[np.random.Generator]) -> np.ndarray:
     """P(every binding holds | z with theta_j integrated out), one weight per row.
 
     Column j of ``z`` holds the real radius r_j, as ``restricted_sample``
@@ -417,7 +417,8 @@ def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndar
     of half-width h, i.e. with probability h/pi.  Bindings free of z_j
     multiply that by their indicator.  Bindings that also contain z_j are
     tested at one theta_j drawn uniformly from the split binding's arc set,
-    which keeps the weight unbiased.
+    which keeps the weight unbiased.  The rows are len(rngs) equal replicates,
+    and each replicate's draws of theta_j come from its own generator.
     """
     j, m = split.j, split.m
     _, target, tol, _ = bindings[split.index]
@@ -442,8 +443,10 @@ def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndar
         else:
             ok &= _holds(binding, z, cache)
     if coupled:
-        phi = (2.0 * rng.random(live.size) - 1.0) * h
-        branch = rng.integers(0, m, size=live.size)
+        per = np.bincount(live // (w.size // len(rngs)), minlength=len(rngs))
+        draws = [(g.random(k), g.integers(0, m, size=k)) for g, k in zip(rngs, per)]
+        phi = (2.0 * np.concatenate([x for x, _ in draws]) - 1.0) * h
+        branch = np.concatenate([k for _, k in draws])
         theta = (phi + np.angle(u) - np.angle(b) + TWO_PI * branch) / m
         z[:, j] = r * np.exp(1j * theta)
         cache = {}
@@ -480,13 +483,16 @@ def estimate_indicator(
 
     The points are R independently scrambled Sobol replicates of 2^k points
     each (``replicate_layout``), drawn by ``restricted_sample``; replicate r
-    is batch r of ``run_batches`` and scrambles from that batch's stream.  The estimate is mass x the mean of the replicate means, and the
-    stderr is mass x their standard error (ddof 1), so a Student t quantile
-    with R - 1 degrees of freedom gives its confidence interval.  A uniform
-    i.i.d. audit pass measures the mass outside the region.  Zero support (no
-    point with positive weight) or leakage above the threshold fraction of the
-    estimate marks the result untrusted; zero support also reports a one-sided
-    upper confidence bound.
+    is batch r of ``run_batches`` and scrambles from that batch's stream.
+    One worker call takes a bundle of consecutive replicates
+    (``replicate_bundle``) and evaluates them together.  The estimate is mass
+    x the mean of the replicate means, and the stderr is mass x their
+    standard error (ddof 1), so a Student t quantile with R - 1 degrees of
+    freedom gives its confidence interval.  A uniform i.i.d. audit pass
+    measures the mass outside the region.  Zero support (no point with
+    positive weight) or leakage above the threshold fraction of the estimate
+    marks the result untrusted; zero support also reports a one-sided upper
+    confidence bound.
     """
     bindings = _merge_bindings(bindings)
     split = _split_coordinate(bindings, n)
@@ -497,20 +503,22 @@ def estimate_indicator(
     mass = region_mass(region, beta)
     fixed = () if split is None else (split.j,)
 
-    def main_worker(rng, count):
-        z, _ = restricted_sample(region, beta, rng, count, fixed, sobol=True)
+    replicates, size = replicate_layout(budget)
+    draws = replicates * size
+
+    def main_worker(rngs, count):
+        z, _ = restricted_sample(region, beta, rngs, count, fixed, sobol=True)
         if split is None:
             w = _members(bindings, z).astype(float)
         else:
-            w = _conditional_weights(bindings, split, z, rng)
-        return float(w.mean()), int(np.count_nonzero(w))
+            w = _conditional_weights(bindings, split, z, rngs)
+        return w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w))
 
-    replicates, size = replicate_layout(budget)
-    draws = replicates * size
-    batches = run_batches(draws, seed, label, main_worker, threads=threads, batch_size=size)
-    # batches come back in batch order and the reductions are exact: the same
-    # floats at any thread count
-    means = [m for m, _ in batches]
+    batches = run_batches(draws, seed, label, main_worker, threads=threads, batch_size=size,
+                          bundle=replicate_bundle(size))
+    # bundles come back in batch order and each replicate mean depends on its
+    # stream alone: the same floats at any thread count
+    means = np.concatenate([m for m, _ in batches]).tolist()
     hits = sum(k for _, k in batches)
     mean = math.fsum(means) / replicates
     restricted = mass * mean

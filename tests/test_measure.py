@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.stats import qmc
 
 from polycarleson.measure import (
     AngleSumWindow,
@@ -248,6 +249,21 @@ class TestRegions:
         with pytest.raises(ValueError):
             region_points(region, WeightParam(0.0), u, fixed=(1,))
 
+    @pytest.mark.parametrize("dim, m", [(1, 0), (2, 5), (5, 12), (7, 14)])
+    def test_sobol_points_match_scipy(self, dim, m):
+        # the scramble, order and bits of scipy's engine on the same generator
+        ours = sobol_points(np.random.default_rng(7), dim, 1 << m)
+        theirs = qmc.Sobol(dim, scramble=True, rng=np.random.default_rng(7)).random_base2(m)
+        assert np.array_equal(ours, theirs)
+
+    def test_sobol_points_one_replicate_per_generator(self):
+        together = sobol_points([np.random.default_rng(s) for s in (1, 2, 3)], 4, 256)
+        apart = [sobol_points(np.random.default_rng(s), 4, 256) for s in (1, 2, 3)]
+        assert np.array_equal(together, np.concatenate(apart))
+        rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        with pytest.raises(ValueError):
+            restricted_sample(FullPolydisc(1), WeightParam(0.0), rngs, 1024, sobol=True)
+
     def test_empty_region_raises(self):
         with pytest.raises(EmptyRegion):
             AnnulusArc(depths=(0.0,), arcs=(None,))
@@ -271,6 +287,21 @@ class TestDeterministicBatching:
         r4 = sum_counts(run_batches(3_500_000, seed=9, label="t", worker=worker, threads=4))
         r8 = sum_counts(run_batches(3_500_000, seed=9, label="t", worker=worker, threads=8))
         assert r1 == r4 == r8
+
+    def test_bundles_keep_each_batch_stream(self):
+        # one call per 4 batches sees the streams, in batch order, that one call per batch sees
+        def one(rng, count):
+            return [rng.random(count).sum()]
+
+        def bundle(rngs, count):
+            return [g.random(count // len(rngs)).sum() for g in rngs]
+
+        plain = run_batches(10_000, seed=3, label="b", worker=one, threads=1, batch_size=1000)
+        for threads in (1, 3):
+            bundled = run_batches(10_000, seed=3, label="b", worker=bundle, threads=threads,
+                                  batch_size=1000, bundle=4)
+            assert [len(r) for r in bundled] == [4, 4, 2]
+            assert [x for r in bundled for x in r] == [x for r in plain for x in r]
 
     def test_label_separates_streams(self):
         def worker(rng, count):

@@ -400,6 +400,26 @@ class TestReplicates:
         assert covered >= 0.9 * len(seeds)
 
 
+class TestBundles:
+    """Bundling replicates into one worker call changes no float of an estimate."""
+
+    @pytest.mark.parametrize("bundle", [1, 5])
+    def test_estimate_independent_of_bundle(self, monkeypatch, bundle):
+        # mean_product's second binding contains the split coordinate, so each
+        # replicate also draws coupled angles from its own stream
+        def run():
+            box = CarlesonBox(TorusPoint((0.0, 0.0)), (0.125, 0.125))
+            ratio = preimage_box_ratio(get_symbol("mean_product"), box, WeightParam(0.0),
+                                       50_000, seed=4, threads=2)
+            query = SublevelQuery(get_symbol("product2"), 1.0, 2.0**-5, WeightParam(0.0),
+                                  50_000, seed=4, threads=2)
+            return ratio.numerator, estimate_sublevel(query)
+
+        expected = run()
+        monkeypatch.setattr(sublevel, "replicate_bundle", lambda size: bundle)
+        assert run() == expected
+
+
 class TestThreadDeterminism:
     """2.5M draws make 76 replicates; their means reduce in batch order."""
 
