@@ -26,7 +26,6 @@ from .measure import (
     sample_polydisc,
 )
 from .sublevel import (
-    AUTO,
     ExponentFit,
     SublevelEstimate,
     SublevelQuery,
@@ -37,7 +36,6 @@ from .sublevel import (
 from .symbols import PolySymbol, SymbolNotCertified, SymbolNotSelfMap, TorusPoint
 
 __all__ = [
-    "AUTO",
     "AnnulusArc",
     "BetaUniformityReport",
     "CarlesonBox",

@@ -113,7 +113,7 @@ def preimage_box_ratio(
         return RatioEstimate(SublevelEstimate.empty("preimage empty by structure"), denominator)
     est = estimate_indicator(
         bindings, n, beta, region, budget, seed,
-        f"carleson[{seed}]", threads=threads, config=config, auto_region=True,
+        f"carleson[{seed}]", threads=threads, config=config,
     )
     return RatioEstimate(est, denominator)
 

@@ -73,9 +73,14 @@ class ExperimentConfig:
         for k in cfg.tolerances:
             if k not in known:
                 raise ValueError(f"unknown tolerances key {k!r}")
-        for k in ("budget", "seed", "beta"):
-            if type(getattr(cfg, k)) not in (int, float):
-                raise ValueError(f"config key {k!r} must be a number, got {getattr(cfg, k)!r}")
+        for k in ("budget", "seed"):
+            v = getattr(cfg, k)
+            if type(v) is float and v.is_integer():
+                setattr(cfg, k, int(v))  # JSON writers may emit 2e4 for 20000
+            elif type(v) is not int:
+                raise ValueError(f"config key {k!r} must be an integer, got {v!r}")
+        if type(cfg.beta) not in (int, float):
+            raise ValueError(f"config key 'beta' must be a number, got {cfg.beta!r}")
         return cfg
 
     def lab_config(self):

@@ -53,16 +53,12 @@ class LabConfig:
     # battery symbols; the leakage audit guards the margin at runtime.
     proposal_margin: float = 4.0
 
-    # Monte Carlo trust machinery
+    # Monte Carlo trust machinery.  Estimates are a pure function of (seed,
+    # budget): their batch layouts depend on the budget alone (montecarlo),
+    # and thread count never enters.
     leakage_fraction: float = 0.1     # audit budget as a fraction of the main budget
     leakage_threshold: float = 0.01   # leakage above this fraction of the estimate -> UNTRUSTED
     zero_hit_factor: float = 3.0      # one-sided bound: factor/budget * region mass
-
-    # deterministic parallel Monte Carlo: fixed batch layout of the i.i.d.
-    # leakage audit (an estimate's main draws are batched one Sobol replicate
-    # per batch).  Results are a pure function of (seed, budget, batch_size);
-    # thread count never enters.
-    batch_size: int = 1_000_000
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

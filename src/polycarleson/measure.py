@@ -11,14 +11,15 @@ angle is integrated exactly instead of sampled.
 
 Sampling regions come in two shapes: the full polydisc, and annulus-arc
 products with an optional angle-sum window (the shape carved out by
-near-torus sublevel sets).  One inverse-CDF map, ``region_points``, turns
-uniforms into region points: one uniform per restricted radius and one per
-angle (through the arc set's CDF, or the window's branch and offset).
-``restricted_sample`` feeds it i.i.d. uniforms or, for the sublevel
-estimator, scrambled Sobol replicates; either way the points follow V_beta
+near-torus sublevel sets).  Every sampler goes through one inverse-CDF map,
+``region_points``, from uniforms to region points: one uniform per radius
+(``radial_sample`` on the region's depth) and one per angle (through the arc
+set's CDF, or the window's branch and offset).  ``restricted_sample`` feeds
+it i.i.d. uniforms or, for the sublevel estimator, scrambled Sobol
+replicates; ``sample_polydisc``, the leakage audit's sampler, feeds it i.i.d.
+uniforms for the full polydisc.  Either way the points follow V_beta
 restricted to the region, and with the region's exact mass averages over
-them are unbiased.  The leakage audit's ``sample_polydisc`` draws i.i.d.
-points of the whole polydisc.
+them are unbiased.
 """
 
 from __future__ import annotations
@@ -95,15 +96,18 @@ class CarlesonBox:
 _R_MAX = float(np.nextafter(1.0, 0.0))
 
 
-def radial_sample(beta: WeightParam | float, u):
-    """Inverse-CDF radius: r = sqrt(1 - (1-u)^{1/(beta+1)}), clamped to _R_MAX.
+def radial_sample(beta: WeightParam | float, u, depth: float = 1.0):
+    """Inverse-CDF radius on [1 - depth, 1), clamped to _R_MAX.
 
     Maps uniform u in [0,1) to the radial law with density
-    (beta+1)(1-r^2)^beta * 2r on [0,1).
+    (beta+1)(1-r^2)^beta * 2r restricted to [1 - depth, 1):
+    r = sqrt(1 - ((1-u) t)^{1/(beta+1)}) with tail mass
+    t = (depth (2 - depth))^{beta+1}.  Depth 1 is the whole law (t = 1).
     """
     b = beta.beta if isinstance(beta, WeightParam) else float(beta)
     u = np.asarray(u, dtype=float)
-    return np.minimum(np.sqrt(1.0 - (1.0 - u) ** (1.0 / (b + 1.0))), _R_MAX)
+    tail = (depth * (2.0 - depth)) ** (b + 1.0)  # 1 - F(1 - depth)
+    return np.minimum(np.sqrt(1.0 - ((1.0 - u) * tail) ** (1.0 / (b + 1.0))), _R_MAX)
 
 
 def annulus_mass(beta: WeightParam, s: float) -> float:
@@ -221,13 +225,6 @@ def carleson_box_measure(box: CarlesonBox, beta: WeightParam, quad_tol: float = 
     for xi_j, d_j in zip(box.center.point(), box.radii):
         total *= disc_cap_measure(xi_j, d_j, beta, quad_tol=quad_tol)
     return total
-
-
-def sample_polydisc(n: int, beta: WeightParam, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, n) i.i.d. points with law V_beta: uniform angles, inverse-CDF radii."""
-    theta = rng.random((size, n)) * TWO_PI
-    r = radial_sample(beta, rng.random((size, n)))
-    return r * np.exp(1j * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +347,6 @@ def region_mass(region: Region, beta: WeightParam) -> float:
     return total
 
 
-def _restricted_radius(beta: WeightParam, s: float, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF radii of A_beta restricted to [1-s, 1), clamped to _R_MAX.
-
-    s = 1 is the whole law.
-    """
-    b = beta.beta
-    tail = (s * (2.0 - s)) ** (b + 1.0)  # 1 - F(1-s)
-    return np.minimum(np.sqrt(1.0 - ((1.0 - u) * tail) ** (1.0 / (b + 1.0))), _R_MAX)
-
-
 def _arc_angle(arcs: tuple[Arc, ...], u: np.ndarray) -> np.ndarray:
     """Inverse CDF of the uniform law on a union of arcs: one uniform per angle."""
     lengths = np.array([length for _, length in arcs])
@@ -403,7 +390,7 @@ def region_points(region: Region, beta: WeightParam, u: np.ndarray,
     theta = np.zeros((n, u.shape[0]))
     live = [j for j in range(n) if j not in fixed]
     for j in range(n):
-        r[j] = _restricted_radius(beta, region.depths[j], u[:, j])
+        r[j] = radial_sample(beta, u[:, j], region.depths[j])
     for j, v in zip(live, u[:, n:].T):
         if window is not None and j == window.solve_index:
             t = v * window.coeffs[j]
@@ -426,6 +413,11 @@ def region_points(region: Region, beta: WeightParam, u: np.ndarray,
             np.multiply(r[j], np.cos(theta[j]), out=z[j].real)
             np.multiply(r[j], np.sin(theta[j]), out=z[j].imag)
     return z.T
+
+
+def sample_polydisc(n: int, beta: WeightParam, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size, n) i.i.d. points with law V_beta, through ``region_points`` of the full polydisc."""
+    return region_points(FullPolydisc(n), beta, rng.random((size, 2 * n)))
 
 
 def restricted_sample(region: Region, beta: WeightParam,

@@ -1,18 +1,20 @@
 """Deterministic parallel Monte Carlo batching.
 
 A run is split into a fixed batch layout that depends only on (budget,
-batch_size).  Each batch draws from its own RNG stream derived as
+batch size); the batch size defaults to ``BUNDLE_POINTS`` = 2^16 points, the
+size of one worker call.  Each batch draws from its own RNG stream derived as
 ``SeedSequence(entropy=seed, spawn_key=(crc32(label), batch_index))``, and the
 per-batch results are reduced in batch order.  Thread count therefore never
 influences the output: it only schedules which batch runs when.
 
-Randomised quasi-Monte Carlo uses the same machinery with one batch per
-replicate: ``replicate_layout`` splits a budget into R >= 64 replicates of
-2^k points, and each batch scrambles its own Sobol point set from its stream
+The leakage audit runs i.i.d. draws in these default batches.  Randomised
+quasi-Monte Carlo uses the same machinery with one batch per replicate:
+``replicate_layout`` splits a budget into R >= 64 replicates of 2^k points,
+and each batch scrambles its own Sobol point set from its stream
 (``sobol_points``).  The replicates are independent and each is unbiased, so
 their spread gives the standard error.  A worker call evaluates a bundle of
-consecutive replicates at once (``replicate_bundle``), each still from its own
-stream.
+consecutive replicates, at most ``BUNDLE_POINTS`` points (``replicate_bundle``),
+each still from its own stream.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .config import DEFAULTS
 
 T = TypeVar("T")
 
@@ -51,7 +52,12 @@ def stream(seed: int, label: str, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key, batch_index)))
 
 
-def batch_layout(total: int, batch_size: int = DEFAULTS.batch_size) -> list[int]:
+# points per worker call: an i.i.d. batch, or a bundle of Sobol replicates
+# (see ``replicate_bundle`` for why 2^16)
+BUNDLE_POINTS = 1 << 16
+
+
+def batch_layout(total: int, batch_size: int = BUNDLE_POINTS) -> list[int]:
     """Batch sizes for a budget; depends only on (total, batch_size)."""
     if total <= 0:
         raise ValueError("sample budget must be positive")
@@ -80,9 +86,6 @@ def replicate_layout(budget: int) -> tuple[int, int]:
         raise ValueError("sample budget must be positive")
     size = 1 << max((budget // MIN_REPLICATES).bit_length() - 1, 0)
     return budget // size, size
-
-
-BUNDLE_POINTS = 1 << 16
 
 
 def replicate_bundle(size: int) -> int:
@@ -163,7 +166,7 @@ def run_batches(
     label: str,
     worker: Callable[[np.random.Generator, int], T],
     threads: int | None = None,
-    batch_size: int = DEFAULTS.batch_size,
+    batch_size: int = BUNDLE_POINTS,
     bundle: int | None = None,
 ) -> list[T]:
     """Run ``worker(rng, count)`` over the batch layout; results in batch order.

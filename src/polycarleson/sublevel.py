@@ -55,8 +55,6 @@ from .symbols import MonomialTable, PolySymbol, TorusPoint, _eval_table, certify
 
 TWO_PI = 2.0 * math.pi
 
-AUTO = "auto"
-
 
 @dataclass(frozen=True)
 class SublevelQuery:
@@ -65,7 +63,6 @@ class SublevelQuery:
     delta: float
     beta: WeightParam
     budget: int
-    proposal: Region | str = AUTO
     seed: int = 0
     threads: int | None = None
 
@@ -391,13 +388,6 @@ def _split_coordinate(bindings: list[Binding], n: int) -> _AngleSplit | None:
     return None
 
 
-def _constrains_angle(region: Region, j: int) -> bool:
-    if isinstance(region, FullPolydisc):
-        return False
-    window = region.window
-    return region.arcs[j] is not None or (window is not None and window.coeffs[j] > 0)
-
-
 def _free_angle(region: Region, j: int) -> Region:
     """The region without its arcs on theta_j and without its angle-sum window."""
     if isinstance(region, FullPolydisc):
@@ -466,7 +456,6 @@ def estimate_indicator(
     label: str,
     threads: int | None = None,
     config: LabConfig = DEFAULTS,
-    auto_region: bool = False,
 ) -> SublevelEstimate:
     """Shared engine: V_beta of {z : every binding holds}, with a leakage audit.
 
@@ -475,11 +464,10 @@ def estimate_indicator(
     coordinate z_j enters the first binding containing it with a single
     exponent, theta_j is integrated in closed form (conditional Monte
     Carlo): each point contributes the probability over theta_j that every
-    binding holds, and theta_j takes no uniform.  ``auto_region`` says the
-    region came from ``build_proposal``; its constraints on theta_j are then
-    dropped, since the integration covers that angle exactly.  A caller's
-    region that constrains theta_j, or bindings with no such coordinate, give
-    plain 0/1 weights.
+    binding holds, and theta_j takes no uniform.  The region's constraints on
+    theta_j (its arcs there and its angle-sum window) are dropped, since the
+    integration covers that angle exactly.  Bindings with no such coordinate
+    give plain 0/1 weights.
 
     The points are R independently scrambled Sobol replicates of 2^k points
     each (``replicate_layout``), drawn by ``restricted_sample``; replicate r
@@ -489,6 +477,7 @@ def estimate_indicator(
     x the mean of the replicate means, and the stderr is mass x their
     standard error (ddof 1), so a Student t quantile with R - 1 degrees of
     freedom gives its confidence interval.  A uniform i.i.d. audit pass
+    (``sample_polydisc`` in ``run_batches``' default 2^16-point batches)
     measures the mass outside the region.  Zero support (no point with
     positive weight) or leakage above the threshold fraction of the estimate
     marks the result untrusted; zero support also reports a one-sided upper
@@ -496,10 +485,8 @@ def estimate_indicator(
     """
     bindings = _merge_bindings(bindings)
     split = _split_coordinate(bindings, n)
-    if split is not None and auto_region:
+    if split is not None:
         region = _free_angle(region, split.j)
-    if split is not None and _constrains_angle(region, split.j):
-        split = None
     mass = region_mass(region, beta)
     fixed = () if split is None else (split.j,)
 
@@ -538,8 +525,7 @@ def estimate_indicator(
             return (int(np.count_nonzero(outside)),)
 
         (leak_hits,) = sum_counts(
-            run_batches(audit_budget, seed, label + "/audit", audit_worker,
-                        threads=threads, batch_size=config.batch_size)
+            run_batches(audit_budget, seed, label + "/audit", audit_worker, threads=threads)
         )
         q = leak_hits / audit_budget
         leakage = q
@@ -579,15 +565,12 @@ def estimate_sublevel(query: SublevelQuery, config: LabConfig = DEFAULTS) -> Sub
     f, eta, delta, beta = query.f, complex(query.eta), query.delta, query.beta
     f.require_certificate()
     n = f.n_in
-    region = query.proposal
-    auto = region == AUTO
-    if auto:
-        region = build_proposal([(f, eta, delta)], n, config)
+    region = build_proposal([(f, eta, delta)], n, config)
     if region == PROVABLY_EMPTY:
         return SublevelEstimate.empty("target beyond component range; set empty")
     return estimate_indicator(
         [(f.components[0], eta, delta, False)], n, beta, region, query.budget, query.seed,
-        f"sublevel[{query.seed}]", threads=query.threads, config=config, auto_region=auto,
+        f"sublevel[{query.seed}]", threads=query.threads, config=config,
     )
 
 
@@ -610,7 +593,6 @@ def fit_exponent(
     beta: WeightParam,
     delta_grid=DEFAULT_DELTA_GRID,
     budget: int = 1_000_000,
-    proposal: Region | str = AUTO,
     seed: int = 0,
     threads: int | None = None,
     config: LabConfig = DEFAULTS,
@@ -624,7 +606,7 @@ def fit_exponent(
     points = []
     for k, delta in enumerate(deltas):
         q = SublevelQuery(f=f, eta=eta, delta=delta, beta=beta, budget=budget,
-                          proposal=proposal, seed=seed + 7919 * k, threads=threads)
+                          seed=seed + 7919 * k, threads=threads)
         points.append(estimate_sublevel(q, config))
     trusted = [(d, p) for d, p in zip(deltas, points) if p.trusted and p.volume > 0]
     if len(trusted) < 4:

@@ -131,10 +131,22 @@ class TestExponentCommand:
     def test_bad_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         for text in ("{not json", '{"tolerances": {"no_such_tol": 1.0}}', '{"budget": "ten"}',
-                     '{"shrink": "1,0"}'):
+                     '{"shrink": "1,0"}', '{"budget": 20000.5}', '{"seed": 3.5}',
+                     '{"tolerances": {"batch_size": 1000}}'):
             path.write_text(text)
             assert run_cli(["exponent", "--config", str(path), "--symbol", "product2",
                             "--out-dir", str(tmp_path)]) == 2, text
+
+    def test_integral_float_budget_and_seed_run(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"budget": 2e4, "seed": 3.0}')
+        args = _build_parser().parse_args(["exponent", "--config", str(path)])
+        cfg = _merge_config(args)
+        assert (cfg.budget, cfg.seed) == (20000, 3)
+        assert type(cfg.budget) is int and type(cfg.seed) is int
+        code = run_cli(["exponent", "--config", str(path), "--symbol", "product2",
+                        "--delta-grid", "0.25,0.125,0.0625,0.03125", "--out-dir", str(tmp_path)])
+        assert code == 0
 
     def test_missing_symbol_exit_2(self, tmp_path, capsys):
         # no --symbol is the empty spec, which names the working directory

@@ -49,6 +49,18 @@ def general_symbol():
     return PolySymbol.from_tables([[((1, 0), 1 / 3), ((0, 1), 1 / 3), ((1, 1), 1 / 3)]], 2)
 
 
+def half_square_symbol():
+    """f = (z + z^2)/2 on D^1: z enters with two exponents, so no angle is integrated
+    and a region's arcs stay in force."""
+    return PolySymbol.from_tables([[((1,), 0.5), ((2,), 0.5)]], 1)
+
+
+def half_square_estimate(region, delta, budget, seed, threads=None):
+    binding = (half_square_symbol().components[0], 1.0, delta, False)
+    return sublevel.estimate_indicator([binding], 1, WeightParam(0.0), region, budget, seed,
+                                       f"half_square[{seed}]", threads=threads)
+
+
 def wrapped(a):
     return abs((a + math.pi) % (2.0 * math.pi) - math.pi)
 
@@ -76,10 +88,12 @@ class TestGeneralSymbol:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_auto_proposal_agrees_with_uniform(self, k):
-        args = dict(f=general_symbol(), eta=1.0, delta=2.0**-k, beta=WeightParam(0.0),
-                    budget=1_000_000, seed=31 + k)
-        auto = estimate_sublevel(SublevelQuery(**args))
-        plain = estimate_sublevel(SublevelQuery(proposal=FullPolydisc(2), **args))
+        f, delta, seed = general_symbol(), 2.0**-k, 31 + k
+        auto = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=delta, beta=WeightParam(0.0),
+                                               budget=1_000_000, seed=seed))
+        plain = sublevel.estimate_indicator([(f.components[0], 1.0, delta, False)], 2,
+                                            WeightParam(0.0), FullPolydisc(2), 1_000_000, seed,
+                                            f"sublevel[{seed}]")
         assert auto.trusted and plain.trusted
         z = (auto.volume - plain.volume) / math.hypot(auto.stderr, plain.stderr)
         assert abs(z) <= 4.0
@@ -182,25 +196,30 @@ class TestEstimate:
 
     def test_zero_hits_reports_upper_bound(self):
         # proposal region far away from the sublevel set: no hits, one-sided bound
-        f = PolySymbol.identity(1)
         wrong = AnnulusArc(depths=(0.01,), arcs=(merge_arcs([(math.pi - 0.2, 0.4)]),))
-        q = SublevelQuery(f=f, eta=1.0, delta=0.05, beta=WeightParam(0.0),
-                          budget=50_000, proposal=wrong, seed=2)
-        est = estimate_sublevel(q)
+        est = half_square_estimate(wrong, 0.05, 50_000, seed=2)
         assert not est.trusted
         assert est.hits == 0
         assert est.upper_bound is not None and est.upper_bound > 0
 
     def test_leakage_flags_untrusted(self):
         # narrow region catches only a sliver of the sublevel set: audit sees the rest
-        f = PolySymbol.identity(1)
         wrong = AnnulusArc(depths=(1.0,), arcs=(merge_arcs([(-0.05, 0.1)]),))
-        q = SublevelQuery(f=f, eta=1.0, delta=0.8, beta=WeightParam(0.0),
-                          budget=200_000, proposal=wrong, seed=4)
-        est = estimate_sublevel(q)
+        est = half_square_estimate(wrong, 0.8, 200_000, seed=4)
         assert not est.trusted
         assert est.hits > 0
         assert "leakage" in est.reason
+
+    def test_split_angle_arcs_change_nothing(self):
+        # theta_1 is integrated in closed form, so the region's arcs on it are dropped
+        bindings = [(power_sum_symbol(2).components[0], 1.0, 2.0**-6, False)]
+        region = build_proposal([(power_sum_symbol(2), 1.0, 2.0**-6)], 2)
+        assert region.arcs[0] is not None and region.arcs[1] is not None
+        free = AnnulusArc(depths=region.depths, arcs=(None, region.arcs[1]))
+        a, b = (sublevel.estimate_indicator(bindings, 2, WeightParam(0.0), r, 100_000, 5, "s")
+                for r in (region, free))
+        assert a == b
+        assert a.trusted and a.hits > 0
 
     def test_monotone_in_delta(self):
         fits = []
@@ -251,12 +270,13 @@ class TestFitExponent:
             fit_exponent(PolySymbol.identity(1), 1.0, WeightParam(0.0),
                          delta_grid=[0.5, 0.25, 0.125], budget=1000)
 
-    def test_refuses_with_untrusted_points(self):
+    def test_refuses_with_untrusted_points(self, monkeypatch):
         wrong = AnnulusArc(depths=(0.001,), arcs=(merge_arcs([(math.pi, 0.1)]),))
+        monkeypatch.setattr(sublevel, "build_proposal", lambda bindings, n, config: wrong)
         with pytest.raises(FitRefused):
-            fit_exponent(PolySymbol.identity(1), 1.0, WeightParam(0.0),
+            fit_exponent(half_square_symbol(), 1.0, WeightParam(0.0),
                          delta_grid=[2.0**-k for k in range(4, 8)],
-                         budget=10_000, proposal=wrong, seed=9)
+                         budget=10_000, seed=9)
 
     def test_refuses_structurally_empty_grid(self):
         # every point is an exact, trusted zero: |0.5 z1 z2 - 1| >= 0.5 > delta
@@ -348,9 +368,7 @@ class TestReplicates:
     def test_zero_support_bound_counts_draws_made(self):
         # 50,000 gives 97 replicates of 512: the bound uses the 49,664 draws
         wrong = AnnulusArc(depths=(0.01,), arcs=(merge_arcs([(math.pi - 0.2, 0.4)]),))
-        est = estimate_sublevel(SublevelQuery(f=PolySymbol.identity(1), eta=1.0, delta=0.05,
-                                              beta=WeightParam(0.0), budget=50_000,
-                                              proposal=wrong, seed=2))
+        est = half_square_estimate(wrong, 0.05, 50_000, seed=2)
         assert replicate_layout(50_000) == (97, 512)
         assert est.hits == 0
         expected = DEFAULTS.zero_hit_factor / 49_664 * est.region_mass + est.leakage
@@ -434,3 +452,11 @@ class TestThreadDeterminism:
     def test_csv_identical_across_threads(self, run):
         texts = [csv_text(*run(t).csv_rows()) for t in (1, 4, 8)]
         assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    def test_multi_batch_audit_identical_across_threads(self):
+        # 999,424 draws give an audit of 99,942 uniform points: two 2^16-point batches
+        wrong = AnnulusArc(depths=(1.0,), arcs=(merge_arcs([(-0.05, 0.1)]),))
+        one, four = (half_square_estimate(wrong, 0.8, 1_000_000, seed=4, threads=t)
+                     for t in (1, 4))
+        assert one == four
+        assert one.leakage > 0
