@@ -1,7 +1,7 @@
 """Numerical laboratory for composition-operator boundedness on weighted
 Bergman spaces over the polydisc."""
 
-from .carleson import BetaUniformityReport, RatioScan, beta_uniformity_probe, preimage_box_ratio, ratio_growth_scan
+from .carleson import RatioScan, preimage_box_ratio, ratio_growth_scan
 from .config import DEFAULTS, LabConfig
 from .contact import (
     ContactRequired,
@@ -37,7 +37,6 @@ from .symbols import PolySymbol, SymbolNotCertified, SymbolNotSelfMap, TorusPoin
 
 __all__ = [
     "AnnulusArc",
-    "BetaUniformityReport",
     "CarlesonBox",
     "ContactRequired",
     "ContactSet",
@@ -57,7 +56,6 @@ __all__ = [
     "TorusPoint",
     "Verdict",
     "WeightParam",
-    "beta_uniformity_probe",
     "build_proposal",
     "carleson_box_measure",
     "check_rank_sufficiency",

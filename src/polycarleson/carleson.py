@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULTS, LabConfig
-from .fitting import FitRefused, loglog_wls
+from .fitting import loglog_wls, trusted_points
 from .measure import CarlesonBox, WeightParam, carleson_box_measure
 from .sublevel import PROVABLY_EMPTY, SublevelEstimate, build_proposal, estimate_indicator
 from .symbols import PolySymbol, TorusPoint
@@ -60,18 +60,6 @@ class RatioScan:
             for d, e in zip(self.deltas, self.estimates)
         ]
         return header, rows
-
-
-@dataclass(frozen=True)
-class BetaUniformityReport:
-    symbol: PolySymbol
-    center: TorusPoint
-    shrink: tuple[bool, ...]
-    betas: tuple[float, ...]
-    deltas: tuple[float, ...]
-    scans: tuple[RatioScan, ...]
-    max_ratio: float
-    slopes: tuple[float, ...]
 
 
 def preimage_box_ratio(
@@ -154,51 +142,10 @@ def ratio_growth_scan(
             preimage_box_ratio(sym, box, beta, budget, seed=seed + 7919 * k,
                                threads=threads, config=config)
         )
-    trusted = [(d, e) for d, e in zip(deltas, estimates) if e.trusted and e.ratio > 0]
-    if len(trusted) < 4:
-        raise FitRefused(f"only {len(trusted)} trusted scan points; need at least 4")
-    xs = [d for d, _ in trusted]
-    ys = [e.ratio for _, e in trusted]
-    rel = [e.stderr / e.ratio for _, e in trusted]
-    fit = loglog_wls(xs, ys, rel)
+    fit = loglog_wls(*trusted_points(deltas, [e.ratio for e in estimates], estimates))
     return RatioScan(
         symbol=sym, center=center, shrink=shrink, beta=beta, deltas=deltas,
         estimates=tuple(estimates), slope=fit.slope, slope_stderr=fit.slope_stderr,
         intercept=fit.intercept,
     )
 
-
-def beta_uniformity_probe(
-    sym: PolySymbol,
-    center: TorusPoint,
-    shrink,
-    beta_list,
-    delta_grid,
-    budget: int,
-    seed: int = 0,
-    threads: int | None = None,
-    config: LabConfig = DEFAULTS,
-) -> BetaUniformityReport:
-    """Ratio matrix over (beta, delta) near the Hardy limit beta -> -1.
-
-    A maximum that stays bounded with flat per-beta slopes is numerical
-    evidence that the Carleson constants can be chosen uniformly in beta,
-    which upgrades Bergman boundedness to the Hardy space.
-    """
-    betas = tuple(float(b) for b in beta_list)
-    if any(not -0.95 < b < 0.0 for b in betas):
-        raise ValueError("uniformity probe expects weights in (-0.95, 0)")
-    scans = []
-    for i, b in enumerate(betas):
-        scans.append(
-            ratio_growth_scan(sym, center, shrink, WeightParam(b), delta_grid,
-                              budget, seed=seed + 104729 * i, threads=threads,
-                              config=config)
-        )
-    max_ratio = max(e.ratio for s in scans for e in s.estimates if e.trusted)
-    return BetaUniformityReport(
-        symbol=sym, center=center, shrink=tuple(bool(s) for s in shrink),
-        betas=betas, deltas=tuple(float(d) for d in delta_grid),
-        scans=tuple(scans), max_ratio=max_ratio,
-        slopes=tuple(s.slope for s in scans),
-    )

@@ -66,25 +66,37 @@ class ExperimentConfig:
         for k, v in data.items():
             if not hasattr(cfg, k):
                 raise ValueError(f"unknown config key {k!r}")
-            if isinstance(getattr(cfg, k), list) and not isinstance(v, list):
-                raise ValueError(f"config key {k!r} must be a list, got {v!r}")
+            default = getattr(cfg, k)
+            if isinstance(default, (list, dict)) and type(v) is not type(default):
+                raise ValueError(f"config key {k!r} must be a {type(default).__name__}, got {v!r}")
             setattr(cfg, k, v)
-        known = {f.name for f in dataclasses.fields(DEFAULTS)}
+        kinds = {f.name: type(getattr(DEFAULTS, f.name)) for f in dataclasses.fields(DEFAULTS)}
         for k in cfg.tolerances:
-            if k not in known:
+            if k not in kinds:
                 raise ValueError(f"unknown tolerances key {k!r}")
-        for k in ("budget", "seed"):
-            v = getattr(cfg, k)
-            if type(v) is float and v.is_integer():
-                setattr(cfg, k, int(v))  # JSON writers may emit 2e4 for 20000
-            elif type(v) is not int:
-                raise ValueError(f"config key {k!r} must be an integer, got {v!r}")
-        if type(cfg.beta) not in (int, float):
-            raise ValueError(f"config key 'beta' must be a number, got {cfg.beta!r}")
+        cfg.tolerances = {k: _number(f"tolerances.{k}", v, kinds[k])
+                          for k, v in cfg.tolerances.items()}
+        cfg.budget = _number("budget", cfg.budget, int)
+        cfg.seed = _number("seed", cfg.seed, int)
+        cfg.beta = _number("beta", cfg.beta, float)
         return cfg
 
     def lab_config(self):
         return DEFAULTS.replace(**self.tolerances) if self.tolerances else DEFAULTS
+
+
+def _number(key: str, value, kind: type):
+    """``value`` checked as an int or float config value; a bool is neither.
+
+    An integer key also takes an integral float, which JSON writers may emit
+    (2e4 for 20000), and returns it as an int; a float key takes any int or float.
+    """
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is int or (kind is float and type(value) is float):
+        return value
+    noun = "an integer" if kind is int else "a number"
+    raise ValueError(f"config key {key!r} must be {noun}, got {value!r}")
 
 
 def load_symbol(spec: str) -> PolySymbol:

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LabConfig:
-    # symbol certification
-    cert_tol: float = 1e-9
-
     # weighted-measure quadrature (absolute tolerance)
     quad_tol: float = 1e-8
 
@@ -68,6 +65,11 @@ class LabConfig:
 
 
 DEFAULTS = LabConfig()
+
+# symbol certification: the torus-grid self-map screen rejects a grid maximum
+# above 1 + CERT_TOL.  Symbols are certified when they are built, before any
+# run's LabConfig exists, so no config can change it.
+CERT_TOL = 1e-9
 
 
 def contact_grid_res(n: int) -> int:

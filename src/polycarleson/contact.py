@@ -496,13 +496,15 @@ def jc_check(f: PolySymbol, zeta: TorusPoint, eta: complex,
     return JCReport(values=rotated, passed=passed, max_imag=max_imag, min_real=min_real)
 
 
+_SLICE_SAMPLES = 100  # interior slice points compared with the reference gradient
+
+
 def slice_gradient_constancy(
     psi: PolySymbol,
     m: int,
     zeta_tail: TorusPoint,
     z0,
     config: LabConfig = DEFAULTS,
-    n_samples: int = 100,
     seed: int = 0,
 ) -> SliceReport:
     """Verify that z -> grad psi(z, zeta'') is constant over the interior slice D^m.
@@ -530,10 +532,10 @@ def slice_gradient_constancy(
         )
     ref_grad = psi.jacobian(base)[0]
     rng = np.random.default_rng(seed)
-    r = np.sqrt(rng.random((n_samples, m)))
-    ang = rng.random((n_samples, m)) * TWO_PI
+    r = np.sqrt(rng.random((_SLICE_SAMPLES, m)))
+    ang = rng.random((_SLICE_SAMPLES, m)) * TWO_PI
     heads = r * np.exp(1j * ang)
-    pts = np.concatenate([heads, np.tile(tail, (n_samples, 1))], axis=1)
+    pts = np.concatenate([heads, np.tile(tail, (_SLICE_SAMPLES, 1))], axis=1)
     grads = psi.jacobian_batch(pts)[:, 0, :]
     max_dev = float(np.max(np.abs(grads - ref_grad)))
     return SliceReport(

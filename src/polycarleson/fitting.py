@@ -19,6 +19,20 @@ class LogLogFit:
     max_abs_residual: float
 
 
+def trusted_points(deltas, values, points):
+    """(deltas, values, relative stderrs) of the trusted points with a positive value.
+
+    ``values`` are the points' volumes or ratios and ``points`` their records,
+    which carry ``trusted`` and ``stderr``.  Untrusted points and exact zeros
+    (sets empty by structure) are left out; fewer than four left refuse the fit.
+    """
+    kept = [(d, v, p.stderr / v) for d, v, p in zip(deltas, values, points)
+            if p.trusted and v > 0]
+    if len(kept) < 4:
+        raise FitRefused(f"only {len(kept)} trusted points out of {len(points)}; need at least 4")
+    return tuple(zip(*kept))
+
+
 def loglog_wls(x_values, y_values, y_rel_sigma) -> LogLogFit:
     """Fit log y = intercept + slope * log x with equal weights; propagate the errors.
 

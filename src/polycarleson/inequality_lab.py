@@ -22,6 +22,11 @@ from .symbols import PolySymbol, TorusPoint
 
 TWO_PI = 2.0 * math.pi
 
+_MOBIUS_DELTAS = (0.5, 0.25, 0.125, 0.0625, 0.03125)
+_MOBIUS_SAMPLES = 256  # phases per (parameter, delta) case
+_LINEARIZATION_RADII = (0.2, 0.1, 0.05)  # largest first
+_LINEARIZATION_FILL = 20_000  # random points added at each radius
+
 
 class RegionRejected(ValueError):
     """The sampled region violated a precondition (for example a Jacobian floor)."""
@@ -45,8 +50,6 @@ class PropertyReport:
 def mobius_margin_check(
     family: Callable[[complex, float], complex],
     params,
-    delta_grid=(0.5, 0.25, 0.125, 0.0625, 0.03125),
-    samples_per_case: int = 256,
     seed: int = 0,
 ) -> PropertyReport:
     """Margin of a holomorphic family: |x| <= 1 - delta forces |phi(x,k)| <= 1 - C delta.
@@ -62,8 +65,8 @@ def mobius_margin_check(
     floor = max(abs(complex(family(0.0, k))) for k in params)
     analytic_floor = (1.0 - floor) / 2.0
     for k in params:
-        for delta in delta_grid:
-            phases = TWO_PI * (np.arange(samples_per_case) + rng.random(samples_per_case)) / samples_per_case
+        for delta in _MOBIUS_DELTAS:
+            phases = TWO_PI * (np.arange(_MOBIUS_SAMPLES) + rng.random(_MOBIUS_SAMPLES)) / _MOBIUS_SAMPLES
             xs = (1.0 - delta) * np.exp(1j * phases)
             for x in xs:
                 val = complex(family(complex(x), k))
@@ -124,8 +127,6 @@ def linearization_bound_check(
     f: PolySymbol,
     zeta: TorusPoint,
     eta: complex,
-    radii=(0.2, 0.1, 0.05),
-    samples_per_radius: int = 20_000,
     seed: int = 0,
     config: LabConfig = DEFAULTS,
 ) -> PropertyReport:
@@ -151,8 +152,8 @@ def linearization_bound_check(
     excluded = 0
     total = 0
     worst_sample: tuple = ()
-    for r in sorted(radii, reverse=True):
-        z = _scale_sweep(z0, r, rng, samples_per_radius)
+    for r in _LINEARIZATION_RADII:
+        z = _scale_sweep(z0, r, rng, _LINEARIZATION_FILL)
         num = np.abs(f.evaluate_batch(z)[:, 0] - eta)
         den = np.abs((z - z0) @ rot)
         keep = den > 1e-14
@@ -172,7 +173,7 @@ def linearization_bound_check(
         passed=stabilizes and exclusion_ok and math.isfinite(cs[-1]),
         seed=seed,
         worst_sample=worst_sample,
-        details={"constants_by_radius": tuple(cs), "radii": tuple(sorted(radii, reverse=True)),
+        details={"constants_by_radius": tuple(cs), "radii": _LINEARIZATION_RADII,
                  "excluded": excluded},
     )
 

@@ -133,13 +133,15 @@ def _cap_angular_halfwidth(r, amod, delta: float) -> np.ndarray:
     return np.arccos(np.clip(cosval, -1.0, 1.0))
 
 
+_MAX_CAP_PANELS = 200  # quadrature panels one cap may use
+
+
 @lru_cache(maxsize=256)
 def disc_cap_measure(
     a: complex,
     delta: float,
     beta: WeightParam,
     quad_tol: float = DEFAULTS.quad_tol,
-    max_panels: int = 200,
 ) -> float:
     """A_beta(D(a, delta) ∩ D) by deterministic radial quadrature.
 
@@ -202,8 +204,8 @@ def disc_cap_measure(
             panels.extend((e0, e1) for e0, e1 in zip(edges[:-1], edges[1:]) if e1 > e0)
         else:
             panels.append((lo, hi))
-    if len(panels) > max_panels:
-        raise QuadratureBudgetExceeded(f"{len(panels)} panels exceed budget {max_panels}")
+    if len(panels) > _MAX_CAP_PANELS:
+        raise QuadratureBudgetExceeded(f"{len(panels)} panels exceed budget {_MAX_CAP_PANELS}")
 
     total = 0.0
     err_total = 0.0

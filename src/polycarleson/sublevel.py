@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import DEFAULTS, LabConfig
 from .contact import _dedupe, _torus_newton, find_contact_set
-from .fitting import FitRefused, LogLogFit, loglog_wls
+from .fitting import loglog_wls, trusted_points
 from .measure import (
     AngleSumWindow,
     AnnulusArc,
@@ -608,13 +608,7 @@ def fit_exponent(
         q = SublevelQuery(f=f, eta=eta, delta=delta, beta=beta, budget=budget,
                           seed=seed + 7919 * k, threads=threads)
         points.append(estimate_sublevel(q, config))
-    trusted = [(d, p) for d, p in zip(deltas, points) if p.trusted and p.volume > 0]
-    if len(trusted) < 4:
-        raise FitRefused(
-            f"only {len(trusted)} trusted points out of {len(points)}; need at least 4"
-        )
-    fit: LogLogFit = loglog_wls([d for d, _ in trusted], [p.volume for _, p in trusted],
-                                [p.stderr / p.volume for _, p in trusted])
+    fit = loglog_wls(*trusted_points(deltas, [p.volume for p in points], points))
     return ExponentFit(
         slope=fit.slope,
         intercept=fit.intercept,

@@ -7,7 +7,7 @@ fast enough for vectorized Monte Carlo batches of ~10^6 points.
 
 Maps used as composition-operator symbols must be self-maps of the polydisc.
 By the maximum principle the modulus of a polynomial over the closed polydisc
-peaks on the torus, so construction certifies ``max |Phi_i| <= 1 + cert_tol``
+peaks on the torus, so construction certifies ``max |Phi_i| <= 1 + CERT_TOL``
 on a dense torus grid and records a Lipschitz bound for the gap between grid
 points.
 """
@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .config import DEFAULTS, cert_grid_res
+from .config import CERT_TOL, cert_grid_res
 
 
 class DimensionMismatch(ValueError):
@@ -111,14 +111,13 @@ class PolySymbol:
         tables: Iterable[Iterable[tuple[Iterable[int], complex]]],
         n_in: int,
         certify: bool = True,
-        cert_tol: float | None = None,
     ) -> "PolySymbol":
         comps = tuple(_normalize_table(t, n_in) for t in tables)
         if not comps:
             raise ValueError("symbol needs at least one component")
         sym = PolySymbol(n_in=n_in, components=comps)
         if certify:
-            sym = certify_self_map(sym, cert_tol if cert_tol is not None else DEFAULTS.cert_tol)
+            sym = certify_self_map(sym)
         return sym
 
     @staticmethod
@@ -293,7 +292,7 @@ def _derivative_table_cached(table: MonomialTable, j: int) -> MonomialTable:
     return tuple(sorted(out.items(), key=lambda t: t[0]))
 
 
-def certify_self_map(sym: PolySymbol, cert_tol: float = DEFAULTS.cert_tol) -> PolySymbol:
+def certify_self_map(sym: PolySymbol, cert_tol: float = CERT_TOL) -> PolySymbol:
     """Torus-grid self-map screen; rejects symbols with grid max above 1 + cert_tol.
 
     Polynomial moduli peak on T^n, so a grid maximum above the tolerance is a

@@ -132,18 +132,25 @@ class TestExponentCommand:
         path = tmp_path / "bad.json"
         for text in ("{not json", '{"tolerances": {"no_such_tol": 1.0}}', '{"budget": "ten"}',
                      '{"shrink": "1,0"}', '{"budget": 20000.5}', '{"seed": 3.5}',
-                     '{"tolerances": {"batch_size": 1000}}'):
+                     '{"tolerances": {"batch_size": 1000}}', '{"tolerances": {"cert_tol": 0.5}}',
+                     '{"tolerances": {"leakage_fraction": "0.1"}}',
+                     '{"tolerances": {"rank_tol": true}}', '{"tolerances": {"fiber_cap": 8.5}}',
+                     '{"tolerances": [1e-7]}'):
             path.write_text(text)
             assert run_cli(["exponent", "--config", str(path), "--symbol", "product2",
                             "--out-dir", str(tmp_path)]) == 2, text
 
     def test_integral_float_budget_and_seed_run(self, tmp_path, capsys):
+        # an integer tolerance takes an integral float too, a float one an int
         path = tmp_path / "cfg.json"
-        path.write_text('{"budget": 2e4, "seed": 3.0}')
+        path.write_text('{"budget": 2e4, "seed": 3.0,'
+                        ' "tolerances": {"fiber_cap": 64.0, "proposal_margin": 4}}')
         args = _build_parser().parse_args(["exponent", "--config", str(path)])
         cfg = _merge_config(args)
         assert (cfg.budget, cfg.seed) == (20000, 3)
         assert type(cfg.budget) is int and type(cfg.seed) is int
+        assert cfg.tolerances == {"fiber_cap": 64, "proposal_margin": 4}
+        assert type(cfg.tolerances["fiber_cap"]) is int
         code = run_cli(["exponent", "--config", str(path), "--symbol", "product2",
                         "--delta-grid", "0.25,0.125,0.0625,0.03125", "--out-dir", str(tmp_path)])
         assert code == 0
