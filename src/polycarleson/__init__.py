@@ -8,12 +8,11 @@ from .contact import (
     ContactSet,
     RankReport,
     find_contact_set,
-    jc_check,
     numerical_rank,
-    slice_gradient_constancy,
 )
 from .criteria import Decision, Verdict, check_rank_sufficiency, decide_bidisc, decide_tridisc
 from .fitting import FitRefused
+from .inequality_lab import jc_check, slice_gradient_constancy
 from .measure import (
     AnnulusArc,
     CarlesonBox,

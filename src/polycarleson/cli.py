@@ -2,11 +2,12 @@
 
 Subcommands: ``decide`` (rank-based boundedness verdicts), ``exponent``
 (sublevel volume scaling fits), ``carleson`` (box-ratio scans), ``contact``
-(contact-set dumps), ``check-props`` (inequality battery), ``battery`` (the
-full pinned acceptance suite).  Options come from an optional JSON config file
-with command-line flags taking precedence.  Exit codes: 0 all asserted
-properties pass, 1 a property failed, 2 usage or config error, 3 untrusted
-estimates encountered.
+(contact-set dumps), ``check-props`` (criterion 10's analytic property checks,
+the list ``battery.property_reports`` pins), ``battery`` (the full pinned
+acceptance suite).  Options come from an optional JSON config file with
+command-line flags taking precedence.  Exit codes: 0 all asserted properties
+pass, 1 a property failed, 2 usage or config error, 3 untrusted estimates
+encountered.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown tolerances key {k!r}")
         cfg.tolerances = {k: _number(f"tolerances.{k}", v, kinds[k])
                           for k, v in cfg.tolerances.items()}
+        for k, kind in _LIST_ELEMENTS.items():
+            setattr(cfg, k, [_number(f"{k}[{i}]", v, kind) for i, v in enumerate(getattr(cfg, k))])
+        if len(cfg.eta) != 2:
+            raise ValueError(f"config key 'eta' must hold [re, im], got {cfg.eta!r}")
+        cfg.threads = None if cfg.threads is None else _number("threads", cfg.threads, int)
         cfg.budget = _number("budget", cfg.budget, int)
         cfg.seed = _number("seed", cfg.seed, int)
         cfg.beta = _number("beta", cfg.beta, float)
@@ -83,6 +89,10 @@ class ExperimentConfig:
 
     def lab_config(self):
         return DEFAULTS.replace(**self.tolerances) if self.tolerances else DEFAULTS
+
+
+_LIST_ELEMENTS = {"eta": float, "delta_grid": float, "center": float,
+                  "shrink": int, "index_set": int, "only": int}
 
 
 def _number(key: str, value, kind: type):
@@ -274,7 +284,7 @@ def _cmd_contact(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _cmd_check_props(cfg: ExperimentConfig, out_dir: Path) -> int:
-    reports = property_reports(cfg.seed)
+    reports = property_reports(cfg.seed, cfg.lab_config())
     for i, rep in enumerate(reports):
         print(json_text({"name": rep.name, "passed": rep.passed,
                          "empirical_constant": rep.empirical_constant}, indent=None))

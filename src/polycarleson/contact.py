@@ -1,4 +1,4 @@
-"""Torus contact sets, numerical rank, and boundary-derivative checks.
+"""Torus contact sets and numerical rank.
 
 A contact set collects the points of T^n where selected components of a
 certified self-map attain unit modulus.  Detection screens a dense angle grid
@@ -16,7 +16,8 @@ positive-dimensional locus is decided by the fraction of accepted grid cells.
 Rank checks take a whole contact set at once: one batched Jacobian
 evaluation and one stacked SVD give a ``RankBatch`` holding every point's
 singular values, rank and inconclusive flag, from which the per-point
-``RankReport`` records are built on demand.
+``RankReport`` records are built on demand.  The boundary-derivative checks
+at contact points are in ``inequality_lab`` with the other property checks.
 """
 
 from __future__ import annotations
@@ -82,28 +83,6 @@ class RankReport:
     target: int
     passed: bool
     inconclusive: bool
-
-
-@dataclass(frozen=True)
-class JCReport:
-    """Rotated boundary derivatives conj(eta) * zeta_j * df/dz_j(zeta).
-
-    At a torus contact point of a holomorphic self-map these are real and
-    nonnegative; a violation beyond jc_tol indicates a numerical bug or a map
-    that is not actually a self-map.
-    """
-
-    values: tuple[complex, ...]
-    passed: bool
-    max_imag: float
-    min_real: float
-
-
-@dataclass(frozen=True)
-class SliceReport:
-    passed: bool
-    max_deviation: float
-    gradient: tuple[complex, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -470,76 +449,3 @@ def rank_report(sym: PolySymbol, index_set: tuple[int, ...], points,
     sv, ranks, inconclusive = _stacked_rank(blocks, config.rank_tol, config.rank_band)
     return RankBatch(points=points, target=len(index_set), jacobians=blocks,
                      singular_values=sv, ranks=ranks, inconclusive=inconclusive)
-
-
-# ---------------------------------------------------------------------------
-# boundary derivative and slice checks
-# ---------------------------------------------------------------------------
-
-
-def jc_check(f: PolySymbol, zeta: TorusPoint, eta: complex,
-             config: LabConfig = DEFAULTS) -> JCReport:
-    """Check that conj(eta) * zeta_j * df/dz_j(zeta) is real and >= -jc_tol for all j."""
-    if f.n_out != 1:
-        raise ValueError("jc_check needs a scalar symbol")
-    z = zeta.point()
-    val = f.evaluate(z)[0]
-    if abs(val - eta) > max(config.contact_tol, 1e-12) * 10.0:
-        raise ContactRequired(
-            f"point is not a contact point for target {eta}: |f(zeta) - eta| = {abs(val - eta):.3e}"
-        )
-    grad = f.jacobian(z)[0]
-    rotated = tuple(complex(np.conj(eta) * z[j] * grad[j]) for j in range(f.n_in))
-    max_imag = max(abs(v.imag) for v in rotated)
-    min_real = min(v.real for v in rotated)
-    passed = max_imag <= config.jc_tol and min_real >= -config.jc_tol
-    return JCReport(values=rotated, passed=passed, max_imag=max_imag, min_real=min_real)
-
-
-_SLICE_SAMPLES = 100  # interior slice points compared with the reference gradient
-
-
-def slice_gradient_constancy(
-    psi: PolySymbol,
-    m: int,
-    zeta_tail: TorusPoint,
-    z0,
-    config: LabConfig = DEFAULTS,
-    seed: int = 0,
-) -> SliceReport:
-    """Verify that z -> grad psi(z, zeta'') is constant over the interior slice D^m.
-
-    The precondition is unit modulus at (z0, zeta''); the conclusion justifies
-    checking rank conditions on the torus only, since gradients propagate
-    unchanged from the distinguished boundary into mixed boundary faces.
-    """
-    if psi.n_out != 1:
-        raise ValueError("slice check needs a scalar symbol")
-    n = psi.n_in
-    if not 1 <= m < n:
-        raise ValueError("split must satisfy 1 <= m < n")
-    if zeta_tail.n != n - m:
-        raise ValueError("tail point dimension mismatch")
-    z0 = np.asarray(z0, dtype=complex)
-    if z0.shape != (m,):
-        raise ValueError("interior point dimension mismatch")
-    tail = zeta_tail.point()
-    base = np.concatenate([z0, tail])
-    val = psi.evaluate(base)[0]
-    if abs(abs(val) - 1.0) > config.contact_tol:
-        raise ContactRequired(
-            f"|psi(z0, zeta'')| = {abs(val):.12f} is not within contact_tol of 1"
-        )
-    ref_grad = psi.jacobian(base)[0]
-    rng = np.random.default_rng(seed)
-    r = np.sqrt(rng.random((_SLICE_SAMPLES, m)))
-    ang = rng.random((_SLICE_SAMPLES, m)) * TWO_PI
-    heads = r * np.exp(1j * ang)
-    pts = np.concatenate([heads, np.tile(tail, (_SLICE_SAMPLES, 1))], axis=1)
-    grads = psi.jacobian_batch(pts)[:, 0, :]
-    max_dev = float(np.max(np.abs(grads - ref_grad)))
-    return SliceReport(
-        passed=max_dev <= config.slice_tol,
-        max_deviation=max_dev,
-        gradient=tuple(complex(g) for g in ref_grad),
-    )

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS, LabConfig
-from .contact import ContactSet, RankBatch, RankReport, find_contact_set, jc_check, rank_report
+from .contact import ContactSet, RankBatch, RankReport, find_contact_set, rank_report
+from .inequality_lab import jc_check
 from .measure import WeightParam
 from .output import json_text
 from .symbols import PolySymbol

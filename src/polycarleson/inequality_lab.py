@@ -1,10 +1,11 @@
-"""Sampled property checks for the analytic estimates behind the volume bounds.
+"""Analytic property checks behind the volume bounds and the rank criteria.
 
-Each check sweeps an explicit seeded sample set, records the worst case it
-saw, and reports the empirical constant where the underlying estimate leaves
-one unspecified.  The battery doubles as the regression suite for the
-analysis layer: the inequalities are theorems, so a failed report indicates a
-numerical bug, never a tolerance to relax.
+Every check returns a ``PropertyReport`` with its worst margin (>= 0 passes),
+an empirical constant and its evidence.  The sampled checks sweep an explicit
+seeded sample set and record the worst case they saw; the boundary-derivative
+and slice-gradient checks justify testing rank on the torus alone.  The
+inequalities are theorems, so a failed report indicates a numerical bug, never
+a tolerance to relax.  ``battery.property_reports`` pins every check's inputs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ _MOBIUS_DELTAS = (0.5, 0.25, 0.125, 0.0625, 0.03125)
 _MOBIUS_SAMPLES = 256  # phases per (parameter, delta) case
 _LINEARIZATION_RADII = (0.2, 0.1, 0.05)  # largest first
 _LINEARIZATION_FILL = 20_000  # random points added at each radius
+_SLICE_SAMPLES = 100  # interior slice points compared with the reference gradient
 
 
 class RegionRejected(ValueError):
@@ -184,7 +186,6 @@ def schwarz_product_check(
     c_floor: float,
     samples: int = 100_000,
     seed: int = 0,
-    config: LabConfig = DEFAULTS,
 ) -> PropertyReport:
     """Product Schwarz inequality near a torus contact point.
 
@@ -220,4 +221,87 @@ def schwarz_product_check(
         seed=seed,
         worst_sample=tuple(z[idx]),
         details={"required_constant": const, "jacobian_floor": c_floor},
+    )
+
+
+def jc_check(f: PolySymbol, zeta: TorusPoint, eta: complex,
+             config: LabConfig = DEFAULTS) -> PropertyReport:
+    """Check that conj(eta) * zeta_j * df/dz_j(zeta) is real and >= -jc_tol for all j.
+
+    At a torus contact point of a holomorphic self-map these rotated boundary
+    derivatives are real and nonnegative (Julia-Caratheodory); a violation
+    beyond jc_tol indicates a numerical bug or a map that is not a self-map.
+    """
+    if f.n_out != 1:
+        raise ValueError("jc_check needs a scalar symbol")
+    z = zeta.point()
+    val = f.evaluate(z)[0]
+    if abs(val - eta) > max(config.contact_tol, 1e-12) * 10.0:
+        raise ContactRequired(
+            f"point is not a contact point for target {eta}: |f(zeta) - eta| = {abs(val - eta):.3e}"
+        )
+    grad = f.jacobian(z)[0]
+    rotated = tuple(complex(np.conj(eta) * z[j] * grad[j]) for j in range(f.n_in))
+    max_imag = max(abs(v.imag) for v in rotated)
+    min_real = min(v.real for v in rotated)
+    return PropertyReport(
+        name="boundary_derivative",
+        sample_count=f.n_in,
+        worst_violation=min(config.jc_tol - max_imag, min_real + config.jc_tol),
+        empirical_constant=min_real,
+        passed=max_imag <= config.jc_tol and min_real >= -config.jc_tol,
+        seed=0,
+        details={"values": rotated},
+    )
+
+
+def slice_gradient_constancy(
+    psi: PolySymbol,
+    m: int,
+    zeta_tail: TorusPoint,
+    z0,
+    config: LabConfig = DEFAULTS,
+    seed: int = 0,
+) -> PropertyReport:
+    """Verify that z -> grad psi(z, zeta'') is constant over the interior slice D^m.
+
+    The precondition is unit modulus at (z0, zeta''); the conclusion justifies
+    checking rank conditions on the torus only, since gradients propagate
+    unchanged from the distinguished boundary into mixed boundary faces.  The
+    empirical constant is the largest deviation from the gradient at
+    (z0, zeta''), which ``details["gradient"]`` holds.
+    """
+    if psi.n_out != 1:
+        raise ValueError("slice check needs a scalar symbol")
+    n = psi.n_in
+    if not 1 <= m < n:
+        raise ValueError("split must satisfy 1 <= m < n")
+    if zeta_tail.n != n - m:
+        raise ValueError("tail point dimension mismatch")
+    z0 = np.asarray(z0, dtype=complex)
+    if z0.shape != (m,):
+        raise ValueError("interior point dimension mismatch")
+    tail = zeta_tail.point()
+    base = np.concatenate([z0, tail])
+    val = psi.evaluate(base)[0]
+    if abs(abs(val) - 1.0) > config.contact_tol:
+        raise ContactRequired(
+            f"|psi(z0, zeta'')| = {abs(val):.12f} is not within contact_tol of 1"
+        )
+    ref_grad = psi.jacobian(base)[0]
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.random((_SLICE_SAMPLES, m)))
+    ang = rng.random((_SLICE_SAMPLES, m)) * TWO_PI
+    heads = r * np.exp(1j * ang)
+    pts = np.concatenate([heads, np.tile(tail, (_SLICE_SAMPLES, 1))], axis=1)
+    grads = psi.jacobian_batch(pts)[:, 0, :]
+    max_dev = float(np.max(np.abs(grads - ref_grad)))
+    return PropertyReport(
+        name="slice_gradient_constancy",
+        sample_count=_SLICE_SAMPLES,
+        worst_violation=config.slice_tol - max_dev,
+        empirical_constant=max_dev,
+        passed=max_dev <= config.slice_tol,
+        seed=seed,
+        details={"gradient": tuple(complex(g) for g in ref_grad)},
     )

@@ -17,6 +17,7 @@ from polycarleson.battery import (
     BatteryRun,
     FitCase,
     get_symbol,
+    property_reports,
     run_battery,
 )
 
@@ -107,12 +108,22 @@ def test_criterion_09_beta_uniformity(run):
 
 def test_criterion_10_property_battery(run):
     result = _run(10, run)
-    assert all(result.details["properties"].values()), result.details
-    assert result.details["slice_gradient_constancy"]
-    assert result.details["boundary_derivative_checks"]
+    properties = result.details["properties"]
+    assert all(properties.values()), result.details
+    assert properties["slice_gradient_constancy_5"] and properties["slice_gradient_constancy_6"]
+    assert all(properties[f"boundary_derivative_{i}"] for i in range(7, 11))
     assert result.details["identity_ratio_worst_z"] <= 3.0
     assert result.details["certificates"]
     assert result.passed
+
+
+def test_criterion_10_one_detail_per_report(run):
+    """Reports that share a name (two linearization bounds, two Schwarz
+    products, ...) each keep their own entry, keyed as in property_battery.json."""
+    reports = property_reports(MANIFEST["property_battery"]["seed"])
+    properties = _run(10, run).details["properties"]
+    assert properties == {f"{r.name}_{i}": r.passed for i, r in enumerate(reports)}
+    assert len(properties) == len(reports) == 11
 
 
 def test_criterion_11_determinism(run):

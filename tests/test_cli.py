@@ -6,6 +6,7 @@ import pytest
 
 from polycarleson import battery, cli
 from polycarleson.cli import ExperimentConfig, _build_parser, _merge_config, load_symbol, main
+from polycarleson.output import json_text
 
 
 def run_cli(args):
@@ -135,7 +136,9 @@ class TestExponentCommand:
                      '{"tolerances": {"batch_size": 1000}}', '{"tolerances": {"cert_tol": 0.5}}',
                      '{"tolerances": {"leakage_fraction": "0.1"}}',
                      '{"tolerances": {"rank_tol": true}}', '{"tolerances": {"fiber_cap": 8.5}}',
-                     '{"tolerances": [1e-7]}'):
+                     '{"tolerances": [1e-7]}', '{"eta": [1]}', '{"eta": ["a", 0]}',
+                     '{"shrink": ["a", 0]}', '{"threads": true}', '{"shrink": [true, false]}',
+                     '{"delta_grid": [0.5, "0.25"]}', '{"center": [null]}', '{"only": [4.5]}'):
             path.write_text(text)
             assert run_cli(["exponent", "--config", str(path), "--symbol", "product2",
                             "--out-dir", str(tmp_path)]) == 2, text
@@ -218,6 +221,19 @@ class TestCheckPropsCommand:
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert all(entry["passed"] for entry in lines)
         assert any(entry["name"] == "mobius_margin" for entry in lines)
+
+    def test_runs_every_property_report(self, tmp_path, capsys):
+        reports = battery.property_reports(5)
+        assert {"slice_gradient_constancy", "boundary_derivative"} <= {r.name for r in reports}
+        assert run_cli(["check-props", "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+        lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert lines == [{"name": r.name, "passed": r.passed,
+                          "empirical_constant": r.empirical_constant} for r in reports]
+        written = sorted(p.name for p in tmp_path.glob("property_*.json"))
+        assert written == sorted(f"property_{r.name}_{i}.json" for i, r in enumerate(reports))
+        for i, r in enumerate(reports):
+            text = (tmp_path / f"property_{r.name}_{i}.json").read_text()
+            assert text == json_text(r.to_dict()) + "\n"
 
 
 class TestBatteryCommand:
