@@ -38,6 +38,9 @@ USAGE_ERROR = 2
 UNTRUSTED = 3
 
 
+FORMATS = ("csv", "json", "svg")  # artifact kinds a run may write
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; round-trips losslessly through JSON."""
@@ -51,7 +54,7 @@ class ExperimentConfig:
     seed: int = 0
     threads: int | None = None
     out_dir: str = "."
-    formats: list = dataclasses.field(default_factory=lambda: ["csv", "json", "svg"])
+    formats: list = dataclasses.field(default_factory=lambda: list(FORMATS))
     shrink: list = dataclasses.field(default_factory=list)
     center: list = dataclasses.field(default_factory=list)
     index_set: list = dataclasses.field(default_factory=list)
@@ -81,6 +84,9 @@ class ExperimentConfig:
             setattr(cfg, k, [_number(f"{k}[{i}]", v, kind) for i, v in enumerate(getattr(cfg, k))])
         if len(cfg.eta) != 2:
             raise ValueError(f"config key 'eta' must hold [re, im], got {cfg.eta!r}")
+        for i, v in enumerate(cfg.formats):
+            if v not in FORMATS:
+                raise ValueError(f"config key 'formats[{i}]' must be one of {FORMATS}, got {v!r}")
         cfg.threads = None if cfg.threads is None else _number("threads", cfg.threads, int)
         cfg.budget = _number("budget", cfg.budget, int)
         cfg.seed = _number("seed", cfg.seed, int)
@@ -160,8 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=int)
         sp.add_argument("--beta", type=float)
         sp.add_argument("--out-dir", dest="out_dir")
-        sp.add_argument("--format", dest="formats", action="append",
-                        choices=["csv", "json", "svg"])
+        sp.add_argument("--format", dest="formats", action="append", choices=FORMATS)
         sp.add_argument("--delta-grid", dest="delta_grid", type=_floats,
                         help="comma-separated radii")
 

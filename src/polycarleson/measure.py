@@ -7,14 +7,18 @@ their measures reduce to a 1-D radial integral because the angular width of a
 cap slice is available in closed form.  The same closed form, vectorised over
 the cap centre, gives the sublevel estimator the angular measure of
 {theta_j : |a + b r_j^m e^{i m theta_j} - eta| <= delta}, so that one torus
-angle is integrated exactly instead of sampled.
+angle is integrated exactly instead of sampled; ``_radial_cap_weight``
+integrates that measure over r_j's whole radial law as well, with a stated
+error bound per weight.
 
 Sampling regions come in two shapes: the full polydisc, and annulus-arc
 products with an optional angle-sum window (the shape carved out by
 near-torus sublevel sets).  Every sampler goes through one inverse-CDF map,
 ``region_points``, from uniforms to region points: one uniform per radius
 (``radial_sample`` on the region's depth) and one per angle (through the arc
-set's CDF, or the window's branch and offset).  ``restricted_sample`` feeds
+set's CDF, or the window's branch and offset).  A coordinate whose angle
+(``fixed``) or whose radius and angle (``integrated``) the caller integrates
+takes no uniform for them.  ``restricted_sample`` feeds
 it i.i.d. uniforms or, for the sublevel estimator, scrambled Sobol
 replicates; ``sample_polydisc``, the leakage audit's sampler, feeds it i.i.d.
 uniforms for the full polydisc.  Either way the points follow V_beta
@@ -131,6 +135,178 @@ def _cap_angular_halfwidth(r, amod, delta: float) -> np.ndarray:
     inside = np.where(r == 0.0, amod < delta, r < delta)
     cosval = np.where((r == 0.0) | (amod == 0.0), np.where(inside, -2.0, 2.0), cosval)
     return np.arccos(np.clip(cosval, -1.0, 1.0))
+
+
+# Gauss-Kronrod pair on [-1, 1] (QUADPACK's qk21): 21 Kronrod nodes, of which
+# the odd-indexed ten are the Gauss-Legendre nodes, so one set of integrand
+# values gives both rules.  Listed from the right end to the centre.
+_KRONROD_NODES = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                  0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                  0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                  0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                  0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_KRONROD_WEIGHTS = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+                    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                    0.149445554002916905664936468389821)
+_GAUSS_WEIGHTS = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+                  0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+                  0.295524224714752870173892994651338)
+
+
+def _cosine_gauss_kronrod():
+    """Nodes s in (0, 1), 1 - s, and Kronrod and Gauss weights after the map s = sin^2(pi (x+1)/4).
+
+    The map clusters nodes at both ends: a square-root endpoint of the
+    integrand becomes analytic in x.
+    """
+    x = np.array(_KRONROD_NODES[:-1])
+    x = np.concatenate([-x, [0.0], x[::-1]])
+    kronrod = np.array(_KRONROD_WEIGHTS)
+    kronrod = np.concatenate([kronrod, kronrod[-2::-1]])
+    gauss = np.zeros(21)
+    gauss[1:10:2] = _GAUSS_WEIGHTS
+    gauss[11::2] = _GAUSS_WEIGHTS[::-1]
+    t = math.pi * (x + 1.0) / 4.0
+    jacobian = math.pi / 4.0 * np.sin(2.0 * t)  # ds/dx
+    return np.sin(t) ** 2, np.cos(t) ** 2, kronrod * jacobian, gauss * jacobian
+
+
+_NODE_S, _NODE_1MS, _KRONROD_W, _GAUSS_W = _cosine_gauss_kronrod()
+_LOWER_NODES = 11  # nodes with s <= 1/2 step from the lower end, the rest from the upper
+
+# Error bound of a radial weight (``_radial_cap_weight``): the Kronrod rule's
+# distance from its Gauss rule, times _RULE_SAFETY on rows whose integrand can
+# be nearly singular at an end of its interval, plus _WEIGHT_ROUNDING times the
+# weight and _WEIGHT_FLOOR.  Those rows have |u| within delta/2 of delta
+# (D(|u|, delta) almost through the origin) or the circle r = 1 within delta
+# of tangency to D(|u|, delta).  Against scipy quad the distance alone fell
+# short there by up to 64x, with errors below 2e-6 of the weight or 1e-17 in
+# all; on every other row it exceeded the error at least 60-fold.
+_RULE_SAFETY = 100.0
+_WEIGHT_ROUNDING = 1e-12
+_WEIGHT_FLOOR = 1e-17
+
+
+def _segment(alpha: np.ndarray) -> np.ndarray:
+    """alpha - sin(alpha) cos(alpha): a disc segment's area over r^2, without cancellation."""
+    x = 2.0 * alpha
+    out = np.empty_like(x)
+    small = x < 0.25
+    big = np.flatnonzero(~small)
+    out[big] = (x[big] - np.sin(x[big])) / 2.0  # loses at most 7 bits above 0.25
+    x = x[small]
+    x2 = x * x  # (x - sin x)/2 by its series below 0.25, to x^11
+    out[small] = x2 * x / 12.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0 * (
+        1.0 - x2 / 72.0 * (1.0 - x2 / 110.0))))
+    return out
+
+
+def _lens_weight(b: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
+    """area(D(0, b) ∩ D(u, delta)) / (pi b^2), for rows with |b - delta| < u < b + delta."""
+    inner = u + delta <= b  # D(u, delta) inside D(0, b)
+    w = (delta / b) ** 2
+    lens = np.flatnonzero(~inner)
+    if lens.size:
+        b, u = b[lens], u[lens]
+        # b - u and u - b are exact when b and u are close: the thin-lens factors keep their digits
+        root = np.sqrt(((b - u) + delta) * ((u + b) - delta) * ((u - b) + delta) * (u + b + delta))
+        at_origin = np.arctan2(root, (u - delta) * (u + delta) + b * b)
+        at_centre = np.arctan2(root, (u - b) * (u + b) + delta * delta)
+        w[lens] = (_segment(at_origin) + (delta / b) ** 2 * _segment(at_centre)) / math.pi
+    return w
+
+
+def _radial_cap_weight(bmod, umod, delta: float, m: int,
+                       beta: WeightParam) -> tuple[np.ndarray, np.ndarray]:
+    """W = ∫ h(|b| r^m, |u|, delta)/pi dmu_beta(r) over the whole radial law, and its error bound.
+
+    h is ``_cap_angular_halfwidth``: W is the V_beta probability over z_j = r
+    e^{i theta} that |b z_j^m - u| <= delta.  Where the circle of radius
+    |b| r^m lies inside D(|u|, delta), h = pi, and that part of the radial
+    law is exact: 1 - (1 - r^2)^(beta+1).  The rest is the r with |b| r^m in
+    [||u| - delta|, |u| + delta], where h has square-root ends.
+    For m = 1 and beta = 0 that integral is a lens area (``_lens_weight``).
+    Otherwise the variable v = (1 - r^2)^(beta+1) (r^2 itself at beta = 0),
+    in which mu_beta is Lebesgue measure, carries it to a 21-point Kronrod
+    rule after a cosine map that clusters nodes at both ends.  Only rows with
+    a non-empty interval evaluate the rule.
+
+    The bound per row is the Kronrod rule's distance from its embedded
+    10-point Gauss rule, which on smooth integrands exceeds the Kronrod
+    rule's own error by orders of magnitude, times _RULE_SAFETY near the
+    geometries where the integrand is nearly singular, plus rounding
+    allowances (see the constants); weights 0 and 1 from containment are
+    exact and carry none, and the lens carries only ``_WEIGHT_ROUNDING``
+    times itself.
+    """
+    b, u = np.broadcast_arrays(np.asarray(bmod, dtype=float), np.asarray(umod, dtype=float))
+    # |b| r^m <= |b| < delta - |u|: the whole circle lies in the disc for every r
+    weight = np.where(u + b < delta, 1.0, 0.0)
+    err = np.zeros(weight.shape)
+    part = np.flatnonzero((weight == 0.0) & ((u < delta) | (np.abs(u - delta) < b)))
+    if not part.size:
+        return weight, err
+    b, u = b[part], u[part]
+    if m == 1 and beta.beta == 0.0:
+        w = _lens_weight(b, u, delta)
+        weight[part], err[part] = w, _WEIGHT_ROUNDING * w
+        return weight, err
+    p1 = beta.beta + 1.0
+    with np.errstate(divide="ignore"):
+        # log r^2 where the circle |b| r^m meets the inner and the outer edge of
+        # D(|u|, delta), capped at r = 1 (every row left has b > 0)
+        log_lo = np.minimum(2.0 / m * np.log(np.abs(u - delta) / b), 0.0)
+        log_hi = np.minimum(2.0 / m * np.log((u + delta) / b), 0.0)
+        # 1 - r^2 at the inner edge; mu_beta(r < r_lo) = 1 - (1 - r_lo^2)^(beta+1)
+        top = -np.expm1(log_lo)
+        w = np.where(u < delta, -np.expm1(p1 * np.log(top)), 0.0)
+    e = _WEIGHT_ROUNDING * w
+    rows = np.flatnonzero(log_lo < log_hi)
+    if rows.size:
+        # one row of r^2 per node (each array operation then runs along the draws)
+        r2 = np.empty((_NODE_S.size, rows.size))
+        k = _LOWER_NODES
+        s, t = _NODE_S[:k, None], _NODE_1MS[k:, None]
+        if p1 == 1.0:  # y = r^2
+            lo, hi = np.exp(log_lo[rows]), np.exp(log_hi[rows])
+            span = hi - lo
+            r2[:k] = lo + span * s
+            r2[k:] = hi - span * t
+        else:  # y = v, decreasing in r: its upper end is r's lower end
+            top = top[rows]
+            lo, hi = (-np.expm1(log_hi[rows])) ** p1, top ** p1
+            span = hi - lo
+            r2[:k] = 1.0 - (lo + span * s) ** (1.0 / p1)
+            # near v's upper end (small r) step up from r_lo^2 without cancellation
+            r2[k:] = np.exp(log_lo[rows]) - top * np.expm1(np.log1p(-(span / hi) * t) / p1)
+        rho = np.sqrt(r2, out=r2) ** m * b[rows]
+        d = rho - u[rows]
+        # h in half-angle form, tan(h/2) = sqrt((delta^2 - d^2) / ((rho + u)^2 - delta^2)):
+        # exact near both ends, where arccos loses digits
+        inside = (delta - d) * (delta + d)
+        rho += u[rows]
+        outside = (rho - delta) * (rho + delta)
+        np.maximum(inside, 0.0, out=inside)
+        with np.errstate(divide="ignore"):
+            h = np.arctan(np.sqrt(np.divide(inside, outside, out=inside), out=inside), out=inside)
+        # node by node, so that each row gets the same bits in a batch of any size
+        kronrod, gap = np.zeros(rows.size), np.zeros(rows.size)
+        for hk, wk, gk in zip(h, _KRONROD_W, _KRONROD_W - _GAUSS_W):
+            kronrod += wk * hk
+            gap += gk * hk
+        span *= 2.0 / math.pi
+        kink = span * kronrod
+        w[rows] += kink
+        bb, uu = b[rows], u[rows]  # nearly singular: see _RULE_SAFETY
+        near = ((np.abs(uu - delta) < 0.5 * delta) | (np.abs(bb - uu - delta) < delta)
+                | (np.abs(bb - np.abs(uu - delta)) < delta))
+        e[rows] += (np.where(near, _RULE_SAFETY, 1.0) * span * np.abs(gap)
+                    + _WEIGHT_ROUNDING * kink + _WEIGHT_FLOOR)
+    weight[part], err[part] = w, e
+    return weight, err
 
 
 _MAX_CAP_PANELS = 200  # quadrature panels one cap may use
@@ -359,41 +535,47 @@ def _arc_angle(arcs: tuple[Arc, ...], u: np.ndarray) -> np.ndarray:
     return (starts[pick] + (t - (cum[pick] - lengths[pick]))) % TWO_PI
 
 
-def sample_dim(region: Region, fixed: tuple[int, ...] = ()) -> int:
-    """Uniforms per point that ``region_points`` reads: n radii and the drawn angles."""
-    return 2 * region.n - len(fixed)
+def sample_dim(region: Region, fixed: tuple[int, ...] = (),
+               integrated: tuple[int, ...] = ()) -> int:
+    """Uniforms per point that ``region_points`` reads: the drawn radii and the drawn angles."""
+    return 2 * region.n - len(fixed) - 2 * len(integrated)
 
 
 def region_points(region: Region, beta: WeightParam, u: np.ndarray,
-                  fixed: tuple[int, ...] = ()) -> np.ndarray:
+                  fixed: tuple[int, ...] = (), integrated: tuple[int, ...] = ()) -> np.ndarray:
     """Map uniforms u, shape (size, sample_dim), to points of V_beta restricted to the region.
 
-    Column j gives radius r_j; the next columns give the angles in coordinate
-    order, each through the inverse CDF of its arc set.  The window's solve
-    coordinate reads one column u: the branch is floor(m u) and the window
-    offset comes from frac(m u).  The map is exact (uniform u gives the
-    restricted law) and piecewise smooth, so scrambled Sobol points pass
-    through it as well as i.i.d. ones.  The ``fixed`` coordinates take no
-    angle column and come back as their real radii r_j: a caller that
-    integrates those angles in closed form reads only their moduli.  Their
-    angles must be free.
+    The first columns give the drawn radii r_j in coordinate order; the next
+    columns give the drawn angles, each through the inverse CDF of its arc
+    set.  The window's solve coordinate reads one column u: the branch is
+    floor(m u) and the window offset comes from frac(m u).  The map is exact
+    (uniform u gives the restricted law) and piecewise smooth, so scrambled
+    Sobol points pass through it as well as i.i.d. ones.  The ``fixed``
+    coordinates take no angle column and come back as their real radii r_j:
+    a caller that integrates those angles in closed form reads only their
+    moduli.  The ``integrated`` coordinates take no column at all and come
+    back as NaN: the caller integrates radius and angle and reads neither.
+    Both need free angles, and an integrated coordinate the full radial range.
     """
     n = region.n
     if isinstance(region, FullPolydisc):
         region = AnnulusArc(depths=(1.0,) * n, arcs=(None,) * n)
     window = region.window
     if any(region.arcs[j] is not None or (window is not None and window.coeffs[j] > 0)
-           for j in fixed):
-        raise ValueError("a fixed coordinate's angle must be unconstrained")
+           for j in fixed + integrated):
+        raise ValueError("a fixed or integrated coordinate's angle must be unconstrained")
+    if any(region.depths[j] < 1.0 for j in integrated):
+        raise ValueError("an integrated coordinate's radius must be unconstrained")
     u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[1] != sample_dim(region, fixed):
-        raise ValueError("uniforms need one column per radius and per drawn angle")
-    r = np.empty((n, u.shape[0]))
+    if u.ndim != 2 or u.shape[1] != sample_dim(region, fixed, integrated):
+        raise ValueError("uniforms need one column per drawn radius and per drawn angle")
+    r = np.full((n, u.shape[0]), np.nan)
     theta = np.zeros((n, u.shape[0]))
-    live = [j for j in range(n) if j not in fixed]
-    for j in range(n):
-        r[j] = radial_sample(beta, u[:, j], region.depths[j])
-    for j, v in zip(live, u[:, n:].T):
+    drawn = [j for j in range(n) if j not in integrated]
+    live = [j for j in drawn if j not in fixed]
+    for j, v in zip(drawn, u.T):
+        r[j] = radial_sample(beta, v, region.depths[j])
+    for j, v in zip(live, u[:, len(drawn):].T):
         if window is not None and j == window.solve_index:
             t = v * window.coeffs[j]
             branch = np.floor(t)
@@ -409,7 +591,7 @@ def region_points(region: Region, beta: WeightParam, u: np.ndarray,
         theta[j0] = (theta[j0] - rest) / window.coeffs[j0] % TWO_PI
     z = np.empty((n, u.shape[0]), dtype=complex)
     for j in range(n):
-        if j in fixed:
+        if j in fixed or j in integrated:
             z[j] = r[j]
         else:  # r e^{i theta}, without the complex temporaries of np.exp(1j * theta)
             np.multiply(r[j], np.cos(theta[j]), out=z[j].real)
@@ -425,23 +607,27 @@ def sample_polydisc(n: int, beta: WeightParam, rng: np.random.Generator, size: i
 def restricted_sample(region: Region, beta: WeightParam,
                       rng: np.random.Generator | Sequence[np.random.Generator],
                       size: int, fixed: tuple[int, ...] = (),
-                      sobol: bool = False) -> tuple[np.ndarray, float]:
+                      sobol: bool = False,
+                      integrated: tuple[int, ...] = ()) -> tuple[np.ndarray, float]:
     """(size, n) points of V_beta restricted to the region, plus its exact mass.
 
     The points are i.i.d., or with ``sobol`` scrambled Sobol replicates, one
     per generator when ``rng`` is a sequence of them, which split ``size``
-    evenly (powers of two).  The ``fixed`` coordinates come back as their
-    radii, as in ``region_points``.
+    evenly (powers of two).  The ``fixed`` and ``integrated`` coordinates
+    come back as in ``region_points``.  When they leave no uniform to draw,
+    every point is the same and no generator is read.
     """
-    d = sample_dim(region, fixed)
-    if sobol:
+    d = sample_dim(region, fixed, integrated)
+    if d == 0:
+        u = np.empty((size, 0))
+    elif sobol:
         replicates = 1 if isinstance(rng, np.random.Generator) else len(rng)
         if size % replicates:
             raise ValueError(f"{size} points do not split into {replicates} Sobol replicates")
         u = sobol_points(rng, d, size // replicates)
     else:
         u = rng.random((size, d))
-    return region_points(region, beta, u, fixed), region_mass(region, beta)
+    return region_points(region, beta, u, fixed, integrated), region_mass(region, beta)
 
 
 def region_contains(region: Region, z: np.ndarray) -> np.ndarray:

@@ -8,21 +8,26 @@ whose radial depth scales with delta, combined with either an angle-sum window
 per-coordinate arcs of width ~ sqrt(delta) around the finite solution set of
 f = eta on T^n.
 
-Inside the region one torus angle is integrated in closed form (conditional
-Monte Carlo).  When z_j enters a binding as a + b z_j^m with a and b free of
-z_j, the theta_j-measure of {|f - eta| <= delta} at fixed other coordinates
-and r_j is an arc of half-width arccos((rho^2 + c^2 - delta^2)/(2 rho c)),
-rho = |b| r_j^m, c = |eta - a|.  Each draw contributes that probability
-instead of a 0/1 hit, so the region drops its constraints on theta_j (its
-arcs there and the angle-sum window).  Symbols with no such coordinate fall
-back to plain hit counting.
+Inside the region one coordinate is integrated out (conditional Monte
+Carlo).  When z_j enters a binding as a + b z_j^m with a and b free of z_j,
+the theta_j-measure of {|f - eta| <= delta} at fixed other coordinates and
+r_j is an arc of half-width h = arccos((rho^2 + c^2 - delta^2)/(2 rho c)),
+rho = |b| r_j^m, c = |eta - a|.  When no other binding contains z_j, r_j is
+integrated too: each draw contributes W = ∫ h/pi dmu_beta(r_j) over the whole
+radial law, a lens area for m = 1 at beta = 0 and otherwise a 21-point
+Gauss-Kronrod rule (``measure._radial_cap_weight``), and z_j takes no
+uniform at all.  Otherwise r_j is drawn and each draw contributes h/pi.
+Either way the region drops its constraints on what is integrated (theta_j's
+arcs and the angle-sum window, and r_j's depth with it).  Symbols with no
+such coordinate fall back to plain hit counting.
 
 The conditioned integrand is a bounded, almost everywhere continuous function
-of the remaining 2n - 1 uniforms (n radii, n - 1 angles), so the points are
-randomised quasi-Monte Carlo: R >= 64 independently scrambled Sobol
-replicates, mapped into the region by ``measure.restricted_sample``.  The
-stderr is the replicates' standard error.  A uniform i.i.d. "leakage audit"
-pass estimates the mass the region might have missed; estimates failing the
+of the remaining uniforms (2n - 2 of them, or 2n - 1 when r_j is drawn), so
+the points are randomised quasi-Monte Carlo: R >= 64 independently scrambled
+Sobol replicates, mapped into the region by ``measure.restricted_sample``.
+The stderr is the replicates' standard error combined with the stated bound
+on the weights' quadrature error.  A uniform i.i.d. "leakage audit" pass
+estimates the mass the region might have missed; estimates failing the
 audit are flagged untrusted.
 """
 
@@ -44,6 +49,7 @@ from .measure import (
     Region,
     WeightParam,
     _cap_angular_halfwidth,
+    _radial_cap_weight,
     merge_arcs,
     region_contains,
     region_mass,
@@ -83,15 +89,16 @@ class SublevelEstimate:
 
     The main draws are R * 2^k <= budget points (``replicate_layout``): R
     scrambled Sobol replicates.  ``stderr`` is the standard error of the mean
-    over the R replicates (with the audit's added in quadrature), so the 95 %
-    interval uses Student t with R - 1 degrees of freedom.  The zero-support
+    over the R replicates, with the audit's and the stated bound on the
+    weights' quadrature error added in quadrature, so the 95 % interval uses
+    Student t with R - 1 degrees of freedom.  The zero-support
     upper bound and the audit's budget count the R * 2^k draws actually
     made, not the nominal budget.
     """
 
     volume: float          # restricted estimate plus measured leakage
     stderr: float
-    hits: int              # draws with positive weight (conditional probability)
+    hits: int              # draws with positive weight (integrated probability)
     region_mass: float
     leakage: float
     leakage_stderr: float
@@ -364,13 +371,19 @@ def _uses(table: MonomialTable, j: int) -> bool:
 
 @dataclass(frozen=True)
 class _AngleSplit:
-    """Binding ``index`` written as a + b z_j^m with a and b free of z_j."""
+    """Binding ``index`` written as a + b z_j^m with a and b free of z_j.
+
+    ``coupled``: another binding contains z_j too.  ``constant``: a and b
+    contain no coordinate at all.
+    """
 
     index: int
     j: int
     m: int
     a: MonomialTable
     b: MonomialTable
+    coupled: bool
+    constant: bool
 
 
 def _split_coordinate(bindings: list[Binding], n: int) -> _AngleSplit | None:
@@ -384,43 +397,65 @@ def _split_coordinate(bindings: list[Binding], n: int) -> _AngleSplit | None:
         if len(powers) == 1:
             a = tuple((alpha, c) for alpha, c in table if not alpha[j])
             b = tuple((alpha[:j] + (0,) + alpha[j + 1:], c) for alpha, c in table if alpha[j])
-            return _AngleSplit(index, j, powers.pop(), a, b)
+            coupled = any(_uses(t, j) for t, *_ in bindings[index + 1:])
+            constant = not any(any(alpha) for alpha, _ in a + b)
+            return _AngleSplit(index, j, powers.pop(), a, b, coupled, constant)
     return None
 
 
-def _free_angle(region: Region, j: int) -> Region:
-    """The region without its arcs on theta_j and without its angle-sum window."""
+def _free_angle(region: Region, j: int, radius: bool) -> Region:
+    """The region without its arcs on theta_j and its angle-sum window.
+
+    With ``radius``, r_j's depth goes too: r_j is then integrated over its whole law.
+    """
     if isinstance(region, FullPolydisc):
         return region
     arcs = region.arcs[:j] + (None,) + region.arcs[j + 1:]
-    if all(a is None for a in arcs) and all(s >= 1.0 for s in region.depths):
+    depths = region.depths[:j] + (1.0,) + region.depths[j + 1:] if radius else region.depths
+    if all(a is None for a in arcs) and all(s >= 1.0 for s in depths):
         return FullPolydisc(region.n)
-    return AnnulusArc(depths=region.depths, arcs=arcs)
+    return AnnulusArc(depths=depths, arcs=arcs)
 
 
 def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndarray,
-                         rngs: list[np.random.Generator]) -> np.ndarray:
-    """P(every binding holds | z with theta_j integrated out), one weight per row.
+                         rngs: list[np.random.Generator],
+                         beta: WeightParam) -> tuple[np.ndarray, np.ndarray | float]:
+    """P(every binding holds | z with z_j integrated out), one weight per row, and error bounds.
 
-    Column j of ``z`` holds the real radius r_j, as ``restricted_sample``
-    leaves a fixed coordinate.  The split binding holds on an arc of m theta_j
-    of half-width h, i.e. with probability h/pi.  Bindings free of z_j
-    multiply that by their indicator.  Bindings that also contain z_j are
-    tested at one theta_j drawn uniformly from the split binding's arc set,
-    which keeps the weight unbiased.  The rows are len(rngs) equal replicates,
-    and each replicate's draws of theta_j come from its own generator.
+    When no other binding contains z_j (``split.coupled`` false), column j
+    of ``z`` is unused, as ``restricted_sample`` leaves an integrated
+    coordinate: the split binding holds with probability
+    W = ∫ h(|b| r^m, |u|, delta)/pi dmu_beta(r) over the whole radial law
+    (``_radial_cap_weight``, which also bounds each weight's quadrature
+    error), and the other bindings multiply W by their indicators.
+
+    Otherwise column j holds the real radius r_j, as ``restricted_sample``
+    leaves a fixed coordinate, and only theta_j is integrated: the split
+    binding holds on an arc of m theta_j of half-width h, i.e. with
+    probability h/pi, exact up to rounding.  Bindings free of z_j multiply
+    that by their indicator.  Bindings that also contain z_j are tested at
+    one theta_j drawn uniformly from the split binding's arc set, which keeps
+    the weight unbiased.  The rows are len(rngs) equal replicates, and each
+    replicate's draws of theta_j come from its own generator.
     """
     j, m = split.j, split.m
     _, target, tol, _ = bindings[split.index]
     cache: dict = {}
     u = target - _eval_table(split.a, z, cache)
     b = _eval_table(split.b, z, cache)
+    others = [binding for i, binding in enumerate(bindings) if i != split.index]
+    if not split.coupled:
+        # a and b free of every coordinate give one weight for all rows
+        rows = slice(0, 1) if split.constant else slice(None)
+        w, err = _radial_cap_weight(np.abs(b[rows]), np.abs(u[rows]), tol, m, beta)
+        w, err = np.broadcast_to(w, z.shape[:1]), np.broadcast_to(err, z.shape[:1])
+        if not others:
+            return w, err
+        ok = _members(others, z)
+        return w * ok, err * ok
     r = z[:, j].real
     h = _cap_angular_halfwidth(np.abs(b) * r**m, np.abs(u), tol)
     w = h / math.pi
-    others = [binding for i, binding in enumerate(bindings) if i != split.index]
-    if not others:
-        return w
     live = np.flatnonzero(h)
     # the other bindings matter only where the split binding can hold
     z, u, b, r, h = z[live], u[live], b[live], r[live], h[live]
@@ -432,18 +467,17 @@ def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndar
             coupled.append(binding)
         else:
             ok &= _holds(binding, z, cache)
-    if coupled:
-        per = np.bincount(live // (w.size // len(rngs)), minlength=len(rngs))
-        draws = [(g.random(k), g.integers(0, m, size=k)) for g, k in zip(rngs, per)]
-        phi = (2.0 * np.concatenate([x for x, _ in draws]) - 1.0) * h
-        branch = np.concatenate([k for _, k in draws])
-        theta = (phi + np.angle(u) - np.angle(b) + TWO_PI * branch) / m
-        z[:, j] = r * np.exp(1j * theta)
-        cache = {}
-        for binding in coupled:
-            ok &= _holds(binding, z, cache)
+    per = np.bincount(live // (w.size // len(rngs)), minlength=len(rngs))
+    draws = [(g.random(k), g.integers(0, m, size=k)) for g, k in zip(rngs, per)]
+    phi = (2.0 * np.concatenate([x for x, _ in draws]) - 1.0) * h
+    branch = np.concatenate([k for _, k in draws])
+    theta = (phi + np.angle(u) - np.angle(b) + TWO_PI * branch) / m
+    z[:, j] = r * np.exp(1j * theta)
+    cache = {}
+    for binding in coupled:
+        ok &= _holds(binding, z, cache)
     w[live] *= ok
-    return w
+    return w, 0.0
 
 
 def estimate_indicator(
@@ -462,12 +496,13 @@ def estimate_indicator(
     ``bindings`` lists (table, target, tolerance, strict) tests
     |P(z) - target| < tolerance (strict) or <= tolerance.  When some
     coordinate z_j enters the first binding containing it with a single
-    exponent, theta_j is integrated in closed form (conditional Monte
-    Carlo): each point contributes the probability over theta_j that every
-    binding holds, and theta_j takes no uniform.  The region's constraints on
-    theta_j (its arcs there and its angle-sum window) are dropped, since the
-    integration covers that angle exactly.  Bindings with no such coordinate
-    give plain 0/1 weights.
+    exponent, z_j is integrated in closed form or by quadrature (conditional
+    Monte Carlo, ``_conditional_weights``): each point contributes the
+    probability over z_j that every binding holds.  If no other binding
+    contains z_j, its radius and angle are both integrated, take no uniform,
+    and the region drops its depth, arcs and angle-sum window there.
+    Otherwise only theta_j is integrated and r_j is drawn.  Bindings with no
+    such coordinate give plain 0/1 weights.
 
     The points are R independently scrambled Sobol replicates of 2^k points
     each (``replicate_layout``), drawn by ``restricted_sample``; replicate r
@@ -476,7 +511,11 @@ def estimate_indicator(
     (``replicate_bundle``) and evaluates them together.  The estimate is mass
     x the mean of the replicate means, and the stderr is mass x their
     standard error (ddof 1), so a Student t quantile with R - 1 degrees of
-    freedom gives its confidence interval.  A uniform i.i.d. audit pass
+    freedom gives its confidence interval.  Combined with it in quadrature
+    is mass x the mean of the weights' quadrature error bounds, which bounds
+    the estimate's quadrature error: an estimate with nothing random left
+    (identity1) reports that bound and no spread.  ``hits`` counts the
+    draws with positive weight.  A uniform i.i.d. audit pass
     (``sample_polydisc`` in ``run_batches``' default 2^16-point batches)
     measures the mass outside the region.  Zero support (no point with
     positive weight) or leakage above the threshold fraction of the estimate
@@ -485,34 +524,42 @@ def estimate_indicator(
     """
     bindings = _merge_bindings(bindings)
     split = _split_coordinate(bindings, n)
+    fixed = integrated = ()
     if split is not None:
-        region = _free_angle(region, split.j)
+        region = _free_angle(region, split.j, radius=not split.coupled)
+        if split.coupled:
+            fixed = (split.j,)
+        else:
+            integrated = (split.j,)
     mass = region_mass(region, beta)
-    fixed = () if split is None else (split.j,)
 
     replicates, size = replicate_layout(budget)
     draws = replicates * size
 
     def main_worker(rngs, count):
-        z, _ = restricted_sample(region, beta, rngs, count, fixed, sobol=True)
+        z, _ = restricted_sample(region, beta, rngs, count, fixed, sobol=True,
+                                 integrated=integrated)
         if split is None:
-            w = _members(bindings, z).astype(float)
+            w, err = _members(bindings, z).astype(float), 0.0
         else:
-            w = _conditional_weights(bindings, split, z, rngs)
-        return w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w))
+            w, err = _conditional_weights(bindings, split, z, rngs, beta)
+        return (w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w)),
+                float(np.sum(err)))
 
     batches = run_batches(draws, seed, label, main_worker, threads=threads, batch_size=size,
                           bundle=replicate_bundle(size))
     # bundles come back in batch order and each replicate mean depends on its
     # stream alone: the same floats at any thread count
-    means = np.concatenate([m for m, _ in batches]).tolist()
-    hits = sum(k for _, k in batches)
+    means = np.concatenate([m for m, _, _ in batches]).tolist()
+    hits = sum(k for _, k, _ in batches)
     mean = math.fsum(means) / replicates
     restricted = mass * mean
+    # every weight is off by at most its bound, so the mean by at most theirs
+    quadrature = mass * math.fsum(e for _, _, e in batches) / draws
     stderr = math.inf  # a single replicate has no spread
     if replicates > 1:
         spread = math.fsum((m - mean) ** 2 for m in means) / (replicates - 1)
-        stderr = mass * math.sqrt(spread / replicates)
+        stderr = math.hypot(mass * math.sqrt(spread / replicates), quadrature)
 
     leakage = 0.0
     leak_stderr = 0.0

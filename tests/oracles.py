@@ -7,6 +7,8 @@ paths with the implementations they check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import integrate
 
@@ -100,3 +102,72 @@ def uniform_sublevel_volume(entries, n, eta, delta, budget, seed):
         f += c * np.prod(z ** np.asarray(alpha), axis=1)
     p = np.count_nonzero(np.abs(f - eta) <= delta) / budget
     return p, float(np.sqrt(p * (1.0 - p) / budget))
+
+
+def _halfwidth(rho, u, delta):
+    """Half-width in angle of {theta : |rho e^{i theta} - u| <= delta}, in half-angle form."""
+    inside = (delta - rho + u) * (delta + rho - u)
+    outside = (rho + u - delta) * (rho + u + delta)
+    return 2.0 * math.atan2(math.sqrt(max(inside, 0.0)), math.sqrt(max(outside, 0.0)))
+
+
+def product_volume(n, delta, epsrel=1e-13):
+    """Exact V_0({z in D^n : |z_1 ... z_n - 1| <= delta}) by one-dimensional quadrature.
+
+    The argument of z_1 ... z_n is uniform and independent of rho = r_1 ... r_n,
+    and x = -log rho^2 has the Gamma(n, 1) law, so the volume is
+    E[h(rho, 1, delta)/pi] with h the angular half-width of the set at modulus
+    rho.  h vanishes below rho = 1 - delta, i.e. beyond x = -2 log(1 - delta).
+    """
+    x_max = -2.0 * math.log1p(-delta) if delta < 1.0 else math.inf
+
+    def integrand(x):
+        rho = math.exp(-x / 2.0)
+        gamma = x ** (n - 1) * math.exp(-x) / math.factorial(n - 1)  # Gamma(n, 1) density
+        return _halfwidth(rho, 1.0, delta) / math.pi * gamma
+
+    val, _ = integrate.quad(integrand, 0.0, x_max, epsabs=0.0, epsrel=epsrel, limit=200)
+    return val
+
+
+def unit_disc_cap_area(delta):
+    """A_0(D(1, delta) ∩ D) for delta < 2: the lens of two discs over pi."""
+    area = (delta * delta * math.acos(delta / 2.0) + math.acos(1.0 - delta * delta / 2.0)
+            - delta / 2.0 * math.sqrt(4.0 - delta * delta))
+    return area / math.pi
+
+
+def radial_cap_weight(b, u, delta, m, beta, epsrel=1e-13):
+    """V_beta probability over z = r e^{i theta} in D that |b z^m - u| <= delta, for b, u >= 0.
+
+    The angle is integrated exactly (h/pi at modulus b r^m); the radius by
+    scipy quad in the radial law's own variable, where mu_beta is Lebesgue
+    measure: v = (1 - r^2)^(beta+1) near r = 1 and q = 1 - v near r = 0
+    (split at r^2 = 1/2), so that neither end loses digits.  The part of the
+    law where the whole circle lies in the disc is exact.
+    """
+    p1 = beta + 1.0
+    if b == 0.0:
+        return 1.0 if u < delta else 0.0
+    x_lo = min(1.0, (abs(u - delta) / b) ** (2.0 / m))
+    x_hi = min(1.0, ((u + delta) / b) ** (2.0 / m))
+    total = (-math.expm1(p1 * math.log1p(-x_lo)) if x_lo < 1.0 else 1.0) if u < delta else 0.0
+    if x_lo >= x_hi:
+        return total
+
+    def h_q(q):  # r^2 = 1 - (1 - q)^(1/(beta+1))
+        return _halfwidth(b * (-math.expm1(math.log1p(-q) / p1)) ** (m / 2.0), u, delta) / math.pi
+
+    def h_v(v):  # r^2 = 1 - v^(1/(beta+1))
+        r2 = -math.expm1(math.log(v) / p1) if v > 0.0 else 1.0
+        return _halfwidth(b * r2 ** (m / 2.0), u, delta) / math.pi
+
+    cdf = lambda x: -math.expm1(p1 * math.log1p(-x)) if x < 1.0 else 1.0   # mu_beta(r^2 < x)
+    tail = lambda x: math.exp(p1 * math.log1p(-x)) if x < 1.0 else 0.0    # mu_beta(r^2 >= x)
+    if x_lo < 0.5:
+        total += integrate.quad(h_q, cdf(x_lo), cdf(min(x_hi, 0.5)), epsabs=0.0,
+                                epsrel=epsrel, limit=500)[0]
+    if x_hi > 0.5:
+        total += integrate.quad(h_v, tail(x_hi), tail(max(x_lo, 0.5)), epsabs=0.0,
+                                epsrel=epsrel, limit=500)[0]
+    return total

@@ -138,7 +138,8 @@ class TestExponentCommand:
                      '{"tolerances": {"rank_tol": true}}', '{"tolerances": {"fiber_cap": 8.5}}',
                      '{"tolerances": [1e-7]}', '{"eta": [1]}', '{"eta": ["a", 0]}',
                      '{"shrink": ["a", 0]}', '{"threads": true}', '{"shrink": [true, false]}',
-                     '{"delta_grid": [0.5, "0.25"]}', '{"center": [null]}', '{"only": [4.5]}'):
+                     '{"delta_grid": [0.5, "0.25"]}', '{"center": [null]}', '{"only": [4.5]}',
+                     '{"formats": ["xml"]}', '{"formats": [1]}'):
             path.write_text(text)
             assert run_cli(["exponent", "--config", str(path), "--symbol", "product2",
                             "--out-dir", str(tmp_path)]) == 2, text
@@ -173,10 +174,9 @@ class TestExponentCommand:
         assert "fit refused" in capsys.readouterr().err
 
     def test_untrusted_points_exit_3(self, tmp_path, capsys):
-        # at this budget two deltas (0.0625 and 0.015625) have no draw with
-        # positive weight and are not trusted; the fit over the other four
-        # still succeeds
-        code = run_cli(["exponent", "--symbol", "powersum3", "--budget", "1000", "--seed", "1",
+        # at this budget the two finest deltas have no draw with positive
+        # weight and are not trusted; the fit over the other four still succeeds
+        code = run_cli(["exponent", "--symbol", "powersum3", "--budget", "200", "--seed", "1",
                         "--delta-grid", "0.25,0.125,0.0625,0.03125,0.015625,0.0078125",
                         "--out-dir", str(tmp_path)])
         assert code == 3

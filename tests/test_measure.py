@@ -13,6 +13,7 @@ from polycarleson.measure import (
     FullPolydisc,
     WeightParam,
     _cap_angular_halfwidth,
+    _radial_cap_weight,
     carleson_box_measure,
     disc_cap_measure,
     merge_arcs,
@@ -24,10 +25,11 @@ from polycarleson.measure import (
     sample_dim,
     sample_polydisc,
 )
+from polycarleson.battery import MANIFEST, FitCase, ScanCase
 from polycarleson.montecarlo import run_batches, sobol_points, sum_counts
 from polycarleson.symbols import TorusPoint
 
-from oracles import grid_disc_cap, radial_moment
+from oracles import grid_disc_cap, radial_cap_weight, radial_moment
 
 
 class TestWeightParam:
@@ -126,6 +128,95 @@ class TestDiscCap:
     def test_cap_measure_bits_pinned(self, a, delta, beta, bits):
         # the quadrature's values from before the half-width was vectorised
         assert disc_cap_measure(a, delta, WeightParam(beta)).hex() == bits
+
+
+def manifest_betas():
+    """Every beta the pinned battery uses: its fit and scan cases and its beta lists."""
+    found = set()
+
+    def walk(value, key=""):
+        if isinstance(value, (FitCase, ScanCase)):
+            found.add(value.beta)
+        elif isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, k)
+        elif isinstance(value, tuple):
+            if key.endswith("betas"):
+                found.update(value)
+            else:
+                for v in value:
+                    walk(v)
+
+    walk(MANIFEST)
+    return sorted(found)
+
+
+def weight_cases():
+    """(|b|, |u|, delta) rows: the estimator's shapes, random ones and the lens's edge cases."""
+    rng = np.random.default_rng(12)
+    rows = []
+    for _ in range(40):
+        delta = 10.0 ** rng.uniform(-3.5, -0.1)
+        rows.append((1.0 - 2.0 * delta * rng.random(), 1.0, delta))               # products
+        rows.append((0.5, abs(0.5 + delta * rng.uniform(-1.5, 1.5)), delta))      # power sums
+        b, u = rng.uniform(0.0, 1.5), rng.uniform(0.0, 2.0)
+        if abs(u - delta) > 0.05 * delta:  # see measure._RULE_SAFETY on |u| near delta
+            rows.append((b, u, delta))                                              # anywhere
+        b = rng.uniform(0.2, 1.2)                                                   # near tangency
+        rows.append((b, abs(b + rng.choice([-1, 1]) * delta * (1.0 + 10.0 ** rng.uniform(-9, 0)
+                                                               * rng.choice([-1, 1]))), delta))
+    b, delta = 0.7, 0.2
+    rows += [
+        (b, b + delta + 0.1, delta),    # discs apart: weight 0
+        (b, b + delta, delta),          # tangent from outside: weight 0
+        (b, b - delta, delta),          # tangent from inside at r = 1
+        (b, b - delta - 0.1, delta),    # D(|u|, delta) inside D(0, |b|)
+        (0.1, 0.3, 0.5),                # D(0, |b|) inside D(|u|, delta): weight 1
+        (0.1, 0.4, 0.5),                # ... tangent from inside
+        (0.0, 0.1, 0.5), (0.0, 0.6, 0.5), (1e-12, 0.49, 0.5), (1e-6, 0.6, 0.5),  # |b| -> 0
+    ]
+    return rows
+
+
+class TestRadialCapWeight:
+    """The split coordinate's radial weight against scipy quad in the radial law's variable."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("beta", manifest_betas())
+    def test_within_stated_bound(self, m, beta):
+        rows = weight_cases()
+        b, u, delta = (np.array(c) for c in zip(*rows))
+        for d in sorted(set(delta)):
+            pick = delta == d
+            got, bound = _radial_cap_weight(b[pick], u[pick], d, m, WeightParam(beta))
+            for bi, ui, w, e in zip(b[pick], u[pick], got, bound):
+                exact = radial_cap_weight(bi, ui, d, m, beta, epsrel=1e-12)
+                # the reference is good to 1e-12 of its value, and to 1e-18 on
+                # the thinnest slivers (below the bound's own 1e-17 floor)
+                assert abs(w - exact) <= e + 1e-12 * exact + 1e-18, (bi, ui, d, w, exact, e)
+                assert 0.0 <= w <= 1.0 and e >= 0.0
+
+    def test_manifest_betas_include_the_hardy_limit(self):
+        assert -0.9 in manifest_betas() and 1.0 in manifest_betas()
+
+    @pytest.mark.parametrize("m, beta", [(1, 0.0), (2, -0.9), (3, 1.0)])
+    def test_containment_is_exact(self, m, beta):
+        # weights 0 and 1 by containment carry no error
+        b = np.array([0.7, 0.7, 0.1, 0.0, 0.0])
+        u = np.array([1.0, 0.9, 0.3, 0.1, 0.6])
+        w, e = _radial_cap_weight(b, u, 0.2, m, WeightParam(beta))
+        w2, e2 = _radial_cap_weight(b[2:], u[2:], 0.5, m, WeightParam(beta))
+        assert w[:2].tolist() == [0.0, 0.0] and e[:2].tolist() == [0.0, 0.0]
+        assert w2.tolist() == [1.0, 1.0, 0.0] and e2.tolist() == [0.0, 0.0, 0.0]
+
+    def test_rows_are_independent(self):
+        # a row's weight does not depend on the rows evaluated with it
+        rows = weight_cases()[:30]
+        b, u = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        together = _radial_cap_weight(b, u, 0.01, 2, WeightParam(-0.5))
+        for i in range(len(rows)):
+            alone = _radial_cap_weight(b[i:i + 1], u[i:i + 1], 0.01, 2, WeightParam(-0.5))
+            assert alone[0][0] == together[0][i] and alone[1][0] == together[1][i]
 
 
 class TestBoxMeasure:
@@ -248,6 +339,18 @@ class TestRegions:
         assert np.all((z[:, 2].real >= 0.6) & (z[:, 2].real < 1.0))
         with pytest.raises(ValueError):
             region_points(region, WeightParam(0.0), u, fixed=(1,))
+
+    def test_integrated_coordinate_takes_no_column(self):
+        # coordinate 0's radius and angle are both left to the caller
+        region = AnnulusArc(depths=(1.0, 0.3), arcs=(None, merge_arcs([(-0.2, 0.4)])))
+        assert sample_dim(region, integrated=(0,)) == 2
+        u = sobol_points(np.random.default_rng(25), 2, 1024)
+        z = region_points(region, WeightParam(0.5), u, integrated=(0,))
+        assert np.all(np.isnan(z[:, 0]))
+        assert np.all(region_contains(AnnulusArc(depths=(0.3,), arcs=(region.arcs[1],)), z[:, 1:]))
+        with pytest.raises(ValueError):  # the radius of an integrated coordinate must be free
+            region_points(AnnulusArc(depths=(1.0, 0.3), arcs=(None, None)), WeightParam(0.0), u,
+                          integrated=(1,))
 
     @pytest.mark.parametrize("dim, m", [(1, 0), (2, 5), (5, 12), (7, 14)])
     def test_sobol_points_match_scipy(self, dim, m):

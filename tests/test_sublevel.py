@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from oracles import uniform_sublevel_volume
-from polycarleson import sublevel
+from oracles import (product_volume, radial_cap_weight, uniform_sublevel_volume,
+                     unit_disc_cap_area)
+from polycarleson import measure, sublevel
 from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
 from polycarleson.config import DEFAULTS
@@ -374,29 +375,48 @@ class TestReplicates:
         expected = DEFAULTS.zero_hit_factor / 49_664 * est.region_mass + est.leakage
         assert est.upper_bound == pytest.approx(expected, rel=1e-12)
 
+    # The coverage cases below are four: two identity2 boxes and two fit
+    # cells.  Each covers with 95 % odds per seed if the stated interval is
+    # calibrated, so the number covered is Binomial(60, 0.95); requiring at
+    # least COVERED_MIN makes a calibrated estimator fail any of the four
+    # with odds below 1e-3 in all.
+    COVERAGE_CASES = 4
+    COVERED_MIN = int(stats.binom.ppf(1e-3 / COVERAGE_CASES, 60, 0.95))
+
+    def test_coverage_rule_has_stated_odds(self):
+        fail_one = stats.binom.cdf(self.COVERED_MIN - 1, 60, 0.95)
+        assert self.COVERAGE_CASES * fail_one <= 1e-3
+        assert stats.binom.cdf(self.COVERED_MIN, 60, 0.95) > 1e-3 / self.COVERAGE_CASES
+
     @pytest.mark.parametrize("kind, beta", [("identity2_box", 0.0), ("identity2_box", -0.5),
                                             ("identity1_cap", 0.0), ("identity1_cap", -0.5)])
     def test_t_interval_covers_known_value(self, kind, beta):
-        # the 95 % Student t interval on R - 1 degrees of freedom must cover
-        # an exact value in at least 90 % of the seeds
         budget, seeds = 16_384, range(60)
         replicates, _ = replicate_layout(budget)
         q = stats.t.ppf(0.975, replicates - 1)
         weight = WeightParam(beta)
+        if kind == "identity1_cap":
+            # nothing random is left: z_1's radius and angle are both
+            # integrated, so the estimate is a quadrature whose stderr is its
+            # stated error bound; the reference is 100x tighter than that
+            est = estimate_sublevel(SublevelQuery(get_symbol("identity1"), 1.0, 0.125,
+                                                  weight, budget, seed=0))
+            if beta == 0.0:  # closed form: a few rounding errors on terms near 0.1
+                exact, exact_tol = unit_disc_cap_area(0.125), 2e-15
+            else:
+                exact, exact_tol = radial_cap_weight(1.0, 1.0, 0.125, 1, beta, epsrel=2e-14), 2e-14
+            assert est.trusted and est.stderr > 0
+            assert est.stderr >= 100 * exact_tol * exact
+            assert abs(est.volume - exact) <= est.stderr
+            return
+        # the 95 % Student t interval on R - 1 degrees of freedom must cover an exact value
         covered = 0
         for seed in seeds:
-            if kind == "identity2_box":
-                box = CarlesonBox(TorusPoint((0.3, -1.0)), (0.25, 0.125))
-                est = preimage_box_ratio(get_symbol("identity2"), box, weight, budget, seed=seed)
-                value, stderr, exact = est.ratio, est.stderr, 1.0
-            else:
-                est = estimate_sublevel(SublevelQuery(get_symbol("identity1"), 1.0, 0.125,
-                                                      weight, budget, seed=seed))
-                value, stderr = est.volume, est.stderr
-                exact = disc_cap_measure(1.0, 0.125, weight)
-            assert est.trusted and stderr > 0
-            covered += abs(value - exact) <= q * stderr
-        assert covered >= 0.9 * len(seeds)
+            box = CarlesonBox(TorusPoint((0.3, -1.0)), (0.25, 0.125))
+            est = preimage_box_ratio(get_symbol("identity2"), box, weight, budget, seed=seed)
+            assert est.trusted and est.stderr > 0
+            covered += abs(est.ratio - 1.0) <= q * est.stderr
+        assert covered >= self.COVERED_MIN
 
     @pytest.mark.parametrize("name", ["product3", "powersum2"])
     def test_t_interval_covers_reference_on_fit_cell(self, name):
@@ -415,7 +435,66 @@ class TestReplicates:
             est = estimate(16_384, seed)
             assert est.trusted and reference.stderr < 0.1 * est.stderr
             covered += abs(est.volume - reference.volume) <= q * est.stderr
-        assert covered >= 0.9 * len(seeds)
+        assert covered >= self.COVERED_MIN
+
+
+class TestExactMonomialOracle:
+    """Products at beta = 0 against their exact volumes, at every delta of the fit grid."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_product_matches_exact_volume(self, n):
+        # (estimate - exact)/stderr is Student t on R - 1 = 63 degrees of
+        # freedom: |t| > 4 has odds 1.7e-4 per point, so some point of the
+        # twelve (both symbols, six deltas) fails with odds below 2.5e-3
+        budget = 1 << 20
+        replicates, _ = replicate_layout(budget)
+        assert 12 * 2 * stats.t.sf(4.0, replicates - 1) < 2.5e-3
+        for k in range(4, 10):
+            est = estimate_sublevel(SublevelQuery(product_symbol(n), 1.0, 2.0**-k,
+                                                  WeightParam(0.0), budget, seed=4001 + k))
+            exact = product_volume(n, 2.0**-k)
+            assert est.trusted
+            assert abs(est.volume - exact) <= 4.0 * est.stderr, (k, est, exact)
+
+
+class TestIntegratedRadius:
+    """A split coordinate in no other binding: radius and angle integrated, no column drawn."""
+
+    def test_identity1_draws_nothing(self, monkeypatch):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a zero-dimensional estimate called the Sobol engine")
+
+        monkeypatch.setattr(measure, "sobol_points", no_engine)
+        est = estimate_sublevel(SublevelQuery(get_symbol("identity1"), 1.0, 0.25,
+                                              WeightParam(-0.5), 10_000))
+        assert est.trusted and est.hits == replicate_layout(10_000)[0] * replicate_layout(10_000)[1]
+        # the weight is a quadrature: its stated error is the whole stderr, never 0
+        assert 0.0 < est.stderr < 1e-6 * est.volume
+
+    @staticmethod
+    def sobol_dims(monkeypatch):
+        """The dimensions the Sobol engine is called with, from here on."""
+        dims = []
+        real = measure.sobol_points
+
+        def recorder(rng, dim, count):
+            dims.append(dim)
+            return real(rng, dim, count)
+
+        monkeypatch.setattr(measure, "sobol_points", recorder)
+        return dims
+
+    def test_product_drops_split_coordinate_columns(self, monkeypatch):
+        dims = self.sobol_dims(monkeypatch)
+        estimate_sublevel(SublevelQuery(product_symbol(3), 1.0, 2.0**-5, WeightParam(0.0), 4096))
+        assert set(dims) == {4}  # 2n - 2: the radii and angles of z_2 and z_3
+
+    def test_coupled_split_keeps_its_radius(self, monkeypatch):
+        # mean_product's z1 z2 binding contains the split coordinate z1 too
+        dims = self.sobol_dims(monkeypatch)
+        box = CarlesonBox(TorusPoint((0.0, 0.0)), (0.125, 0.125))
+        preimage_box_ratio(get_symbol("mean_product"), box, WeightParam(0.0), 4096)
+        assert set(dims) == {3}  # 2n - 1: z_1's radius is drawn
 
 
 class TestBundles:
