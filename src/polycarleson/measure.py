@@ -13,17 +13,28 @@ error bound per weight.
 
 Sampling regions come in two shapes: the full polydisc, and annulus-arc
 products with an optional angle-sum window (the shape carved out by
-near-torus sublevel sets).  Every sampler goes through one inverse-CDF map,
-``region_points``, from uniforms to region points: one uniform per radius
-(``radial_sample`` on the region's depth) and one per angle (through the arc
-set's CDF, or the window's branch and offset).  A coordinate whose angle
-(``fixed``) or whose radius and angle (``integrated``) the caller integrates
-takes no uniform for them.  ``restricted_sample`` feeds
-it i.i.d. uniforms or, for the sublevel estimator, scrambled Sobol
-replicates; ``sample_polydisc``, the leakage audit's sampler, feeds it i.i.d.
-uniforms for the full polydisc.  Either way the points follow V_beta
-restricted to the region, and with the region's exact mass averages over
-them are unbiased.
+near-torus sublevel sets) and an optional deficit simplex.  The simplex is
+the exact shape of a separable binding |c0 + sum_k c_k z_k^{m_k} - eta| <=
+delta whose target is extremal: with x_k = 1 - Re(e^{-i phi_k} z_k^{m_k}) >= 0
+it is {sum_k |c_k| x_k <= budget}, and it contains the binding's sublevel
+set with no margin (``DeficitSimplex``).
+
+Every sampler goes through one inverse-CDF map, ``region_points``, from
+uniforms to region points: one uniform per radius (``radial_sample`` on the
+region's depth) and one per angle (through the arc set's CDF, or the
+window's branch and offset).  Simplex coordinates are drawn one after the
+other from what the earlier ones leave of the budget, each from V_beta on
+its own slice of the simplex; each draw carries its exact likelihood factor
+(annulus mass times arc fraction), so the points are importance-weighted
+rather than uniform there.  A coordinate whose angle (``fixed``) or whose
+radius and angle (``integrated``) the caller integrates takes no uniform for
+them; a fixed simplex coordinate, drawn last, takes its radius by a cosine
+map on the interval where the binding's angular arc is non-empty.
+``restricted_sample`` feeds the map i.i.d. uniforms or, for the sublevel
+estimator, scrambled Sobol replicates; ``sample_polydisc``, the leakage
+audit's sampler, feeds it i.i.d. uniforms for the full polydisc.  With each
+point's mass (the region's exact product mass times the point's likelihood)
+averages over the points are unbiased.
 """
 
 from __future__ import annotations
@@ -132,8 +143,10 @@ def _cap_angular_halfwidth(r, amod, delta: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         cosval = (r * r + amod * amod - delta * delta) / (2.0 * r * amod)
     # a circle of radius 0, or one centred on a = 0, lies wholly inside or outside
-    inside = np.where(r == 0.0, amod < delta, r < delta)
-    cosval = np.where((r == 0.0) | (amod == 0.0), np.where(inside, -2.0, 2.0), cosval)
+    special = (r == 0.0) | (amod == 0.0)
+    if np.any(special):
+        inside = np.where(r == 0.0, amod < delta, r < delta)
+        cosval = np.where(special, np.where(inside, -2.0, 2.0), cosval)
     return np.arccos(np.clip(cosval, -1.0, 1.0))
 
 
@@ -473,20 +486,71 @@ class AngleSumWindow:
 
 
 @dataclass(frozen=True)
+class DeficitSimplex:
+    """{sum_k |c_k| x_k <= budget}, x_k = 1 - Re(e^{-i phi_k} z_k^{m_k}), over ``coords``.
+
+    It contains the sublevel set of a separable binding
+    |c0 + sum_k c_k z_k^{m_k} - eta| <= delta with no margin: with
+    u = eta - c0, phi_k = arg u - arg c_k and |c_k| the ``moduli``,
+    |f - eta| >= Re(conj(u)/|u| (eta - f)) = sum_k |c_k| x_k - (sum_k |c_k| - |u|),
+    so the binding implies the simplex with budget delta + sum_k |c_k| - |u|
+    (delta itself at an extremal target |u| = sum_k |c_k|).  Every x_k >= 0
+    on the closed polydisc.  Coordinates are drawn in ``coords`` order;
+    ``last`` moves one to the end.  ``target`` |u| and ``tolerance`` delta
+    also give the binding's angular arc on the last coordinate.
+    """
+
+    coords: tuple[int, ...]
+    powers: tuple[int, ...]
+    moduli: tuple[float, ...]
+    phases: tuple[float, ...]
+    target: float
+    tolerance: float
+
+    def __post_init__(self):
+        if not len(self.coords) == len(self.powers) == len(self.moduli) == len(self.phases):
+            raise ValueError("simplex coordinate, power, modulus and phase lengths differ")
+        if self.budget <= 0.0:
+            raise EmptyRegion("deficit simplex needs a positive budget")
+
+    @property
+    def budget(self) -> float:
+        return self.tolerance + math.fsum(self.moduli) - self.target
+
+    def last(self, j: int) -> "DeficitSimplex":
+        """The same simplex with coordinate j drawn last."""
+        order = [k for k, c in enumerate(self.coords) if c != j] + [self.coords.index(j)]
+        pick = lambda seq: tuple(seq[k] for k in order)
+        return DeficitSimplex(pick(self.coords), pick(self.powers), pick(self.moduli),
+                              pick(self.phases), self.target, self.tolerance)
+
+    def deficit(self, z: np.ndarray) -> np.ndarray:
+        """sum_k |c_k| x_k at each row of z."""
+        total = np.zeros(z.shape[0])
+        for j, m, c, phi in zip(self.coords, self.powers, self.moduli, self.phases):
+            total += c * (1.0 - (_power(z[:, j], m) * complex(math.cos(phi), -math.sin(phi))).real)
+        return total
+
+
+@dataclass(frozen=True)
 class FullPolydisc:
     n: int
 
 
 @dataclass(frozen=True)
 class AnnulusArc:
-    """Product region {r_j in [1-s_j, 1), theta_j in arcs_j} ∩ optional angle-sum window.
+    """Product region {r_j in [1-s_j, 1), theta_j in arcs_j} ∩ optional angle-sum window
+    ∩ optional deficit simplex.
 
-    arcs entry None means the full circle.  Depth 1 means the full radial range.
+    arcs entry None means the full circle.  Depth 1 means the full radial
+    range.  Simplex coordinates have no arc and no window coefficient; their
+    depths still bound their radii.
     """
 
     depths: tuple[float, ...]
     arcs: tuple[tuple[Arc, ...] | None, ...]
     window: AngleSumWindow | None = None
+    simplex: DeficitSimplex | None = None
 
     def __post_init__(self):
         if len(self.depths) != len(self.arcs):
@@ -500,21 +564,35 @@ class AnnulusArc:
                 raise ValueError("window coefficient length mismatch")
             if self.arcs[self.window.solve_index] is not None:
                 raise ValueError("window solve coordinate must have a full-circle arc")
+        for j in self.simplex.coords if self.simplex is not None else ():
+            if self.arcs[j] is not None or (self.window is not None and self.window.coeffs[j]):
+                raise ValueError("a simplex coordinate takes no arc and no window")
 
     @property
     def n(self) -> int:
         return len(self.depths)
+
+    @property
+    def inner(self) -> tuple[int, ...]:
+        """The simplex coordinates, in drawing order."""
+        return self.simplex.coords if self.simplex is not None else ()
 
 
 Region = FullPolydisc | AnnulusArc
 
 
 def region_mass(region: Region, beta: WeightParam) -> float:
-    """Exact V_beta mass of a sampling region, in closed form."""
+    """Exact V_beta mass of a sampling region's product part, in closed form.
+
+    A simplex's coordinates count with mass 1 here: each of their draws
+    carries its own likelihood factor in [0, 1] (``region_points``).
+    """
     if isinstance(region, FullPolydisc):
         return 1.0
     total = 1.0
-    for s, arcs in zip(region.depths, region.arcs):
+    for j, (s, arcs) in enumerate(zip(region.depths, region.arcs)):
+        if j in region.inner:
+            continue
         total *= annulus_mass(beta, s)
         if arcs is not None:
             total *= sum(length for _, length in arcs) / TWO_PI
@@ -541,27 +619,177 @@ def sample_dim(region: Region, fixed: tuple[int, ...] = (),
     return 2 * region.n - len(fixed) - 2 * len(integrated)
 
 
+def _arc_radius(umod, delta: float, c: float, m: int, floor, beta: WeightParam,
+                v) -> tuple[np.ndarray, np.ndarray]:
+    """r where {theta : |c r^m e^{i m theta} - umod| <= delta} is non-empty, and the draw's Jacobian.
+
+    The interval is r^m in [max(umod - delta, 0)/c, (umod + delta)/c], cut by
+    r^m >= ``floor`` and r <= 1.  In v' = (1 - r^2)^(beta+1), where mu_beta
+    is Lebesgue measure, the uniform v goes through the cosine map
+    v' = near + span sin^2(pi v / 2) that ``_radial_cap_weight``'s nodes use,
+    so the arc's square-root ends cost no variance.  The Jacobian dv'/dv is
+    the draw's likelihood factor; where span > 2/pi the map blends with the
+    linear one just enough to keep it at most 1 (rows that need no blend get
+    the same bits either way).  Like ``_simplex_points`` it works in place
+    where it can.
+    """
+    p1 = beta.beta + 1.0
+    lo = umod - delta
+    np.maximum(lo, 0.0, out=lo)
+    lo /= c
+    np.maximum(lo, floor, out=lo)
+    np.minimum(lo, 1.0, out=lo)
+    hi = umod + delta
+    hi /= c
+    np.minimum(hi, 1.0, out=hi)
+    near = _pow(1.0 - _pow(hi, 2.0 / m), p1)  # v' at r_hi
+    span = _pow(1.0 - _pow(lo, 2.0 / m), p1)
+    span -= near
+    np.maximum(span, 0.0, out=span)
+    cos, sin = _cis(math.pi / 4.0 * v)
+    slope = np.multiply(sin, cos, out=cos)
+    slope *= math.pi
+    square = np.multiply(sin, sin, out=sin)
+    if np.any(span > 2.0 / math.pi):
+        with np.errstate(divide="ignore"):
+            blend = np.minimum((1.0 / span - 1.0) / (math.pi / 2.0 - 1.0), 1.0)
+        square = (1.0 - blend) * v + blend * square
+        slope = (1.0 - blend) + blend * slope
+    square *= span
+    square += near
+    radius = _pow(square, 1.0 / p1)  # 1 - r^2
+    np.subtract(1.0, radius, out=radius)
+    np.sqrt(radius, out=radius)
+    np.minimum(radius, _R_MAX, out=radius)
+    slope *= span
+    return radius, slope
+
+
+def _pow(x, p: float):
+    """x^p, as x itself (no copy) when p is 1: beta = 0 and m = 2 skip every power."""
+    return x if p == 1.0 else x ** p
+
+
+def _cis(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 half, from t = tan(half): (1 - t^2)/(1 + t^2) and 2t/(1 + t^2).
+
+    numpy's tan runs several times faster than its sin and cos.
+    """
+    t = np.tan(half)
+    d = t * t
+    d += 1.0
+    np.divide(2.0, d, out=d)
+    t *= d
+    d -= 1.0
+    return d, t
+
+
+def _power(x: np.ndarray, m: int) -> np.ndarray:
+    """x^m for a positive integer m, by multiplication."""
+    out = x.copy()
+    for _ in range(m - 1):
+        out *= x
+    return out
+
+
+def _simplex_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle_u: dict,
+                    z: np.ndarray):
+    """Draw the simplex coordinates into rows of z; return each point's likelihood.
+
+    Starting from left = budget, coordinate k takes r_k from mu_beta on
+    r^m >= 1 - left/|c_k| (within its depth), an annulus of mass q^(beta+1)
+    with q = 1 - r_min^2, and psi = m theta_k - phi_k uniform on ±gamma with
+    gamma = arccos((1 - left/|c_k|)/r^m) and branch floor(m u): exactly the
+    slice {|c_k| x_k <= left}.  The likelihood picks up q^(beta+1) gamma/pi
+    and left drops by |c_k| x_k.  A fixed coordinate, the last, comes back as
+    its real radius, from ``_arc_radius`` on the binding's arc at
+    |u'| = |u - sum_{k drawn} c_k z_k^{m_k}| cut to what the simplex leaves;
+    its Jacobian is its factor.
+
+    Arithmetic runs in place where it can: for 2^16-row bundles, allocating a
+    fresh array costs more than most of the operations that fill it.
+    """
+    simplex = region.simplex
+    p1 = beta.beta + 1.0
+    left = simplex.budget
+    likelihood = np.ones(z.shape[1])
+    sine = np.zeros(z.shape[1])  # Im sum_k |c_k| e^{-i phi_k} z_k^{m_k} over the drawn coordinates
+    for j, m, c, phi in zip(simplex.coords, simplex.powers, simplex.moduli, simplex.phases):
+        ell = left / c
+        floor = np.maximum(1.0 - np.minimum(ell, 1.0), (1.0 - region.depths[j]) ** m)  # r_min^m
+        if j not in angle_u:
+            re = c + simplex.tolerance - left  # conj(u') u/|u| = re - i sine
+            z[j], jacobian = _arc_radius(np.sqrt(re * re + sine * sine), simplex.tolerance, c, m,
+                                         floor, beta, radius_u[j])
+            likelihood *= jacobian
+            break
+        q = 1.0 - _pow(floor, 2.0 / m)
+        r = _pow(1.0 - radius_u[j], 1.0 / p1) * q  # 1 - r^2
+        np.subtract(1.0, r, out=r)
+        np.sqrt(r, out=r)
+        np.minimum(r, _R_MAX, out=r)
+        rho = _power(r, m)
+        # the origin (rho = 0) lies in the slice only where left >= |c_k|: gamma = pi
+        gamma = np.maximum(rho, 1e-300)
+        np.divide(1.0 - ell, gamma, out=gamma)
+        np.clip(gamma, -1.0, 1.0, out=gamma)
+        np.arccos(gamma, out=gamma)
+        half = angle_u[j] * m
+        branch = np.floor(half)
+        half -= branch
+        half -= 0.5
+        half *= gamma  # psi / 2
+        branch *= math.pi
+        branch += phi / 2.0
+        branch += half
+        branch /= m  # theta / 2
+        cos_theta, sin_theta = _cis(branch)
+        np.multiply(r, cos_theta, out=z[j].real)
+        np.multiply(r, sin_theta, out=z[j].imag)
+        cos, sin = _cis(half)
+        gamma *= _pow(q, p1) / math.pi
+        likelihood *= gamma
+        cos *= rho
+        np.subtract(1.0, cos, out=cos)
+        cos *= c
+        left = np.maximum(np.subtract(left, cos, out=cos), 0.0, out=cos)
+        sin *= rho
+        sin *= c
+        sine += sin
+    return likelihood
+
+
 def region_points(region: Region, beta: WeightParam, u: np.ndarray,
-                  fixed: tuple[int, ...] = (), integrated: tuple[int, ...] = ()) -> np.ndarray:
-    """Map uniforms u, shape (size, sample_dim), to points of V_beta restricted to the region.
+                  fixed: tuple[int, ...] = (),
+                  integrated: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray | float]:
+    """Map uniforms u, shape (size, sample_dim), to region points and their likelihoods.
 
     The first columns give the drawn radii r_j in coordinate order; the next
     columns give the drawn angles, each through the inverse CDF of its arc
     set.  The window's solve coordinate reads one column u: the branch is
-    floor(m u) and the window offset comes from frac(m u).  The map is exact
-    (uniform u gives the restricted law) and piecewise smooth, so scrambled
-    Sobol points pass through it as well as i.i.d. ones.  The ``fixed``
-    coordinates take no angle column and come back as their real radii r_j:
-    a caller that integrates those angles in closed form reads only their
-    moduli.  The ``integrated`` coordinates take no column at all and come
-    back as NaN: the caller integrates radius and angle and reads neither.
-    Both need free angles, and an integrated coordinate the full radial range.
+    floor(m u) and the window offset comes from frac(m u).  Outside a simplex
+    the points follow V_beta restricted to the region and the likelihood is
+    1.0.  The simplex coordinates are drawn in turn from their slices of the
+    simplex (``_simplex_points``), and each point's likelihood, in [0, 1],
+    is the product of its draws' factors: averages of likelihood times
+    integrand are unbiased over the simplex, and the mean likelihood is its
+    V_beta mass.  The map is piecewise smooth, so scrambled Sobol points pass
+    through it as well as i.i.d. ones.
+
+    The ``fixed`` coordinates take no angle column and come back as their
+    real radii r_j: a caller that integrates those angles in closed form
+    reads only their moduli.  A fixed simplex coordinate must be drawn last.
+    The ``integrated`` coordinates take no column at all and come back as
+    NaN: the caller integrates radius and angle and reads neither.  Both need
+    free angles, and an integrated coordinate the full radial range outside
+    any simplex.
     """
     n = region.n
     if isinstance(region, FullPolydisc):
         region = AnnulusArc(depths=(1.0,) * n, arcs=(None,) * n)
-    window = region.window
+    window, inner = region.window, region.inner
     if any(region.arcs[j] is not None or (window is not None and window.coeffs[j] > 0)
+           or (j in inner and (j in integrated or j != inner[-1]))
            for j in fixed + integrated):
         raise ValueError("a fixed or integrated coordinate's angle must be unconstrained")
     if any(region.depths[j] < 1.0 for j in integrated):
@@ -569,13 +797,18 @@ def region_points(region: Region, beta: WeightParam, u: np.ndarray,
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != sample_dim(region, fixed, integrated):
         raise ValueError("uniforms need one column per drawn radius and per drawn angle")
-    r = np.full((n, u.shape[0]), np.nan)
-    theta = np.zeros((n, u.shape[0]))
     drawn = [j for j in range(n) if j not in integrated]
     live = [j for j in drawn if j not in fixed]
-    for j, v in zip(drawn, u.T):
-        r[j] = radial_sample(beta, v, region.depths[j])
-    for j, v in zip(live, u[:, len(drawn):].T):
+    radius_u = dict(zip(drawn, u.T))
+    angle_u = dict(zip(live, u[:, len(drawn):].T))
+    r, theta = {}, {}  # of the coordinates outside the simplex
+    for j in range(n):
+        if j in inner:
+            continue
+        r[j] = radial_sample(beta, radius_u[j], region.depths[j]) if j in radius_u else np.nan
+        if j not in angle_u:
+            continue
+        v = angle_u[j]
         if window is not None and j == window.solve_index:
             t = v * window.coeffs[j]
             branch = np.floor(t)
@@ -587,35 +820,39 @@ def region_points(region: Region, beta: WeightParam, u: np.ndarray,
             theta[j] = v * TWO_PI if arcs is None else _arc_angle(arcs, v)
     if window is not None:
         j0 = window.solve_index
-        rest = sum(window.coeffs[j] * theta[j] for j in range(n) if j != j0)
+        rest = sum(window.coeffs[j] * theta[j] for j in theta if j != j0)
         theta[j0] = (theta[j0] - rest) / window.coeffs[j0] % TWO_PI
     z = np.empty((n, u.shape[0]), dtype=complex)
-    for j in range(n):
-        if j in fixed or j in integrated:
+    for j in r:
+        if j not in theta:  # fixed or integrated
             z[j] = r[j]
         else:  # r e^{i theta}, without the complex temporaries of np.exp(1j * theta)
             np.multiply(r[j], np.cos(theta[j]), out=z[j].real)
             np.multiply(r[j], np.sin(theta[j]), out=z[j].imag)
-    return z.T
+    likelihood = _simplex_points(region, beta, radius_u, angle_u, z) if inner else 1.0
+    return z.T, likelihood
 
 
 def sample_polydisc(n: int, beta: WeightParam, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, n) i.i.d. points with law V_beta, through ``region_points`` of the full polydisc."""
-    return region_points(FullPolydisc(n), beta, rng.random((size, 2 * n)))
+    return region_points(FullPolydisc(n), beta, rng.random((size, 2 * n)))[0]
 
 
 def restricted_sample(region: Region, beta: WeightParam,
                       rng: np.random.Generator | Sequence[np.random.Generator],
                       size: int, fixed: tuple[int, ...] = (),
                       sobol: bool = False,
-                      integrated: tuple[int, ...] = ()) -> tuple[np.ndarray, float]:
-    """(size, n) points of V_beta restricted to the region, plus its exact mass.
+                      integrated: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray | float]:
+    """(size, n) points of the region, plus each point's mass.
 
-    The points are i.i.d., or with ``sobol`` scrambled Sobol replicates, one
-    per generator when ``rng`` is a sequence of them, which split ``size``
-    evenly (powers of two).  The ``fixed`` and ``integrated`` coordinates
-    come back as in ``region_points``.  When they leave no uniform to draw,
-    every point is the same and no generator is read.
+    A point's mass is the region's exact mass (``region_mass``) times its
+    likelihood (``region_points``): one float for a region without a
+    simplex, else one per point.  The points are i.i.d., or with ``sobol``
+    scrambled Sobol replicates, one per generator when ``rng`` is a sequence
+    of them, which split ``size`` evenly (powers of two).  The ``fixed`` and
+    ``integrated`` coordinates come back as in ``region_points``.  When they
+    leave no uniform to draw, every point is the same and no generator is
+    read.
     """
     d = sample_dim(region, fixed, integrated)
     if d == 0:
@@ -627,7 +864,13 @@ def restricted_sample(region: Region, beta: WeightParam,
         u = sobol_points(rng, d, size // replicates)
     else:
         u = rng.random((size, d))
-    return region_points(region, beta, u, fixed, integrated), region_mass(region, beta)
+    z, likelihood = region_points(region, beta, u, fixed, integrated)
+    return z, region_mass(region, beta) * likelihood
+
+
+# Rounding allowance of a simplex membership test: sampled points sit on the
+# simplex's faces up to a few ulps of each |c_k| x_k.
+_DEFICIT_SLACK = 1e-12
 
 
 def region_contains(region: Region, z: np.ndarray) -> np.ndarray:
@@ -653,4 +896,6 @@ def region_contains(region: Region, z: np.ndarray) -> np.ndarray:
         phase = sum(w.coeffs[j] * theta[:, j] for j in range(region.n))
         dev = (phase - w.center + math.pi) % TWO_PI - math.pi
         ok &= np.abs(dev) <= w.halfwidth
+    if region.simplex is not None:
+        ok &= region.simplex.deficit(z) <= region.simplex.budget + _DEFICIT_SLACK
     return ok

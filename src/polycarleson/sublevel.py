@@ -3,10 +3,12 @@
 The volumes V_beta({z in D^n : |f(z) - eta| <= delta}) decay like a power of
 delta, far below what uniform sampling can resolve, so estimation draws from
 proposal regions that provably contain the sublevel set: near-torus annuli
-whose radial depth scales with delta, combined with either an angle-sum window
-(when f is a single monomial, whose sublevel sets wrap around the torus) or
-per-coordinate arcs of width ~ sqrt(delta) around the finite solution set of
-f = eta on T^n.
+whose radial depth scales with delta, combined with an angle-sum window (when
+f is a single monomial, whose sublevel sets wrap around the torus), with the
+deficit simplex {sum_k |c_k| (1 - Re(e^{-i phi_k} z_k^{m_k})) <= delta} (when
+f is a sum of single-variable monomials at an extremal target, which it
+contains exactly), or with per-coordinate arcs of width ~ sqrt(delta) around
+the finite solution set of f = eta on T^n.
 
 Inside the region one coordinate is integrated out (conditional Monte
 Carlo).  When z_j enters a binding as a + b z_j^m with a and b free of z_j,
@@ -16,10 +18,13 @@ rho = |b| r_j^m, c = |eta - a|.  When no other binding contains z_j, r_j is
 integrated too: each draw contributes W = ∫ h/pi dmu_beta(r_j) over the whole
 radial law, a lens area for m = 1 at beta = 0 and otherwise a 21-point
 Gauss-Kronrod rule (``measure._radial_cap_weight``), and z_j takes no
-uniform at all.  Otherwise r_j is drawn and each draw contributes h/pi.
-Either way the region drops its constraints on what is integrated (theta_j's
-arcs and the angle-sum window, and r_j's depth with it).  Symbols with no
-such coordinate fall back to plain hit counting.
+uniform at all.  Otherwise r_j is drawn and each draw contributes h/pi: a
+simplex coordinate's r_j, drawn last, takes one uniform through a cosine map
+on the interval where the arc is non-empty, and the draw's likelihood
+(``measure.region_points``) multiplies its weight.  Either way the region
+drops its constraints on what is integrated (theta_j's arcs and the
+angle-sum window, and r_j's depth with it).  Symbols with no such coordinate
+fall back to plain hit counting.
 
 The conditioned integrand is a bounded, almost everywhere continuous function
 of the remaining uniforms (2n - 2 of them, or 2n - 1 when r_j is drawn), so
@@ -45,10 +50,13 @@ from .fitting import loglog_wls, trusted_points
 from .measure import (
     AngleSumWindow,
     AnnulusArc,
+    DeficitSimplex,
     FullPolydisc,
     Region,
     WeightParam,
     _cap_angular_halfwidth,
+    _cis,
+    _power,
     _radial_cap_weight,
     merge_arcs,
     region_contains,
@@ -230,16 +238,22 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
     * multi-variable monomial c z^alpha (+ const): modulus pins radii
       (1 - r_j <= d/alpha_j with d = delta/|c|) and the imaginary part pins
       the angle combination sum alpha_j theta_j to a window of half-width ~ d;
-    * separable sum of single-variable monomials: the real-part alignment
-      argument pins each rotated coordinate, 1 - r_j <= d_j/m_j and angle
-      within sqrt(2 d_j)/m_j of each branch root, d_j = delta/|c_j|; a
-      single term c z_j^m pins the angle linearly, within d/m;
+    * separable sum of two or more single-variable monomials c_k z_k^{m_k}
+      (+ const) at an extremal target: the deficit simplex
+      {sum_k |c_k| (1 - Re(e^{-i phi_k} z_k^{m_k})) <= delta}, which contains
+      the set exactly, with no margin (``measure.DeficitSimplex``);
+    * a single term c z_j^m (+ const) pins the angle linearly, within d/m of
+      each branch root, and the radius by 1 - r_j <= d/m;
     * anything else: arcs of width ~ sqrt(delta) around the finite value
       fiber f = eta, radial depth from the interior-slice Schwarz floor.
 
-    All bounds carry the margin K/2 (K for general-fiber arcs); the leakage
-    audit guards the construction at runtime.  Returns PROVABLY_EMPTY when a
-    binding target is beyond the reach of its component.
+    The monomial and single-term bounds carry the margin K/2, the fiber arcs
+    K; the leakage audit guards the construction at runtime.  The region
+    holds one simplex, from the first such binding; other bindings keep
+    their depth bounds on its coordinates, while their arcs and windows there
+    are dropped (the region only grows).  A later multi-term binding adds no
+    constraint.  Returns PROVABLY_EMPTY when a binding target is beyond the
+    reach of its component.
     """
     K = config.proposal_margin
     k_half = K / 2.0
@@ -256,6 +270,7 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
     depth_candidates: list[list[float]] = [[] for _ in range(n)]
     arc_specs: list[list[tuple[float, float]]] = [[] for _ in range(n)]
     windows: list[tuple[tuple[int, ...], float, float]] = []
+    simplex = None
 
     for f, eta, delta in items:
         structure = _split_structure(f)
@@ -287,17 +302,29 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
             if csum - umod > 1e-9:
                 continue  # not an extremal target: level set leaves the torus corner
             base_u = math.atan2(u.imag, u.real)
-            for j, m, c in parts:
-                cmod = abs(c)
-                if cmod < 1e-12:
-                    continue
-                d = delta / cmod
-                depth_candidates[j].append(k_half * d / m)
-                half = k_half * (d if len(parts) == 1 else math.sqrt(2.0 * d)) / m
-                if half < math.pi:
-                    base = base_u - math.atan2(c.imag, c.real)
-                    for k in range(m):
-                        arc_specs[j].append(((base + TWO_PI * k) / m - half, 2.0 * half))
+            if len(parts) > 1:
+                if delta + csum - umod <= 0.0:
+                    return PROVABLY_EMPTY  # its simplex is a finite set of torus points
+                if simplex is None:
+                    parts = sorted(parts, key=lambda part: part[0])  # drawn in coordinate order
+                    simplex = DeficitSimplex(
+                        coords=tuple(j for j, _, _ in parts),
+                        powers=tuple(m for _, m, _ in parts),
+                        moduli=tuple(abs(c) for _, _, c in parts),
+                        phases=tuple(base_u - math.atan2(c.imag, c.real) for _, _, c in parts),
+                        target=umod, tolerance=delta)
+                continue
+            ((j, m, c),) = parts
+            cmod = abs(c)
+            if cmod < 1e-12:
+                continue
+            d = delta / cmod
+            depth_candidates[j].append(k_half * d / m)
+            half = k_half * d / m
+            if half < math.pi:
+                base = base_u - math.atan2(c.imag, c.real)
+                for k in range(m):
+                    arc_specs[j].append(((base + TWO_PI * k) / m - half, 2.0 * half))
         else:
             live = [j for j in range(n) if f.depends_on(j)]
             for j in live:
@@ -312,13 +339,15 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
                         for pt in fiber.points:
                             arc_specs[j].append((pt.angles[j] - half, 2.0 * half))
 
+    inner = simplex.coords if simplex is not None else ()
     depths = tuple(min(1.0, min(ds)) if ds else 1.0 for ds in depth_candidates)
-    arcs: list = []
-    for j in range(n):
-        arcs.append(merge_arcs(arc_specs[j]) if arc_specs[j] else None)
+    arcs = tuple(merge_arcs(arc_specs[j]) if arc_specs[j] and j not in inner else None
+                 for j in range(n))
 
     window = None
     for alpha, base, width in windows:
+        if any(alpha[j] for j in inner):
+            continue
         solvable = [j for j in range(n) if alpha[j] > 0 and arcs[j] is None]
         if solvable:
             j0 = max(solvable, key=lambda j: alpha[j])
@@ -326,9 +355,10 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
                                     halfwidth=width, solve_index=j0)
             break  # one exact window; extra constraints stay in the membership test
 
-    if window is None and all(a is None for a in arcs) and all(d >= 1.0 for d in depths):
+    if (simplex is None and window is None and all(a is None for a in arcs)
+            and all(d >= 1.0 for d in depths)):
         return FullPolydisc(n)
-    return AnnulusArc(depths=depths, arcs=tuple(arcs), window=window)
+    return AnnulusArc(depths=depths, arcs=arcs, window=window, simplex=simplex)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +434,7 @@ def _split_coordinate(bindings: list[Binding], n: int) -> _AngleSplit | None:
 
 
 def _free_angle(region: Region, j: int, radius: bool) -> Region:
-    """The region without its arcs on theta_j and its angle-sum window.
+    """The region without its arcs on theta_j and its angle-sum window; z_j drawn last in a simplex.
 
     With ``radius``, r_j's depth goes too: r_j is then integrated over its whole law.
     """
@@ -412,31 +442,41 @@ def _free_angle(region: Region, j: int, radius: bool) -> Region:
         return region
     arcs = region.arcs[:j] + (None,) + region.arcs[j + 1:]
     depths = region.depths[:j] + (1.0,) + region.depths[j + 1:] if radius else region.depths
-    if all(a is None for a in arcs) and all(s >= 1.0 for s in depths):
+    simplex = region.simplex
+    if j in region.inner:
+        simplex = simplex.last(j)
+    if simplex is None and all(a is None for a in arcs) and all(s >= 1.0 for s in depths):
         return FullPolydisc(region.n)
-    return AnnulusArc(depths=depths, arcs=arcs)
+    return AnnulusArc(depths=depths, arcs=arcs, simplex=simplex)
+
+
+def _modulus(x: np.ndarray) -> np.ndarray:
+    """|x| without np.abs's overflow-safe hypot, which costs several times more."""
+    return np.sqrt(x.real * x.real + x.imag * x.imag)
 
 
 def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndarray,
-                         rngs: list[np.random.Generator],
-                         beta: WeightParam) -> tuple[np.ndarray, np.ndarray | float]:
+                         rngs: list[np.random.Generator], beta: WeightParam,
+                         integrated: bool) -> tuple[np.ndarray, np.ndarray | float]:
     """P(every binding holds | z with z_j integrated out), one weight per row, and error bounds.
 
-    When no other binding contains z_j (``split.coupled`` false), column j
-    of ``z`` is unused, as ``restricted_sample`` leaves an integrated
-    coordinate: the split binding holds with probability
+    With ``integrated``, column j of ``z`` is unused, as ``restricted_sample``
+    leaves an integrated coordinate: the split binding holds with probability
     W = ∫ h(|b| r^m, |u|, delta)/pi dmu_beta(r) over the whole radial law
     (``_radial_cap_weight``, which also bounds each weight's quadrature
     error), and the other bindings multiply W by their indicators.
 
     Otherwise column j holds the real radius r_j, as ``restricted_sample``
-    leaves a fixed coordinate, and only theta_j is integrated: the split
-    binding holds on an arc of m theta_j of half-width h, i.e. with
-    probability h/pi, exact up to rounding.  Bindings free of z_j multiply
-    that by their indicator.  Bindings that also contain z_j are tested at
-    one theta_j drawn uniformly from the split binding's arc set, which keeps
-    the weight unbiased.  The rows are len(rngs) equal replicates, and each
-    replicate's draws of theta_j come from its own generator.
+    leaves a fixed coordinate: drawn by the region, by the cosine map on the
+    interval where the simplex binding's arc is non-empty when z_j is a
+    simplex coordinate, its Jacobian then in the point's likelihood.  Only
+    theta_j is integrated: the split binding holds on an arc of m theta_j of
+    half-width h, i.e. with probability h/pi, exact up to rounding.  Bindings
+    free of z_j multiply that by their indicator.  Bindings that also contain
+    z_j are tested at one theta_j drawn uniformly from the split binding's arc
+    set, which keeps the weight unbiased.  The rows are len(rngs) equal
+    replicates, and each replicate's draws of theta_j come from its own
+    generator.
     """
     j, m = split.j, split.m
     _, target, tol, _ = bindings[split.index]
@@ -444,7 +484,7 @@ def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndar
     u = target - _eval_table(split.a, z, cache)
     b = _eval_table(split.b, z, cache)
     others = [binding for i, binding in enumerate(bindings) if i != split.index]
-    if not split.coupled:
+    if integrated:
         # a and b free of every coordinate give one weight for all rows
         rows = slice(0, 1) if split.constant else slice(None)
         w, err = _radial_cap_weight(np.abs(b[rows]), np.abs(u[rows]), tol, m, beta)
@@ -454,29 +494,37 @@ def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndar
         ok = _members(others, z)
         return w * ok, err * ok
     r = z[:, j].real
-    h = _cap_angular_halfwidth(np.abs(b) * r**m, np.abs(u), tol)
+    rho = _power(r, m)
+    rho *= _modulus(b)
+    h = _cap_angular_halfwidth(rho, _modulus(u), tol)
     w = h / math.pi
-    live = np.flatnonzero(h)
-    # the other bindings matter only where the split binding can hold
-    z, u, b, r, h = z[live], u[live], b[live], r[live], h[live]
-    ok = np.ones(live.size, dtype=bool)
-    cache = {}
-    coupled = []
-    for binding in others:
-        if _uses(binding[0], j):
-            coupled.append(binding)
-        else:
-            ok &= _holds(binding, z, cache)
-    per = np.bincount(live // (w.size // len(rngs)), minlength=len(rngs))
-    draws = [(g.random(k), g.integers(0, m, size=k)) for g, k in zip(rngs, per)]
-    phi = (2.0 * np.concatenate([x for x, _ in draws]) - 1.0) * h
-    branch = np.concatenate([k for _, k in draws])
-    theta = (phi + np.angle(u) - np.angle(b) + TWO_PI * branch) / m
-    z[:, j] = r * np.exp(1j * theta)
-    cache = {}
-    for binding in coupled:
-        ok &= _holds(binding, z, cache)
-    w[live] *= ok
+    if not others:
+        return w, 0.0
+    ok = _members([binding for binding in others if not _uses(binding[0], j)], z)
+    coupled = [binding for binding in others if _uses(binding[0], j)]
+    if coupled:
+        # one uniform x per row from its replicate's generator: branch floor(m x),
+        # phi = (2 frac(m x) - 1) h, and theta/2 = (phi + arg(u/b) + 2 pi branch)/(2m)
+        x = np.empty(w.size)
+        for g, rows in zip(rngs, np.split(x, len(rngs))):
+            g.random(out=rows)
+        x *= m
+        branch = np.floor(x)
+        x -= branch
+        x -= 0.5
+        x *= h
+        x += (np.angle(u) - np.angle(b)) / 2.0
+        branch *= math.pi
+        branch += x
+        branch /= m
+        cos, sin = _cis(branch)
+        cos *= r
+        sin *= r
+        zj = z[:, j]  # the caller's column, read no more
+        zj.imag = sin
+        zj.real = cos
+        ok &= _members(coupled, z)
+    w *= ok
     return w, 0.0
 
 
@@ -499,10 +547,13 @@ def estimate_indicator(
     exponent, z_j is integrated in closed form or by quadrature (conditional
     Monte Carlo, ``_conditional_weights``): each point contributes the
     probability over z_j that every binding holds.  If no other binding
-    contains z_j, its radius and angle are both integrated, take no uniform,
-    and the region drops its depth, arcs and angle-sum window there.
-    Otherwise only theta_j is integrated and r_j is drawn.  Bindings with no
-    such coordinate give plain 0/1 weights.
+    contains z_j and the region has no simplex on it, its radius and angle
+    are both integrated, take no uniform, and the region drops its depth,
+    arcs and angle-sum window there.  Otherwise only theta_j is integrated
+    and r_j is drawn, last among the simplex coordinates if it is one.
+    Bindings with no such coordinate give plain 0/1 weights.  Each weight is
+    multiplied by its point's likelihood, which is 1 outside a simplex and
+    at most 1 inside, so weights stay in [0, 1].
 
     The points are R independently scrambled Sobol replicates of 2^k points
     each (``replicate_layout``), drawn by ``restricted_sample``; replicate r
@@ -526,8 +577,10 @@ def estimate_indicator(
     split = _split_coordinate(bindings, n)
     fixed = integrated = ()
     if split is not None:
-        region = _free_angle(region, split.j, radius=not split.coupled)
-        if split.coupled:
+        # a simplex coordinate's radius is drawn: it depends on the others' deficits
+        drawn = split.coupled or (isinstance(region, AnnulusArc) and split.j in region.inner)
+        region = _free_angle(region, split.j, radius=not drawn)
+        if drawn:
             fixed = (split.j,)
         else:
             integrated = (split.j,)
@@ -537,12 +590,14 @@ def estimate_indicator(
     draws = replicates * size
 
     def main_worker(rngs, count):
-        z, _ = restricted_sample(region, beta, rngs, count, fixed, sobol=True,
-                                 integrated=integrated)
+        z, point_mass = restricted_sample(region, beta, rngs, count, fixed, sobol=True,
+                                          integrated=integrated)
         if split is None:
             w, err = _members(bindings, z).astype(float), 0.0
         else:
-            w, err = _conditional_weights(bindings, split, z, rngs, beta)
+            w, err = _conditional_weights(bindings, split, z, rngs, beta, bool(integrated))
+        likelihood = point_mass / mass  # exactly 1.0 outside a simplex
+        w, err = w * likelihood, err * likelihood
         return (w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w)),
                 float(np.sum(err)))
 

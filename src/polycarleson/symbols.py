@@ -272,7 +272,7 @@ def _eval_table(table: MonomialTable, z: np.ndarray, cache: dict) -> np.ndarray:
             key = (j, e)
             p = cache.get(key)
             if p is None:
-                p = z[:, j] ** e
+                p = z[:, j] if e == 1 else z[:, j] ** e  # the column itself: no copy
                 cache[key] = p
             term = p if term is None else term * p
         acc += c if term is None else c * term

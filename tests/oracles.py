@@ -171,3 +171,54 @@ def radial_cap_weight(b, u, delta, m, beta, epsrel=1e-13):
         total += integrate.quad(h_v, tail(x_hi), tail(max(x_lo, 0.5)), epsabs=0.0,
                                 epsrel=epsrel, limit=500)[0]
     return total
+
+
+
+def _gauss01(nodes):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def half_square_weight(u, delta, nodes=64):
+    """radial_cap_weight(1/2, u, delta, 2, 0) for 1/2 - delta < u <= 1/2 + delta, delta < 1/2, vectorised.
+
+    At beta = 0, r^2 is uniform, so the weight is (2/pi) times the integral of
+    h(rho, u, delta) over rho = r^2/2 in [u - delta, 1/2], where the arc opens
+    with a square root; rho = lo + (1/2 - lo) t^2 makes the integrand smooth
+    in t for Gauss-Legendre.
+    """
+    t, wt = _gauss01(nodes)
+    u = np.asarray(u, dtype=float)[..., None]
+    lo = u - delta
+    rho = lo + (0.5 - lo) * t * t
+    inside = (delta - rho + u) * (delta + rho - u)
+    outside = (rho + u - delta) * (rho + u + delta)
+    h = 2.0 * np.arctan2(np.sqrt(np.maximum(inside, 0.0)), np.sqrt(np.maximum(outside, 0.0)))
+    return 2.0 / math.pi * np.sum(h * 2.0 * (0.5 - lo) * t * wt, axis=-1)
+
+
+def powersum2_volume(delta, nodes=64):
+    """Exact V_0({z in D^2 : |(z_1^2 + z_2^2)/2 - 1| <= delta}) by nested quadrature, delta <= 1/4.
+
+    Over z_1 the set has probability ``half_square_weight(u, delta)``, the
+    ``radial_cap_weight`` oracle at b = 1/2, m = 2, at u = |1 - z_2^2/2|.  At
+    beta = 0, w = z_2^2 = s e^{i phi} has s uniform on [0, 1) and phi
+    uniform, and u^2 = 1 - s cos(phi) + s^2/4 >= 1/4.  The weight vanishes
+    unless u <= 1/2 + delta, i.e. phi <= arccos(5/4 - A) and s >= s_1(phi),
+    the lower root of s^2/4 - s cos(phi) + 1 - A with A = (1/2 + delta)^2; by
+    symmetry in phi the volume is (1/pi) times the integral over that region.
+    The weight vanishes like a power 3/2 at s_1 and the s-integral like a
+    power 5/2 at the largest phi, so s = s_1 + (1 - s_1) q^2 and
+    phi = phi_max (1 - p^2) leave smooth integrands for Gauss-Legendre.
+    """
+    a = (0.5 + delta) ** 2
+    p, wp = _gauss01(nodes)
+    phi_max = math.acos(1.25 - a)
+    cos = np.cos(phi_max * (1.0 - p * p))[:, None]
+    s1 = 2.0 * (1.0 - a) / (cos + np.sqrt(cos * cos - 1.0 + a))  # the stable lower root
+    q, wq = _gauss01(nodes)
+    s = s1 + (1.0 - s1) * q * q
+    u = np.sqrt(np.maximum(1.0 - s * cos + s * s / 4.0, 0.25))
+    inner = np.sum(half_square_weight(u, delta, nodes) * 2.0 * (1.0 - s1) * q * wq, axis=1)
+    return float(np.sum(inner * 2.0 * phi_max * p * wp)) / math.pi

@@ -14,6 +14,7 @@ from polycarleson.battery import (
     GRID_4_8,
     MANIFEST,
     SYMBOL_NAMES,
+    SYMBOL_TABLES,
     BatteryRun,
     FitCase,
     get_symbol,
@@ -153,12 +154,16 @@ def test_every_battery_symbol_is_certified():
 
 def test_refused_case_fails_its_criterion(monkeypatch):
     """A refused fit fails its own case as untrusted; the remaining criteria still run."""
-    refusing = FitCase("powersum3", 0.0, GRID_4_8, 10, BASE_SEED + 22)
+    # 0.4 z + 0.4 z^2 stays within |f| <= 0.8, so every set of the 2^-4 ... 2^-8
+    # grid is empty though no proposal says so: the expected count of draws
+    # with positive weight is 0 at any seed, and no point is trusted
+    monkeypatch.setitem(SYMBOL_TABLES, "capped_square", [[((1,), 0.4), ((2,), 0.4)]])
+    refusing = FitCase("capped_square", 0.0, GRID_4_8, 10, BASE_SEED + 22)
     monkeypatch.setitem(MANIFEST, "power_sum_exponent",
                         {**MANIFEST["power_sum_exponent"], "cases": (refusing,)})
     lines = []
     results, code = run_battery(only={2, 4}, emit=lines.append)
-    detail = results[0].details["powersum3, beta=0"]
+    detail = results[0].details["capped_square, beta=0"]
     assert not detail["ok"] and detail["untrusted"]
     assert "only 0 trusted points" in detail["refused"]
     assert not results[0].passed and results[0].untrusted

@@ -174,13 +174,19 @@ class TestExponentCommand:
         assert "fit refused" in capsys.readouterr().err
 
     def test_untrusted_points_exit_3(self, tmp_path, capsys):
-        # at this budget the two finest deltas have no draw with positive
-        # weight and are not trusted; the fit over the other four still succeeds
-        code = run_cli(["exponent", "--symbol", "powersum3", "--budget", "200", "--seed", "1",
-                        "--delta-grid", "0.25,0.125,0.0625,0.03125,0.015625,0.0078125",
+        # f = 0.4 z + 0.4 z^2 has |f| <= 0.8, so {|f - 1| <= delta} is empty for
+        # delta < 0.2 though no proposal says so: the two finest deltas have no
+        # draw with positive weight (expected count 0 at any seed) and are not
+        # trusted.  z enters with two exponents, so weights are 0/1; at delta
+        # 0.24, the smallest of the other four, ~75 of the 50,000 draws hit.
+        # The fit over those four still succeeds.
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps([[[0.4, 0.0, 1], [0.4, 0.0, 2]]]))
+        code = run_cli(["exponent", "--symbol", str(path), "--budget", "50000", "--seed", "1",
+                        "--delta-grid", "1.92,0.96,0.48,0.24,0.12,0.06",
                         "--out-dir", str(tmp_path)])
         assert code == 3
-        rows = (tmp_path / "exponent_powersum3.csv").read_text().splitlines()[1:]
+        rows = (tmp_path / "exponent_capped.csv").read_text().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows].count("0") == 2
 
 

@@ -27,7 +27,8 @@ from polycarleson.measure import (
 )
 from polycarleson.battery import MANIFEST, FitCase, ScanCase
 from polycarleson.montecarlo import run_batches, sobol_points, sum_counts
-from polycarleson.symbols import TorusPoint
+from polycarleson.sublevel import build_proposal
+from polycarleson.symbols import PolySymbol, TorusPoint
 
 from oracles import grid_disc_cap, radial_cap_weight, radial_moment
 
@@ -333,7 +334,7 @@ class TestRegions:
         region = AnnulusArc(depths=(0.2, 0.3, 0.4), arcs=(arcs, None, None), window=window)
         assert sample_dim(region, fixed=(2,)) == 5
         u = sobol_points(np.random.default_rng(24), 5, 4096)
-        z = region_points(region, WeightParam(-0.5), u, fixed=(2,))
+        z, _ = region_points(region, WeightParam(-0.5), u, fixed=(2,))
         assert np.all(region_contains(region, z))
         assert np.all(z[:, 2].imag == 0.0)
         assert np.all((z[:, 2].real >= 0.6) & (z[:, 2].real < 1.0))
@@ -345,7 +346,7 @@ class TestRegions:
         region = AnnulusArc(depths=(1.0, 0.3), arcs=(None, merge_arcs([(-0.2, 0.4)])))
         assert sample_dim(region, integrated=(0,)) == 2
         u = sobol_points(np.random.default_rng(25), 2, 1024)
-        z = region_points(region, WeightParam(0.5), u, integrated=(0,))
+        z, _ = region_points(region, WeightParam(0.5), u, integrated=(0,))
         assert np.all(np.isnan(z[:, 0]))
         assert np.all(region_contains(AnnulusArc(depths=(0.3,), arcs=(region.arcs[1],)), z[:, 1:]))
         with pytest.raises(ValueError):  # the radius of an integrated coordinate must be free
@@ -378,6 +379,90 @@ class TestRegions:
         assert mass == 1.0
         assert z.shape == (1000, 2)
         assert np.all(region_contains(region, z))
+
+
+# separable self-maps sum_k c_k z_k^{m_k} with c_k > 0 summing to 1 (drawn as
+# integer weights), n <= 3 and m_k <= 3, and a target e^{i alpha} they reach
+SEPARABLE = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 3), min_size=n, max_size=n),
+    st.lists(st.integers(1, 8), min_size=n, max_size=n),
+    st.floats(0.0, 2.0 * math.pi)))
+
+
+def separable_binding(powers, weights, alpha):
+    """(entries, symbol, target) of sum_k c_k z_k^{m_k} at eta = e^{i alpha}."""
+    n = len(powers)
+    entries = [(tuple(m if k == j else 0 for k in range(n)), w / sum(weights))
+               for j, (m, w) in enumerate(zip(powers, weights))]
+    return entries, PolySymbol.from_tables([entries], n), complex(math.cos(alpha), math.sin(alpha))
+
+
+class TestDeficitSimplex:
+    """The separable binding's region: exact containment, sampler and mass."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(sep=SEPARABLE, delta=st.floats(1e-3, 0.3))
+    def test_sublevel_set_lies_in_region(self, sep, delta):
+        entries, f, eta = separable_binding(*sep)
+        n = f.n_in
+        region = build_proposal([(f, eta, delta)], n)
+        rng = np.random.default_rng(1)
+        size = 200_000
+        # rejection from a box around the torus fiber z_k^{m_k} = eta, 1.5 times
+        # the one that holds the set (1 - r_k^{m_k} <= delta/c_k and
+        # 1 - cos(m_k theta_k - alpha) <= delta/c_k), plus uniform points
+        z = np.empty((size, n), dtype=complex)
+        for k, (alpha, c) in enumerate(entries):
+            m = alpha[k]
+            depth = min(1.0, 1.5 * (1.0 - max(1.0 - delta / c, 0.0) ** (1.0 / m)))
+            arc = min(math.pi, 1.5 * math.acos(max(1.0 - delta / c, -1.0)))
+            root = (np.angle(eta) + 2.0 * math.pi * rng.integers(0, m, size)) / m
+            theta = root + (2.0 * rng.random(size) - 1.0) * arc / m
+            z[:, k] = (1.0 - depth * rng.random(size)) * np.exp(1j * theta)
+        z = np.concatenate([z, sample_polydisc(n, WeightParam(0.0), rng, size)])
+        f_z = sum(c * np.prod(z ** np.array(alpha), axis=1) for alpha, c in entries)
+        inside = z[np.abs(f_z - eta) <= delta]
+        assert len(inside) > 0
+        assert np.all(region_contains(region, inside))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(sep=SEPARABLE, delta=st.floats(1e-3, 0.3),
+           beta=st.sampled_from([0.0, -0.5, 1.0]))
+    def test_sampler_stays_in_region(self, sep, delta, beta):
+        _, f, eta = separable_binding(*sep)
+        n = f.n_in
+        region = build_proposal([(f, eta, delta)], n)
+        u = np.random.default_rng(2).random((20_000, sample_dim(region)))
+        z, likelihood = region_points(region, WeightParam(beta), u)
+        assert np.all(region_contains(region, z))
+        assert np.all((0.0 <= likelihood) & (likelihood <= 1.0))
+        if isinstance(region, AnnulusArc) and region.simplex is not None:
+            # the last coordinate, fixed: a real radius whose Jacobian keeps the likelihood <= 1
+            last = region.simplex.coords[-1]
+            u = u[:, :sample_dim(region, fixed=(last,))]
+            z, likelihood = region_points(region, WeightParam(beta), u, fixed=(last,))
+            assert np.all((z[:, last].imag == 0.0) & (z[:, last].real >= 0.0))
+            assert np.all(z[:, last].real < 1.0)
+            assert np.all((0.0 <= likelihood) & (likelihood <= 1.0))
+
+    # (A - B)/stderr is close to normal for both estimates: |z| > 4 has odds
+    # 6.3e-5 per example, below 2e-3 for the 30
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(sep=SEPARABLE, delta=st.floats(0.1, 0.3),
+           beta=st.sampled_from([0.0, -0.5, 1.0]))
+    def test_mean_likelihood_is_region_mass(self, sep, delta, beta):
+        _, f, eta = separable_binding(*sep)
+        n = f.n_in
+        weight = WeightParam(beta)
+        region = build_proposal([(f, eta, delta)], n)
+        rng = np.random.default_rng(3)
+        _, point_mass = restricted_sample(region, weight, rng, 200_000)
+        point_mass = np.broadcast_to(point_mass, (200_000,))
+        a, sa = point_mass.mean(), point_mass.std(ddof=1) / math.sqrt(point_mass.size)
+        hits = region_contains(region, sample_polydisc(n, weight, rng, 400_000))
+        b = hits.mean()
+        sb = math.sqrt(b * (1.0 - b) / hits.size)
+        assert abs(a - b) <= 4.0 * math.hypot(sa, sb), (a, sa, b, sb)
 
 
 class TestDeterministicBatching:

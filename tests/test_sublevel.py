@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from oracles import (product_volume, radial_cap_weight, uniform_sublevel_volume,
-                     unit_disc_cap_area)
+from oracles import (half_square_weight, powersum2_volume, product_volume, radial_cap_weight,
+                     uniform_sublevel_volume, unit_disc_cap_area)
 from polycarleson import measure, sublevel
 from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
@@ -143,11 +143,27 @@ class TestBuildProposal:
         assert region.arcs == (None, None)
         assert region.depths[0] == pytest.approx(0.02)
 
-    def test_power_sum_gets_fiber_arcs(self):
-        region = build_proposal([(power_sum_symbol(2), 1.0, 0.01)], 2)
+    def test_power_sum_gets_deficit_simplex(self):
+        # (z1^3 + z2^3 + z3^3)/3 at eta = i: phi_k = pi/2 - 0, budget delta, no box around it
+        region = build_proposal([(power_sum_symbol(3), 1j, 0.01)], 3)
         assert isinstance(region, AnnulusArc)
         assert region.window is None
-        assert region.arcs[0] is not None and len(region.arcs[0]) == 2
+        assert region.arcs == (None, None, None) and region.depths == (1.0, 1.0, 1.0)
+        simplex = region.simplex
+        assert simplex.coords == (0, 1, 2) and simplex.powers == (3, 3, 3)
+        assert simplex.moduli == pytest.approx((1 / 3,) * 3)
+        assert simplex.phases == pytest.approx((math.pi / 2,) * 3)
+        assert simplex.budget == pytest.approx(0.01)
+        assert measure.region_mass(region, WeightParam(0.0)) == 1.0
+        assert simplex.last(0).coords == (1, 2, 0)
+
+    def test_simplex_drops_other_arcs_and_windows(self):
+        # mean_product's box: the z1 z2 binding keeps its depths, loses its window
+        sym = get_symbol("mean_product")
+        region = build_proposal([(sym.component(0), 1.0, 0.01), (sym.component(1), 1.0, 0.01)], 2)
+        assert region.simplex.coords == (0, 1)
+        assert region.window is None and region.arcs == (None, None)
+        assert region.depths == pytest.approx((0.02, 0.02))
 
     def test_unused_coordinate_stays_free(self):
         # f = z1 z2 inside D^3: third coordinate unconstrained
@@ -213,8 +229,8 @@ class TestEstimate:
 
     def test_split_angle_arcs_change_nothing(self):
         # theta_1 is integrated in closed form, so the region's arcs on it are dropped
-        bindings = [(power_sum_symbol(2).components[0], 1.0, 2.0**-6, False)]
-        region = build_proposal([(power_sum_symbol(2), 1.0, 2.0**-6)], 2)
+        bindings = [(general_symbol().components[0], 1.0, 2.0**-6, False)]
+        region = build_proposal([(general_symbol(), 1.0, 2.0**-6)], 2)
         assert region.arcs[0] is not None and region.arcs[1] is not None
         free = AnnulusArc(depths=region.depths, arcs=(None, region.arcs[1]))
         a, b = (sublevel.estimate_indicator(bindings, 2, WeightParam(0.0), r, 100_000, 5, "s")
@@ -318,6 +334,25 @@ class TestConditionalEstimator:
                                               seed=seed))
         volume, stderr = uniform_sublevel_volume(entries, 2, 1.0, 2.0**-k, 1_000_000, seed)
         assert agree(est, volume, stderr), (entries, est, volume, stderr)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(powers=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+           weights=st.lists(st.integers(1, 8), min_size=3, max_size=3),
+           alpha=st.floats(0.0, 2.0 * math.pi), delta=st.floats(0.1, 0.3),
+           seed=st.integers(0, 2**16))
+    def test_separable_maps_agree_with_uniform_oracle(self, powers, weights, alpha, delta, seed):
+        # the deficit simplex, with the split radius drawn on the binding's arc
+        n = len(powers)
+        total = sum(weights[:n])
+        entries = [(tuple(m if k == j else 0 for k in range(n)), w / total)
+                   for j, (m, w) in enumerate(zip(powers, weights))]
+        f = PolySymbol.from_tables([entries], n)
+        eta = complex(math.cos(alpha), math.sin(alpha))
+        est = estimate_sublevel(SublevelQuery(f=f, eta=eta, delta=delta, beta=WeightParam(0.0),
+                                              budget=200_000, seed=seed))
+        volume, stderr = uniform_sublevel_volume(entries, n, eta, delta, 1_000_000, seed)
+        assert est.trusted and est.leakage == 0.0
+        assert agree(est, volume, stderr), (entries, eta, est, volume, stderr)
 
     @pytest.mark.parametrize("beta", [0.0, -0.5])
     def test_identity1_matches_disc_cap(self, beta):
@@ -455,6 +490,41 @@ class TestExactMonomialOracle:
             exact = product_volume(n, 2.0**-k)
             assert est.trusted
             assert abs(est.volume - exact) <= 4.0 * est.stderr, (k, est, exact)
+
+
+class TestExactPowerSumOracle:
+    """powersum2 at beta = 0 against its exact volume, at every delta of the fit grid."""
+
+    def test_oracle_weight_is_radial_cap_weight(self):
+        delta = 2.0**-6
+        for u in (0.5 + 0.1 * delta, 0.5 + 0.5 * delta, 0.5 + 0.99 * delta):
+            assert half_square_weight(u, delta) == pytest.approx(
+                radial_cap_weight(0.5, u, delta, 2, 0.0), rel=1e-11)
+
+    def test_powersum2_matches_exact_volume(self):
+        # (estimate - exact)/stderr is Student t on R - 1 = 121 degrees of
+        # freedom: |t| > 4 has odds 1.1e-4 per point, so some point of the six
+        # fails with odds below 7e-4; 2M draws give relative stderrs ~1e-5
+        budget = 2_000_000
+        replicates, _ = replicate_layout(budget)
+        assert 6 * 2 * stats.t.sf(4.0, replicates - 1) < 7e-4
+        for k in range(4, 10):
+            est = estimate_sublevel(SublevelQuery(power_sum_symbol(2), 1.0, 2.0**-k,
+                                                  WeightParam(0.0), budget, seed=5001 + k))
+            exact = powersum2_volume(2.0**-k)
+            assert est.trusted and est.leakage == 0.0
+            assert est.stderr <= 2e-5 * exact
+            assert abs(est.volume - exact) <= 4.0 * est.stderr, (k, est, exact)
+
+
+class TestPowerSum4:
+    """n = 4 of the power-sum law n(beta + 1) + (n + 1)/2, past the battery's n <= 3."""
+
+    def test_slope_follows_law(self):
+        fit = fit_exponent(power_sum_symbol(4), 1.0, WeightParam(0.0),
+                           delta_grid=[2.0**-k for k in range(4, 9)], budget=1 << 18, seed=41)
+        assert all(p.trusted for p in fit.points)
+        assert abs(fit.slope - 6.5) <= 0.2, fit.slope
 
 
 class TestIntegratedRadius:
