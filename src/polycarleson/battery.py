@@ -396,8 +396,7 @@ def criterion_4(run: BatteryRun):
     passed = True
     t0 = time.perf_counter()
     for beta in spec["betas"]:
-        vals = [disc_cap_measure(1.0, d, WeightParam(beta), quad_tol=run.config.quad_tol)
-                for d in spec["grid"]]
+        vals = [disc_cap_measure(1.0, d, WeightParam(beta))[0] for d in spec["grid"]]
         slope = float(np.polyfit(np.log(spec["grid"]), np.log(vals), 1)[0])
         ok = abs(slope - (beta + 2.0)) <= spec["tolerance"]
         passed &= ok

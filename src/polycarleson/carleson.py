@@ -12,6 +12,7 @@ extremal families in which only the binding components shrink.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import DEFAULTS, LabConfig
@@ -23,10 +24,15 @@ from .symbols import PolySymbol, TorusPoint
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """Preimage volume estimate over the exact box measure; trust is the numerator's."""
+    """Preimage volume estimate over the box measure; trust is the numerator's.
+
+    The stderr combines the numerator's with the denominator's error bound
+    (``carleson_box_measure``) in quadrature.
+    """
 
     numerator: SublevelEstimate
     denominator: float
+    denominator_bound: float
 
     @property
     def ratio(self) -> float:
@@ -34,7 +40,8 @@ class RatioEstimate:
 
     @property
     def stderr(self) -> float:
-        return self.numerator.stderr / self.denominator
+        spread = math.hypot(self.numerator.stderr, self.ratio * self.denominator_bound)
+        return spread / self.denominator
 
     @property
     def trusted(self) -> bool:
@@ -75,15 +82,16 @@ def preimage_box_ratio(
 
     The numerator is importance-sampled from the proposal region built out of
     the binding components (radius below 1), with one torus angle integrated
-    in closed form by ``estimate_indicator``; the denominator is deterministic
-    quadrature.  Radius-2 coordinates are vacuous by |Phi_j - xi_j| < 2 and are
-    left out of the tests.
+    in closed form by ``estimate_indicator``; the denominator is the product of
+    the box's cap integrals, whose error bound enters the stderr.  Radius-2
+    coordinates are vacuous by |Phi_j - xi_j| < 2 and are left out of the
+    tests.
     """
     sym.require_certificate()
     if box.n != sym.n_out:
         raise ValueError("box dimension must match the number of components")
     n = sym.n_in
-    denominator = carleson_box_measure(box, beta, quad_tol=config.quad_tol)
+    denominator, bound = carleson_box_measure(box, beta)
     xi = box.center.point()
 
     bindings = [
@@ -98,12 +106,13 @@ def preimage_box_ratio(
     ]
     region = build_proposal(tight, n, config)
     if region == PROVABLY_EMPTY:
-        return RatioEstimate(SublevelEstimate.empty("preimage empty by structure"), denominator)
+        return RatioEstimate(SublevelEstimate.empty("preimage empty by structure"),
+                             denominator, bound)
     est = estimate_indicator(
         bindings, n, beta, region, budget, seed,
         f"carleson[{seed}]", threads=threads, config=config,
     )
-    return RatioEstimate(est, denominator)
+    return RatioEstimate(est, denominator, bound)
 
 
 def _scan_boxes(center: TorusPoint, shrink, delta: float) -> CarlesonBox:

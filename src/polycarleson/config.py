@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LabConfig:
-    # weighted-measure quadrature (absolute tolerance)
-    quad_tol: float = 1e-8
-
     # contact-set detection
     contact_tol: float = 1e-8
     coarse_margin: float = 1e-2

@@ -1,15 +1,17 @@
-"""Weighted measures on the polydisc: exact quadrature and seeded sampling.
+"""Weighted measures on the polydisc: one cap integral and seeded sampling.
 
 The weighted area measure on the disc is dA_beta = (beta+1)(1-|z|^2)^beta dA
 with dA normalized so the disc has measure 1; the polydisc carries the product
-V_beta.  Carleson boxes are products of disc caps |z_j - xi_j| < delta_j, and
-their measures reduce to a 1-D radial integral because the angular width of a
-cap slice is available in closed form.  The same closed form, vectorised over
-the cap centre, gives the sublevel estimator the angular measure of
-{theta_j : |a + b r_j^m e^{i m theta_j} - eta| <= delta}, so that one torus
-angle is integrated exactly instead of sampled; ``_radial_cap_weight``
-integrates that measure over r_j's whole radial law as well, with a stated
-error bound per weight.
+V_beta.  The angular width of a cap slice {theta : |rho e^{i theta} - u| <=
+delta} is available in closed form, and ``_radial_cap_weight`` integrates it
+over the radial law: the V_beta probability that |b z^m - u| <= delta, with a
+stated error bound per value.  That one integral gives both halves of a
+Carleson-box ratio.  Boxes are products of disc caps |z_j - xi_j| < delta_j,
+and a cap's measure is the weight at |b| = 1, m = 1 (``disc_cap_measure``);
+vectorised over the centre, the same weight gives the sublevel estimator the
+probability over z_j = r_j e^{i theta_j} that |a + b z_j^m - eta| <= delta,
+so that one coordinate is integrated instead of sampled.  Where r_j is drawn,
+the closed-form angular measure alone integrates theta_j.
 
 Sampling regions come in two shapes: the full polydisc, and annulus-arc
 products with an optional angle-sum window (the shape carved out by
@@ -41,21 +43,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
-from .config import DEFAULTS
 from .montecarlo import sobol_points
 from .symbols import TorusPoint
 
 TWO_PI = 2.0 * math.pi
-
-
-class QuadratureBudgetExceeded(RuntimeError):
-    pass
 
 
 class EmptyRegion(ValueError):
@@ -65,8 +60,10 @@ class EmptyRegion(ValueError):
 @dataclass(frozen=True)
 class WeightParam:
     """Bergman weight exponent beta. Only beta > -1 gives a finite measure;
-    betas below -0.95 are rejected because the radial density is then too
-    peaked for the fixed quadrature grading."""
+    betas below -0.95 are rejected: the radial density peaks ever more
+    sharply at r = 1 there, and the cap integrals' error bounds
+    (``_radial_cap_weight``) are checked against an independent quadrature
+    from -0.95 up."""
 
     beta: float
 
@@ -76,7 +73,7 @@ class WeightParam:
             raise ValueError(f"weight parameter must exceed -1, got {b}")
         if b < -0.95:
             raise ValueError(
-                f"beta={b} rejected: radial density too peaked below -0.95 for the fixed grading"
+                f"beta={b} rejected: cap integral bounds are checked from -0.95 up"
             )
         object.__setattr__(self, "beta", b)
 
@@ -322,100 +319,36 @@ def _radial_cap_weight(bmod, umod, delta: float, m: int,
     return weight, err
 
 
-_MAX_CAP_PANELS = 200  # quadrature panels one cap may use
+def disc_cap_measure(a: complex, delta: float, beta: WeightParam) -> tuple[float, float]:
+    """A_beta(D(a, delta) ∩ D) and its error bound.
 
-
-@lru_cache(maxsize=256)
-def disc_cap_measure(
-    a: complex,
-    delta: float,
-    beta: WeightParam,
-    quad_tol: float = DEFAULTS.quad_tol,
-) -> float:
-    """A_beta(D(a, delta) ∩ D) by deterministic radial quadrature.
-
-    The angular integral of a cap slice is exact, leaving a 1-D radial
-    integral.  Substituting v = (1-r^2)^(beta+1) absorbs the weight (whose
-    derivative is singular at r = 1 for beta < 0) exactly; panels are split at
-    the kinks of the angular width and graded geometrically toward r = 1.
-    Error above quad_tol raises instead of silently truncating.  Results are
-    memoised: the boxes of ratio scans repeat the same caps across
-    coordinates and across scans.
+    By rotation invariance the cap's measure is the V_beta probability that
+    |z - |a|| < delta: the radial cap weight of |b| = 1 and m = 1
+    (``_radial_cap_weight``), the same integral that gives the sublevel
+    estimator its split-coordinate weights.  Caps that contain the disc or
+    miss it are exact; centred caps and caps at beta = 0 (lens areas) are
+    closed forms with a rounding allowance; the rest carry the Kronrod
+    rule's stated bound.
     """
-    amod = abs(complex(a))
     delta = float(delta)
     if delta <= 0.0:
         raise ValueError("cap radius must be positive")
-    r_lo = max(0.0, amod - delta)
-    r_hi = min(1.0, amod + delta)
-    if r_lo >= 1.0:
-        return 0.0
-    if amod + delta <= 1.0 + 1e-15 and beta.beta == 0.0:
-        # cap fully inside the disc, Lebesgue case: normalized area delta^2
-        return delta * delta
-    if delta >= 1.0 + amod:
-        return 1.0  # cap covers the whole disc
-
-    b = beta.beta
-    p = 1.0 / (b + 1.0)
-
-    # Substitute v = (1 - r^2)^(beta+1): dv absorbs the radial weight exactly,
-    # leaving the bounded integrand alpha(r(v))/pi.  Geometric panels toward
-    # v = 0 (that is, r = 1) absorb the residual sqrt-type kink for beta != 0.
-    def integrand(v):
-        v = np.asarray(v, dtype=float)
-        u = np.clip(v, 0.0, 1.0) ** p
-        r = np.sqrt(np.clip(1.0 - u, 0.0, 1.0))
-        return _cap_angular_halfwidth(r, amod, delta) / math.pi
-
-    def v_of_r(r: float) -> float:
-        return max(1.0 - r * r, 0.0) ** (b + 1.0)
-
-    v_lo = v_of_r(r_hi)  # r increasing <-> v decreasing
-    v_hi = v_of_r(r_lo)
-    breaks = {v_lo, v_hi}
-    for kink in (abs(amod - delta), amod + delta, delta - amod):
-        if r_lo < kink < r_hi:
-            breaks.add(v_of_r(kink))
-    pts = sorted(breaks)
-    panels: list[tuple[float, float]] = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if lo <= 1e-13 and hi > 1e-8:
-            # grade geometrically away from v = 0
-            edges = [lo]
-            k = 24
-            while k >= 1:
-                e = hi / 2.0**k
-                if e > lo:
-                    edges.append(e)
-                k -= 1
-            edges.append(hi)
-            panels.extend((e0, e1) for e0, e1 in zip(edges[:-1], edges[1:]) if e1 > e0)
-        else:
-            panels.append((lo, hi))
-    if len(panels) > _MAX_CAP_PANELS:
-        raise QuadratureBudgetExceeded(f"{len(panels)} panels exceed budget {_MAX_CAP_PANELS}")
-
-    total = 0.0
-    err_total = 0.0
-    per_panel = quad_tol / (2 * max(len(panels), 1))
-    for lo, hi in panels:
-        val, err = integrate.quad(integrand, lo, hi, epsabs=per_panel, epsrel=1e-10, limit=100)
-        total += val
-        err_total += err
-    if err_total > quad_tol:
-        raise QuadratureBudgetExceeded(
-            f"accumulated quadrature error {err_total:.3e} exceeds tolerance {quad_tol:.3e}"
-        )
-    return min(max(total, 0.0), 1.0)
+    w, e = _radial_cap_weight(np.ones(1), np.array([abs(complex(a))]), delta, 1, beta)
+    return float(w[0]), float(e[0])
 
 
-def carleson_box_measure(box: CarlesonBox, beta: WeightParam, quad_tol: float = DEFAULTS.quad_tol) -> float:
-    """V_beta(S(xi, delta)) as the product of per-coordinate cap measures."""
-    total = 1.0
+def carleson_box_measure(box: CarlesonBox, beta: WeightParam) -> tuple[float, float]:
+    """V_beta(S(xi, delta)) as the product of per-coordinate cap measures, and its error bound.
+
+    With caps m_j within e_j of their true values, the product lies within
+    prod(m_j + e_j) - prod(m_j) of the box's.
+    """
+    total, upper = 1.0, 1.0
     for xi_j, d_j in zip(box.center.point(), box.radii):
-        total *= disc_cap_measure(xi_j, d_j, beta, quad_tol=quad_tol)
-    return total
+        m, e = disc_cap_measure(xi_j, d_j, beta)
+        total *= m
+        upper *= m + e
+    return total, upper - total
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +617,26 @@ def _cis(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, t
 
 
+def _branch_angle(v, m: int, halfwidth, phase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos theta, sin theta and psi/2 for theta uniform on an arc of m branches.
+
+    The arc is {theta : m theta - phase in ±halfwidth (mod 2 pi)}.  The
+    uniform v picks the branch floor(m v) and the offset psi = (2 frac(m v)
+    - 1) halfwidth, and theta = (phase + psi + 2 pi floor(m v)) / m.
+    """
+    half = v * m
+    branch = np.floor(half)
+    half -= branch
+    half -= 0.5
+    half *= halfwidth  # psi / 2
+    branch *= math.pi
+    branch += phase / 2.0
+    branch += half
+    branch /= m  # theta / 2
+    cos, sin = _cis(branch)
+    return cos, sin, half
+
+
 def _power(x: np.ndarray, m: int) -> np.ndarray:
     """x^m for a positive integer m, by multiplication."""
     out = x.copy()
@@ -734,16 +687,7 @@ def _simplex_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle
         np.divide(1.0 - ell, gamma, out=gamma)
         np.clip(gamma, -1.0, 1.0, out=gamma)
         np.arccos(gamma, out=gamma)
-        half = angle_u[j] * m
-        branch = np.floor(half)
-        half -= branch
-        half -= 0.5
-        half *= gamma  # psi / 2
-        branch *= math.pi
-        branch += phi / 2.0
-        branch += half
-        branch /= m  # theta / 2
-        cos_theta, sin_theta = _cis(branch)
+        cos_theta, sin_theta, half = _branch_angle(angle_u[j], m, gamma, phi)
         np.multiply(r, cos_theta, out=z[j].real)
         np.multiply(r, sin_theta, out=z[j].imag)
         cos, sin = _cis(half)

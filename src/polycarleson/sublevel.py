@@ -54,8 +54,8 @@ from .measure import (
     FullPolydisc,
     Region,
     WeightParam,
+    _branch_angle,
     _cap_angular_halfwidth,
-    _cis,
     _power,
     _radial_cap_weight,
     merge_arcs,
@@ -503,21 +503,12 @@ def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndar
     ok = _members([binding for binding in others if not _uses(binding[0], j)], z)
     coupled = [binding for binding in others if _uses(binding[0], j)]
     if coupled:
-        # one uniform x per row from its replicate's generator: branch floor(m x),
-        # phi = (2 frac(m x) - 1) h, and theta/2 = (phi + arg(u/b) + 2 pi branch)/(2m)
+        # theta_j uniform on the split binding's arc {m theta_j - arg(u/b) in ±h},
+        # from one uniform per row drawn by its replicate's generator
         x = np.empty(w.size)
         for g, rows in zip(rngs, np.split(x, len(rngs))):
             g.random(out=rows)
-        x *= m
-        branch = np.floor(x)
-        x -= branch
-        x -= 0.5
-        x *= h
-        x += (np.angle(u) - np.angle(b)) / 2.0
-        branch *= math.pi
-        branch += x
-        branch /= m
-        cos, sin = _cis(branch)
+        cos, sin, _ = _branch_angle(x, m, h, np.angle(u) - np.angle(b))
         cos *= r
         sin *= r
         zj = z[:, j]  # the caller's column, read no more

@@ -38,3 +38,6 @@ def test_traced_fit_and_scan_see_the_library():
     assert counts["fitting.loglog_wls"] == 2, counts
     assert counts["sublevel.estimate_indicator"] >= 1, counts
     assert counts["carleson.preimage_box_ratio"] >= 1, counts
+    # box denominators: carleson_box_measure, through measure.disc_cap_measure
+    assert counts["carleson.carleson_box_measure"] == counts["carleson.preimage_box_ratio"], counts
+    assert counts["measure.disc_cap_measure"] == 2 * counts["carleson.preimage_box_ratio"], counts

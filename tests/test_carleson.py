@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
 from polycarleson.fitting import FitRefused
 from polycarleson.measure import CarlesonBox, WeightParam, carleson_box_measure
 from polycarleson.symbols import PolySymbol, TorusPoint
+
+from test_measure import manifest_betas
 
 
 def stacked_product(n):
@@ -24,8 +27,17 @@ class TestPreimageRatio:
         box = CarlesonBox(TorusPoint((0.0, 1.0)), (0.25, 0.4))
         beta = WeightParam(1.0)
         est = preimage_box_ratio(PolySymbol.identity(2), box, beta, 500_000, seed=2)
-        target = carleson_box_measure(box, beta)
+        target, _ = carleson_box_measure(box, beta)
         assert abs(est.numerator.volume - target) < 3 * est.numerator.stderr
+
+    @pytest.mark.parametrize("beta", manifest_betas())
+    def test_identity1_ratio_is_one(self, beta):
+        # numerator and denominator are one cap integral: no sampling, no quadrature gap
+        for delta in (2.0**-9, 2.0**-5, 0.3, 1.5):
+            box = CarlesonBox(TorusPoint((1.3,)), (delta,))
+            est = preimage_box_ratio(get_symbol("identity1"), box, WeightParam(beta), 4096, seed=6)
+            assert est.trusted
+            assert abs(est.ratio - 1.0) <= 1e-14, (delta, est.ratio)
 
     def test_rotation_preserves_ratio(self):
         alpha = np.exp(0.9j)

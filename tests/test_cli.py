@@ -17,7 +17,7 @@ class TestConfigRoundTrip:
     def test_lossless(self, tmp_path):
         cfg = ExperimentConfig(subcommand="exponent", symbol="product2", beta=0.5,
                                budget=12345, seed=7, delta_grid=[0.5, 0.25, 0.125, 0.0625],
-                               shrink=[1, 0], only=[4], tolerances={"quad_tol": 1e-7})
+                               shrink=[1, 0], only=[4], tolerances={"contact_tol": 1e-7})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
         back = ExperimentConfig.from_dict(json.loads(path.read_text()))
@@ -139,7 +139,8 @@ class TestExponentCommand:
                      '{"tolerances": [1e-7]}', '{"eta": [1]}', '{"eta": ["a", 0]}',
                      '{"shrink": ["a", 0]}', '{"threads": true}', '{"shrink": [true, false]}',
                      '{"delta_grid": [0.5, "0.25"]}', '{"center": [null]}', '{"only": [4.5]}',
-                     '{"formats": ["xml"]}', '{"formats": [1]}'):
+                     '{"formats": ["xml"]}', '{"formats": [1]}',
+                     '{"tolerances": {"quad_tol": 1e-8}}'):
             path.write_text(text)
             assert run_cli(["exponent", "--config", str(path), "--symbol", "product2",
                             "--out-dir", str(tmp_path)]) == 2, text
