@@ -8,7 +8,6 @@ from .contact import (
     ContactSet,
     RankReport,
     find_contact_set,
-    numerical_rank,
 )
 from .criteria import Decision, Verdict, check_rank_sufficiency, decide_bidisc, decide_tridisc
 from .fitting import FitRefused
@@ -16,7 +15,6 @@ from .inequality_lab import jc_check, slice_gradient_constancy
 from .measure import (
     AnnulusArc,
     CarlesonBox,
-    FullPolydisc,
     WeightParam,
     carleson_box_measure,
     disc_cap_measure,
@@ -43,7 +41,6 @@ __all__ = [
     "Decision",
     "ExponentFit",
     "FitRefused",
-    "FullPolydisc",
     "LabConfig",
     "PolySymbol",
     "RankReport",
@@ -65,7 +62,6 @@ __all__ = [
     "find_contact_set",
     "fit_exponent",
     "jc_check",
-    "numerical_rank",
     "preimage_box_ratio",
     "radial_sample",
     "ratio_growth_scan",

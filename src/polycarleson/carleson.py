@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from .config import DEFAULTS, LabConfig
 from .fitting import loglog_wls, trusted_points
 from .measure import CarlesonBox, WeightParam, carleson_box_measure
-from .sublevel import PROVABLY_EMPTY, SublevelEstimate, build_proposal, estimate_indicator
+from .sublevel import (PROVABLY_EMPTY, SublevelEstimate, _check_geometric, build_proposal,
+                       estimate_indicator)
 from .symbols import PolySymbol, TorusPoint
 
 
@@ -110,7 +111,7 @@ def preimage_box_ratio(
                              denominator, bound)
     est = estimate_indicator(
         bindings, n, beta, region, budget, seed,
-        f"carleson[{seed}]", threads=threads, config=config,
+        f"carleson[{seed}]", threads=threads,
     )
     return RatioEstimate(est, denominator, bound)
 
@@ -143,7 +144,7 @@ def ratio_growth_scan(
         raise ValueError("shrink mask length must match component count")
     if not any(shrink):
         raise ValueError("at least one coordinate must shrink")
-    deltas = tuple(float(d) for d in delta_grid)
+    deltas = _check_geometric(delta_grid)
     estimates = []
     for k, d in enumerate(deltas):
         box = _scan_boxes(center, shrink, d)

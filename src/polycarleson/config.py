@@ -1,8 +1,10 @@
-"""Shared tolerance and budget configuration.
+"""Verdict tolerances and grid resolutions.
 
-Every numerical tolerance used anywhere in the package lives here so that a
-single config object can be threaded through experiments and serialized into
-reports.
+``LabConfig`` holds the tolerances that decide a verdict or a property
+check, so a run can state them and a config file can set them.  Constants
+that shape how the estimators and the contact search work (the proposal
+margin, the leakage audit's trust rule, the contact-detection caps) live in
+the modules that read them, and no run can change them.
 """
 
 from __future__ import annotations
@@ -13,16 +15,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LabConfig:
-    # contact-set detection
+    # a component counts as unimodular at a point within contact_tol of 1
     contact_tol: float = 1e-8
-    coarse_margin: float = 1e-2
-    merge_radius: float = 1e-4
-    manifold_frac: float = 0.05
-    posdim_sample_cap: int = 4096
-    fiber_cap: int = 64
-    # a "finite" detection with more separated points than this is really a
-    # sampled curve that slipped under manifold_frac; reclassify it
-    finite_cap: int = 256
 
     # numerical rank: sigma_k counts iff sigma_k > rank_tol * sigma_1; values in
     # the open band (rank_tol, rank_band) * sigma_1 are flagged inconclusive
@@ -39,20 +33,6 @@ class LabConfig:
 
     # gradient constancy on interior slices
     slice_tol: float = 1e-8
-
-    # importance-sampling proposal margin K: radial depth K/2*delta, angular
-    # window K/2*delta for monomial constraints, arcs K*sqrt(delta) around
-    # finite value fibers.  K=4 keeps hit rates compatible with the pinned
-    # budgets while still dominating the provable containment constants of the
-    # battery symbols; the leakage audit guards the margin at runtime.
-    proposal_margin: float = 4.0
-
-    # Monte Carlo trust machinery.  Estimates are a pure function of (seed,
-    # budget): their batch layouts depend on the budget alone (montecarlo),
-    # and thread count never enters.
-    leakage_fraction: float = 0.1     # audit budget as a fraction of the main budget
-    leakage_threshold: float = 0.01   # leakage above this fraction of the estimate -> UNTRUSTED
-    zero_hit_factor: float = 3.0      # one-sided bound: factor/budget * region mass
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -37,6 +37,19 @@ from .symbols import MonomialTable, PolySymbol, TorusPoint, _derivative_table_ca
 
 TWO_PI = 2.0 * math.pi
 
+# Contact detection.  Grid cells whose minimum component modulus is within
+# COARSE_MARGIN of 1 seed the Newton refinement, at most POSDIM_SAMPLE_CAP of
+# them (also the size of the sample grid of a constraint-free torus).
+# Refined points closer than MERGE_RADIUS are one point.  A locus whose
+# accepted grid fraction exceeds MANIFOLD_FRAC is positive-dimensional; so
+# is a "finite" one with more than FINITE_CAP separated points, a sampled
+# curve that slipped under MANIFOLD_FRAC.
+COARSE_MARGIN = 1e-2
+MERGE_RADIUS = 1e-4
+MANIFOLD_FRAC = 0.05
+POSDIM_SAMPLE_CAP = 4096
+FINITE_CAP = 256
+
 
 class ContactRequired(ValueError):
     """Raised when an operation needs a torus contact point and was given none."""
@@ -52,7 +65,6 @@ class ContactSet:
     grid_res: int
     accepted_fraction: float
     contact_tol: float
-    merge_radius: float
 
     @property
     def is_empty(self) -> bool:
@@ -66,13 +78,6 @@ class ContactSet:
             for pt, res in zip(self.points, self.residuals)
         ]
         return header, rows
-
-
-@dataclass(frozen=True)
-class RankInfo:
-    rank: int
-    singular_values: tuple[float, ...]
-    inconclusive: bool
 
 
 @dataclass(frozen=True)
@@ -309,14 +314,15 @@ def find_contact_set(
     if constraint is None or not all(constraint):  # or a zero component
         kind, points, residuals, frac = "empty", (), (), 0.0
     else:
-        kind, points, residuals, frac = _contact_locus(tuple(constraint), sym.n_in, res, config)
+        kind, points, residuals, frac = _contact_locus(tuple(constraint), sym.n_in, res,
+                                                       config.contact_tol)
     return ContactSet(symbol=sym, index_set=index_set, kind=kind, points=points,
                       residuals=residuals, grid_res=res, accepted_fraction=frac,
-                      contact_tol=config.contact_tol, merge_radius=config.merge_radius)
+                      contact_tol=config.contact_tol)
 
 
 @lru_cache(maxsize=32)
-def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, config: LabConfig):
+def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, contact_tol: float):
     """(kind, points, residuals, accepted fraction) of {|P| = 1 for every P in tables}."""
 
     def _result(kind, pts, res_vals, frac):
@@ -325,7 +331,7 @@ def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, config: 
 
     if not tables:
         # whole torus; deterministic coarse sample grid
-        side = max(2, int(round(config.posdim_sample_cap ** (1.0 / n))))
+        side = max(2, int(round(POSDIM_SAMPLE_CAP ** (1.0 / n))))
         theta = TWO_PI * np.arange(side) / side
         grids = np.meshgrid(*([theta] * n), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=1)
@@ -334,7 +340,7 @@ def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, config: 
     # the minimum modulus is within the margin iff every component's is; the
     # per-component masks broadcast against each other
     near_unit = functools.reduce(np.logical_and, [
-        _modulus_grid(t, n, res) >= 1.0 - config.coarse_margin for t in tables
+        _modulus_grid(t, n, res) >= 1.0 - COARSE_MARGIN for t in tables
     ])
     candidates = np.flatnonzero(np.broadcast_to(near_unit, (res,) * n))
     total_cells = res**n
@@ -342,7 +348,7 @@ def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, config: 
     if len(candidates) == 0:
         return _result("empty", [], [], 0.0)
 
-    stride = max(1, math.ceil(len(candidates) / config.posdim_sample_cap))
+    stride = max(1, math.ceil(len(candidates) / POSDIM_SAMPLE_CAP))
     seeds = candidates[::stride]
     theta0 = _grid_angles(seeds, n, res)
     theta = _torus_newton(tables, [0j] * len(tables), theta0, ascend=True)
@@ -350,7 +356,7 @@ def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, config: 
     cache: dict = {}
     residual = 1.0 - np.minimum.reduce([np.abs(_eval_table(t, z, cache)) for t in tables])
     theta %= TWO_PI
-    accepted = residual <= config.contact_tol
+    accepted = residual <= contact_tol
     acc_rate = float(np.mean(accepted)) if len(accepted) else 0.0
     frac = frac_coarse * acc_rate
     if not np.any(accepted):
@@ -358,12 +364,12 @@ def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, config: 
 
     theta_a = theta[accepted]
     res_a = residual[accepted]
-    if frac > config.manifold_frac:
+    if frac > MANIFOLD_FRAC:
         order = np.lexsort(theta_a.T[::-1])
         return _result("positive_dimensional", theta_a[order], res_a[order], frac)
 
-    pts, resid = _dedupe(theta_a, res_a, config.merge_radius)
-    if len(pts) > config.finite_cap:
+    pts, resid = _dedupe(theta_a, res_a, MERGE_RADIUS)
+    if len(pts) > FINITE_CAP:
         # a thin curve sampled densely looks like very many separated points;
         # the cell fraction missed it, the point count does not
         return _result("positive_dimensional", pts, resid, frac)
@@ -388,26 +394,18 @@ def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, config: 
 
 
 def _stacked_rank(blocks: np.ndarray, rank_tol: float, rank_band: float):
-    """Singular values, ranks and inconclusive flags of an (N, k, m) matrix stack."""
+    """Singular values, ranks and inconclusive flags of an (N, k, m) matrix stack.
+
+    sigma_k counts iff sigma_k > rank_tol * sigma_1.  Singular values in the
+    open band (rank_tol, rank_band) * sigma_1 are a gray zone: they flag the
+    block inconclusive instead of being silently tie-broken.
+    """
     sv = np.linalg.svd(np.asarray(blocks, dtype=complex), compute_uv=False)
     top = sv[:, :1]
     nonzero = top != 0.0  # a zero (or empty) block has rank 0 and is never inconclusive
     rel = sv / np.where(nonzero, top, 1.0)
     counted = (rel > rank_tol) & nonzero
     return sv, counted.sum(axis=1), (counted & (rel < rank_band)).any(axis=1)
-
-
-def numerical_rank(matrix: np.ndarray, rank_tol: float = DEFAULTS.rank_tol,
-                   rank_band: float = DEFAULTS.rank_band) -> RankInfo:
-    """Rank by singular values: sigma_k counts iff sigma_k > rank_tol * sigma_1.
-
-    Singular values falling in the open band (rank_tol, rank_band) * sigma_1
-    are an honest gray zone and set the inconclusive flag instead of being
-    silently tie-broken.
-    """
-    sv, ranks, inconclusive = _stacked_rank(np.asarray(matrix)[None], rank_tol, rank_band)
-    return RankInfo(rank=int(ranks[0]), singular_values=tuple(float(s) for s in sv[0]),
-                    inconclusive=bool(inconclusive[0]))
 
 
 @dataclass(frozen=True, eq=False)

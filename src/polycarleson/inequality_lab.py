@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULTS, LabConfig
 from .contact import ContactRequired
-from .measure import Region, WeightParam, restricted_sample
+from .measure import AnnulusArc, WeightParam, restricted_sample
 from .symbols import PolySymbol, TorusPoint
 
 TWO_PI = 2.0 * math.pi
@@ -182,7 +182,7 @@ def linearization_bound_check(
 
 def schwarz_product_check(
     sym: PolySymbol,
-    region: Region,
+    region: AnnulusArc,
     c_floor: float,
     samples: int = 100_000,
     seed: int = 0,

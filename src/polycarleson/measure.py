@@ -13,13 +13,14 @@ probability over z_j = r_j e^{i theta_j} that |a + b z_j^m - eta| <= delta,
 so that one coordinate is integrated instead of sampled.  Where r_j is drawn,
 the closed-form angular measure alone integrates theta_j.
 
-Sampling regions come in two shapes: the full polydisc, and annulus-arc
-products with an optional angle-sum window (the shape carved out by
-near-torus sublevel sets) and an optional deficit simplex.  The simplex is
-the exact shape of a separable binding |c0 + sum_k c_k z_k^{m_k} - eta| <=
-delta whose target is extremal: with x_k = 1 - Re(e^{-i phi_k} z_k^{m_k}) >= 0
-it is {sum_k |c_k| x_k <= budget}, and it contains the binding's sublevel
-set with no margin (``DeficitSimplex``).
+Sampling regions are annulus-arc products (``AnnulusArc``; depth 1 and no
+arc in every coordinate is the whole polydisc, ``AnnulusArc.full``) with an
+optional angle-sum window (the shape carved out by near-torus sublevel sets)
+and an optional deficit simplex.  The simplex is the exact shape of a
+separable binding |c0 + sum_k c_k z_k^{m_k} - eta| <= delta whose target is
+extremal: with x_k = 1 - Re(e^{-i phi_k} z_k^{m_k}) >= 0 it is
+{sum_k |c_k| x_k <= budget}, and it contains the binding's sublevel set with
+no margin (``DeficitSimplex``).
 
 Every sampler goes through one inverse-CDF map, ``region_points``, from
 uniforms to region points: one uniform per radius (``radial_sample`` on the
@@ -299,6 +300,17 @@ def _radial_cap_weight(bmod, umod, delta: float, m: int,
         inside = (delta - d) * (delta + d)
         rho += u[rows]
         outside = (rho - delta) * (rho + delta)
+        holed = np.flatnonzero(u[rows] < delta) if p1 != 1.0 else ()
+        if len(holed):
+            # D(|u|, delta) holds the origin, a = delta - |u| > 0: rho + |u| - delta = rho - a
+            # cancels when |b| - a is thin, and rho is itself rounded there.  Take it as
+            # (|b| - a) - (|b| - rho), with |b| - rho from 1 - r^2 at the nodes, as r2 was built.
+            sh = span[holed]
+            deep = np.concatenate([(lo[holed] + sh * s) ** (1.0 / p1),
+                                   top[holed] * np.exp(np.log1p(-(sh / hi[holed]) * t) / p1)])
+            bh = b[rows][holed]
+            fall = -np.expm1(m / 2.0 * np.log1p(-deep)) * bh
+            outside[:, holed] = ((bh - (delta - u[rows][holed])) - fall) * (rho[:, holed] + delta)
         np.maximum(inside, 0.0, out=inside)
         with np.errstate(divide="ignore"):
             h = np.arctan(np.sqrt(np.divide(inside, outside, out=inside), out=inside), out=inside)
@@ -466,11 +478,6 @@ class DeficitSimplex:
 
 
 @dataclass(frozen=True)
-class FullPolydisc:
-    n: int
-
-
-@dataclass(frozen=True)
 class AnnulusArc:
     """Product region {r_j in [1-s_j, 1), theta_j in arcs_j} ∩ optional angle-sum window
     ∩ optional deficit simplex.
@@ -501,6 +508,11 @@ class AnnulusArc:
             if self.arcs[j] is not None or (self.window is not None and self.window.coeffs[j]):
                 raise ValueError("a simplex coordinate takes no arc and no window")
 
+    @staticmethod
+    def full(n: int) -> "AnnulusArc":
+        """The whole polydisc: depth 1 and no arc in every coordinate."""
+        return AnnulusArc(depths=(1.0,) * n, arcs=(None,) * n)
+
     @property
     def n(self) -> int:
         return len(self.depths)
@@ -511,17 +523,12 @@ class AnnulusArc:
         return self.simplex.coords if self.simplex is not None else ()
 
 
-Region = FullPolydisc | AnnulusArc
-
-
-def region_mass(region: Region, beta: WeightParam) -> float:
+def region_mass(region: AnnulusArc, beta: WeightParam) -> float:
     """Exact V_beta mass of a sampling region's product part, in closed form.
 
     A simplex's coordinates count with mass 1 here: each of their draws
     carries its own likelihood factor in [0, 1] (``region_points``).
     """
-    if isinstance(region, FullPolydisc):
-        return 1.0
     total = 1.0
     for j, (s, arcs) in enumerate(zip(region.depths, region.arcs)):
         if j in region.inner:
@@ -546,7 +553,7 @@ def _arc_angle(arcs: tuple[Arc, ...], u: np.ndarray) -> np.ndarray:
     return (starts[pick] + (t - (cum[pick] - lengths[pick]))) % TWO_PI
 
 
-def sample_dim(region: Region, fixed: tuple[int, ...] = (),
+def sample_dim(region: AnnulusArc, fixed: tuple[int, ...] = (),
                integrated: tuple[int, ...] = ()) -> int:
     """Uniforms per point that ``region_points`` reads: the drawn radii and the drawn angles."""
     return 2 * region.n - len(fixed) - 2 * len(integrated)
@@ -703,7 +710,7 @@ def _simplex_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle
     return likelihood
 
 
-def region_points(region: Region, beta: WeightParam, u: np.ndarray,
+def region_points(region: AnnulusArc, beta: WeightParam, u: np.ndarray,
                   fixed: tuple[int, ...] = (),
                   integrated: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray | float]:
     """Map uniforms u, shape (size, sample_dim), to region points and their likelihoods.
@@ -729,8 +736,6 @@ def region_points(region: Region, beta: WeightParam, u: np.ndarray,
     any simplex.
     """
     n = region.n
-    if isinstance(region, FullPolydisc):
-        region = AnnulusArc(depths=(1.0,) * n, arcs=(None,) * n)
     window, inner = region.window, region.inner
     if any(region.arcs[j] is not None or (window is not None and window.coeffs[j] > 0)
            or (j in inner and (j in integrated or j != inner[-1]))
@@ -779,10 +784,10 @@ def region_points(region: Region, beta: WeightParam, u: np.ndarray,
 
 def sample_polydisc(n: int, beta: WeightParam, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, n) i.i.d. points with law V_beta, through ``region_points`` of the full polydisc."""
-    return region_points(FullPolydisc(n), beta, rng.random((size, 2 * n)))[0]
+    return region_points(AnnulusArc.full(n), beta, rng.random((size, 2 * n)))[0]
 
 
-def restricted_sample(region: Region, beta: WeightParam,
+def restricted_sample(region: AnnulusArc, beta: WeightParam,
                       rng: np.random.Generator | Sequence[np.random.Generator],
                       size: int, fixed: tuple[int, ...] = (),
                       sobol: bool = False,
@@ -817,11 +822,9 @@ def restricted_sample(region: Region, beta: WeightParam,
 _DEFICIT_SLACK = 1e-12
 
 
-def region_contains(region: Region, z: np.ndarray) -> np.ndarray:
+def region_contains(region: AnnulusArc, z: np.ndarray) -> np.ndarray:
     """Vectorized membership test for points of D^n (boolean array of length N)."""
     z = np.asarray(z, dtype=complex)
-    if isinstance(region, FullPolydisc):
-        return np.ones(z.shape[0], dtype=bool)
     ok = np.ones(z.shape[0], dtype=bool)
     r = np.abs(z)
     theta = np.angle(z) % TWO_PI

@@ -45,14 +45,12 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULTS, LabConfig
-from .contact import _dedupe, _torus_newton, find_contact_set
+from .contact import MERGE_RADIUS, _dedupe, _torus_newton, find_contact_set
 from .fitting import loglog_wls, trusted_points
 from .measure import (
     AngleSumWindow,
     AnnulusArc,
     DeficitSimplex,
-    FullPolydisc,
-    Region,
     WeightParam,
     _branch_angle,
     _cap_angular_halfwidth,
@@ -68,6 +66,25 @@ from .montecarlo import replicate_bundle, replicate_layout, run_batches, sum_cou
 from .symbols import MonomialTable, PolySymbol, TorusPoint, _eval_table, certify_self_map
 
 TWO_PI = 2.0 * math.pi
+
+# Importance-sampling proposal margin K: radial depth K/2 delta, angular
+# window K/2 delta for monomial constraints, arcs K sqrt(delta) around finite
+# value fibers.  K = 4 keeps hit rates compatible with the pinned budgets
+# while still dominating the provable containment constants of the battery
+# symbols; the leakage audit guards the margin at runtime.
+PROPOSAL_MARGIN = 4.0
+
+# The trust rule.  The leakage audit draws LEAKAGE_FRACTION of the main
+# draws; leakage above LEAKAGE_THRESHOLD of the estimate marks it untrusted.
+# Zero support reports the one-sided bound ZERO_HIT_FACTOR / draws x region
+# mass.  Estimates are a pure function of (seed, budget): their batch layouts
+# depend on the budget alone (montecarlo), and thread count never enters.
+LEAKAGE_FRACTION = 0.1
+LEAKAGE_THRESHOLD = 0.01
+ZERO_HIT_FACTOR = 3.0
+
+# a value fiber with more separated points than this is a manifold
+FIBER_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -170,8 +187,8 @@ def find_value_fiber(f: PolySymbol, eta: complex, config: LabConfig = DEFAULTS) 
     ok = resid <= config.contact_tol
     if not np.any(ok):
         return ValueFiber("empty", ())
-    pts, _ = _dedupe(theta[ok], resid[ok], config.merge_radius)
-    if len(pts) > config.fiber_cap:
+    pts, _ = _dedupe(theta[ok], resid[ok], MERGE_RADIUS)
+    if len(pts) > FIBER_CAP:
         return ValueFiber("manifold", ())
     return ValueFiber("finite", tuple(TorusPoint(tuple(p)) for p in pts))
 
@@ -255,7 +272,7 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
     constraint.  Returns PROVABLY_EMPTY when a binding target is beyond the
     reach of its component.
     """
-    K = config.proposal_margin
+    K = PROPOSAL_MARGIN
     k_half = K / 2.0
 
     dedup: dict[tuple, tuple[PolySymbol, complex, float]] = {}
@@ -355,9 +372,6 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
                                     halfwidth=width, solve_index=j0)
             break  # one exact window; extra constraints stay in the membership test
 
-    if (simplex is None and window is None and all(a is None for a in arcs)
-            and all(d >= 1.0 for d in depths)):
-        return FullPolydisc(n)
     return AnnulusArc(depths=depths, arcs=arcs, window=window, simplex=simplex)
 
 
@@ -433,20 +447,16 @@ def _split_coordinate(bindings: list[Binding], n: int) -> _AngleSplit | None:
     return None
 
 
-def _free_angle(region: Region, j: int, radius: bool) -> Region:
+def _free_angle(region: AnnulusArc, j: int, radius: bool) -> AnnulusArc:
     """The region without its arcs on theta_j and its angle-sum window; z_j drawn last in a simplex.
 
     With ``radius``, r_j's depth goes too: r_j is then integrated over its whole law.
     """
-    if isinstance(region, FullPolydisc):
-        return region
     arcs = region.arcs[:j] + (None,) + region.arcs[j + 1:]
     depths = region.depths[:j] + (1.0,) + region.depths[j + 1:] if radius else region.depths
     simplex = region.simplex
     if j in region.inner:
         simplex = simplex.last(j)
-    if simplex is None and all(a is None for a in arcs) and all(s >= 1.0 for s in depths):
-        return FullPolydisc(region.n)
     return AnnulusArc(depths=depths, arcs=arcs, simplex=simplex)
 
 
@@ -523,12 +533,11 @@ def estimate_indicator(
     bindings,
     n: int,
     beta: WeightParam,
-    region: Region,
+    region: AnnulusArc,
     budget: int,
     seed: int,
     label: str,
     threads: int | None = None,
-    config: LabConfig = DEFAULTS,
 ) -> SublevelEstimate:
     """Shared engine: V_beta of {z : every binding holds}, with a leakage audit.
 
@@ -569,7 +578,7 @@ def estimate_indicator(
     fixed = integrated = ()
     if split is not None:
         # a simplex coordinate's radius is drawn: it depends on the others' deficits
-        drawn = split.coupled or (isinstance(region, AnnulusArc) and split.j in region.inner)
+        drawn = split.coupled or split.j in region.inner
         region = _free_angle(region, split.j, radius=not drawn)
         if drawn:
             fixed = (split.j,)
@@ -609,8 +618,8 @@ def estimate_indicator(
 
     leakage = 0.0
     leak_stderr = 0.0
-    if not isinstance(region, FullPolydisc):
-        audit_budget = max(1, int(round(draws * config.leakage_fraction)))
+    if region != AnnulusArc.full(n):
+        audit_budget = max(1, int(round(draws * LEAKAGE_FRACTION)))
 
         def audit_worker(rng, count):
             z = sample_polydisc(n, beta, rng, count)
@@ -632,11 +641,11 @@ def estimate_indicator(
     if hits == 0:
         trusted = False
         reason = "zero support"
-        upper = config.zero_hit_factor / draws * mass + leakage
-    elif leakage > config.leakage_threshold * restricted:
+        upper = ZERO_HIT_FACTOR / draws * mass + leakage
+    elif leakage > LEAKAGE_THRESHOLD * restricted:
         trusted = False
         reason = (
-            f"leakage audit {leakage:.3e} exceeds {config.leakage_threshold:.0%} "
+            f"leakage audit {leakage:.3e} exceeds {LEAKAGE_THRESHOLD:.0%} "
             f"of estimate {restricted:.3e}"
         )
     return SublevelEstimate(
@@ -663,7 +672,7 @@ def estimate_sublevel(query: SublevelQuery, config: LabConfig = DEFAULTS) -> Sub
         return SublevelEstimate.empty("target beyond component range; set empty")
     return estimate_indicator(
         [(f.components[0], eta, delta, False)], n, beta, region, query.budget, query.seed,
-        f"sublevel[{query.seed}]", threads=query.threads, config=config,
+        f"sublevel[{query.seed}]", threads=query.threads,
     )
 
 

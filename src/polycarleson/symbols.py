@@ -88,9 +88,6 @@ class TorusPoint:
     def point(self) -> np.ndarray:
         return np.exp(1j * np.asarray(self.angles))
 
-    def __iter__(self):
-        return iter(self.point())
-
 
 @dataclass(frozen=True)
 class PolySymbol:
@@ -141,21 +138,6 @@ class PolySymbol:
                 entries.append((tuple(row[2:]), complex(row[0], row[1])))
             tables.append(entries)
         return PolySymbol.from_tables(tables, n_in, certify=certify)
-
-    def to_literal(self) -> list[list[list[float]]]:
-        return [
-            [[c.real, c.imag, *map(float, alpha)] for alpha, c in table]
-            for table in self.components
-        ]
-
-    @staticmethod
-    def identity(n: int, certify: bool = True) -> "PolySymbol":
-        tables = []
-        for j in range(n):
-            alpha = [0] * n
-            alpha[j] = 1
-            tables.append([(tuple(alpha), 1.0 + 0j)])
-        return PolySymbol.from_tables(tables, n, certify=certify)
 
     @staticmethod
     def monomial(n: int, alpha: Iterable[int], coeff: complex = 1.0, certify: bool = True) -> "PolySymbol":

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from polycarleson import carleson
 from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
-from polycarleson.fitting import FitRefused
 from polycarleson.measure import CarlesonBox, WeightParam, carleson_box_measure
 from polycarleson.symbols import PolySymbol, TorusPoint
 
@@ -18,7 +18,7 @@ def stacked_product(n):
 class TestPreimageRatio:
     def test_identity_ratio_one(self):
         box = CarlesonBox(TorusPoint((0.7, 2.1)), (0.3, 0.2))
-        est = preimage_box_ratio(PolySymbol.identity(2), box, WeightParam(0.0),
+        est = preimage_box_ratio(get_symbol("identity2"), box, WeightParam(0.0),
                                  500_000, seed=1)
         assert est.trusted
         assert abs(est.ratio - 1.0) < 3 * est.stderr
@@ -26,7 +26,7 @@ class TestPreimageRatio:
     def test_identity_numerator_matches_quadrature(self):
         box = CarlesonBox(TorusPoint((0.0, 1.0)), (0.25, 0.4))
         beta = WeightParam(1.0)
-        est = preimage_box_ratio(PolySymbol.identity(2), box, beta, 500_000, seed=2)
+        est = preimage_box_ratio(get_symbol("identity2"), box, beta, 500_000, seed=2)
         target, _ = carleson_box_measure(box, beta)
         assert abs(est.numerator.volume - target) < 3 * est.numerator.stderr
 
@@ -66,19 +66,25 @@ class TestPreimageRatio:
 
 class TestScans:
     def test_identity_scan_flat(self):
-        scan = ratio_growth_scan(PolySymbol.identity(2), TorusPoint((0.0, 0.0)),
+        scan = ratio_growth_scan(get_symbol("identity2"), TorusPoint((0.0, 0.0)),
                                  (True, True), WeightParam(0.0),
                                  [2.0**-k for k in range(3, 8)], 500_000, seed=6)
         assert abs(scan.slope) <= 0.05
 
-    def test_refuses_short_grid(self):
-        with pytest.raises(FitRefused, match="trusted points out of 3"):
-            ratio_growth_scan(PolySymbol.identity(2), TorusPoint((0.0, 0.0)),
-                              (True, True), WeightParam(0.0),
-                              [0.25, 0.125, 0.0625], 10_000, seed=7)
+    def test_refuses_short_grid(self, monkeypatch):
+        # the grid is checked as fit_exponent checks it, before any estimate runs
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimated a box of a refused grid")
+
+        monkeypatch.setattr(carleson, "preimage_box_ratio", no_estimate)
+        for grid, message in (([0.25, 0.125, 0.0625], "at least 4 points"),
+                              ([0.5, 0.3, 0.1, 0.01], "geometric")):
+            with pytest.raises(ValueError, match=message):
+                ratio_growth_scan(get_symbol("identity2"), TorusPoint((0.0, 0.0)),
+                                  (True, True), WeightParam(0.0), grid, 10_000, seed=7)
 
     def test_csv_rows(self):
-        scan = ratio_growth_scan(PolySymbol.identity(2), TorusPoint((0.0, 0.0)),
+        scan = ratio_growth_scan(get_symbol("identity2"), TorusPoint((0.0, 0.0)),
                                  (True, True), WeightParam(0.0),
                                  [2.0**-k for k in range(3, 7)], 100_000, seed=8)
         header, rows = scan.csv_rows()
@@ -87,14 +93,14 @@ class TestScans:
 
     def test_requires_some_shrink(self):
         with pytest.raises(ValueError):
-            ratio_growth_scan(PolySymbol.identity(2), TorusPoint((0.0, 0.0)),
+            ratio_growth_scan(get_symbol("identity2"), TorusPoint((0.0, 0.0)),
                               (False, False), WeightParam(0.0),
                               [0.5, 0.25, 0.125, 0.0625], 1000)
 
 
 class TestBetaUniformity:
     def test_identity_uniform(self):
-        scans = [ratio_growth_scan(PolySymbol.identity(2), TorusPoint((0.0, 0.0)),
+        scans = [ratio_growth_scan(get_symbol("identity2"), TorusPoint((0.0, 0.0)),
                                    (True, True), WeightParam(b),
                                    [2.0**-k for k in range(3, 7)], 200_000,
                                    seed=9 + 104729 * i)

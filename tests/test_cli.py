@@ -129,33 +129,43 @@ class TestExponentCommand:
         code = run_cli(["exponent", "--config", str(path), "--seed", "9"])
         assert code == 0
 
+    # the proposal margin, the audit's trust rule and the contact-detection caps
+    # are constants, not settings: a margin of 0.05 once ran with every point
+    # trusted and every volume ~5.7 % of the truth
+    REMOVED_TOLERANCES = {"proposal_margin": 0.05, "leakage_fraction": 0.1,
+                          "leakage_threshold": 0.01, "zero_hit_factor": 3.0, "fiber_cap": 64,
+                          "coarse_margin": 1e-2, "merge_radius": 1e-4, "manifold_frac": 0.05,
+                          "posdim_sample_cap": 4096, "finite_cap": 256, "quad_tol": 1e-8}
+
     def test_bad_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         for text in ("{not json", '{"tolerances": {"no_such_tol": 1.0}}', '{"budget": "ten"}',
                      '{"shrink": "1,0"}', '{"budget": 20000.5}', '{"seed": 3.5}',
                      '{"tolerances": {"batch_size": 1000}}', '{"tolerances": {"cert_tol": 0.5}}',
-                     '{"tolerances": {"leakage_fraction": "0.1"}}',
-                     '{"tolerances": {"rank_tol": true}}', '{"tolerances": {"fiber_cap": 8.5}}',
+                     '{"tolerances": {"jc_tol": "1e-6"}}', '{"tolerances": {"rank_tol": true}}',
                      '{"tolerances": [1e-7]}', '{"eta": [1]}', '{"eta": ["a", 0]}',
                      '{"shrink": ["a", 0]}', '{"threads": true}', '{"shrink": [true, false]}',
                      '{"delta_grid": [0.5, "0.25"]}', '{"center": [null]}', '{"only": [4.5]}',
-                     '{"formats": ["xml"]}', '{"formats": [1]}',
-                     '{"tolerances": {"quad_tol": 1e-8}}'):
+                     '{"formats": ["xml"]}', '{"formats": [1]}'):
             path.write_text(text)
             assert run_cli(["exponent", "--config", str(path), "--symbol", "product2",
                             "--out-dir", str(tmp_path)]) == 2, text
+        for key, value in self.REMOVED_TOLERANCES.items():
+            path.write_text(json.dumps({"tolerances": {key: value}}))
+            assert run_cli(["exponent", "--config", str(path), "--symbol", "product2",
+                            "--budget", "200000", "--seed", "3",
+                            "--out-dir", str(tmp_path)]) == 2, key
 
     def test_integral_float_budget_and_seed_run(self, tmp_path, capsys):
-        # an integer tolerance takes an integral float too, a float one an int
+        # budget and seed take integral floats; a tolerance takes an int
         path = tmp_path / "cfg.json"
         path.write_text('{"budget": 2e4, "seed": 3.0,'
-                        ' "tolerances": {"fiber_cap": 64.0, "proposal_margin": 4}}')
+                        ' "tolerances": {"contact_tol": 1e-8, "jc_tol": 1}}')
         args = _build_parser().parse_args(["exponent", "--config", str(path)])
         cfg = _merge_config(args)
         assert (cfg.budget, cfg.seed) == (20000, 3)
         assert type(cfg.budget) is int and type(cfg.seed) is int
-        assert cfg.tolerances == {"fiber_cap": 64, "proposal_margin": 4}
-        assert type(cfg.tolerances["fiber_cap"]) is int
+        assert cfg.tolerances == {"contact_tol": 1e-8, "jc_tol": 1}
         code = run_cli(["exponent", "--config", str(path), "--symbol", "product2",
                         "--delta-grid", "0.25,0.125,0.0625,0.03125", "--out-dir", str(tmp_path)])
         assert code == 0
@@ -207,6 +217,13 @@ class TestCarlesonCommand:
     def test_missing_shrink_exit_2(self, tmp_path):
         assert run_cli(["carleson", "--symbol", "identity2",
                         "--out-dir", str(tmp_path)]) == 2
+
+    def test_non_geometric_grid_exit_2(self, tmp_path, capsys):
+        # a grid that `exponent` refuses is refused here too, before any box is estimated
+        code = run_cli(["carleson", "--symbol", "identity2", "--shrink", "1,1",
+                        "--delta-grid", "0.5,0.3,0.1,0.01", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "geometric" in capsys.readouterr().err
 
 
 class TestContactCommand:

@@ -10,11 +10,11 @@ from polycarleson.battery import SYMBOL_NAMES, get_symbol
 from polycarleson.config import DEFAULTS, contact_grid_res
 from polycarleson.contact import (
     ContactRequired,
+    MERGE_RADIUS,
     _dedupe,
     _modulus_grid,
     _stacked_rank,
     find_contact_set,
-    numerical_rank,
     rank_report,
 )
 from polycarleson.criteria import BOUNDED, SUFFICIENCY_HOLDS, check_rank_sufficiency, decide_tridisc
@@ -182,45 +182,48 @@ class TestTorusNewton:
         assert out.tolist() == [[0.0, 0.0], [math.pi / 4, math.pi / 4]]
 
 
+RANK_TOLS = (DEFAULTS.rank_tol, DEFAULTS.rank_band)
+
+
 class TestNumericalRank:
+    """``_stacked_rank`` on stacks of one matrix, and ``rank_report``."""
+
     def test_identity(self):
-        assert numerical_rank(np.eye(2)).rank == 2
+        assert _stacked_rank(np.eye(2)[None], *RANK_TOLS)[1][0] == 2
 
     def test_ones_matrix(self):
-        assert numerical_rank(np.ones((2, 2))).rank == 1
+        assert _stacked_rank(np.ones((1, 2, 2)), *RANK_TOLS)[1][0] == 1
 
     def test_stacked_product_jacobian(self):
         f = [((1, 1, 1), 1.0)]
         sym = PolySymbol.from_tables([f, f, []], 3)
-        info = numerical_rank(sym.jacobian([1.0, 1.0, 1.0]))
-        assert info.rank == 1
-        assert not info.inconclusive
+        _, ranks, inconclusive = _stacked_rank(sym.jacobian([1.0, 1.0, 1.0])[None], *RANK_TOLS)
+        assert ranks[0] == 1
+        assert not inconclusive[0]
 
     def test_zero_matrix(self):
-        info = numerical_rank(np.zeros((3, 2)))
-        assert info.rank == 0 and not info.inconclusive
+        _, ranks, inconclusive = _stacked_rank(np.zeros((1, 3, 2)), *RANK_TOLS)
+        assert ranks[0] == 0 and not inconclusive[0]
 
     def test_band_inconclusive(self):
-        info = numerical_rank(np.diag([1.0, 1e-6]))
-        assert info.inconclusive
+        assert _stacked_rank(np.diag([1.0, 1e-6])[None], *RANK_TOLS)[2][0]
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, TWO_PI), st.integers(0, 5))
     def test_invariance_unimodular_and_permutation(self, phase, perm_seed):
         rng = np.random.default_rng(perm_seed)
         M = rng.normal(size=(3, 3)) @ np.diag([1.0, 1.0, 0.0]) @ rng.normal(size=(3, 3))
-        base = numerical_rank(M).rank
-        assert numerical_rank(np.exp(1j * phase) * M).rank == base
         p = rng.permutation(3)
-        assert numerical_rank(M[p][:, p]).rank == base
+        _, ranks, _ = _stacked_rank(np.stack([M, np.exp(1j * phase) * M, M[p][:, p]]), *RANK_TOLS)
+        assert ranks[1] == ranks[2] == ranks[0]
 
     def test_rank_report(self):
-        sym = PolySymbol.identity(2)
+        sym = get_symbol("identity2")
         rep = rank_report(sym, (0, 1), [TorusPoint((0.3, 1.2))]).report(0)
         assert rep.passed and rep.rank == 2 and rep.target == 2
 
     def test_rank_report_no_points(self):
-        ranks = rank_report(PolySymbol.identity(2), (0, 1), [])
+        ranks = rank_report(get_symbol("identity2"), (0, 1), [])
         assert ranks.jacobians.shape == (0, 2, 2)
         assert ranks.ranks.shape == ranks.inconclusive.shape == (0,)
 
@@ -240,12 +243,12 @@ class TestBatchedRank:
         assert ranks.points == tuple(points) and ranks.target == len(index_set)
         for k, pt in enumerate(points):
             block = sym.jacobian(pt.point())[list(index_set), :]
-            info = numerical_rank(block)
+            (sv,), (rank,), (inconclusive,) = _stacked_rank(block[None], *RANK_TOLS)
             rep = ranks.report(k)
             assert rep.point == pt
-            assert (rep.rank, rep.inconclusive) == (info.rank, info.inconclusive)
-            assert rep.passed == (info.rank == len(index_set) and not info.inconclusive)
-            np.testing.assert_array_equal(bits(rep.singular_values), bits(info.singular_values))
+            assert (rep.rank, rep.inconclusive) == (rank, inconclusive)
+            assert rep.passed == (rank == len(index_set) and not inconclusive)
+            np.testing.assert_array_equal(bits(rep.singular_values), bits(sv))
             np.testing.assert_array_equal(ranks.jacobians[k].view(np.uint64),
                                           block.view(np.uint64))
 
@@ -260,13 +263,13 @@ class TestBatchedRank:
         u = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
         v = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
         blocks[1] = u[:, :2] @ np.diag([1.0, 10.0**log_ratio]) @ v[:, :2].conj().T
-        sv, ranks, inconclusive = _stacked_rank(blocks, DEFAULTS.rank_tol, DEFAULTS.rank_band)
+        sv, ranks, inconclusive = _stacked_rank(blocks, *RANK_TOLS)
         assert ranks[0] == 0 and not inconclusive[0]
         assert ranks[1] == 2 and inconclusive[1]
         for row, block in enumerate(blocks):
-            info = numerical_rank(block)
-            assert (ranks[row], inconclusive[row]) == (info.rank, info.inconclusive)
-            np.testing.assert_array_equal(bits(sv[row]), bits(info.singular_values))
+            (alone,), (rank,), (flag,) = _stacked_rank(block[None], *RANK_TOLS)
+            assert (ranks[row], inconclusive[row]) == (rank, flag)
+            np.testing.assert_array_equal(bits(sv[row]), bits(alone))
             np.testing.assert_array_equal(bits(sv[row]),
                                           bits(np.linalg.svd(block, compute_uv=False)))
 
@@ -280,7 +283,7 @@ def clustered_angles(draw):
     set, so ties occur.  A zero radius merges nothing.
     """
     n = draw(st.integers(1, 3))
-    radius = draw(st.sampled_from([DEFAULTS.merge_radius, 1e-2, 0.3, 0.0]))
+    radius = draw(st.sampled_from([MERGE_RADIUS, 1e-2, 0.3, 0.0]))
     edge = st.sampled_from([0.0, radius / 3, TWO_PI - radius / 3])
     centres = draw(st.lists(st.tuples(*[st.one_of(edge, ANGLE)] * n), min_size=1, max_size=6))
     offset = st.one_of(st.integers(-4, 4).map(lambda h: h * radius / 2),
@@ -309,10 +312,10 @@ class TestDedupe:
         rng = np.random.default_rng(3)
         centres = rng.random((40, 3)) * TWO_PI
         theta = (centres[rng.integers(0, 40, 3000)]
-                 + rng.normal(scale=DEFAULTS.merge_radius, size=(3000, 3))) % TWO_PI
+                 + rng.normal(scale=MERGE_RADIUS, size=(3000, 3))) % TWO_PI
         residuals = rng.random(3000) * 1e-9
-        got = _dedupe(theta, residuals, DEFAULTS.merge_radius)
-        want = greedy_dedupe(theta, residuals, DEFAULTS.merge_radius)
+        got = _dedupe(theta, residuals, MERGE_RADIUS)
+        want = greedy_dedupe(theta, residuals, MERGE_RADIUS)
         assert 40 < len(got[0]) < 3000
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)

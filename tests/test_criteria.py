@@ -1,6 +1,7 @@
 import math
 
 from polycarleson import criteria
+from polycarleson.battery import get_symbol
 from polycarleson.criteria import (
     BOUNDED,
     EVIDENCE_CAP,
@@ -13,7 +14,7 @@ from polycarleson.criteria import (
     decide_tridisc,
 )
 from polycarleson.config import DEFAULTS
-from polycarleson.contact import ContactSet, numerical_rank
+from polycarleson.contact import ContactSet, _stacked_rank
 from polycarleson.symbols import PolySymbol, TorusPoint
 
 TWO_PI = 2.0 * math.pi
@@ -24,7 +25,8 @@ def assert_failure_witness(sym, witness, index_set):
     z = witness.point.point()
     vals = sym.evaluate(z)
     assert max(1.0 - abs(vals[i]) for i in index_set) <= DEFAULTS.contact_tol
-    assert numerical_rank(sym.jacobian(z)[list(index_set), :]).rank < len(index_set)
+    block = sym.jacobian(z)[list(index_set), :]
+    assert _stacked_rank(block[None], DEFAULTS.rank_tol, DEFAULTS.rank_band)[1][0] < len(index_set)
 
 
 def product_entries(n):
@@ -58,7 +60,7 @@ def repeated_product3():
 
 class TestRankSufficiency:
     def test_identity_holds(self):
-        v = check_rank_sufficiency(PolySymbol.identity(2))
+        v = check_rank_sufficiency(get_symbol("identity2"))
         assert v.outcome == SUFFICIENCY_HOLDS
         assert len(v.evidence) == 3  # {0}, {1}, {0,1}
 
@@ -81,14 +83,14 @@ class TestRankSufficiency:
     def test_json_round_trip(self):
         import json
 
-        v = check_rank_sufficiency(PolySymbol.identity(2))
+        v = check_rank_sufficiency(get_symbol("identity2"))
         data = json.loads(v.to_json())
         assert data["outcome"] == SUFFICIENCY_HOLDS
 
 
 class TestBidisc:
     def test_identity_bounded(self):
-        d = decide_bidisc(PolySymbol.identity(2))
+        d = decide_bidisc(get_symbol("identity2"))
         assert d.outcome == BOUNDED
 
     def test_coord_square_bounded(self):
@@ -110,7 +112,7 @@ class TestBidisc:
         assert_failure_witness(mean_product_map(), d.witness, (0, 1))
 
     def test_hardy_space_reported(self):
-        d = decide_bidisc(PolySymbol.identity(2), beta=-0.5)
+        d = decide_bidisc(get_symbol("identity2"), beta=-0.5)
         assert any("H2" in s for s in d.spaces)
 
     def test_beta_does_not_change_outcome(self):
@@ -120,7 +122,7 @@ class TestBidisc:
 
 class TestTridisc:
     def test_identity_bounded(self):
-        d = decide_tridisc(PolySymbol.identity(3), grid_res=96)
+        d = decide_tridisc(get_symbol("identity3"), grid_res=96)
         assert d.outcome == BOUNDED
 
     def test_stacked_product_bounded_via_entries(self):
@@ -169,7 +171,6 @@ class TestTridisc:
                 symbol=sym_, index_set=tuple(index_set), kind="finite" if pts else "empty",
                 points=tuple(TorusPoint(p) for p in pts), residuals=(0.0,) * len(pts),
                 grid_res=64, accepted_fraction=0.0, contact_tol=config.contact_tol,
-                merge_radius=config.merge_radius,
             )
 
         monkeypatch.setattr(criteria, "find_contact_set", stub)
@@ -195,7 +196,7 @@ class TestTridisc:
 class TestConsistency:
     def test_bidisc_matches_rank_sufficiency(self):
         battery = [
-            PolySymbol.identity(2),
+            get_symbol("identity2"),
             coord_square_map(),
             mean_product_map(),
             damped_product_map(),

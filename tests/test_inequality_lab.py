@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polycarleson.battery import get_symbol
 from polycarleson.contact import ContactRequired
 from polycarleson.inequality_lab import (
     RegionRejected,
@@ -90,7 +91,7 @@ class TestSchwarzProduct:
         return AnnulusArc(depths=(depth, depth), arcs=(arc, arc))
 
     def test_identity_equality(self):
-        rep = schwarz_product_check(PolySymbol.identity(2), self.region(0.3, 0.5), 1.0,
+        rep = schwarz_product_check(get_symbol("identity2"), self.region(0.3, 0.5), 1.0,
                                     samples=20_000, seed=9)
         assert rep.passed
         # (C/k!)^k = 1/4 with equality impossible; margin strictly positive

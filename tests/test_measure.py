@@ -13,7 +13,6 @@ from polycarleson.measure import (
     AnnulusArc,
     CarlesonBox,
     EmptyRegion,
-    FullPolydisc,
     WeightParam,
     _cap_angular_halfwidth,
     _radial_cap_weight,
@@ -160,7 +159,7 @@ class TestDiscCap:
     @pytest.mark.parametrize("beta", manifest_betas())
     def test_within_stated_bound(self, beta):
         # torus, interior, centred, overlapping-outside and disjoint centres
-        # against scipy quad in the radial law's variable (good to 1e-13 of its value)
+        # against tanh-sinh quadrature in the radial law's variable (good to 1e-13 of its value)
         deltas = [2.0**-k for k in range(12, -1, -1)] + [1.5, 1.99]
         for a in (1.0, -0.6 + 0.8j, 0.6j, 0.3 + 0.2j, 0.0, 1.5, 2.5):
             for delta in deltas:
@@ -198,8 +197,9 @@ def weight_cases():
 
 
 class TestRadialCapWeight:
-    """The split coordinate's radial weight against scipy quad in the radial law's variable."""
+    """The split coordinate's radial weight against tanh-sinh quadrature in the radial law's variable."""
 
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("beta", manifest_betas())
     def test_within_stated_bound(self, m, beta):
@@ -391,14 +391,14 @@ class TestRegions:
         assert np.array_equal(together, np.concatenate(apart))
         rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
         with pytest.raises(ValueError):
-            restricted_sample(FullPolydisc(1), WeightParam(0.0), rngs, 1024, sobol=True)
+            restricted_sample(AnnulusArc.full(1), WeightParam(0.0), rngs, 1024, sobol=True)
 
     def test_empty_region_raises(self):
         with pytest.raises(EmptyRegion):
             AnnulusArc(depths=(0.0,), arcs=(None,))
 
     def test_full_polydisc_region(self):
-        region = FullPolydisc(2)
+        region = AnnulusArc.full(2)
         rng = np.random.default_rng(41)
         z, mass = restricted_sample(region, WeightParam(0.0), rng, 1000)
         assert mass == 1.0

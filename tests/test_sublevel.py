@@ -15,7 +15,6 @@ from polycarleson.fitting import FitRefused, loglog_wls
 from polycarleson.measure import (
     AnnulusArc,
     CarlesonBox,
-    FullPolydisc,
     WeightParam,
     disc_cap_measure,
     merge_arcs,
@@ -80,7 +79,7 @@ class TestGeneralSymbol:
         region = build_proposal([(general_symbol(), 1.0, delta)], 2)
         assert isinstance(region, AnnulusArc)
         assert region.window is None
-        half = DEFAULTS.proposal_margin * math.sqrt(delta)
+        half = sublevel.PROPOSAL_MARGIN * math.sqrt(delta)
         for arcs in region.arcs:
             assert arcs is not None and len(arcs) == 1
             start, length = arcs[0]
@@ -93,7 +92,7 @@ class TestGeneralSymbol:
         auto = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=delta, beta=WeightParam(0.0),
                                                budget=1_000_000, seed=seed))
         plain = sublevel.estimate_indicator([(f.components[0], 1.0, delta, False)], 2,
-                                            WeightParam(0.0), FullPolydisc(2), 1_000_000, seed,
+                                            WeightParam(0.0), AnnulusArc.full(2), 1_000_000, seed,
                                             f"sublevel[{seed}]")
         assert auto.trusted and plain.trusted
         z = (auto.volume - plain.volume) / math.hypot(auto.stderr, plain.stderr)
@@ -129,9 +128,9 @@ class TestValueFiber:
 
         monkeypatch.setattr(sublevel, "find_contact_set", recorder)
         find_value_fiber.cache_clear()
-        config = DEFAULTS.replace(coarse_margin=0.2)
+        config = DEFAULTS.replace(contact_tol=1e-7)
         assert find_value_fiber(general_symbol(), 1.0, config).kind == "finite"
-        assert [c.coarse_margin for c in seen] == [0.2]
+        assert [c.contact_tol for c in seen] == [1e-7]
 
 
 class TestBuildProposal:
@@ -173,7 +172,7 @@ class TestBuildProposal:
 
     def test_large_delta_degrades_to_full_polydisc(self):
         region = build_proposal([(product_symbol(2), 1.0, 2.0)], 2)
-        assert isinstance(region, FullPolydisc)
+        assert region == AnnulusArc.full(2)
 
 
 class TestEstimate:
@@ -186,7 +185,7 @@ class TestEstimate:
         assert est.trusted
 
     def test_univariate_matches_disc_cap(self):
-        f = PolySymbol.identity(1)
+        f = get_symbol("identity1")
         q = SublevelQuery(f=f, eta=1.0, delta=0.25, beta=WeightParam(0.0),
                           budget=2_000_000, seed=3)
         est = estimate_sublevel(q)
@@ -274,17 +273,17 @@ class TestFitExponent:
         assert 0.9 <= ratio <= 1.1
 
     def test_univariate_slope_two(self):
-        fit = fit_exponent(PolySymbol.identity(1), 1.0, WeightParam(0.0),
+        fit = fit_exponent(get_symbol("identity1"), 1.0, WeightParam(0.0),
                            delta_grid=[2.0**-k for k in range(4, 10)],
                            budget=1_000_000, seed=7)
         assert fit.slope == pytest.approx(2.0, abs=0.1)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            fit_exponent(PolySymbol.identity(1), 1.0, WeightParam(0.0),
+            fit_exponent(get_symbol("identity1"), 1.0, WeightParam(0.0),
                          delta_grid=[0.5, 0.25, 0.13, 0.06], budget=1000)
         with pytest.raises(ValueError):
-            fit_exponent(PolySymbol.identity(1), 1.0, WeightParam(0.0),
+            fit_exponent(get_symbol("identity1"), 1.0, WeightParam(0.0),
                          delta_grid=[0.5, 0.25, 0.125], budget=1000)
 
     def test_refuses_with_untrusted_points(self, monkeypatch):
@@ -302,7 +301,7 @@ class TestFitExponent:
                          budget=1000)
 
     def test_csv_rows_shape(self):
-        fit = fit_exponent(PolySymbol.identity(1), 1.0, WeightParam(0.0),
+        fit = fit_exponent(get_symbol("identity1"), 1.0, WeightParam(0.0),
                            delta_grid=[2.0**-k for k in range(4, 8)],
                            budget=200_000, seed=13)
         header, rows = fit.csv_rows()
@@ -408,7 +407,7 @@ class TestReplicates:
         est = half_square_estimate(wrong, 0.05, 50_000, seed=2)
         assert replicate_layout(50_000) == (97, 512)
         assert est.hits == 0
-        expected = DEFAULTS.zero_hit_factor / 49_664 * est.region_mass + est.leakage
+        expected = sublevel.ZERO_HIT_FACTOR / 49_664 * est.region_mass + est.leakage
         assert est.upper_bound == pytest.approx(expected, rel=1e-12)
 
     # The coverage cases below are four: two identity2 boxes and two fit
