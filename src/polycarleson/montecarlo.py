@@ -101,24 +101,96 @@ def replicate_bundle(size: int) -> int:
     return max(1, BUNDLE_POINTS // size)
 
 
-SOBOL_BITS = 30  # digits per coordinate, as in scipy.stats.qmc.Sobol
+SOBOL_BITS = 30  # binary digits per coordinate; a replicate holds at most 2^30 points
 _DIGIT_BITS = np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)  # digit i sits at bit 29 - i
 _DIAG = np.arange(SOBOL_BITS)
 _DIGIT_WEIGHTS = np.uint32(1) << np.arange(SOBOL_BITS, dtype=np.uint32)  # shift bit k is 2^k
 
+# Sobol direction numbers v_b * 2^30: row d - 1 for dimension d, column b for b < 30
+_DIRECTIONS = np.array([
+    [536870912, 268435456, 134217728, 67108864, 33554432, 16777216, 8388608, 4194304, 2097152,
+     1048576, 524288, 262144, 131072, 65536, 32768, 16384, 8192, 4096, 2048, 1024, 512, 256, 128,
+     64, 32, 16, 8, 4, 2, 1],
+    [536870912, 805306368, 671088640, 1006632960, 570425344, 855638016, 713031680, 1069547520,
+     538968064, 808452096, 673710080, 1010565120, 572653568, 858980352, 715816960, 1073725440,
+     536879104, 805318656, 671098880, 1006648320, 570434048, 855651072, 713042560, 1069563840,
+     538976288, 808464432, 673720360, 1010580540, 572662306, 858993459],
+    [536870912, 805306368, 402653184, 603979776, 973078528, 385875968, 595591168, 826277888,
+     438304768, 657457152, 999817216, 358875136, 538574848, 807862272, 406552576, 605372416,
+     975183872, 389033984, 597170176, 828646400, 437926400, 656873216, 1002152832, 357921088,
+     536885792, 805312304, 402662296, 603992420, 973085210, 385885991],
+    [536870912, 805306368, 134217728, 335544320, 1040187392, 486539264, 679477248, 616562688,
+     908066816, 156237824, 376963072, 968097792, 503447552, 755171328, 545292288, 817971200,
+     136568832, 340905984, 1056606208, 494291968, 673276416, 609457408, 922347392, 158784320,
+     371195936, 961544240, 511180808, 766771220, 537002046, 805503005],
+    [536870912, 268435456, 134217728, 738197504, 1040187392, 922746880, 511705088, 658505728,
+     379584512, 200278016, 676855808, 1009516544, 916586496, 468779008, 542670848, 271499264,
+     144826368, 754085888, 1054435328, 929870848, 503351808, 654495488, 377744768, 188970688,
+     681697312, 1022521360, 920217608, 460108844, 536906302, 268619575],
+    [536870912, 268435456, 402653184, 201326592, 838860800, 150994944, 360710144, 1052770304,
+     941621248, 470810624, 706215936, 84672512, 665976832, 935919616, 766869504, 586072064,
+     301998080, 419434496, 226498560, 851446784, 169882112, 353372416, 1066931584, 1003241152,
+     529676320, 735648784, 128821784, 669173004, 900859826, 784934857],
+    [536870912, 805306368, 671088640, 872415232, 369098752, 620756992, 260046848, 952107008,
+     799014912, 149946368, 126353408, 1019478016, 295567360, 434176000, 504463360, 555335680,
+     832446464, 702623744, 907126784, 354022400, 664679936, 216077568, 965846912, 769248448,
+     138287520, 68230640, 1041866760, 287174660, 429918270, 502268945],
+    [536870912, 268435456, 671088640, 335544320, 570425344, 150994944, 75497472, 188743680,
+     497025024, 663748608, 34078720, 419692544, 747241472, 524615680, 1068007424, 781336576,
+     109649920, 306630656, 825059328, 954000384, 1033896448, 932184320, 705168000, 218366272,
+     243925536, 373620880, 992510024, 634536116, 455680474, 903271033],
+    [536870912, 268435456, 671088640, 335544320, 167772160, 889192448, 444596224, 473956352,
+     236978176, 370147328, 981991424, 205783040, 640286720, 34930688, 814383104, 961101824,
+     1017946112, 508694528, 1051265024, 794608640, 103416320, 303366400, 411730560, 759775552,
+     917282976, 726799184, 606669224, 857523652, 134873826, 67436641],
+    [536870912, 268435456, 939524096, 738197504, 637534208, 620756992, 578813952, 381681664,
+     216006656, 913309696, 478674944, 264503296, 812515328, 700121088, 350322688, 175980544,
+     42901504, 113946624, 887404544, 444587008, 982385152, 717947136, 317293440, 1064911552,
+     402694752, 1006744144, 504183336, 151428460, 76456654, 868921959],
+    [536870912, 268435456, 671088640, 67108864, 33554432, 452984832, 662700032, 146800640,
+     367001600, 728760320, 535298048, 611581952, 308412416, 867500032, 570589184, 184795136,
+     260268032, 214298624, 401348608, 813575168, 946037248, 750121216, 126098048, 415902784,
+     1038180896, 795930800, 502175992, 1065217228, 903873406, 997196295],
+    [536870912, 268435456, 134217728, 201326592, 369098752, 721420288, 629145600, 180355072,
+     891289600, 38797312, 950534144, 345243648, 327811072, 835125248, 413630464, 77185024,
+     461692928, 1036808192, 245770240, 798041088, 1041162752, 923496704, 998353024, 768140480,
+     111805280, 597099440, 672105176, 470663276, 504291890, 655061653],
+    [536870912, 805306368, 671088640, 335544320, 1040187392, 587202560, 947912704, 213909504,
+     65011712, 139460608, 627572736, 396099584, 906100736, 118030336, 780500992, 1003339776,
+     90284032, 664530944, 503764992, 319628288, 277062144, 415429376, 1038834304, 727508288,
+     501219808, 458228016, 904397064, 257687948, 199361502, 744030901],
+    [536870912, 805306368, 402653184, 603979776, 234881024, 822083584, 276824064, 683671552,
+     1012924416, 714080256, 1060634624, 558104576, 939655168, 335740928, 369197056, 352468992,
+     511762432, 432214016, 752945152, 38964224, 56346112, 198617344, 121238400, 893719616,
+     771751968, 16777264, 142606360, 213909540, 845152270, 462422065],
+    [536870912, 268435456, 134217728, 1006632960, 704643072, 352321536, 645922816, 658505728,
+     127926272, 389021696, 524812288, 591659008, 153223168, 477167616, 988315648, 494387200,
+     451452928, 225726464, 317253632, 829731840, 954751488, 611771136, 510377088, 53989440,
+     432709664, 335892496, 109078536, 927167548, 262208042, 724742933],
+    [536870912, 805306368, 134217728, 872415232, 905969664, 822083584, 293601280, 557842432,
+     694157312, 498073600, 728236032, 447479808, 191496192, 716111872, 57311232, 514605056,
+     896131072, 800018432, 619247616, 250430464, 227175936, 324837120, 652269696, 166802880,
+     764046880, 593272624, 786487432, 1039218164, 462056982, 308059905],
+], dtype=np.uint32)
+
 
 @functools.lru_cache(maxsize=None)
 def _sobol_digits(dim: int, m: int) -> np.ndarray:
-    """(dim, SOBOL_BITS, m) binary digits of the first m unscrambled Sobol direction numbers.
+    """(dim, SOBOL_BITS, m) binary digits of the first m Sobol direction numbers.
 
-    Read once from ``scipy.stats.qmc.Sobol``'s unscrambled points, which run
-    in Gray-code order: point 2^(b+1) - 1 is direction number b.  Digit i,
-    the most significant first, is the coefficient of 2^-(i+1).
+    The numbers are ``_DIRECTIONS``: Joe and Kuo's (2008) new-joe-kuo-6.21201
+    set for dimensions 1..16, copied from scipy 1.17.1 as
+    ``scipy.stats.qmc.Sobol(16, scramble=False, bits=30)._sv``.  That engine's
+    unscrambled points run in Gray-code order, so its point 2^(b+1) - 1 is
+    direction number b; the tests compare the table with those points.
+    Digit i, the most significant first, is the coefficient of 2^-(i+1).
     """
-    from scipy.stats import qmc  # imported on first use: scipy.stats costs ~0.5 s to load
-
-    x = qmc.Sobol(dim, scramble=False, bits=SOBOL_BITS).random_base2(m)
-    v = np.rint(x[(2 << np.arange(m)) - 1] * 2.0**SOBOL_BITS).astype(np.uint32).T
+    if not 1 <= dim <= len(_DIRECTIONS):
+        raise ValueError(f"Sobol points are tabled for dimensions 1..{len(_DIRECTIONS)}, "
+                         f"not {dim}")
+    if m > SOBOL_BITS:
+        raise ValueError(f"a Sobol replicate holds at most 2^{SOBOL_BITS} points, not 2^{m}")
+    v = _DIRECTIONS[:dim, :m]
     return ((v[:, None, :] >> _DIGIT_BITS[:, None]) & 1).astype(float)
 
 
@@ -139,6 +211,7 @@ def sobol_points(rng: np.random.Generator | Sequence[np.random.Generator], dim: 
     m = count.bit_length() - 1
     if count != 1 << m:
         raise ValueError(f"a Sobol replicate needs a power-of-two size, not {count}")
+    directions = _sobol_digits(dim, m)  # checks dim and m before any draw
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     shift = np.empty((len(rngs), dim), dtype=np.uint32)
     ltm = np.empty((len(rngs), dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32)
@@ -149,7 +222,7 @@ def sobol_points(rng: np.random.Generator | Sequence[np.random.Generator], dim: 
     # lower unit triangular: output digit i depends on input digits <= i
     ltm = np.tril(ltm, -1).astype(float)
     ltm[..., _DIAG, _DIAG] = 1.0
-    digits = (ltm @ _sobol_digits(dim, m)).astype(np.uint32) & 1
+    digits = (ltm @ directions).astype(np.uint32) & 1
     v = np.bitwise_or.reduce(digits << _DIGIT_BITS[:, None], axis=-2)  # (replicates, dim, m)
     points = np.empty((len(rngs), dim, count), dtype=np.uint32)
     points[..., 0] = shift

@@ -28,7 +28,13 @@ from polycarleson.measure import (
     sample_polydisc,
 )
 from polycarleson.battery import MANIFEST, FitCase, ScanCase
-from polycarleson.montecarlo import run_batches, sobol_points, sum_counts
+from polycarleson.montecarlo import (
+    SOBOL_BITS,
+    _sobol_digits,
+    run_batches,
+    sobol_points,
+    sum_counts,
+)
 from polycarleson.sublevel import build_proposal
 from polycarleson.symbols import PolySymbol, TorusPoint
 
@@ -75,8 +81,12 @@ class TestRadialSample:
 
 
 def test_import_loads_no_scipy():
-    # scipy is needed only for the Sobol direction numbers, on first use
-    script = ("import sys; sys.path[:0] = sys.argv[1:]; import polycarleson; "
+    # the package tables its Sobol direction numbers: neither the import nor a
+    # randomised-QMC estimate loads scipy
+    script = ("import sys; sys.path[:0] = sys.argv[1:]; import polycarleson as pc; "
+              "from polycarleson.battery import get_symbol; "
+              "est = pc.estimate_sublevel(pc.SublevelQuery(get_symbol('product2'), 1.0, 0.25, "
+              "pc.WeightParam(0.0), budget=4096, seed=1)); assert est.trusted; "
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", script, str(src)], capture_output=True,
@@ -378,12 +388,35 @@ class TestRegions:
             region_points(AnnulusArc(depths=(1.0, 0.3), arcs=(None, None)), WeightParam(0.0), u,
                           integrated=(1,))
 
-    @pytest.mark.parametrize("dim, m", [(1, 0), (2, 5), (5, 12), (7, 14)])
+    @pytest.mark.parametrize("dim, m", [(1, 0), (2, 5), (5, 12), (7, 14), (16, 10)])
     def test_sobol_points_match_scipy(self, dim, m):
         # the scramble, order and bits of scipy's engine on the same generator
         ours = sobol_points(np.random.default_rng(7), dim, 1 << m)
         theirs = qmc.Sobol(dim, scramble=True, rng=np.random.default_rng(7)).random_base2(m)
         assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_direction_table_matches_scipy(self, dim):
+        # unscrambled points run in Gray-code order, so point 2^(b+1) - 1 is direction
+        # number b: the rows of random_base2(20), read one at a time rather than as a
+        # 2^20 x dim array
+        engine = qmc.Sobol(dim, scramble=False, bits=SOBOL_BITS)
+        rows = []
+        for b in range(20):
+            engine.reset()
+            engine.fast_forward((2 << b) - 1)
+            rows.append(engine.random(1)[0])
+        ours = 2.0 ** -np.arange(1, SOBOL_BITS + 1) @ _sobol_digits(dim, 20)
+        assert np.array_equal(ours, np.array(rows).T)
+
+    def test_sobol_points_reject_untabled_sizes(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="dimensions 1..16"):
+            sobol_points(rng, 17, 16)
+        with pytest.raises(ValueError, match="dimensions 1..16"):
+            sobol_points(rng, 0, 16)
+        with pytest.raises(ValueError, match="at most 2"):
+            sobol_points(rng, 2, 1 << (SOBOL_BITS + 1))
 
     def test_sobol_points_one_replicate_per_generator(self):
         together = sobol_points([np.random.default_rng(s) for s in (1, 2, 3)], 4, 256)
