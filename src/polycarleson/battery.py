@@ -126,10 +126,10 @@ class FitCase:
         return (f"exponent_{self.symbol}_beta{self.beta:g}",
                 f"{self.symbol} volume scaling, beta={self.beta:g}")
 
-    def run(self, threads=None, config: LabConfig = DEFAULTS) -> ExponentFit:
+    def run(self, threads=None) -> ExponentFit:
         return fit_exponent(get_symbol(self.symbol), 1.0, WeightParam(self.beta),
                             delta_grid=self.grid, budget=self.budget, seed=self.seed,
-                            threads=threads, config=config)
+                            threads=threads)
 
 
 @dataclass(frozen=True)
@@ -154,11 +154,11 @@ class ScanCase:
         """(file stem, chart title) of the scan's CSV and SVG."""
         return f"scan_{self.symbol}", f"{self.symbol} ratio growth"
 
-    def run(self, threads=None, config: LabConfig = DEFAULTS) -> RatioScan:
+    def run(self, threads=None) -> RatioScan:
         sym = get_symbol(self.symbol)
         return ratio_growth_scan(sym, TorusPoint((0.0,) * sym.n_in), self.shrink,
                                  WeightParam(self.beta), self.grid, self.budget,
-                                 seed=self.seed, threads=threads, config=config)
+                                 seed=self.seed, threads=threads)
 
 
 MANIFEST = {
@@ -254,12 +254,13 @@ class CriterionResult:
 
 @dataclass
 class BatteryRun:
-    """One battery run: its output directory, threads, config and memo.
+    """One battery run: its output directory, threads, tolerances and memo.
 
-    The memo keys fits and scans by their frozen case and criterion results
-    by number, so a criterion that needs another's fit or scan reads it
-    instead of recomputing it.  Decisions are not memoised: their contact
-    sets are cached in ``contact``, so deciding again is cheap.
+    The tolerances reach its decisions and property checks; fits and scans
+    read none.  The memo keys fits and scans by their frozen case and
+    criterion results by number, so a criterion that needs another's fit or
+    scan reads it instead of recomputing it.  Decisions are not memoised:
+    their contact sets are cached in ``contact``, so deciding again is cheap.
     """
 
     out_dir: Path | str | None = None
@@ -281,7 +282,7 @@ class BatteryRun:
         """The case's fit or scan; its CSV and SVG are written once, when it is computed."""
 
         def compute():
-            result = case.run(self.threads, self.config)
+            result = case.run(self.threads)
             stem, title = case.artifact
             self.write_result(stem, result, title)
             return result
@@ -470,7 +471,7 @@ def criterion_9(run: BatteryRun):
     """
     spec = MANIFEST["beta_uniformity"]
     ref = spec["reference"]
-    scans = [replace(ref, beta=b, seed=spec["seed"] + 104729 * i).run(run.threads, run.config)
+    scans = [replace(ref, beta=b, seed=spec["seed"] + 104729 * i).run(run.threads)
              for i, b in enumerate(spec["betas"])]
     max_ratio = max(e.ratio for s in scans for e in s.estimates if e.trusted)
     ref_max = max(e.ratio for e in run.result(ref).estimates if e.trusted)
@@ -542,8 +543,7 @@ def criterion_10(run: BatteryRun):
             radii = tuple(0.1 + 0.7 * rng.random(2))
             box = CarlesonBox(TorusPoint(angles), radii)
             est = preimage_box_ratio(ident, box, beta, spec["identity_budget"],
-                                     seed=seed + 100 + i, threads=run.threads,
-                                     config=run.config)
+                                     seed=seed + 100 + i, threads=run.threads)
             if est.stderr > 0:
                 worst_z = max(worst_z, abs(est.ratio - 1.0) / est.stderr)
 
@@ -565,7 +565,7 @@ def criterion_11(run: BatteryRun):
     """
     spec = MANIFEST["determinism"]
     blobs = [
-        tuple(csv_text(*case.run(tc, run.config).csv_rows()).encode("utf-8")
+        tuple(csv_text(*case.run(tc).csv_rows()).encode("utf-8")
               for case in (spec["exponent"], spec["scan"]))
         for tc in spec["thread_counts"]
     ]

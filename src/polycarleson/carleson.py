@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULTS, LabConfig
 from .fitting import loglog_wls, trusted_points
 from .measure import CarlesonBox, WeightParam, carleson_box_measure
-from .sublevel import (PROVABLY_EMPTY, SublevelEstimate, _check_geometric, build_proposal,
-                       estimate_indicator)
+from .sublevel import (PROVABLY_EMPTY, SublevelEstimate, _check_geometric, _merge_bindings,
+                       build_proposal, estimate_indicator)
 from .symbols import PolySymbol, TorusPoint
 
 
@@ -77,7 +76,6 @@ def preimage_box_ratio(
     budget: int,
     seed: int = 0,
     threads: int | None = None,
-    config: LabConfig = DEFAULTS,
 ) -> RatioEstimate:
     """V_beta(Phi^{-1}(S(xi, delta))) / V_beta(S(xi, delta)) with propagated error.
 
@@ -86,7 +84,8 @@ def preimage_box_ratio(
     in closed form by ``estimate_indicator``; the denominator is the product of
     the box's cap integrals, whose error bound enters the stderr.  Radius-2
     coordinates are vacuous by |Phi_j - xi_j| < 2 and are left out of the
-    tests.
+    tests.  Components that repeat with the same target are merged once, to
+    the tightest radius, before the proposal is built.
     """
     sym.require_certificate()
     if box.n != sym.n_out:
@@ -95,17 +94,17 @@ def preimage_box_ratio(
     denominator, bound = carleson_box_measure(box, beta)
     xi = box.center.point()
 
-    bindings = [
+    bindings = _merge_bindings([
         (sym.components[j], complex(xi[j]), box.radii[j], True)
         for j in range(sym.n_out)
         if box.radii[j] < 2.0
-    ]
+    ])
     tight = [
-        (sym.component(j), complex(xi[j]), box.radii[j])
-        for j in range(sym.n_out)
-        if box.radii[j] < 1.0
+        (PolySymbol(n_in=n, components=(table,), certificate=sym.certificate), target, tol)
+        for table, target, tol, _ in bindings
+        if tol < 1.0
     ]
-    region = build_proposal(tight, n, config)
+    region = build_proposal(tight, n)
     if region == PROVABLY_EMPTY:
         return RatioEstimate(SublevelEstimate.empty("preimage empty by structure"),
                              denominator, bound)
@@ -130,7 +129,6 @@ def ratio_growth_scan(
     budget: int,
     seed: int = 0,
     threads: int | None = None,
-    config: LabConfig = DEFAULTS,
 ) -> RatioScan:
     """Slope of log(preimage/box ratio) against log(delta) along shrinking boxes.
 
@@ -149,8 +147,7 @@ def ratio_growth_scan(
     for k, d in enumerate(deltas):
         box = _scan_boxes(center, shrink, d)
         estimates.append(
-            preimage_box_ratio(sym, box, beta, budget, seed=seed + 7919 * k,
-                               threads=threads, config=config)
+            preimage_box_ratio(sym, box, beta, budget, seed=seed + 7919 * k, threads=threads)
         )
     fit = loglog_wls(*trusted_points(deltas, [e.ratio for e in estimates], estimates))
     return RatioScan(

@@ -235,8 +235,7 @@ def _cmd_exponent(cfg: ExperimentConfig, out_dir: Path) -> int:
     eta = complex(cfg.eta[0], cfg.eta[1])
     try:
         fit = fit_exponent(sym, eta, WeightParam(cfg.beta), delta_grid=cfg.delta_grid,
-                           budget=cfg.budget, seed=cfg.seed, threads=cfg.threads,
-                           config=cfg.lab_config())
+                           budget=cfg.budget, seed=cfg.seed, threads=cfg.threads)
     except FitRefused as exc:
         print(f"fit refused: {exc}", file=sys.stderr)
         return UNTRUSTED
@@ -255,8 +254,7 @@ def _cmd_carleson(cfg: ExperimentConfig, out_dir: Path) -> int:
     try:
         scan = ratio_growth_scan(sym, center, [bool(s) for s in cfg.shrink],
                                  WeightParam(cfg.beta), cfg.delta_grid, cfg.budget,
-                                 seed=cfg.seed, threads=cfg.threads,
-                                 config=cfg.lab_config())
+                                 seed=cfg.seed, threads=cfg.threads)
     except FitRefused as exc:
         print(f"scan refused: {exc}", file=sys.stderr)
         return UNTRUSTED

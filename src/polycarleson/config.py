@@ -1,10 +1,12 @@
 """Verdict tolerances and grid resolutions.
 
-``LabConfig`` holds the tolerances that decide a verdict or a property
-check, so a run can state them and a config file can set them.  Constants
-that shape how the estimators and the contact search work (the proposal
-margin, the leakage audit's trust rule, the contact-detection caps) live in
-the modules that read them, and no run can change them.
+``LabConfig`` holds the tolerances that decide a rank verdict or a property
+check, so a run can state them and a config file can set them.  The measure
+route (sublevel fits, Carleson scans and their proposals) reads none of
+them: a value fiber keeps the contact set's own default ``contact_tol``.
+Constants that shape how the estimators and the contact search work (the
+proposal margin, the leakage audit's trust rule, the contact-detection caps)
+live in the modules that read them, and no run can change them.
 """
 
 from __future__ import annotations

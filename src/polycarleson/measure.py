@@ -240,10 +240,10 @@ def _radial_cap_weight(bmod, umod, delta: float, m: int,
     law is exact: 1 - (1 - r^2)^(beta+1).  The rest is the r with |b| r^m in
     [||u| - delta|, |u| + delta], where h has square-root ends.
     For m = 1 and beta = 0 that integral is a lens area (``_lens_weight``).
-    Otherwise the variable v = (1 - r^2)^(beta+1) (r^2 itself at beta = 0),
-    in which mu_beta is Lebesgue measure, carries it to a 21-point Kronrod
-    rule after a cosine map that clusters nodes at both ends.  Only rows with
-    a non-empty interval evaluate the rule.
+    Otherwise the variable v = (1 - r^2)^(beta+1), in which mu_beta is
+    Lebesgue measure, carries it to a 21-point Kronrod rule after a cosine map
+    that clusters nodes at both ends.  Only rows with a non-empty interval
+    evaluate the rule.
 
     The bound per row is the Kronrod rule's distance from its embedded
     10-point Gauss rule, which on smooth integrands exceeds the Kronrod
@@ -281,18 +281,13 @@ def _radial_cap_weight(bmod, umod, delta: float, m: int,
         r2 = np.empty((_NODE_S.size, rows.size))
         k = _LOWER_NODES
         s, t = _NODE_S[:k, None], _NODE_1MS[k:, None]
-        if p1 == 1.0:  # y = r^2
-            lo, hi = np.exp(log_lo[rows]), np.exp(log_hi[rows])
-            span = hi - lo
-            r2[:k] = lo + span * s
-            r2[k:] = hi - span * t
-        else:  # y = v, decreasing in r: its upper end is r's lower end
-            top = top[rows]
-            lo, hi = (-np.expm1(log_hi[rows])) ** p1, top ** p1
-            span = hi - lo
-            r2[:k] = 1.0 - (lo + span * s) ** (1.0 / p1)
-            # near v's upper end (small r) step up from r_lo^2 without cancellation
-            r2[k:] = np.exp(log_lo[rows]) - top * np.expm1(np.log1p(-(span / hi) * t) / p1)
+        # v is decreasing in r: its upper end is r's lower end
+        top = top[rows]
+        lo, hi = (-np.expm1(log_hi[rows])) ** p1, top ** p1
+        span = hi - lo
+        r2[:k] = 1.0 - (lo + span * s) ** (1.0 / p1)
+        # near v's upper end (small r) step up from r_lo^2 without cancellation
+        r2[k:] = np.exp(log_lo[rows]) - top * np.expm1(np.log1p(-(span / hi) * t) / p1)
         rho = np.sqrt(r2, out=r2) ** m * b[rows]
         d = rho - u[rows]
         # h in half-angle form, tan(h/2) = sqrt((delta^2 - d^2) / ((rho + u)^2 - delta^2)):
@@ -300,7 +295,7 @@ def _radial_cap_weight(bmod, umod, delta: float, m: int,
         inside = (delta - d) * (delta + d)
         rho += u[rows]
         outside = (rho - delta) * (rho + delta)
-        holed = np.flatnonzero(u[rows] < delta) if p1 != 1.0 else ()
+        holed = np.flatnonzero(u[rows] < delta)
         if len(holed):
             # D(|u|, delta) holds the origin, a = delta - |u| > 0: rho + |u| - delta = rho - a
             # cancels when |b| - a is thin, and rho is itself rounded there.  Take it as

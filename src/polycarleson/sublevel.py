@@ -44,7 +44,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULTS, LabConfig
 from .contact import MERGE_RADIUS, _dedupe, _torus_newton, find_contact_set
 from .fitting import loglog_wls, trusted_points
 from .measure import (
@@ -63,7 +62,7 @@ from .measure import (
     sample_polydisc,
 )
 from .montecarlo import replicate_bundle, replicate_layout, run_batches, sum_counts
-from .symbols import MonomialTable, PolySymbol, TorusPoint, _eval_table, certify_self_map
+from .symbols import MonomialTable, PolySymbol, TorusPoint, _eval_table, _torus_grid_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,10 +168,14 @@ class ValueFiber:
 
 
 @lru_cache(maxsize=64)
-def find_value_fiber(f: PolySymbol, eta: complex, config: LabConfig = DEFAULTS) -> ValueFiber:
-    """Solve f = eta on T^n, classified as a finite point set or a manifold."""
+def find_value_fiber(f: PolySymbol, eta: complex) -> ValueFiber:
+    """Solve f = eta on T^n, classified as a finite point set or a manifold.
+
+    Newton seeds come from the contact set |f| = 1, and a refined point is
+    kept when its residual is within that contact set's ``contact_tol``.
+    """
     eta = complex(eta)
-    cs = find_contact_set(f, [0], config=config)
+    cs = find_contact_set(f, [0])
     if cs.is_empty:
         return ValueFiber("empty", ())
     seeds = np.array([p.angles for p in cs.points], dtype=float)
@@ -184,7 +187,7 @@ def find_value_fiber(f: PolySymbol, eta: complex, config: LabConfig = DEFAULTS) 
     theta = _torus_newton([table], [eta], seeds[close], ascend=False)
     resid = np.abs(_eval_table(table, np.exp(1j * theta), {}) - eta)
     theta %= TWO_PI
-    ok = resid <= config.contact_tol
+    ok = resid <= cs.contact_tol
     if not np.any(ok):
         return ValueFiber("empty", ())
     pts, _ = _dedupe(theta[ok], resid[ok], MERGE_RADIUS)
@@ -241,12 +244,11 @@ def _interior_slice_max(f: PolySymbol, j: int) -> float:
     """
     if f.n_in == 1:
         return abs(f.evaluate(np.zeros(1, dtype=complex))[0])
-    sliced = f.restrict({j: 0.0})
-    cert = certify_self_map(sliced, cert_tol=2.0).certificate  # screen only, never rejects
-    return min(cert.grid_max + cert.lipschitz_margin, 1.0)
+    grid_max, _, margin = _torus_grid_bound(f.restrict({j: 0.0}))
+    return min(grid_max + margin, 1.0)
 
 
-def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
+def build_proposal(bindings, n: int):
     """Region provably containing every set {|f_i - eta_i| <= delta_i} jointly.
 
     ``bindings`` is a list of (scalar symbol, unimodular target, tolerance).
@@ -270,26 +272,23 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
     their depth bounds on its coordinates, while their arcs and windows there
     are dropped (the region only grows).  A later multi-term binding adds no
     constraint.  Returns PROVABLY_EMPTY when a binding target is beyond the
-    reach of its component.
+    reach of its component.  Bindings are taken as given: an exact repeat
+    builds the same region as one copy, while repeats of one (symbol, target)
+    at different tolerances give a looser region that still contains the set,
+    so callers merge them first with ``_merge_bindings``.
     """
     K = PROPOSAL_MARGIN
     k_half = K / 2.0
-
-    dedup: dict[tuple, tuple[PolySymbol, complex, float]] = {}
-    for f, eta, delta in bindings:
-        if f.n_in != n or f.n_out != 1:
-            raise ValueError("binding symbol dimension mismatch")
-        key = (f.components[0], complex(eta))
-        if key not in dedup or delta < dedup[key][2]:
-            dedup[key] = (f, complex(eta), float(delta))
-    items = list(dedup.values())
+    if any(f.n_in != n or f.n_out != 1 for f, _, _ in bindings):
+        raise ValueError("binding symbol dimension mismatch")
 
     depth_candidates: list[list[float]] = [[] for _ in range(n)]
     arc_specs: list[list[tuple[float, float]]] = [[] for _ in range(n)]
     windows: list[tuple[tuple[int, ...], float, float]] = []
     simplex = None
 
-    for f, eta, delta in items:
+    for f, eta, delta in bindings:
+        eta, delta = complex(eta), float(delta)
         structure = _split_structure(f)
         kind = structure[0]
         if kind == "monomial":
@@ -348,7 +347,7 @@ def build_proposal(bindings, n: int, config: LabConfig = DEFAULTS):
                 slice_max = _interior_slice_max(f, j)
                 if slice_max < 1.0 - 1e-3:
                     depth_candidates[j].append(4.0 * delta / (1.0 - slice_max))
-            fiber = find_value_fiber(f, eta, config)
+            fiber = find_value_fiber(f, eta)
             if fiber.kind == "finite" and fiber.points:
                 half = K * math.sqrt(delta)
                 if half < math.pi:
@@ -655,7 +654,7 @@ def estimate_indicator(
     )
 
 
-def estimate_sublevel(query: SublevelQuery, config: LabConfig = DEFAULTS) -> SublevelEstimate:
+def estimate_sublevel(query: SublevelQuery) -> SublevelEstimate:
     """Unbiased V_beta estimate of the sublevel set, with trust bookkeeping.
 
     The restricted estimate covers the proposal region; a uniform audit pass
@@ -667,7 +666,7 @@ def estimate_sublevel(query: SublevelQuery, config: LabConfig = DEFAULTS) -> Sub
     f, eta, delta, beta = query.f, complex(query.eta), query.delta, query.beta
     f.require_certificate()
     n = f.n_in
-    region = build_proposal([(f, eta, delta)], n, config)
+    region = build_proposal([(f, eta, delta)], n)
     if region == PROVABLY_EMPTY:
         return SublevelEstimate.empty("target beyond component range; set empty")
     return estimate_indicator(
@@ -697,7 +696,6 @@ def fit_exponent(
     budget: int = 1_000_000,
     seed: int = 0,
     threads: int | None = None,
-    config: LabConfig = DEFAULTS,
 ) -> ExponentFit:
     """Weighted log-log fit of sublevel volume against delta over a geometric grid.
 
@@ -709,7 +707,7 @@ def fit_exponent(
     for k, delta in enumerate(deltas):
         q = SublevelQuery(f=f, eta=eta, delta=delta, beta=beta, budget=budget,
                           seed=seed + 7919 * k, threads=threads)
-        points.append(estimate_sublevel(q, config))
+        points.append(estimate_sublevel(q))
     fit = loglog_wls(*trusted_points(deltas, [p.volume for p in points], points))
     return ExponentFit(
         slope=fit.slope,

@@ -61,14 +61,13 @@ class SelfMapCertificate:
 
     ``grid_max`` is the exact maximum of max_i |Phi_i| over the certification
     grid; ``strong`` is set when grid_max plus the per-cell Lipschitz margin
-    already stays below 1 + cert_tol, i.e. the bound is proven everywhere and
+    already stays below 1 + CERT_TOL, i.e. the bound is proven everywhere and
     not only at grid points.
     """
 
     grid_max: float
     grid_res: int
     lipschitz_margin: float
-    cert_tol: float
     strong: bool
 
 
@@ -118,7 +117,7 @@ class PolySymbol:
         return sym
 
     @staticmethod
-    def from_literal(rows: list[list[list[float]]], certify: bool = True) -> "PolySymbol":
+    def from_literal(rows: list[list[list[float]]]) -> "PolySymbol":
         """Build from the config-file literal format.
 
         One list per component, each a list of ``[coeff_re, coeff_im, a_1, ..., a_n]``
@@ -137,11 +136,11 @@ class PolySymbol:
                     raise DimensionMismatch(f"literal row {row} has wrong length")
                 entries.append((tuple(row[2:]), complex(row[0], row[1])))
             tables.append(entries)
-        return PolySymbol.from_tables(tables, n_in, certify=certify)
+        return PolySymbol.from_tables(tables, n_in)
 
     @staticmethod
-    def monomial(n: int, alpha: Iterable[int], coeff: complex = 1.0, certify: bool = True) -> "PolySymbol":
-        return PolySymbol.from_tables([[(tuple(alpha), coeff)]], n, certify=certify)
+    def monomial(n: int, alpha: Iterable[int], coeff: complex = 1.0) -> "PolySymbol":
+        return PolySymbol.from_tables([[(tuple(alpha), coeff)]], n)
 
     # -- evaluation --------------------------------------------------------
 
@@ -195,10 +194,8 @@ class PolySymbol:
     def restrict(self, fixed: Mapping[int, complex]) -> "PolySymbol":
         """Fold a partial variable assignment into the coefficients exactly.
 
-        Remaining variables keep their original relative order.  The result is
-        re-certified quietly: a restriction of a certified self-map to values
-        inside the closed disc is again a self-map, but certification is only
-        attached when the grid screen passes.
+        Remaining variables keep their original relative order.  The result
+        carries no certificate.
         """
         fixed = {int(j): complex(v) for j, v in fixed.items()}
         for j in fixed:
@@ -217,13 +214,7 @@ class PolySymbol:
                         factor *= v ** alpha[j]
                 entries.append((tuple(alpha[j] for j in free), factor))
             tables.append(entries)
-        sym = PolySymbol.from_tables(tables, len(free), certify=False)
-        if self.certificate is not None and all(abs(v) <= 1.0 + self.certificate.cert_tol for v in fixed.values()):
-            try:
-                sym = certify_self_map(sym, self.certificate.cert_tol)
-            except SymbolNotSelfMap:
-                pass
-        return sym
+        return PolySymbol.from_tables(tables, len(free), certify=False)
 
     # -- structure introspection --------------------------------------------
 
@@ -274,13 +265,11 @@ def _derivative_table_cached(table: MonomialTable, j: int) -> MonomialTable:
     return tuple(sorted(out.items(), key=lambda t: t[0]))
 
 
-def certify_self_map(sym: PolySymbol, cert_tol: float = CERT_TOL) -> PolySymbol:
-    """Torus-grid self-map screen; rejects symbols with grid max above 1 + cert_tol.
+def _torus_grid_bound(sym: PolySymbol) -> tuple[float, int, float]:
+    """(grid max, grid resolution, Lipschitz margin) of max_i |Phi_i| on the torus grid.
 
-    Polynomial moduli peak on T^n, so a grid maximum above the tolerance is a
-    sound rejection.  The per-cell Lipschitz bound (from coefficient norms)
-    upgrades the certificate to ``strong`` when even inter-grid spikes are
-    excluded.
+    Between grid points no component's modulus exceeds the grid max by more
+    than the margin, a per-cell bound from coefficient norms.
     """
     res = cert_grid_res(sym.n_in)
     theta = 2.0 * math.pi * np.arange(res) / res
@@ -295,16 +284,25 @@ def certify_self_map(sym: PolySymbol, cert_tol: float = CERT_TOL) -> PolySymbol:
     for table in sym.components:
         comp_margin = sum(abs(c) * a_j for alpha, c in table for a_j in alpha) * h / 2.0
         margin = max(margin, comp_margin)
+    return grid_max, res, margin
 
-    if grid_max > 1.0 + cert_tol:
+
+def certify_self_map(sym: PolySymbol) -> PolySymbol:
+    """Torus-grid self-map screen; rejects symbols with grid max above 1 + CERT_TOL.
+
+    Polynomial moduli peak on T^n, so a grid maximum above the tolerance is a
+    sound rejection.  The per-cell Lipschitz margin upgrades the certificate
+    to ``strong`` when even inter-grid spikes are excluded.
+    """
+    grid_max, res, margin = _torus_grid_bound(sym)
+    if grid_max > 1.0 + CERT_TOL:
         raise SymbolNotSelfMap(
-            f"torus grid max {grid_max:.12g} exceeds 1 + cert_tol ({1.0 + cert_tol:.12g})"
+            f"torus grid max {grid_max:.12g} exceeds 1 + CERT_TOL ({1.0 + CERT_TOL:.12g})"
         )
     cert = SelfMapCertificate(
         grid_max=grid_max,
         grid_res=res,
         lipschitz_margin=margin,
-        cert_tol=cert_tol,
-        strong=(grid_max + margin <= 1.0 + cert_tol),
+        strong=(grid_max + margin <= 1.0 + CERT_TOL),
     )
     return PolySymbol(n_in=sym.n_in, components=sym.components, certificate=cert)

@@ -63,6 +63,23 @@ class TestPreimageRatio:
         assert est.trusted
         assert est.ratio > 0.0
 
+    def test_repeated_component_builds_the_tighter_proposal(self, monkeypatch):
+        # z1 z2 z3 twice, at radii 0.3 and 0.1: the proposal is the 0.1 binding's alone
+        sym = stacked_product(3)
+        built = []
+        real = carleson.build_proposal
+
+        def spy(bindings, n):
+            built.append(bindings)
+            return real(bindings, n)
+
+        monkeypatch.setattr(carleson, "build_proposal", spy)
+        box = CarlesonBox(TorusPoint((0.0, 0.0, 0.0)), (0.3, 0.1, 2.0))
+        preimage_box_ratio(sym, box, WeightParam(0.0), 4096, seed=5)
+        (tight,) = built
+        assert [(f, tol) for f, _, tol in tight] == [(sym.component(0), 0.1)]
+        assert real(tight, 3) == real([(sym.component(1), 1.0, 0.1)], 3)
+
 
 class TestScans:
     def test_identity_scan_flat(self):

@@ -52,3 +52,26 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def config_imports(tree: ast.Module) -> list[int]:
+    """Lines of import statements that read ``polycarleson.config``, relatively or not."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+        else:
+            continue
+        if any(m in ("config", "polycarleson.config") for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", ["sublevel", "carleson", "measure", "montecarlo"])
+def test_measure_route_reads_no_tolerances(name):
+    path = PACKAGE / f"{name}.py"
+    lines = config_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{name}.py imports polycarleson.config on lines {lines}"

@@ -10,7 +10,6 @@ from oracles import (half_square_weight, powersum2_volume, product_volume, radia
 from polycarleson import measure, sublevel
 from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
-from polycarleson.config import DEFAULTS
 from polycarleson.fitting import FitRefused, loglog_wls
 from polycarleson.measure import (
     AnnulusArc,
@@ -117,20 +116,6 @@ class TestValueFiber:
     def test_contraction_fiber_empty(self):
         f = PolySymbol.monomial(2, (1, 1), coeff=0.5)
         assert find_value_fiber(f, 1.0).kind == "empty"
-
-    def test_caller_config_reaches_contact_set(self, monkeypatch):
-        seen = []
-        real = sublevel.find_contact_set
-
-        def recorder(*args, **kwargs):
-            seen.append(kwargs.get("config", args[3] if len(args) > 3 else DEFAULTS))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sublevel, "find_contact_set", recorder)
-        find_value_fiber.cache_clear()
-        config = DEFAULTS.replace(contact_tol=1e-7)
-        assert find_value_fiber(general_symbol(), 1.0, config).kind == "finite"
-        assert [c.contact_tol for c in seen] == [1e-7]
 
 
 class TestBuildProposal:
@@ -288,7 +273,7 @@ class TestFitExponent:
 
     def test_refuses_with_untrusted_points(self, monkeypatch):
         wrong = AnnulusArc(depths=(0.001,), arcs=(merge_arcs([(math.pi, 0.1)]),))
-        monkeypatch.setattr(sublevel, "build_proposal", lambda bindings, n, config: wrong)
+        monkeypatch.setattr(sublevel, "build_proposal", lambda bindings, n: wrong)
         with pytest.raises(FitRefused):
             fit_exponent(half_square_symbol(), 1.0, WeightParam(0.0),
                          delta_grid=[2.0**-k for k in range(4, 8)],

@@ -173,11 +173,6 @@ class TestCertification:
         half = PolySymbol.monomial(2, (1, 0), coeff=0.5)
         assert half.certificate.strong
 
-    def test_restrict_keeps_certificate_when_valid(self):
-        g = power_sum_symbol(2)
-        r = g.restrict({1: 0.5})
-        assert r.certificate is not None
-
 
 class TestLiteralFormat:
     def test_rows_shape(self):
