@@ -156,7 +156,7 @@ class ScanCase:
 
     def run(self, threads=None) -> RatioScan:
         sym = get_symbol(self.symbol)
-        return ratio_growth_scan(sym, TorusPoint((0.0,) * sym.n_in), self.shrink,
+        return ratio_growth_scan(sym, TorusPoint((0.0,) * sym.n_out), self.shrink,
                                  WeightParam(self.beta), self.grid, self.budget,
                                  seed=self.seed, threads=threads)
 

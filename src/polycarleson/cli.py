@@ -250,7 +250,7 @@ def _cmd_carleson(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not cfg.shrink:
         print("carleson scan needs --shrink", file=sys.stderr)
         return USAGE_ERROR
-    center = TorusPoint(tuple(cfg.center) if cfg.center else (0.0,) * sym.n_in)
+    center = TorusPoint(tuple(cfg.center) if cfg.center else (0.0,) * sym.n_out)
     try:
         scan = ratio_growth_scan(sym, center, [bool(s) for s in cfg.shrink],
                                  WeightParam(cfg.beta), cfg.delta_grid, cfg.budget,

@@ -63,11 +63,3 @@ def contact_grid_res(n: int) -> int:
     if n not in table:
         raise ValueError(f"contact grids not supported for n={n}")
     return table[n]
-
-
-def cert_grid_res(n: int) -> int:
-    """Self-map certification grid resolution per angle."""
-    table = {1: 256, 2: 96, 3: 64, 4: 24, 5: 12, 6: 8}
-    if n not in table:
-        raise ValueError(f"certification grid undefined for n={n}")
-    return table[n]

@@ -6,10 +6,11 @@ certified self-map attain unit modulus.  Detection screens a dense angle grid
 drives candidates onto the contact locus with a damped Newton ascent on the
 smooth objective sum_i |Phi_i|^2; the same routine, run as a descent on
 |f - eta|^2, solves the value fibers f = eta for the sublevel proposals.
-Each component's modulus grid is evaluated only along the angles its table
-depends on and kept with length-1 axes for the others, so a two-variable
-component of a tridisc map costs res^2 cells, not res^3, and the test on the
-minimum over components combines the per-component tests by broadcasting.
+Each component's float32 modulus grid comes from ``symbols``, which walks
+only the angles its table depends on and keeps length-1 axes for the others,
+so a two-variable component of a tridisc map costs res^2 cells, not res^3,
+and the test on the minimum over components combines the per-component
+tests by broadcasting.
 Whether the refined set is a finite point list or a sampled
 positive-dimensional locus is decided by the fraction of accepted grid cells.
 
@@ -33,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULTS, LabConfig, contact_grid_res
-from .symbols import MonomialTable, PolySymbol, TorusPoint, _derivative_table_cached, _eval_table
+from .symbols import (MonomialTable, PolySymbol, TorusPoint, _derivative_table_cached, _eval_table,
+                      _torus_modulus_grid)
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,22 +97,20 @@ class RankReport:
 # ---------------------------------------------------------------------------
 
 
-_GRID_BLOCK = 1 << 16  # grid rows evaluated per _eval_table call
 _GRID_CACHE_BYTES = 128 << 20  # two full 256^3 float32 grids
 _grid_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
 def _modulus_grid(table: MonomialTable, n: int, res: int) -> np.ndarray:
-    """|polynomial| over the res^n torus grid, float32, shaped to broadcast.
+    """Float32 ``symbols._torus_modulus_grid``, shaped to broadcast.
 
-    Axis j has length res if the table depends on z_j and length 1 otherwise.
     Grids are kept in a least-recently-used cache bounded by
     _GRID_CACHE_BYTES, not by a count of entries.
     """
     key = (table, n, res)
     grid = _grid_cache.get(key)
     if grid is None:
-        grid = _compute_modulus_grid(table, n, res)
+        grid = _torus_modulus_grid(table, n, res, np.float32)
         _grid_cache[key] = grid
         held = sum(g.nbytes for g in _grid_cache.values())
         while held > _GRID_CACHE_BYTES:
@@ -118,25 +118,6 @@ def _modulus_grid(table: MonomialTable, n: int, res: int) -> np.ndarray:
     else:
         _grid_cache.move_to_end(key)
     return grid
-
-
-def _compute_modulus_grid(table: MonomialTable, n: int, res: int) -> np.ndarray:
-    """Uncached _modulus_grid.
-
-    ``_eval_table`` never reads a variable whose exponents are all zero, so
-    every value has the same bits as in the full res^n evaluation.
-    """
-    live = [j for j in range(n) if any(alpha[j] for alpha, _ in table)]
-    ring = np.exp(1j * (TWO_PI * np.arange(res) / res))
-    cells = res ** len(live)
-    out = np.empty(cells, dtype=np.float32)
-    for start in range(0, cells, _GRID_BLOCK):
-        flat = np.arange(start, min(start + _GRID_BLOCK, cells))
-        z = np.ones((len(flat), n), dtype=complex)
-        for j, i in zip(live, np.unravel_index(flat, (res,) * len(live))):
-            z[:, j] = ring[i]
-        out[start : start + len(flat)] = np.abs(_eval_table(table, z, {}))
-    return out.reshape([res if j in live else 1 for j in range(n)])
 
 
 def _grid_angles(idx: np.ndarray, n: int, res: int) -> np.ndarray:

@@ -19,8 +19,10 @@ each still from its own stream.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
+import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
@@ -233,6 +235,23 @@ def sobol_points(rng: np.random.Generator | Sequence[np.random.Generator], dim: 
     return u.reshape(dim, -1).T
 
 
+@functools.cache
+def _bundle_arrays_on_heap() -> None:
+    """Have glibc serve bundle-sized arrays (0.5 to 4 MiB) from its heap.
+
+    Above its mmap threshold (128 KiB at start) glibc maps each block afresh
+    and unmaps it when freed, so every such array pays its page faults again.
+    glibc raises the threshold itself only after freeing a larger mapped
+    block, so without this a run's speed would depend on what the process
+    had allocated before.  The values are where glibc's own adjustment stops
+    on 64-bit systems; other C libraries lack ``mallopt`` or ignore it.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is not None:
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def run_batches(
     total: int,
     seed: int,
@@ -251,6 +270,7 @@ def run_batches(
     worker returns what it would one batch at a time, in fewer and larger
     array operations.
     """
+    _bundle_arrays_on_heap()
     sizes = batch_layout(total, batch_size)
     threads = resolve_threads(threads)
     step = bundle or 1

@@ -62,7 +62,8 @@ from .measure import (
     sample_polydisc,
 )
 from .montecarlo import replicate_bundle, replicate_layout, run_batches, sum_counts
-from .symbols import MonomialTable, PolySymbol, TorusPoint, _eval_table, _torus_grid_bound
+from .symbols import (MonomialTable, PolySymbol, TorusPoint, _eval_table, _torus_grid_bound,
+                      cert_grid_res)
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,7 +245,8 @@ def _interior_slice_max(f: PolySymbol, j: int) -> float:
     """
     if f.n_in == 1:
         return abs(f.evaluate(np.zeros(1, dtype=complex))[0])
-    grid_max, _, margin = _torus_grid_bound(f.restrict({j: 0.0}))
+    slice_tables = [tuple(term for term in t if not term[0][j]) for t in f.components]
+    grid_max, margin = _torus_grid_bound(slice_tables, f.n_in, cert_grid_res(f.n_in - 1))
     return min(grid_max + margin, 1.0)
 
 

@@ -9,7 +9,10 @@ Maps used as composition-operator symbols must be self-maps of the polydisc.
 By the maximum principle the modulus of a polynomial over the closed polydisc
 peaks on the torus, so construction certifies ``max |Phi_i| <= 1 + CERT_TOL``
 on a dense torus grid and records a Lipschitz bound for the gap between grid
-points.
+points.  The grid is walked along the axes each table depends on, one pass
+per distinct table; this module's ``_torus_modulus_grid`` is the only
+evaluator of tables on a torus grid, also for contact screens and the
+Schwarz slice bound of the sublevel proposals.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .config import CERT_TOL, cert_grid_res
+from .config import CERT_TOL
 
 
 class DimensionMismatch(ValueError):
@@ -191,31 +194,6 @@ class PolySymbol:
                 out[:, i, j] = _eval_table(self.derivative_table(i, j), z, cache)
         return out
 
-    def restrict(self, fixed: Mapping[int, complex]) -> "PolySymbol":
-        """Fold a partial variable assignment into the coefficients exactly.
-
-        Remaining variables keep their original relative order.  The result
-        carries no certificate.
-        """
-        fixed = {int(j): complex(v) for j, v in fixed.items()}
-        for j in fixed:
-            if not 0 <= j < self.n_in:
-                raise DimensionMismatch(f"fixed variable index {j} out of range")
-        free = [j for j in range(self.n_in) if j not in fixed]
-        if not free:
-            raise ValueError("restriction must leave at least one free variable")
-        tables = []
-        for table in self.components:
-            entries = []
-            for alpha, c in table:
-                factor = c
-                for j, v in fixed.items():
-                    if alpha[j]:
-                        factor *= v ** alpha[j]
-                entries.append((tuple(alpha[j] for j in free), factor))
-            tables.append(entries)
-        return PolySymbol.from_tables(tables, len(free), certify=False)
-
     # -- structure introspection --------------------------------------------
 
     def depends_on(self, j: int) -> bool:
@@ -265,26 +243,51 @@ def _derivative_table_cached(table: MonomialTable, j: int) -> MonomialTable:
     return tuple(sorted(out.items(), key=lambda t: t[0]))
 
 
-def _torus_grid_bound(sym: PolySymbol) -> tuple[float, int, float]:
-    """(grid max, grid resolution, Lipschitz margin) of max_i |Phi_i| on the torus grid.
+def cert_grid_res(n: int) -> int:
+    """Self-map certification grid resolution per angle."""
+    table = {1: 256, 2: 96, 3: 64, 4: 24, 5: 12, 6: 8}
+    if n not in table:
+        raise ValueError(f"certification grid undefined for n={n}")
+    return table[n]
 
-    Between grid points no component's modulus exceeds the grid max by more
-    than the margin, a per-cell bound from coefficient norms.
+
+_GRID_BLOCK = 1 << 16  # grid rows evaluated per _eval_table call
+
+
+def _torus_modulus_grid(table: MonomialTable, n: int, res: int, dtype) -> np.ndarray:
+    """|polynomial| over the res^n torus grid of angles 2 pi k / res, shaped to broadcast.
+
+    Axis j has length res if the table depends on z_j and length 1 otherwise,
+    so only the live axes are walked, _GRID_BLOCK rows at a time.
+    ``_eval_table`` never reads a variable whose exponents are all zero, so
+    every value has the same bits as in the full res^n evaluation.
     """
-    res = cert_grid_res(sym.n_in)
-    theta = 2.0 * math.pi * np.arange(res) / res
-    ring = np.exp(1j * theta)
-    grids = np.meshgrid(*([ring] * sym.n_in), indexing="ij")
-    z = np.stack([g.reshape(-1) for g in grids], axis=1)
-    vals = sym.evaluate_batch(z)
-    grid_max = float(np.abs(vals).max())
+    live = [j for j in range(n) if any(alpha[j] for alpha, _ in table)]
+    ring = np.exp(1j * (2.0 * math.pi * np.arange(res) / res))
+    cells = res ** len(live)
+    out = np.empty(cells, dtype=dtype)
+    for start in range(0, cells, _GRID_BLOCK):
+        flat = np.arange(start, min(start + _GRID_BLOCK, cells))
+        z = np.ones((len(flat), n), dtype=complex)
+        if live:  # a constant or empty table is one cell with no index
+            for j, i in zip(live, np.unravel_index(flat, (res,) * len(live))):
+                z[:, j] = ring[i]
+        out[start : start + len(flat)] = np.abs(_eval_table(table, z, {}))
+    return out.reshape([res if j in live else 1 for j in range(n)])
 
+
+def _torus_grid_bound(tables: Iterable[MonomialTable], n: int, res: int) -> tuple[float, float]:
+    """(grid max, Lipschitz margin) of max_i |P_i| over the res^n torus grid.
+
+    Each distinct table is evaluated once, in float64.  Between grid points
+    no table's modulus exceeds the grid max by more than the margin, a
+    per-cell bound from coefficient norms.
+    """
+    distinct = set(tables)
+    grid_max = float(np.max([_torus_modulus_grid(t, n, res, np.float64).max() for t in distinct]))
     h = 2.0 * math.pi / res
-    margin = 0.0
-    for table in sym.components:
-        comp_margin = sum(abs(c) * a_j for alpha, c in table for a_j in alpha) * h / 2.0
-        margin = max(margin, comp_margin)
-    return grid_max, res, margin
+    margin = max(sum(abs(c) * a_j for alpha, c in t for a_j in alpha) * h / 2.0 for t in distinct)
+    return grid_max, margin
 
 
 def certify_self_map(sym: PolySymbol) -> PolySymbol:
@@ -294,7 +297,8 @@ def certify_self_map(sym: PolySymbol) -> PolySymbol:
     sound rejection.  The per-cell Lipschitz margin upgrades the certificate
     to ``strong`` when even inter-grid spikes are excluded.
     """
-    grid_max, res, margin = _torus_grid_bound(sym)
+    res = cert_grid_res(sym.n_in)
+    grid_max, margin = _torus_grid_bound(sym.components, sym.n_in, res)
     if grid_max > 1.0 + CERT_TOL:
         raise SymbolNotSelfMap(
             f"torus grid max {grid_max:.12g} exceeds 1 + CERT_TOL ({1.0 + CERT_TOL:.12g})"

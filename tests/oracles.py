@@ -26,6 +26,37 @@ def eval_entries(entries, z):
     return total
 
 
+def eval_entries_batch(entries, z):
+    """eval_entries at every row of an (N, n) array.
+
+    Factors with a zero exponent are skipped and the rest are multiplied in
+    variable order before the coefficient, an exponent of 1 taking the column
+    view itself, as the package's vectorised evaluation does: numpy may round
+    a complex product of contiguous arrays differently from one of strided
+    views, so only the same order on the same layout agrees bit for bit.
+    """
+    acc = np.zeros(z.shape[0], dtype=complex)
+    for alpha, c in entries:
+        term = None
+        for zj, aj in zip(z.T, alpha):
+            if aj:
+                p = zj if aj == 1 else zj**aj
+                term = p if term is None else term * p
+        acc += c if term is None else c * term
+    return acc
+
+
+def torus_grid(n, res):
+    """Every point of the res^n grid of angles 2 pi k / res on T^n, one per row, C order."""
+    ring = np.exp(1j * (2.0 * math.pi * np.arange(res) / res))
+    return np.stack([g.reshape(-1) for g in np.meshgrid(*([ring] * n), indexing="ij")], axis=1)
+
+
+def full_modulus_grid(entries, n, res, dtype):
+    """|polynomial| at every point of the res^n torus grid, shaped (res,) * n."""
+    return np.abs(eval_entries_batch(entries, torus_grid(n, res))).astype(dtype).reshape((res,) * n)
+
+
 def diff_entries(entries, j):
     """Symbolic derivative of a monomial list with respect to variable j."""
     out = {}

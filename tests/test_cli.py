@@ -214,6 +214,18 @@ class TestCarlesonCommand:
         assert (tmp_path / "carleson_identity2.csv").exists()
         assert (tmp_path / "carleson_identity2.svg").exists()
 
+    @pytest.mark.parametrize("literal", [
+        "[[[0.333,0,1,0],[0.333,0,0,1],[0.333,0,1,1]]]",
+        "[[[0.5,0,1,0],[0.5,0,0,1]]]",
+    ])
+    def test_non_square_symbol_centre_has_n_out_angles(self, tmp_path, literal):
+        # one component of two variables: a box lives in the target polydisc, so the
+        # default centre has one angle per component, not per variable
+        code = run_cli(["carleson", "--symbol", literal, "--shrink", "1", "--budget", "20000",
+                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert len(list(tmp_path.glob("carleson_*.csv"))) == 1
+
     def test_missing_shrink_exit_2(self, tmp_path):
         assert run_cli(["carleson", "--symbol", "identity2",
                         "--out-dir", str(tmp_path)]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import greedy_dedupe
+from oracles import full_modulus_grid, greedy_dedupe
 from polycarleson import contact
 from polycarleson.battery import SYMBOL_NAMES, get_symbol
 from polycarleson.config import DEFAULTS, contact_grid_res
@@ -19,7 +19,7 @@ from polycarleson.contact import (
 )
 from polycarleson.criteria import BOUNDED, SUFFICIENCY_HOLDS, check_rank_sufficiency, decide_tridisc
 from polycarleson.inequality_lab import jc_check, slice_gradient_constancy
-from polycarleson.symbols import PolySymbol, TorusPoint, _eval_table
+from polycarleson.symbols import PolySymbol, TorusPoint
 
 TWO_PI = 2.0 * math.pi
 # ((z1 + z2)/2, (z2 + z3)/2, z1 z2 z3): a tridisc self-map with non-monomial components
@@ -321,14 +321,6 @@ class TestDedupe:
             np.testing.assert_array_equal(g, w)
 
 
-def full_modulus_grid(table, n, res):
-    """|polynomial| evaluated at every point of the res^n grid, float32."""
-    theta = TWO_PI * np.arange(res) / res
-    ring = np.exp(1j * theta)
-    z = np.stack([g.reshape(-1) for g in np.meshgrid(*([ring] * n), indexing="ij")], axis=1)
-    return np.abs(_eval_table(table, z, {})).astype(np.float32).reshape((res,) * n)
-
-
 class TestModulusGrid:
     @pytest.mark.parametrize("table, n, live", [
         (GENERAL3.components[0], 3, (0, 1)),
@@ -337,6 +329,8 @@ class TestModulusGrid:
         ((((0, 0, 0), 0.5), ((0, 0, 2), 0.5)), 3, (2,)),
         ((((0, 1), 0.25), ((1, 1), 0.75)), 2, (0, 1)),
         ((((0,), 0.5), ((3,), 0.5)), 1, (0,)),
+        ((((0, 0, 0), 0.5 - 0.5j),), 3, ()),  # constant: one cell
+        ((), 2, ()),
     ])
     def test_broadcast_grid_matches_full_grid(self, table, n, live):
         res = 48
@@ -344,7 +338,8 @@ class TestModulusGrid:
         assert grid.dtype == np.float32
         assert grid.shape == tuple(res if j in live else 1 for j in range(n))
         full = np.broadcast_to(grid, (res,) * n)
-        np.testing.assert_array_equal(full.view(np.uint32), full_modulus_grid(table, n, res).view(np.uint32))
+        want = full_modulus_grid(table, n, res, np.float32)
+        np.testing.assert_array_equal(full.view(np.uint32), want.view(np.uint32))
 
     def test_cache_bounded_by_bytes(self, monkeypatch):
         res = 64

@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polycarleson.battery import get_symbol
+from polycarleson.sublevel import _interior_slice_max
 from polycarleson.symbols import (
     DimensionMismatch,
     PolySymbol,
     SymbolNotSelfMap,
     TorusPoint,
+    cert_grid_res,
 )
 
-from oracles import diff_entries, eval_entries
+from oracles import diff_entries, eval_entries, eval_entries_batch, full_modulus_grid, torus_grid
 
 
 def product_symbol(n):
@@ -111,52 +115,61 @@ class TestJacobian:
         assert checked >= 1000
 
 
-class TestRestrict:
-    def test_fix_to_one(self):
-        f = product_symbol(2)
-        r = f.restrict({1: 1.0})
-        assert r.n_in == 1
-        assert r.components[0] == (((1,), 1.0 + 0j),)
+@st.composite
+def self_map_tables(draw, n_min=1):
+    """(component tables, n) of a self-map: empty, constant and repeated components included."""
+    n = draw(st.integers(n_min, 4))
+    coeff = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0, allow_nan=False,
+                               allow_infinity=False)
 
-    def test_fix_to_zero(self):
-        f = product_symbol(2)
-        r = f.restrict({1: 0.0})
-        assert r.components[0] == ()
-        assert np.allclose(r.evaluate([0.3 + 0.2j]), [0.0])
+    def table():
+        kind = draw(st.sampled_from(["empty", "constant", "terms"]))
+        if kind == "empty":
+            return []
+        if kind == "constant":
+            return [((0,) * n, draw(coeff))]
+        entries = [(tuple(draw(st.integers(0, 3)) for _ in range(n)), draw(coeff))
+                   for _ in range(draw(st.integers(1, 4)))]
+        total = sum(abs(c) for _, c in entries)
+        return [(alpha, c / total) for alpha, c in entries]  # sum |c| = 1, so |P| <= 1
 
-    def test_power_sum_fold(self):
-        g = power_sum_symbol(2)
-        r = g.restrict({1: 1j})
-        # (z1^2 + (i)^2)/2 = z1^2/2 - 1/2; fold oracle at 20 random points
-        rng = np.random.default_rng(7)
-        pts = (rng.random(20) - 0.5) + 1j * (rng.random(20) - 0.5)
-        for z1 in pts:
-            lhs = r.evaluate([z1])[0]
-            rhs = g.evaluate([z1, 1j])[0]
-            assert abs(lhs - rhs) < 1e-12
-            assert abs(lhs - (z1 * z1 / 2 - 0.5)) < 1e-12
+    tables = [table() for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        tables.append(tables[0])
+    return tables, n
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_restrict_merge_consistency(self, data):
-        n = data.draw(st.integers(2, 4))
-        n_terms = data.draw(st.integers(1, 4))
-        coeff = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
-        entries = []
-        for _ in range(n_terms):
-            alpha = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
-            entries.append((alpha, data.draw(coeff)))
-        sym = PolySymbol.from_tables([entries], n, certify=False)
-        k = data.draw(st.integers(1, n - 1))
-        fixed_vars = data.draw(st.permutations(range(n))).copy()[:k]
-        small = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
-        fixed = {j: data.draw(small) for j in fixed_vars}
-        free_vals = [data.draw(small) for _ in range(n - k)]
-        it = iter(free_vals)
-        merged = [fixed[j] if j in fixed else next(it) for j in range(n)]
-        lhs = sym.restrict(fixed).evaluate(free_vals)[0]
-        rhs = sym.evaluate(merged)[0]
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+def coefficient_margin(tables, res):
+    """Largest sum |c| |alpha| over the tables, times half the grid step 2 pi / res."""
+    return max(sum(abs(c) * sum(alpha) for alpha, c in t) for t in tables) * math.pi / res
+
+
+class TestTorusGridBound:
+    @settings(max_examples=30, deadline=None)
+    @given(self_map_tables())
+    def test_certificate_matches_full_grid(self, case):
+        tables, n = case
+        sym = PolySymbol.from_tables(tables, n)
+        res = cert_grid_res(n)
+        cert = sym.certificate
+        assert cert.grid_res == res
+        assert cert.grid_max == max(full_modulus_grid(t, n, res, np.float64).max()
+                                    for t in sym.components)
+        assert cert.lipschitz_margin == pytest.approx(coefficient_margin(sym.components, res),
+                                                      rel=1e-12, abs=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(self_map_tables(n_min=2), st.data())
+    def test_interior_slice_max_matches_full_grid(self, case, data):
+        tables, n = case
+        j = data.draw(st.integers(0, n - 1))
+        sym = PolySymbol.from_tables(tables, n)
+        res = cert_grid_res(n - 1)
+        z = np.insert(torus_grid(n - 1, res), j, 0.0, axis=1)  # z_j = 0
+        grid_max = max(np.abs(eval_entries_batch(t, z)).max() for t in sym.components)
+        slice_tables = [[(alpha, c) for alpha, c in t if not alpha[j]] for t in sym.components]
+        want = min(grid_max + coefficient_margin(slice_tables, res), 1.0)
+        assert _interior_slice_max(sym, j) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestCertification:
