@@ -79,13 +79,14 @@ def preimage_box_ratio(
 ) -> RatioEstimate:
     """V_beta(Phi^{-1}(S(xi, delta))) / V_beta(S(xi, delta)) with propagated error.
 
-    The numerator is importance-sampled from the proposal region built out of
-    the binding components (radius below 1), with one torus angle integrated
-    in closed form by ``estimate_indicator``; the denominator is the product of
-    the box's cap integrals, whose error bound enters the stderr.  Radius-2
-    coordinates are vacuous by |Phi_j - xi_j| < 2 and are left out of the
-    tests.  Components that repeat with the same target are merged once, to
-    the tightest radius, before the proposal is built.
+    The preimage is the joint sublevel set {|Phi_j - xi_j| <= delta_j}: one
+    (component, xi_j, delta_j) binding per coordinate, merged once so that a
+    component repeating with the same target keeps the smaller radius.  The
+    merged list builds the proposal (bindings of radius below 1) and feeds
+    ``estimate_indicator``, which integrates one torus angle in closed form;
+    the denominator is the product of the box's cap integrals, whose error
+    bound enters the stderr.  Radius-2 coordinates are vacuous by
+    |Phi_j - xi_j| <= 2 and are left out of the tests.
     """
     sym.require_certificate()
     if box.n != sym.n_out:
@@ -95,16 +96,11 @@ def preimage_box_ratio(
     xi = box.center.point()
 
     bindings = _merge_bindings([
-        (sym.components[j], complex(xi[j]), box.radii[j], True)
+        (sym.component(j), complex(xi[j]), box.radii[j])
         for j in range(sym.n_out)
         if box.radii[j] < 2.0
     ])
-    tight = [
-        (PolySymbol(n_in=n, components=(table,), certificate=sym.certificate), target, tol)
-        for table, target, tol, _ in bindings
-        if tol < 1.0
-    ]
-    region = build_proposal(tight, n)
+    region = build_proposal([b for b in bindings if b[2] < 1.0], n)
     if region == PROVABLY_EMPTY:
         return RatioEstimate(SublevelEstimate.empty("preimage empty by structure"),
                              denominator, bound)

@@ -71,7 +71,7 @@ class ExperimentConfig:
             if not hasattr(cfg, k):
                 raise ValueError(f"unknown config key {k!r}")
             default = getattr(cfg, k)
-            if isinstance(default, (list, dict)) and type(v) is not type(default):
+            if isinstance(default, (list, dict, str)) and type(v) is not type(default):
                 raise ValueError(f"config key {k!r} must be a {type(default).__name__}, got {v!r}")
             setattr(cfg, k, v)
         kinds = {f.name: type(getattr(DEFAULTS, f.name)) for f in dataclasses.fields(DEFAULTS)}

@@ -84,7 +84,9 @@ class CarlesonBox:
     """Box S(xi, delta) = {z in D^n : |z_j - xi_j| < delta_j}.
 
     Radii live in (0, 2]; radius 2 covers the whole disc in that coordinate
-    (inputs above 2 are clamped).
+    (inputs above 2 are clamped).  The estimators test the closed box
+    |z_j - xi_j| <= delta_j, whose boundary has V_beta-measure 0, so it has
+    the open box's measure.
     """
 
     center: TorusPoint

@@ -381,37 +381,25 @@ def build_proposal(bindings, n: int):
 # ---------------------------------------------------------------------------
 
 
-Binding = tuple[MonomialTable, complex, float, bool]  # (table, target, tolerance, strict)
+Binding = tuple[PolySymbol, complex, float]  # the test |f(z) - target| <= tolerance
 
 
 def _merge_bindings(bindings) -> list[Binding]:
-    """Bindings in first-seen order; a repeated (table, target) keeps the tighter test."""
+    """Bindings in first-seen order; a repeated (symbol, target) keeps the smaller tolerance."""
     merged: dict[tuple, Binding] = {}
-    for table, target, tol, strict in bindings:
-        key = (table, complex(target))
-        new = (table, complex(target), float(tol), bool(strict))
-        old = merged.get(key)
-        if old is None or (new[2], not new[3]) < (old[2], not old[3]):
-            merged[key] = new
+    for f, target, tol in bindings:
+        key = (f, complex(target))
+        if key not in merged or tol < merged[key][2]:
+            merged[key] = (f, complex(target), float(tol))
     return list(merged.values())
-
-
-def _holds(binding: Binding, z: np.ndarray, cache: dict) -> np.ndarray:
-    table, target, tol, strict = binding
-    dist = np.abs(_eval_table(table, z, cache) - target)
-    return dist < tol if strict else dist <= tol
 
 
 def _members(bindings: list[Binding], z: np.ndarray) -> np.ndarray:
     cache: dict = {}
     ok = np.ones(z.shape[0], dtype=bool)
-    for binding in bindings:
-        ok &= _holds(binding, z, cache)
+    for f, target, tol in bindings:
+        ok &= np.abs(_eval_table(f.components[0], z, cache) - target) <= tol
     return ok
-
-
-def _uses(table: MonomialTable, j: int) -> bool:
-    return any(alpha[j] for alpha, _ in table)
 
 
 @dataclass(frozen=True)
@@ -434,15 +422,15 @@ class _AngleSplit:
 def _split_coordinate(bindings: list[Binding], n: int) -> _AngleSplit | None:
     """Lowest j whose first binding containing z_j has a single exponent in z_j."""
     for j in range(n):
-        index = next((i for i, (table, *_) in enumerate(bindings) if _uses(table, j)), None)
+        index = next((i for i, (f, *_) in enumerate(bindings) if f.depends_on(j)), None)
         if index is None:
             continue
-        table = bindings[index][0]
+        table = bindings[index][0].components[0]
         powers = {alpha[j] for alpha, _ in table if alpha[j]}
         if len(powers) == 1:
             a = tuple((alpha, c) for alpha, c in table if not alpha[j])
             b = tuple((alpha[:j] + (0,) + alpha[j + 1:], c) for alpha, c in table if alpha[j])
-            coupled = any(_uses(t, j) for t, *_ in bindings[index + 1:])
+            coupled = any(f.depends_on(j) for f, *_ in bindings[index + 1:])
             constant = not any(any(alpha) for alpha, _ in a + b)
             return _AngleSplit(index, j, powers.pop(), a, b, coupled, constant)
     return None
@@ -490,7 +478,7 @@ def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndar
     generator.
     """
     j, m = split.j, split.m
-    _, target, tol, _ = bindings[split.index]
+    _, target, tol = bindings[split.index]
     cache: dict = {}
     u = target - _eval_table(split.a, z, cache)
     b = _eval_table(split.b, z, cache)
@@ -511,8 +499,8 @@ def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndar
     w = h / math.pi
     if not others:
         return w, 0.0
-    ok = _members([binding for binding in others if not _uses(binding[0], j)], z)
-    coupled = [binding for binding in others if _uses(binding[0], j)]
+    ok = _members([binding for binding in others if not binding[0].depends_on(j)], z)
+    coupled = [binding for binding in others if binding[0].depends_on(j)]
     if coupled:
         # theta_j uniform on the split binding's arc {m theta_j - arg(u/b) in ±h},
         # from one uniform per row drawn by its replicate's generator
@@ -542,8 +530,10 @@ def estimate_indicator(
 ) -> SublevelEstimate:
     """Shared engine: V_beta of {z : every binding holds}, with a leakage audit.
 
-    ``bindings`` lists (table, target, tolerance, strict) tests
-    |P(z) - target| < tolerance (strict) or <= tolerance.  When some
+    ``bindings`` lists (scalar symbol, target, tolerance) tests
+    |f(z) - target| <= tolerance, the triples ``build_proposal`` takes.
+    Callers merge repeats first (``_merge_bindings``); a closed test and its
+    open twin differ by a V_beta-null boundary.  When some
     coordinate z_j enters the first binding containing it with a single
     exponent, z_j is integrated in closed form or by quadrature (conditional
     Monte Carlo, ``_conditional_weights``): each point contributes the
@@ -574,7 +564,6 @@ def estimate_indicator(
     marks the result untrusted; zero support also reports a one-sided upper
     confidence bound.
     """
-    bindings = _merge_bindings(bindings)
     split = _split_coordinate(bindings, n)
     fixed = integrated = ()
     if split is not None:
@@ -668,11 +657,12 @@ def estimate_sublevel(query: SublevelQuery) -> SublevelEstimate:
     f, eta, delta, beta = query.f, complex(query.eta), query.delta, query.beta
     f.require_certificate()
     n = f.n_in
-    region = build_proposal([(f, eta, delta)], n)
+    bindings = [(f, eta, delta)]
+    region = build_proposal(bindings, n)
     if region == PROVABLY_EMPTY:
         return SublevelEstimate.empty("target beyond component range; set empty")
     return estimate_indicator(
-        [(f.components[0], eta, delta, False)], n, beta, region, query.budget, query.seed,
+        bindings, n, beta, region, query.budget, query.seed,
         f"sublevel[{query.seed}]", threads=query.threads,
     )
 

@@ -46,6 +46,9 @@ MonomialTable = tuple[tuple[tuple[int, ...], complex], ...]
 def _normalize_table(entries: Iterable[tuple[Iterable[int], complex]], n_in: int) -> MonomialTable:
     acc: dict[tuple[int, ...], complex] = {}
     for alpha, c in entries:
+        alpha = tuple(alpha)
+        if any(isinstance(a, bool) or not float(a).is_integer() for a in alpha):
+            raise ValueError(f"non-integral exponent in multi-index {alpha}")
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != n_in:
             raise DimensionMismatch(f"multi-index {alpha} has length {len(alpha)}, expected {n_in}")
@@ -109,23 +112,25 @@ class PolySymbol:
     def from_tables(
         tables: Iterable[Iterable[tuple[Iterable[int], complex]]],
         n_in: int,
-        certify: bool = True,
     ) -> "PolySymbol":
         comps = tuple(_normalize_table(t, n_in) for t in tables)
         if not comps:
             raise ValueError("symbol needs at least one component")
-        sym = PolySymbol(n_in=n_in, components=comps)
-        if certify:
-            sym = certify_self_map(sym)
-        return sym
+        return certify_self_map(PolySymbol(n_in=n_in, components=comps))
 
     @staticmethod
     def from_literal(rows: list[list[list[float]]]) -> "PolySymbol":
         """Build from the config-file literal format.
 
         One list per component, each a list of ``[coeff_re, coeff_im, a_1, ..., a_n]``
-        rows.
+        rows of ints or floats (not bools); the exponents are non-negative integers.
         """
+        if not isinstance(rows, list) or not all(
+                isinstance(comp, list) and all(
+                    isinstance(row, list) and all(type(x) in (int, float) for x in row)
+                    for row in comp)
+                for comp in rows):
+            raise ValueError("symbol literal must list components of rows of ints and floats")
         if not rows or not rows[0]:
             raise ValueError("empty symbol literal")
         n_in = len(rows[0][0]) - 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from polycarleson import carleson
 from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
 from polycarleson.measure import CarlesonBox, WeightParam, carleson_box_measure
+from polycarleson.sublevel import SublevelQuery, estimate_sublevel
 from polycarleson.symbols import PolySymbol, TorusPoint
 
 from test_measure import manifest_betas
@@ -79,6 +82,18 @@ class TestPreimageRatio:
         (tight,) = built
         assert [(f, tol) for f, _, tol in tight] == [(sym.component(0), 0.1)]
         assert real(tight, 3) == real([(sym.component(1), 1.0, 0.1)], 3)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    @pytest.mark.parametrize("name", ["product2", "powersum2"])
+    def test_one_component_box_is_the_sublevel_set(self, name, beta):
+        # a one-component box preimage and a sublevel query are one binding
+        f, delta, weight = get_symbol(name), 2.0**-5, WeightParam(beta)
+        box = CarlesonBox(TorusPoint((0.0,)), (delta,))
+        numerator = preimage_box_ratio(f, box, weight, 200_000, seed=3).numerator
+        direct = estimate_sublevel(SublevelQuery(f, 1.0, delta, weight, 200_000, seed=3))
+        assert numerator.trusted and direct.trusted
+        z = (numerator.volume - direct.volume) / math.hypot(numerator.stderr, direct.stderr)
+        assert abs(z) <= 4.0
 
 
 class TestScans:

@@ -102,6 +102,27 @@ class TestDecideCommand:
                         "--out-dir", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("config, symbol", [
+        ('{"symbol": 5}', None),
+        ('{"out_dir": 5}', "product2"),
+        (None, "[[1]]"),
+        (None, '[[["a",0,1]]]'),
+        (None, "[[[1,0,1.5]]]"),  # once truncated to z without a word
+    ])
+    def test_malformed_input_is_a_config_error(self, tmp_path, monkeypatch, capsys, config,
+                                               symbol):
+        monkeypatch.chdir(tmp_path)  # the default out_dir
+        args = ["decide"]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+            args += ["--config", str(path)]
+        if symbol is not None:
+            args += ["--symbol", symbol]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
 
 class TestExponentCommand:
     def test_small_run_writes_artifacts(self, tmp_path, capsys):

@@ -55,7 +55,7 @@ def half_square_symbol():
 
 
 def half_square_estimate(region, delta, budget, seed, threads=None):
-    binding = (half_square_symbol().components[0], 1.0, delta, False)
+    binding = (half_square_symbol(), 1.0, delta)
     return sublevel.estimate_indicator([binding], 1, WeightParam(0.0), region, budget, seed,
                                        f"half_square[{seed}]", threads=threads)
 
@@ -90,7 +90,7 @@ class TestGeneralSymbol:
         f, delta, seed = general_symbol(), 2.0**-k, 31 + k
         auto = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=delta, beta=WeightParam(0.0),
                                                budget=1_000_000, seed=seed))
-        plain = sublevel.estimate_indicator([(f.components[0], 1.0, delta, False)], 2,
+        plain = sublevel.estimate_indicator([(f, 1.0, delta)], 2,
                                             WeightParam(0.0), AnnulusArc.full(2), 1_000_000, seed,
                                             f"sublevel[{seed}]")
         assert auto.trusted and plain.trusted
@@ -213,8 +213,8 @@ class TestEstimate:
 
     def test_split_angle_arcs_change_nothing(self):
         # theta_1 is integrated in closed form, so the region's arcs on it are dropped
-        bindings = [(general_symbol().components[0], 1.0, 2.0**-6, False)]
-        region = build_proposal([(general_symbol(), 1.0, 2.0**-6)], 2)
+        bindings = [(general_symbol(), 1.0, 2.0**-6)]
+        region = build_proposal(bindings, 2)
         assert region.arcs[0] is not None and region.arcs[1] is not None
         free = AnnulusArc(depths=region.depths, arcs=(None, region.arcs[1]))
         a, b = (sublevel.estimate_indicator(bindings, 2, WeightParam(0.0), r, 100_000, 5, "s")
@@ -357,7 +357,7 @@ class TestConditionalEstimator:
         # z1 and z2 each appear with exponents 1 and 2: no angle integrates out
         entries = [((1, 0), 0.25), ((2, 0), 0.25), ((0, 1), 0.25), ((0, 2), 0.25)]
         f = PolySymbol.from_tables([entries], 2)
-        assert sublevel._split_coordinate([(f.components[0], 1.0, 0.25, False)], 2) is None
+        assert sublevel._split_coordinate([(f, 1.0, 0.25)], 2) is None
         est = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=0.25, beta=WeightParam(0.0),
                                               budget=200_000, seed=23))
         volume, stderr = uniform_sublevel_volume(entries, 2, 1.0, 0.25, 1_000_000, 23)
@@ -365,10 +365,9 @@ class TestConditionalEstimator:
         assert agree(est, volume, stderr)
 
     def test_repeated_bindings_merge(self):
-        table = get_symbol("product3").components[0]
-        merged = sublevel._merge_bindings([(table, 1.0, 0.1, True), (table, 1.0, 0.05, True),
-                                           (table, 1j, 0.2, True)])
-        assert merged == [(table, 1.0, 0.05, True), (table, 1j, 0.2, True)]
+        f = get_symbol("product3")
+        merged = sublevel._merge_bindings([(f, 1.0, 0.1), (f, 1.0, 0.05), (f, 1j, 0.2)])
+        assert merged == [(f, 1.0, 0.05), (f, 1j, 0.2)]
 
 
 class TestReplicates:

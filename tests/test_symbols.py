@@ -11,6 +11,7 @@ from polycarleson.symbols import (
     PolySymbol,
     SymbolNotSelfMap,
     TorusPoint,
+    _normalize_table,
     cert_grid_res,
 )
 
@@ -100,7 +101,7 @@ class TestJacobian:
                 entries.append((alpha, c))
             if not entries:
                 continue
-            sym = PolySymbol.from_tables([entries], n, certify=False)
+            sym = PolySymbol(n_in=n, components=(_normalize_table(entries, n),))
             pts = (rng.random((100, n)) - 0.5) + 1j * (rng.random((100, n)) - 0.5)
             J = sym.jacobian_batch(pts)[:, 0, :]
             for j in range(n):
@@ -193,6 +194,23 @@ class TestLiteralFormat:
         f = PolySymbol.from_literal(lit)
         assert f.n_in == 2
         assert np.allclose(f.evaluate([1j, 1j]), [-1.0])
+
+    @pytest.mark.parametrize("lit", [5, [[1.0, 0.0, 1]], [[[True, 0.0, 1]]]])
+    def test_malformed_literal_rejected(self, lit):
+        with pytest.raises(ValueError, match="symbol literal"):
+            PolySymbol.from_literal(lit)
+
+    @pytest.mark.parametrize("exponent", [1.5, True])
+    def test_non_integral_exponent_rejected(self, exponent):
+        with pytest.raises(ValueError):
+            PolySymbol.from_literal([[[1.0, 0.0, exponent]]])
+        with pytest.raises(ValueError, match="non-integral exponent"):
+            PolySymbol.from_tables([[((exponent,), 1.0)]], 1)
+
+    def test_integral_float_exponent_accepted(self):
+        z2 = PolySymbol.monomial(1, (2,)).components
+        assert PolySymbol.from_literal([[[1.0, 0.0, 2.0]]]).components == z2
+        assert PolySymbol.from_tables([[((2.0,), 1.0)]], 1).components == z2
 
 
 def test_torus_point_unit_modulus():
