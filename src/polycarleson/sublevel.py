@@ -11,20 +11,22 @@ contains exactly), or with per-coordinate arcs of width ~ sqrt(delta) around
 the finite solution set of f = eta on T^n.
 
 Inside the region one coordinate is integrated out (conditional Monte
-Carlo).  When z_j enters a binding as a + b z_j^m with a and b free of z_j,
-the theta_j-measure of {|f - eta| <= delta} at fixed other coordinates and
-r_j is an arc of half-width h = arccos((rho^2 + c^2 - delta^2)/(2 rho c)),
-rho = |b| r_j^m, c = |eta - a|.  When no other binding contains z_j, r_j is
-integrated too: each draw contributes W = ∫ h/pi dmu_beta(r_j) over the whole
-radial law, a lens area for m = 1 at beta = 0 and otherwise a 21-point
-Gauss-Kronrod rule (``measure._radial_cap_weight``), and z_j takes no
-uniform at all.  Otherwise r_j is drawn and each draw contributes h/pi: a
+Carlo): the lowest z_j that every binding containing it contains as
+a + b z_j^m, a single exponent m with a and b free of z_j.  At fixed other
+coordinates and r_j such a binding holds on m arcs of theta_j, {m theta_j -
+arg(u/b) in ±h} with u = eta - a and half-width h = arccos((rho^2 + |u|^2 -
+delta^2)/(2 rho |u|)), rho = |b| r_j^m.  When no other binding contains z_j,
+r_j is integrated too: each draw contributes W = ∫ h/pi dmu_beta(r_j) over
+the whole radial law, a lens area for m = 1 at beta = 0 and otherwise a
+21-point Gauss-Kronrod rule (``measure._radial_cap_weight``), and z_j takes
+no uniform at all.  Otherwise r_j is drawn and each draw contributes the
+length of the intersection of the arc sets over 2 pi (h/pi for one set): a
 simplex coordinate's r_j, drawn last, takes one uniform through a cosine map
 on the interval where the arc is non-empty, and the draw's likelihood
 (``measure.region_points``) multiplies its weight.  Either way the region
 drops its constraints on what is integrated (theta_j's arcs and the
-angle-sum window, and r_j's depth with it).  Symbols with no such coordinate
-fall back to plain hit counting.
+angle-sum window, and r_j's depth with it).  Binding sets with no such
+coordinate fall back to plain hit counting.
 
 The conditioned integrand is a bounded, almost everywhere continuous function
 of the remaining uniforms (2n - 2 of them, or 2n - 1 when r_j is drawn), so
@@ -51,7 +53,6 @@ from .measure import (
     AnnulusArc,
     DeficitSimplex,
     WeightParam,
-    _branch_angle,
     _cap_angular_halfwidth,
     _power,
     _radial_cap_weight,
@@ -404,35 +405,38 @@ def _members(bindings: list[Binding], z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _AngleSplit:
-    """Binding ``index`` written as a + b z_j^m with a and b free of z_j.
+    """Coordinate z_j, which every binding containing it contains with a single exponent.
 
-    ``coupled``: another binding contains z_j too.  ``constant``: a and b
-    contain no coordinate at all.
+    ``parts`` lists (binding index, m, a, b) for each binding that contains
+    z_j, written a + b z_j^m with a and b free of z_j, in binding order: the
+    first is the split binding.  ``coupled``: another binding contains z_j
+    too.
     """
 
-    index: int
     j: int
-    m: int
-    a: MonomialTable
-    b: MonomialTable
-    coupled: bool
-    constant: bool
+    parts: tuple[tuple[int, int, MonomialTable, MonomialTable], ...]
+
+    @property
+    def coupled(self) -> bool:
+        return len(self.parts) > 1
 
 
 def _split_coordinate(bindings: list[Binding], n: int) -> _AngleSplit | None:
-    """Lowest j whose first binding containing z_j has a single exponent in z_j."""
+    """Lowest j that every binding containing z_j contains with a single exponent."""
     for j in range(n):
-        index = next((i for i, (f, *_) in enumerate(bindings) if f.depends_on(j)), None)
-        if index is None:
-            continue
-        table = bindings[index][0].components[0]
-        powers = {alpha[j] for alpha, _ in table if alpha[j]}
-        if len(powers) == 1:
-            a = tuple((alpha, c) for alpha, c in table if not alpha[j])
-            b = tuple((alpha[:j] + (0,) + alpha[j + 1:], c) for alpha, c in table if alpha[j])
-            coupled = any(f.depends_on(j) for f, *_ in bindings[index + 1:])
-            constant = not any(any(alpha) for alpha, _ in a + b)
-            return _AngleSplit(index, j, powers.pop(), a, b, coupled, constant)
+        parts = []
+        for index, (f, *_) in enumerate(bindings):
+            table = f.components[0]
+            powers = {alpha[j] for alpha, _ in table if alpha[j]}
+            if len(powers) > 1:
+                break
+            if powers:
+                a = tuple((alpha, c) for alpha, c in table if not alpha[j])
+                b = tuple((alpha[:j] + (0,) + alpha[j + 1:], c) for alpha, c in table if alpha[j])
+                parts.append((index, powers.pop(), a, b))
+        else:
+            if parts:
+                return _AngleSplit(j, tuple(parts))
     return None
 
 
@@ -454,67 +458,109 @@ def _modulus(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x.real * x.real + x.imag * x.imag)
 
 
+def _arc_set_intersection(arcs) -> np.ndarray:
+    """Length of the intersection of arc sets {theta : m theta - phase in ±h (mod 2 pi)}, per row.
+
+    ``arcs`` lists (m, phase, h) for each set, with phase and h arrays over
+    rows and h in [0, pi]: each set is m disjoint arcs of length 2h/m.  The
+    first set's arcs, unrolled onto one period from its first arc's left
+    end, are cut by each later set lifted to the real line, of which m + 1
+    consecutive arcs cover any piece (a piece is at most 2 pi long).  The
+    arcs of each set are disjoint, so the pieces are too and their lengths
+    add.  Pieces are kept as columns, (lo, hi) pairs of row arrays.
+    """
+    (m, phase, h), *rest = arcs
+    start = phase - h
+    start /= m
+    width = h * (2.0 / m)
+    pieces = []
+    for k in range(m):
+        lo = start + TWO_PI * k / m if k else start
+        pieces.append((lo, lo + width))
+    for m, phase, h in rest:
+        start = phase - h
+        width = h * (2.0 / m)
+        cut = []
+        for lo, hi in pieces:
+            # the first arc of the lift whose right end is past lo
+            k = lo * m
+            k -= phase
+            k -= h
+            k /= TWO_PI
+            np.ceil(k, out=k)
+            for _ in range(m + 1):
+                left = k * TWO_PI
+                left += start
+                left /= m
+                right = left + width
+                cut.append((np.maximum(left, lo, out=left), np.minimum(right, hi, out=right)))
+                k += 1.0
+        pieces = cut
+    total = None
+    for lo, hi in pieces:
+        hi -= lo
+        np.maximum(hi, 0.0, out=hi)
+        total = hi if total is None else np.add(total, hi, out=total)
+    return total
+
+
 def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndarray,
-                         rngs: list[np.random.Generator], beta: WeightParam,
+                         beta: WeightParam,
                          integrated: bool) -> tuple[np.ndarray, np.ndarray | float]:
     """P(every binding holds | z with z_j integrated out), one weight per row, and error bounds.
 
     With ``integrated``, column j of ``z`` is unused, as ``restricted_sample``
-    leaves an integrated coordinate: the split binding holds with probability
-    W = ∫ h(|b| r^m, |u|, delta)/pi dmu_beta(r) over the whole radial law
-    (``_radial_cap_weight``, which also bounds each weight's quadrature
-    error), and the other bindings multiply W by their indicators.
+    leaves an integrated coordinate, and no other binding contains z_j: the
+    split binding holds with probability W = ∫ h(|b| r^m, |u|, delta)/pi
+    dmu_beta(r) over the whole radial law (``_radial_cap_weight``, which
+    also bounds each weight's quadrature error), and the other bindings
+    multiply W by their indicators.
 
     Otherwise column j holds the real radius r_j, as ``restricted_sample``
     leaves a fixed coordinate: drawn by the region, by the cosine map on the
     interval where the simplex binding's arc is non-empty when z_j is a
     simplex coordinate, its Jacobian then in the point's likelihood.  Only
-    theta_j is integrated: the split binding holds on an arc of m theta_j of
-    half-width h, i.e. with probability h/pi, exact up to rounding.  Bindings
-    free of z_j multiply that by their indicator.  Bindings that also contain
-    z_j are tested at one theta_j drawn uniformly from the split binding's arc
-    set, which keeps the weight unbiased.  The rows are len(rngs) equal
-    replicates, and each replicate's draws of theta_j come from its own
-    generator.
+    theta_j is integrated, exactly up to rounding.  Each binding a + b z_j^m
+    that contains z_j holds on the arc set {m theta_j - arg(u/b) in ±h}, of
+    m arcs, so the probability is the length of the intersection of those
+    sets over 2 pi (``_arc_set_intersection``): h/pi when the split binding
+    is the only one.  Bindings free of z_j multiply it by their indicator.
     """
-    j, m = split.j, split.m
-    _, target, tol = bindings[split.index]
+    j = split.j
     cache: dict = {}
-    u = target - _eval_table(split.a, z, cache)
-    b = _eval_table(split.b, z, cache)
-    others = [binding for i, binding in enumerate(bindings) if i != split.index]
-    if integrated:
-        # a and b free of every coordinate give one weight for all rows
-        rows = slice(0, 1) if split.constant else slice(None)
-        w, err = _radial_cap_weight(np.abs(b[rows]), np.abs(u[rows]), tol, m, beta)
-        w, err = np.broadcast_to(w, z.shape[:1]), np.broadcast_to(err, z.shape[:1])
-        if not others:
-            return w, err
-        ok = _members(others, z)
-        return w * ok, err * ok
-    r = z[:, j].real
-    rho = _power(r, m)
-    rho *= _modulus(b)
-    h = _cap_angular_halfwidth(rho, _modulus(u), tol)
-    w = h / math.pi
+    inside = {index for index, *_ in split.parts}
+    others = [binding for i, binding in enumerate(bindings) if i not in inside]
+    arcs = []
+    for index, m, a_table, b_table in split.parts:
+        _, target, tol = bindings[index]
+        u = target - _eval_table(a_table, z, cache)
+        b = _eval_table(b_table, z, cache)
+        if integrated:  # the split binding is the only part
+            # a and b free of every coordinate give one weight for all rows
+            constant = not any(any(alpha) for alpha, _ in a_table + b_table)
+            rows = slice(0, 1) if constant else slice(None)
+            w, err = _radial_cap_weight(np.abs(b[rows]), np.abs(u[rows]), tol, m, beta)
+            w, err = np.broadcast_to(w, z.shape[:1]), np.broadcast_to(err, z.shape[:1])
+            if not others:
+                return w, err
+            ok = _members(others, z)
+            return w * ok, err * ok
+        rho = _power(z[:, j].real, m)
+        rho *= _modulus(b)
+        arcs.append((m, u, b, _cap_angular_halfwidth(rho, _modulus(u), tol)))
+    if split.coupled:
+        # rows with an empty arc set weigh 0; on the rest each set's arcs are
+        # centred on the m-th roots of u/b
+        rows = np.flatnonzero(np.logical_and.reduce([h > 0.0 for *_, h in arcs]))
+        w = np.zeros(len(z))
+        w[rows] = _arc_set_intersection([(m, np.angle(u[rows] * b[rows].conj()), h[rows])
+                                         for m, u, b, h in arcs])
+        w /= TWO_PI
+    else:
+        w = arcs[0][3] / math.pi
     if not others:
         return w, 0.0
-    ok = _members([binding for binding in others if not binding[0].depends_on(j)], z)
-    coupled = [binding for binding in others if binding[0].depends_on(j)]
-    if coupled:
-        # theta_j uniform on the split binding's arc {m theta_j - arg(u/b) in ±h},
-        # from one uniform per row drawn by its replicate's generator
-        x = np.empty(w.size)
-        for g, rows in zip(rngs, np.split(x, len(rngs))):
-            g.random(out=rows)
-        cos, sin, _ = _branch_angle(x, m, h, np.angle(u) - np.angle(b))
-        cos *= r
-        sin *= r
-        zj = z[:, j]  # the caller's column, read no more
-        zj.imag = sin
-        zj.real = cos
-        ok &= _members(coupled, z)
-    w *= ok
+    w *= _members(others, z)
     return w, 0.0
 
 
@@ -533,18 +579,20 @@ def estimate_indicator(
     ``bindings`` lists (scalar symbol, target, tolerance) tests
     |f(z) - target| <= tolerance, the triples ``build_proposal`` takes.
     Callers merge repeats first (``_merge_bindings``); a closed test and its
-    open twin differ by a V_beta-null boundary.  When some
-    coordinate z_j enters the first binding containing it with a single
-    exponent, z_j is integrated in closed form or by quadrature (conditional
-    Monte Carlo, ``_conditional_weights``): each point contributes the
-    probability over z_j that every binding holds.  If no other binding
-    contains z_j and the region has no simplex on it, its radius and angle
-    are both integrated, take no uniform, and the region drops its depth,
-    arcs and angle-sum window there.  Otherwise only theta_j is integrated
-    and r_j is drawn, last among the simplex coordinates if it is one.
-    Bindings with no such coordinate give plain 0/1 weights.  Each weight is
-    multiplied by its point's likelihood, which is 1 outside a simplex and
-    at most 1 inside, so weights stay in [0, 1].
+    open twin differ by a V_beta-null boundary.  When every binding that
+    contains some coordinate z_j contains it with a single exponent, the
+    lowest such z_j is integrated in closed form or by quadrature
+    (conditional Monte Carlo, ``_conditional_weights``): each point
+    contributes the probability over z_j that every binding holds.  If no
+    other binding contains z_j and the region has no simplex on it, its
+    radius and angle are both integrated, take no uniform, and the region
+    drops its depth, arcs and angle-sum window there.  Otherwise only
+    theta_j is integrated, as the length of the intersection of the arc sets
+    on which the bindings containing z_j hold, and r_j is drawn, last among
+    the simplex coordinates if it is one.  Binding sets with no such
+    coordinate give plain 0/1 weights.  Each weight is multiplied by its
+    point's likelihood, which is 1 outside a simplex and at most 1 inside,
+    so weights stay in [0, 1].
 
     The points are R independently scrambled Sobol replicates of 2^k points
     each (``replicate_layout``), drawn by ``restricted_sample``; replicate r
@@ -585,7 +633,7 @@ def estimate_indicator(
         if split is None:
             w, err = _members(bindings, z).astype(float), 0.0
         else:
-            w, err = _conditional_weights(bindings, split, z, rngs, beta, bool(integrated))
+            w, err = _conditional_weights(bindings, split, z, beta, bool(integrated))
         likelihood = point_mass / mass  # exactly 1.0 outside a simplex
         w, err = w * likelihood, err * likelihood
         return (w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w)),

@@ -299,14 +299,16 @@ def certify_self_map(sym: PolySymbol) -> PolySymbol:
     """Torus-grid self-map screen; rejects symbols with grid max above 1 + CERT_TOL.
 
     Polynomial moduli peak on T^n, so a grid maximum above the tolerance is a
-    sound rejection.  The per-cell Lipschitz margin upgrades the certificate
-    to ``strong`` when even inter-grid spikes are excluded.
+    sound rejection, and so is one that is not finite (a power that overflows
+    on the grid).  The per-cell Lipschitz margin upgrades the certificate to
+    ``strong`` when even inter-grid spikes are excluded.
     """
     res = cert_grid_res(sym.n_in)
-    grid_max, margin = _torus_grid_bound(sym.components, sym.n_in, res)
-    if grid_max > 1.0 + CERT_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        grid_max, margin = _torus_grid_bound(sym.components, sym.n_in, res)
+    if not grid_max <= 1.0 + CERT_TOL:  # NaN compares false
         raise SymbolNotSelfMap(
-            f"torus grid max {grid_max:.12g} exceeds 1 + CERT_TOL ({1.0 + CERT_TOL:.12g})"
+            f"torus grid max {grid_max:.12g} is not within 1 + CERT_TOL ({1.0 + CERT_TOL:.12g})"
         )
     cert = SelfMapCertificate(
         grid_max=grid_max,

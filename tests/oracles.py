@@ -122,18 +122,24 @@ def greedy_dedupe(theta, residuals, merge_radius):
     return theta[reps], residuals[reps]
 
 
-def uniform_sublevel_volume(entries, n, eta, delta, budget, seed):
-    """Plain hit-or-miss V_0({z in D^n : |f(z) - eta| <= delta}) with its stderr.
+def uniform_joint_volume(bindings, n, beta, budget, seed):
+    """Plain hit-or-miss V_beta({z in D^n : every binding holds}) with its stderr.
 
-    Draws ``budget`` points uniformly from the polydisc (Lebesgue, beta = 0)
-    and counts how many satisfy the inequality.
+    ``bindings`` lists (entries, target, tolerance), each the test
+    |f(z) - target| <= tolerance for f given by its (exponent tuple,
+    coefficient) entries.  Draws ``budget`` i.i.d. points of V_beta, whose
+    |z_j|^2 = 1 - (1 - U)^(1/(beta+1)) is U itself at beta = 0 (Lebesgue).
     """
     rng = np.random.default_rng(seed)
-    z = np.sqrt(rng.random((budget, n))) * np.exp(2j * np.pi * rng.random((budget, n)))
-    f = np.zeros(budget, dtype=complex)
-    for alpha, c in entries:
-        f += c * np.prod(z ** np.asarray(alpha), axis=1)
-    p = np.count_nonzero(np.abs(f - eta) <= delta) / budget
+    r = np.sqrt(1.0 - (1.0 - rng.random((budget, n))) ** (1.0 / (beta + 1.0)))
+    z = r * np.exp(2j * np.pi * rng.random((budget, n)))
+    ok = np.ones(budget, dtype=bool)
+    for entries, target, tol in bindings:
+        f = np.zeros(budget, dtype=complex)
+        for alpha, c in entries:
+            f += c * np.prod(z ** np.asarray(alpha), axis=1)
+        ok &= np.abs(f - target) <= tol
+    p = np.count_nonzero(ok) / budget
     return p, float(np.sqrt(p * (1.0 - p) / budget))
 
 

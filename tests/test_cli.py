@@ -123,6 +123,12 @@ class TestDecideCommand:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    def test_overflowing_symbol_fails_certification(self, tmp_path, capsys):
+        code = run_cli(["decide", "--symbol", "[[[1,0,1e20]]]", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "torus grid max nan" in err and "SVD" not in err
+
 
 class TestExponentCommand:
     def test_small_run_writes_artifacts(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from oracles import (half_square_weight, powersum2_volume, product_volume, radial_cap_weight,
-                     uniform_sublevel_volume, unit_disc_cap_area)
+                     uniform_joint_volume, unit_disc_cap_area)
 from polycarleson import measure, sublevel
 from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
@@ -316,7 +316,7 @@ class TestConditionalEstimator:
         est = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=2.0**-k,
                                               beta=WeightParam(0.0), budget=200_000,
                                               seed=seed))
-        volume, stderr = uniform_sublevel_volume(entries, 2, 1.0, 2.0**-k, 1_000_000, seed)
+        volume, stderr = uniform_joint_volume([(entries, 1.0, 2.0**-k)], 2, 0.0, 1_000_000, seed)
         assert agree(est, volume, stderr), (entries, est, volume, stderr)
 
     @settings(max_examples=8, deadline=None, derandomize=True)
@@ -334,7 +334,7 @@ class TestConditionalEstimator:
         eta = complex(math.cos(alpha), math.sin(alpha))
         est = estimate_sublevel(SublevelQuery(f=f, eta=eta, delta=delta, beta=WeightParam(0.0),
                                               budget=200_000, seed=seed))
-        volume, stderr = uniform_sublevel_volume(entries, n, eta, delta, 1_000_000, seed)
+        volume, stderr = uniform_joint_volume([(entries, eta, delta)], n, 0.0, 1_000_000, seed)
         assert est.trusted and est.leakage == 0.0
         assert agree(est, volume, stderr), (entries, eta, est, volume, stderr)
 
@@ -360,7 +360,7 @@ class TestConditionalEstimator:
         assert sublevel._split_coordinate([(f, 1.0, 0.25)], 2) is None
         est = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=0.25, beta=WeightParam(0.0),
                                               budget=200_000, seed=23))
-        volume, stderr = uniform_sublevel_volume(entries, 2, 1.0, 0.25, 1_000_000, 23)
+        volume, stderr = uniform_joint_volume([(entries, 1.0, 0.25)], 2, 0.0, 1_000_000, 23)
         assert est.trusted
         assert agree(est, volume, stderr)
 
@@ -368,6 +368,96 @@ class TestConditionalEstimator:
         f = get_symbol("product3")
         merged = sublevel._merge_bindings([(f, 1.0, 0.1), (f, 1.0, 0.05), (f, 1j, 0.2)])
         assert merged == [(f, 1.0, 0.05), (f, 1j, 0.2)]
+
+
+def coupled_entries(m, weights):
+    """A bidisc binding with c >= 0 summing to 1 that contains z1 with exponent m alone."""
+    total = sum(weights)
+    monomials = ((m, 0), (m, 1), (0, 1), (0, 2))
+    return [(a, w / total) for a, w in zip(monomials, weights) if w]
+
+
+# an exponent of z1 and four weights, at least one of them on a term with z1
+COUPLED_BINDING = st.tuples(st.sampled_from([1, 2]),
+                            st.lists(st.integers(0, 3), min_size=4, max_size=4)
+                            .filter(lambda w: w[0] or w[1]))
+
+
+class TestCoupledBindings:
+    """Bindings that share the split coordinate: theta_j's weight is an arc-set intersection."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(first=COUPLED_BINDING, second=COUPLED_BINDING,
+           deltas=st.tuples(st.floats(0.05, 0.3), st.floats(0.05, 0.3)),
+           beta=st.sampled_from([0.0, -0.5]), seed=st.integers(0, 2**16))
+    def test_pairs_agree_with_uniform_oracle(self, first, second, deltas, beta, seed):
+        entries = [coupled_entries(*first), coupled_entries(*second)]
+        bindings = [(PolySymbol.from_tables([e], 2), 1.0, d) for e, d in zip(entries, deltas)]
+        split = sublevel._split_coordinate(bindings, 2)
+        assert split.j == 0 and [m for _, m, _, _ in split.parts] == [first[0], second[0]]
+        est = sublevel.estimate_indicator(bindings, 2, WeightParam(beta),
+                                          build_proposal(bindings, 2), 200_000, seed, "coupled")
+        volume, stderr = uniform_joint_volume(list(zip(entries, (1.0, 1.0), deltas)), 2, beta,
+                                              1_000_000, seed)
+        assert agree(est, volume, stderr), (entries, deltas, beta, est, volume, stderr)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_pair_without_split_coordinate_uses_indicator(self, beta):
+        # the second binding holds z1 and z2 each with exponents 1 and 2
+        entries = [[((1, 0), 0.5), ((0, 1), 0.5)],
+                   [((1, 0), 0.25), ((2, 0), 0.25), ((0, 1), 0.25), ((0, 2), 0.25)]]
+        bindings = [(PolySymbol.from_tables([e], 2), 1.0, 0.2) for e in entries]
+        assert sublevel._split_coordinate(bindings, 2) is None
+        est = sublevel.estimate_indicator(bindings, 2, WeightParam(beta),
+                                          build_proposal(bindings, 2), 200_000, 37, "no-split")
+        volume, stderr = uniform_joint_volume([(e, 1.0, 0.2) for e in entries], 2, beta,
+                                              1_000_000, 37)
+        assert est.hits > 0
+        assert agree(est, volume, stderr), (est, volume, stderr)
+
+
+class TestArcSetIntersection:
+    """Arc-set intersection lengths against a brute-force grid of 10^5 angles."""
+
+    GRID = 100_000
+
+    def brute(self, arcs):
+        theta = (np.arange(self.GRID) + 0.5) * (2.0 * math.pi / self.GRID)
+        inside = np.ones(self.GRID, dtype=bool)
+        for m, phase, h in arcs:
+            inside &= np.abs((m * theta - phase + math.pi) % (2.0 * math.pi) - math.pi) <= h
+        return np.count_nonzero(inside) * (2.0 * math.pi / self.GRID)
+
+    def check(self, powers, phases, halves):
+        arcs = [(m, np.asarray(p, dtype=float), np.asarray(h, dtype=float))
+                for m, p, h in zip(powers, phases, halves)]
+        got = sublevel._arc_set_intersection(arcs)
+        # each set has 2m arc ends, each misplaced by at most one grid cell
+        tol = 2 * sum(powers) * (2.0 * math.pi / self.GRID) + 1e-12
+        for row in range(len(got)):
+            want = self.brute([(m, p[row], h[row]) for m, p, h in arcs])
+            assert abs(got[row] - want) <= tol, (powers, row, got[row], want)
+
+    @pytest.mark.parametrize("sets", [1, 2, 3])
+    def test_random_sets(self, sets):
+        rng = np.random.default_rng(sets)
+        for _ in range(4):
+            powers = rng.integers(1, 4, size=sets).tolist()
+            self.check(powers, rng.uniform(-4 * math.pi, 4 * math.pi, (sets, 8)),
+                       rng.uniform(0.0, math.pi, (sets, 8)))
+
+    def test_empty_full_and_wrapping_arcs(self):
+        pi = math.pi
+        # rows: an empty first set, a full second set, both full, arcs across +-pi
+        # (centred at pi, at -pi + 0.1 and at 3 pi), and one set inside the other
+        phases = [[0.0, 0.3, 1.0, pi, pi - 0.05, 0.2],
+                  [1.0, -2.0, 2.0, -pi + 0.1, 3.0 * pi, 0.25]]
+        halves = [[0.0, 0.7, pi, 0.5, 0.4, 1.0],
+                  [0.5, pi, pi, 0.6, 0.3, 0.1]]
+        for powers in ([1, 1], [1, 2], [2, 3]):
+            self.check(powers, phases, halves)
+        single = sublevel._arc_set_intersection([(3, np.array([2.0, -1.0]), np.array([0.0, pi]))])
+        assert single.tolist() == pytest.approx([0.0, 2.0 * pi], abs=1e-12)
 
 
 class TestReplicates:
@@ -556,8 +646,8 @@ class TestBundles:
 
     @pytest.mark.parametrize("bundle", [1, 5])
     def test_estimate_independent_of_bundle(self, monkeypatch, bundle):
-        # mean_product's second binding contains the split coordinate, so each
-        # replicate also draws coupled angles from its own stream
+        # mean_product's second binding contains the split coordinate, so the
+        # weight of its angle is an arc-set intersection; product2's is one arc
         def run():
             box = CarlesonBox(TorusPoint((0.0, 0.0)), (0.125, 0.125))
             ratio = preimage_box_ratio(get_symbol("mean_product"), box, WeightParam(0.0),

@@ -183,6 +183,11 @@ class TestCertification:
         with pytest.raises(SymbolNotSelfMap):
             PolySymbol.monomial(1, (1,), coeff=1.1)
 
+    def test_overflowing_power_rejected(self):
+        # z^(1e20) overflows on the grid: its maximum is NaN, never certified
+        with pytest.raises(SymbolNotSelfMap, match="nan"):
+            PolySymbol.from_literal([[[1, 0, 1e20]]])
+
     def test_interior_map_strong(self):
         half = PolySymbol.monomial(2, (1, 0), coeff=0.5)
         assert half.certificate.strong
