@@ -13,8 +13,13 @@ and the test on the minimum over components combines the per-component
 tests by broadcasting.
 Whether the refined set is a finite point list or a sampled
 positive-dimensional locus is decided by the fraction of accepted grid cells.
+Either way a ``ContactSet`` holds its points as one read-only (N, n) array
+of angles in [0, 2 pi), shared with the per-constraint cache.  The rank
+checks below read it as is, and so do ``sublevel``'s value fibers, whose
+points give the fiber arcs of bindings outside ``build_proposal``'s term
+rule; only a reported point becomes a ``TorusPoint``.
 
-Rank checks take a whole contact set at once: one batched Jacobian
+Rank checks take a whole contact set's angles at once: one batched Jacobian
 evaluation and one stacked SVD give a ``RankBatch`` holding every point's
 singular values, rank and inconclusive flag, from which the per-point
 ``RankReport`` records are built on demand.  The boundary-derivative checks
@@ -57,28 +62,24 @@ class ContactRequired(ValueError):
     """Raised when an operation needs a torus contact point and was given none."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactSet:
+    """A contact set's points as read-only arrays, shared with the detection cache."""
+
     symbol: PolySymbol
     index_set: tuple[int, ...]
     kind: str  # "empty" | "finite" | "positive_dimensional"
-    points: tuple[TorusPoint, ...]
-    residuals: tuple[float, ...]
+    points: np.ndarray     # (N, n) angles in [0, 2 pi)
+    residuals: np.ndarray  # (N,)
     grid_res: int
     accepted_fraction: float
     contact_tol: float
 
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == "empty"
-
     def to_csv_rows(self) -> tuple[list[str], list[list]]:
         n = self.symbol.n_in
         header = [f"theta_{j + 1}" for j in range(n)] + ["residual", "kind"]
-        rows = [
-            [*pt.angles, res, self.kind]
-            for pt, res in zip(self.points, self.residuals)
-        ]
+        rows = [[*pt, res, self.kind]
+                for pt, res in zip(self.points.tolist(), self.residuals.tolist())]
         return header, rows
 
 
@@ -293,7 +294,7 @@ def find_contact_set(
             constraint = None  # |c z^alpha| = |c| != 1 everywhere on T^n
             break
     if constraint is None or not all(constraint):  # or a zero component
-        kind, points, residuals, frac = "empty", (), (), 0.0
+        kind, points, residuals, frac = _locus("empty", [], [], 0.0, sym.n_in)
     else:
         kind, points, residuals, frac = _contact_locus(tuple(constraint), sym.n_in, res,
                                                        config.contact_tol)
@@ -302,13 +303,21 @@ def find_contact_set(
                       contact_tol=config.contact_tol)
 
 
+def _locus(kind: str, theta, residuals, frac: float, n: int):
+    """(kind, read-only (N, n) angles, read-only (N,) residuals, accepted fraction).
+
+    The angles are reduced mod 2 pi once more: numpy's % maps a tiny negative
+    angle to exactly 2 pi, which the second reduction maps to 0.
+    """
+    theta = np.reshape(np.asarray(theta, dtype=float), (-1, n)) % TWO_PI
+    residuals = np.array(residuals, dtype=float)
+    theta.flags.writeable = residuals.flags.writeable = False
+    return kind, theta, residuals, float(frac)
+
+
 @lru_cache(maxsize=32)
 def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, contact_tol: float):
     """(kind, points, residuals, accepted fraction) of {|P| = 1 for every P in tables}."""
-
-    def _result(kind, pts, res_vals, frac):
-        return (kind, tuple(TorusPoint(tuple(p)) for p in np.reshape(pts, (-1, n)).tolist()),
-                tuple(np.asarray(res_vals, dtype=float).tolist()), float(frac))
 
     if not tables:
         # whole torus; deterministic coarse sample grid
@@ -316,7 +325,7 @@ def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, contact_
         theta = TWO_PI * np.arange(side) / side
         grids = np.meshgrid(*([theta] * n), indexing="ij")
         pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-        return _result("positive_dimensional", pts, np.zeros(len(pts)), 1.0)
+        return _locus("positive_dimensional", pts, np.zeros(len(pts)), 1.0, n)
 
     # the minimum modulus is within the margin iff every component's is; the
     # per-component masks broadcast against each other
@@ -327,7 +336,7 @@ def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, contact_
     total_cells = res**n
     frac_coarse = len(candidates) / total_cells
     if len(candidates) == 0:
-        return _result("empty", [], [], 0.0)
+        return _locus("empty", [], [], 0.0, n)
 
     stride = max(1, math.ceil(len(candidates) / POSDIM_SAMPLE_CAP))
     seeds = candidates[::stride]
@@ -341,19 +350,19 @@ def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, contact_
     acc_rate = float(np.mean(accepted)) if len(accepted) else 0.0
     frac = frac_coarse * acc_rate
     if not np.any(accepted):
-        return _result("empty", [], [], frac)
+        return _locus("empty", [], [], frac, n)
 
     theta_a = theta[accepted]
     res_a = residual[accepted]
     if frac > MANIFOLD_FRAC:
         order = np.lexsort(theta_a.T[::-1])
-        return _result("positive_dimensional", theta_a[order], res_a[order], frac)
+        return _locus("positive_dimensional", theta_a[order], res_a[order], frac, n)
 
     pts, resid = _dedupe(theta_a, res_a, MERGE_RADIUS)
     if len(pts) > FINITE_CAP:
         # a thin curve sampled densely looks like very many separated points;
         # the cell fraction missed it, the point count does not
-        return _result("positive_dimensional", pts, resid, frac)
+        return _locus("positive_dimensional", pts, resid, frac, n)
     h = TWO_PI / res
     if len(pts) <= 64:
         for a, b in itertools.combinations(range(len(pts)), 2):
@@ -366,7 +375,7 @@ def _contact_locus(tables: tuple[MonomialTable, ...], n: int, res: int, contact_
                     stacklevel=3,
                 )
                 break
-    return _result("finite", pts, resid, frac)
+    return _locus("finite", pts, resid, frac, n)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +402,11 @@ def _stacked_rank(blocks: np.ndarray, rank_tol: float, rank_band: float):
 class RankBatch:
     """Rank of the Jacobian block d_zeta Phi_I at every point of a contact set.
 
-    Row k of each array belongs to ``points[k]``; ``report(k)`` builds that
-    point's ``RankReport``.
+    Row k of each array belongs to the angles ``points[k]``; ``report(k)``
+    builds that point's ``RankReport``.
     """
 
-    points: tuple[TorusPoint, ...]
+    points: np.ndarray           # (N, n) angles
     target: int
     jacobians: np.ndarray        # (N, |I|, n) Jacobian blocks
     singular_values: np.ndarray  # (N, min(|I|, n)), descending
@@ -410,7 +419,7 @@ class RankBatch:
 
     def report(self, k: int) -> RankReport:
         return RankReport(
-            point=self.points[k],
+            point=TorusPoint(tuple(self.points[k].tolist())),
             singular_values=tuple(float(s) for s in self.singular_values[k]),
             rank=int(self.ranks[k]),
             target=self.target,
@@ -419,12 +428,11 @@ class RankBatch:
         )
 
 
-def rank_report(sym: PolySymbol, index_set: tuple[int, ...], points,
+def rank_report(sym: PolySymbol, index_set: tuple[int, ...], angles,
                 config: LabConfig = DEFAULTS) -> RankBatch:
-    """Rank of the Jacobian block d_zeta Phi_I against the target |I| at every point."""
-    points = tuple(points)
-    angles = np.array([p.angles for p in points], dtype=float).reshape(len(points), sym.n_in)
+    """Rank of the Jacobian block d_zeta Phi_I against the target |I| at every row of ``angles``."""
+    angles = np.asarray(angles, dtype=float).reshape(-1, sym.n_in)
     blocks = sym.jacobian_batch(np.exp(1j * angles))[:, list(index_set), :]
     sv, ranks, inconclusive = _stacked_rank(blocks, config.rank_tol, config.rank_band)
-    return RankBatch(points=points, target=len(index_set), jacobians=blocks,
+    return RankBatch(points=angles, target=len(index_set), jacobians=blocks,
                      singular_values=sv, ranks=ranks, inconclusive=inconclusive)

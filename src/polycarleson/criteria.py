@@ -21,7 +21,7 @@ from .contact import ContactSet, RankBatch, RankReport, find_contact_set, rank_r
 from .inequality_lab import jc_check
 from .measure import WeightParam
 from .output import json_text
-from .symbols import PolySymbol
+from .symbols import PolySymbol, TorusPoint
 
 SUFFICIENCY_HOLDS = "SufficiencyHolds"
 NECESSITY_FAILS = "NecessityFails"
@@ -137,11 +137,12 @@ def _rank_walk(sym: PolySymbol, index_sets, config: LabConfig, grid_res: int | N
         ranks = rank_report(sym, index_set, cs.points, config)
         deficient = np.flatnonzero((ranks.ranks < ranks.target) & ~ranks.inconclusive)
         jc_passed = None
-        if len(index_set) == 1 and cs.points:
+        if len(index_set) == 1 and len(cs.points):
             comp = sym.component(index_set[0])
-            values = (comp.evaluate(pt.point())[0] for pt in cs.points[:EVIDENCE_CAP])
+            points = [TorusPoint(tuple(a)) for a in cs.points[:EVIDENCE_CAP].tolist()]
+            values = (comp.evaluate(pt.point())[0] for pt in points)
             jc_passed = all(jc_check(comp, pt, v / abs(v), config).passed
-                            for pt, v in zip(cs.points, values))
+                            for pt, v in zip(points, values))
         yield (index_set, cs, ranks, _evidence(index_set, cs, ranks, len(cs.points), jc_passed),
                ranks.report(int(deficient[0])) if deficient.size else None)
 

@@ -16,6 +16,8 @@ from .svgplot import write_fit_svg, write_scan_svg
 
 
 def format_cell(v) -> str:
+    if isinstance(v, np.generic):  # np.float64 is a float whose repr names its type
+        v = v.item()
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, float):

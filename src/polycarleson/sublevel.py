@@ -2,13 +2,16 @@
 
 The volumes V_beta({z in D^n : |f(z) - eta| <= delta}) decay like a power of
 delta, far below what uniform sampling can resolve, so estimation draws from
-proposal regions that provably contain the sublevel set: near-torus annuli
-whose radial depth scales with delta, combined with an angle-sum window (when
-f is a single monomial, whose sublevel sets wrap around the torus), with the
-deficit simplex {sum_k |c_k| (1 - Re(e^{-i phi_k} z_k^{m_k})) <= delta} (when
-f is a sum of single-variable monomials at an extremal target, which it
-contains exactly), or with per-coordinate arcs of width ~ sqrt(delta) around
-the finite solution set of f = eta on T^n.
+proposal regions that provably contain the sublevel set.  One rule covers f
+whose non-constant part is a single term or a sum of single-variable terms in
+distinct variables, at an extremal target: a single term c z^alpha gives
+near-torus annuli whose radial depth scales with delta, with m arcs of
+theta_j when z_j^m is its one live coordinate and an angle-sum window when
+several are (its sublevel sets wrap around the torus); several terms give
+the deficit simplex {sum_k |c_k| (1 - Re(e^{-i phi_k} z_k^{m_k})) <= delta},
+which contains the set exactly.  Any other f gets per-coordinate arcs of
+width ~ sqrt(delta) around the finite solution set of f = eta on T^n, a
+(k, n) array of angles refined from the contact set's points.
 
 Inside the region one coordinate is integrated out (conditional Monte
 Carlo): the lowest z_j that every binding containing it contains as
@@ -63,8 +66,7 @@ from .measure import (
     sample_polydisc,
 )
 from .montecarlo import replicate_bundle, replicate_layout, run_batches, sum_counts
-from .symbols import (MonomialTable, PolySymbol, TorusPoint, _eval_table, _torus_grid_bound,
-                      cert_grid_res)
+from .symbols import MonomialTable, PolySymbol, _eval_table, _torus_grid_bound, cert_grid_res
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,7 +103,7 @@ class SublevelQuery:
     def __post_init__(self):
         if self.f.n_out != 1:
             raise ValueError("sublevel queries need a scalar symbol")
-        if abs(abs(complex(self.eta)) - 1.0) > 1e-9:
+        if not abs(abs(complex(self.eta)) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("target eta must be unimodular")
         if not 0.0 < self.delta <= 2.0:
             raise ValueError("delta must lie in (0, 2]")
@@ -163,39 +165,33 @@ class ExponentFit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValueFiber:
-    kind: str  # "finite" | "manifold" | "empty"
-    points: tuple[TorusPoint, ...]
-
-
 @lru_cache(maxsize=64)
-def find_value_fiber(f: PolySymbol, eta: complex) -> ValueFiber:
-    """Solve f = eta on T^n, classified as a finite point set or a manifold.
+def find_value_fiber(f: PolySymbol, eta: complex) -> np.ndarray:
+    """Angles of the solutions of f = eta on T^n when they are finitely many.
 
-    Newton seeds come from the contact set |f| = 1, and a refined point is
-    kept when its residual is within that contact set's ``contact_tol``.
+    A read-only (k, n) array, reduced mod 2 pi twice as contact sets are;
+    k = 0 both for an empty fiber and for a manifold (more than FIBER_CAP
+    separated points).  Newton seeds are the contact set |f| = 1 points
+    within 0.7 of eta, and a refined point is kept when its residual is
+    within that contact set's ``contact_tol``.
     """
     eta = complex(eta)
     cs = find_contact_set(f, [0])
-    if cs.is_empty:
-        return ValueFiber("empty", ())
-    seeds = np.array([p.angles for p in cs.points], dtype=float)
     table = f.components[0]
-    vals = _eval_table(table, np.exp(1j * seeds), {})
-    close = np.abs(vals - eta) <= 0.7
-    if not np.any(close):
-        return ValueFiber("empty", ())
-    theta = _torus_newton([table], [eta], seeds[close], ascend=False)
-    resid = np.abs(_eval_table(table, np.exp(1j * theta), {}) - eta)
-    theta %= TWO_PI
-    ok = resid <= cs.contact_tol
-    if not np.any(ok):
-        return ValueFiber("empty", ())
-    pts, _ = _dedupe(theta[ok], resid[ok], MERGE_RADIUS)
+    seeds = cs.points[np.abs(_eval_table(table, np.exp(1j * cs.points), {}) - eta) <= 0.7]
+    pts = seeds[:0]
+    if len(seeds):
+        theta = _torus_newton([table], [eta], seeds, ascend=False)
+        resid = np.abs(_eval_table(table, np.exp(1j * theta), {}) - eta)
+        theta %= TWO_PI
+        ok = resid <= cs.contact_tol
+        if np.any(ok):
+            pts, _ = _dedupe(theta[ok], resid[ok], MERGE_RADIUS)
     if len(pts) > FIBER_CAP:
-        return ValueFiber("manifold", ())
-    return ValueFiber("finite", tuple(TorusPoint(tuple(p)) for p in pts))
+        pts = pts[:0]
+    pts = pts % TWO_PI
+    pts.flags.writeable = False
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -204,38 +200,6 @@ def find_value_fiber(f: PolySymbol, eta: complex) -> ValueFiber:
 
 
 PROVABLY_EMPTY = "provably-empty"
-
-
-def _split_structure(f: PolySymbol):
-    """Classify a scalar symbol for proposal building.
-
-    Returns one of
-      ("monomial", c0, c, alpha)          a single multi-variable monomial
-                                          plus an optional constant,
-      ("separable", c0, [(j, m, c), ...]) a sum of one or more single-variable
-                                          monomials plus an optional constant,
-      ("general", None, None)             anything else.
-    """
-    c0 = 0j
-    terms = []
-    for alpha, c in f.components[0]:
-        if sum(alpha) == 0:
-            c0 += c
-            continue
-        terms.append((alpha, c))
-    if len(terms) == 1 and sum(a > 0 for a in terms[0][0]) > 1:
-        return ("monomial", c0, terms[0][1], terms[0][0])
-    if terms and all(sum(a > 0 for a in alpha) == 1 for alpha, _ in terms):
-        parts = []
-        seen = set()
-        for alpha, c in terms:
-            j = next(i for i, a in enumerate(alpha) if a > 0)
-            if j in seen:
-                return ("general", None, None)  # two powers of one variable
-            seen.add(j)
-            parts.append((j, alpha[j], c))
-        return ("separable", c0, parts)
-    return ("general", None, None)
 
 
 def _interior_slice_max(f: PolySymbol, j: int) -> float:
@@ -255,29 +219,31 @@ def build_proposal(bindings, n: int):
     """Region provably containing every set {|f_i - eta_i| <= delta_i} jointly.
 
     ``bindings`` is a list of (scalar symbol, unimodular target, tolerance).
-    Containment bounds per binding:
+    One rule covers every binding whose non-constant part is a single term
+    c z^alpha or a sum of single-variable terms c_k z_k^{m_k} in distinct
+    variables: a target u = eta - const beyond the reach sum |c_k| + delta
+    makes the region PROVABLY_EMPTY, and a target short of sum |c_k| (not
+    extremal: the level set leaves the torus corner) adds no constraint.
+    Otherwise, with d = delta/|c|:
 
-    * multi-variable monomial c z^alpha (+ const): modulus pins radii
-      (1 - r_j <= d/alpha_j with d = delta/|c|) and the imaginary part pins
-      the angle combination sum alpha_j theta_j to a window of half-width ~ d;
-    * separable sum of two or more single-variable monomials c_k z_k^{m_k}
-      (+ const) at an extremal target: the deficit simplex
+    * a single term pins each live radius, 1 - r_j <= d/alpha_j, and its angle
+      arg(c) + sum alpha_j theta_j to within d of arg(u): m arcs of theta_j
+      when z_j^m is its one live coordinate, else an angle-sum window;
+    * several terms give the deficit simplex
       {sum_k |c_k| (1 - Re(e^{-i phi_k} z_k^{m_k})) <= delta}, which contains
-      the set exactly, with no margin (``measure.DeficitSimplex``);
-    * a single term c z_j^m (+ const) pins the angle linearly, within d/m of
-      each branch root, and the radius by 1 - r_j <= d/m;
-    * anything else: arcs of width ~ sqrt(delta) around the finite value
-      fiber f = eta, radial depth from the interior-slice Schwarz floor.
+      the set exactly, with no margin (``measure.DeficitSimplex``).
 
-    The monomial and single-term bounds carry the margin K/2, the fiber arcs
-    K; the leakage audit guards the construction at runtime.  The region
-    holds one simplex, from the first such binding; other bindings keep
-    their depth bounds on its coordinates, while their arcs and windows there
-    are dropped (the region only grows).  A later multi-term binding adds no
-    constraint.  Returns PROVABLY_EMPTY when a binding target is beyond the
-    reach of its component.  Bindings are taken as given: an exact repeat
-    builds the same region as one copy, while repeats of one (symbol, target)
-    at different tolerances give a looser region that still contains the set,
+    Anything else gets arcs of width ~ sqrt(delta) around the finite value
+    fiber f = eta and radial depth from the interior-slice Schwarz floor.
+
+    The single-term bounds carry the margin K/2, the fiber arcs K; the
+    leakage audit guards the construction at runtime.  The region holds one
+    simplex, from the first such binding; other bindings keep their depth
+    bounds on its coordinates, while their arcs and windows there are
+    dropped (the region only grows).  A later multi-term binding adds no
+    constraint.  Bindings are taken as given: an exact repeat builds the
+    same region as one copy, while repeats of one (symbol, target) at
+    different tolerances give a looser region that still contains the set,
     so callers merge them first with ``_merge_bindings``.
     """
     K = PROPOSAL_MARGIN
@@ -292,58 +258,48 @@ def build_proposal(bindings, n: int):
 
     for f, eta, delta in bindings:
         eta, delta = complex(eta), float(delta)
-        structure = _split_structure(f)
-        kind = structure[0]
-        if kind == "monomial":
-            _, c0, c, alpha = structure
-            cmod = abs(c)
+        table = f.components[0]
+        c0 = sum((c for alpha, c in table if not any(alpha)), 0j)
+        terms = [(alpha, c) for alpha, c in table if any(alpha)]
+        coords = [tuple(j for j in range(n) if alpha[j]) for alpha, _ in terms]
+        if len(terms) == 1 or (terms and all(len(js) == 1 for js in coords)
+                               and len(set(coords)) == len(coords)):
             u = eta - c0
             umod = abs(u)
-            if umod - cmod > delta + 1e-12:
-                return PROVABLY_EMPTY
-            if cmod - umod > 1e-9 or cmod < 1e-12:
-                continue  # level set sits inside the polydisc; no torus structure
-            d = delta / cmod
-            base = math.atan2(u.imag, u.real) - math.atan2(c.imag, c.real)
-            width = k_half * d
-            for j in range(n):
-                if alpha[j] > 0:
-                    depth_candidates[j].append(k_half * d / alpha[j])
-            if width < math.pi:
-                windows.append((alpha, base, width))
-        elif kind == "separable":
-            _, c0, parts = structure
-            u = eta - c0
-            umod = abs(u)
-            csum = sum(abs(c) for _, _, c in parts)
+            arg_u = math.atan2(u.imag, u.real)
+            csum = sum(abs(c) for _, c in terms)
             if umod - csum > delta + 1e-12:
                 return PROVABLY_EMPTY
             if csum - umod > 1e-9:
-                continue  # not an extremal target: level set leaves the torus corner
-            base_u = math.atan2(u.imag, u.real)
-            if len(parts) > 1:
+                continue  # not an extremal target: the level set leaves the torus corner
+            if len(terms) > 1:
                 if delta + csum - umod <= 0.0:
                     return PROVABLY_EMPTY  # its simplex is a finite set of torus points
                 if simplex is None:
-                    parts = sorted(parts, key=lambda part: part[0])  # drawn in coordinate order
+                    parts = sorted((js[0], alpha[js[0]], c)  # drawn in coordinate order
+                                   for js, (alpha, c) in zip(coords, terms))
                     simplex = DeficitSimplex(
                         coords=tuple(j for j, _, _ in parts),
                         powers=tuple(m for _, m, _ in parts),
                         moduli=tuple(abs(c) for _, _, c in parts),
-                        phases=tuple(base_u - math.atan2(c.imag, c.real) for _, _, c in parts),
+                        phases=tuple(arg_u - math.atan2(c.imag, c.real) for _, _, c in parts),
                         target=umod, tolerance=delta)
                 continue
-            ((j, m, c),) = parts
-            cmod = abs(c)
-            if cmod < 1e-12:
+            ((alpha, c),), (js,) = terms, coords
+            if csum < 1e-12:
                 continue
-            d = delta / cmod
-            depth_candidates[j].append(k_half * d / m)
-            half = k_half * d / m
-            if half < math.pi:
-                base = base_u - math.atan2(c.imag, c.real)
-                for k in range(m):
-                    arc_specs[j].append(((base + TWO_PI * k) / m - half, 2.0 * half))
+            d = delta / csum
+            base = arg_u - math.atan2(c.imag, c.real)
+            for j in js:
+                depth_candidates[j].append(k_half * d / alpha[j])
+            if len(js) == 1:
+                m = alpha[js[0]]
+                half = k_half * d / m
+                if half < math.pi:
+                    arc_specs[js[0]] += [((base + TWO_PI * k) / m - half, 2.0 * half)
+                                         for k in range(m)]
+            elif k_half * d < math.pi:
+                windows.append((alpha, base, k_half * d))
         else:
             live = [j for j in range(n) if f.depends_on(j)]
             for j in live:
@@ -351,12 +307,10 @@ def build_proposal(bindings, n: int):
                 if slice_max < 1.0 - 1e-3:
                     depth_candidates[j].append(4.0 * delta / (1.0 - slice_max))
             fiber = find_value_fiber(f, eta)
-            if fiber.kind == "finite" and fiber.points:
-                half = K * math.sqrt(delta)
-                if half < math.pi:
-                    for j in live:
-                        for pt in fiber.points:
-                            arc_specs[j].append((pt.angles[j] - half, 2.0 * half))
+            half = K * math.sqrt(delta)
+            if len(fiber) and half < math.pi:
+                for j in live:
+                    arc_specs[j] += [(a - half, 2.0 * half) for a in fiber[:, j].tolist()]
 
     inner = simplex.coords if simplex is not None else ()
     depths = tuple(min(1.0, min(ds)) if ds else 1.0 for ds in depth_candidates)
@@ -719,6 +673,8 @@ def _check_geometric(deltas) -> tuple[float, ...]:
     deltas = tuple(float(d) for d in deltas)
     if len(deltas) < 4:
         raise ValueError("delta grid needs at least 4 points")
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise ValueError("delta grid must hold finite positive radii")
     ratios = [b / a for a, b in zip(deltas[:-1], deltas[1:])]
     if max(ratios) - min(ratios) > 1e-9 * max(ratios):
         raise ValueError("delta grid must be geometric")

@@ -84,7 +84,10 @@ class TorusPoint:
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", tuple(float(a) % (2.0 * math.pi) for a in self.angles))
+        angles = tuple(float(a) for a in self.angles)
+        if not all(math.isfinite(a) for a in angles):
+            raise ValueError(f"torus angles must be finite, got {angles}")
+        object.__setattr__(self, "angles", tuple(a % (2.0 * math.pi) for a in angles))
 
     @property
     def n(self) -> int:

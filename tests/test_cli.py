@@ -6,6 +6,7 @@ import pytest
 
 from polycarleson import battery, cli
 from polycarleson.cli import ExperimentConfig, _build_parser, _merge_config, load_symbol, main
+from polycarleson.contact import find_contact_set
 from polycarleson.output import json_text
 
 
@@ -275,6 +276,29 @@ class TestContactCommand:
         csv = (tmp_path / "contact_mixed_pair.csv").read_text().splitlines()
         assert csv[0] == "theta_1,theta_2,residual,kind"
         assert len(csv) == 3
+
+    def test_rows_parse_back_to_the_contact_arrays(self, tmp_path):
+        assert run_cli(["contact", "--symbol", "mixed_pair", "--index-set", "1,2",
+                        "--out-dir", str(tmp_path)]) == 0
+        cs = find_contact_set(battery.get_symbol("mixed_pair"), [0, 1])
+        rows = [line.split(",") for line in
+                (tmp_path / "contact_mixed_pair.csv").read_text().splitlines()[1:]]
+        assert [[float(x) for x in row[:2]] for row in rows] == cs.points.tolist()
+        assert [float(row[2]) for row in rows] == cs.residuals.tolist()
+        assert [row[3] for row in rows] == [cs.kind] * len(cs.points)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("args", [
+        ["carleson", "--symbol", "identity2", "--shrink", "1,1", "--delta-grid", "nan,nan,nan,nan"],
+        ["carleson", "--symbol", "identity2", "--shrink", "1,1", "--center", "nan,0"],
+        ["carleson", "--symbol", "identity2", "--shrink", "1,1", "--delta-grid", "inf,inf,inf,inf"],
+        ["exponent", "--symbol", "product2", "--eta", "nan"],
+    ])
+    def test_config_error(self, tmp_path, capsys, args):
+        assert run_cli(args + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
 
 class TestCheckPropsCommand:

@@ -91,25 +91,35 @@ class TestFindContactSet:
         assert cs.kind == "positive_dimensional"
         # every stored sample lies on the diagonal within the refinement scale
         for pt in cs.points[:: max(1, len(cs.points) // 50)]:
-            d = abs((pt.angles[0] - pt.angles[1] + math.pi) % TWO_PI - math.pi)
+            d = abs((pt[0] - pt[1] + math.pi) % TWO_PI - math.pi)
             assert d < 1e-4
 
     def test_soundness_residuals(self):
         cs = find_contact_set(mean_product_map(), [0, 1])
         sym = cs.symbol
         for pt in cs.points[:: max(1, len(cs.points) // 25)]:
-            vals = sym.evaluate(pt.point())
+            vals = sym.evaluate(np.exp(1j * pt))
             assert max(1.0 - abs(vals[i]) for i in cs.index_set) <= cs.contact_tol * 1.001
 
     def test_finite_two_points(self):
         cs = find_contact_set(mixed_pair_map(), [0, 1])
         assert cs.kind == "finite"
         assert len(cs.points) == 2
-        got = sorted(tuple(round(a, 6) % round(TWO_PI, 6) for a in p.angles) for p in cs.points)
+        got = sorted(tuple(round(a, 6) % round(TWO_PI, 6) for a in p) for p in cs.points.tolist())
         expect = sorted([(0.0, 0.0), (round(math.pi, 6), round(math.pi, 6))])
         for g, e in zip(got, expect):
             for a, b in zip(g, e):
                 assert abs((a - b + math.pi) % TWO_PI - math.pi) < 1e-6
+
+    @pytest.mark.parametrize("sym, index_set", [
+        (mean_product_map(), [0, 1]), (GENERAL3, [0]), (GENERAL3, [0, 1])])
+    def test_angles_in_one_period(self, sym, index_set):
+        # numpy's % leaves exactly 2 pi for a tiny negative angle; a contact set
+        # reduces once more, so every angle lies in [0, 2 pi)
+        cs = find_contact_set(sym, index_set)
+        assert cs.points.shape == (len(cs.residuals), sym.n_in) and len(cs.points) > 100
+        assert np.all((cs.points >= 0.0) & (cs.points < TWO_PI))
+        assert not cs.points.flags.writeable and not cs.residuals.flags.writeable
 
     def test_csv_rows(self):
         cs = find_contact_set(mixed_pair_map(), [0, 1])
@@ -137,7 +147,7 @@ class TestContactCache:
         assert len(calls) == 3
         a, b = find_contact_set(GENERAL3, [0]), find_contact_set(GENERAL3, [0, 2])
         assert (a.index_set, b.index_set) == ((0,), (0, 2))
-        assert a.points == b.points and a.residuals == b.residuals
+        assert a.points is b.points and a.residuals is b.residuals
         assert len(calls) == 3
 
 
@@ -219,8 +229,9 @@ class TestNumericalRank:
 
     def test_rank_report(self):
         sym = get_symbol("identity2")
-        rep = rank_report(sym, (0, 1), [TorusPoint((0.3, 1.2))]).report(0)
+        rep = rank_report(sym, (0, 1), [[0.3, 1.2]]).report(0)
         assert rep.passed and rep.rank == 2 and rep.target == 2
+        assert rep.point == TorusPoint((0.3, 1.2))
 
     def test_rank_report_no_points(self):
         ranks = rank_report(get_symbol("identity2"), (0, 1), [])
@@ -235,12 +246,12 @@ class TestBatchedRank:
     @given(st.sampled_from(SELF_MAPS), st.data())
     def test_rows_match_single_point(self, sym, data):
         n = sym.n_in
-        points = [TorusPoint(a) for a in data.draw(
-            st.lists(st.tuples(*[ANGLE] * n), min_size=1, max_size=8))]
+        angles = np.array(data.draw(st.lists(st.tuples(*[ANGLE] * n), min_size=1, max_size=8)))
+        points = [TorusPoint(a) for a in angles.tolist()]
         order = data.draw(st.permutations(range(n)))
         index_set = tuple(sorted(order[: data.draw(st.integers(1, n))]))
-        ranks = rank_report(sym, index_set, points)
-        assert ranks.points == tuple(points) and ranks.target == len(index_set)
+        ranks = rank_report(sym, index_set, angles)
+        assert ranks.points.tolist() == angles.tolist() and ranks.target == len(index_set)
         for k, pt in enumerate(points):
             block = sym.jacobian(pt.point())[list(index_set), :]
             (sv,), (rank,), (inconclusive,) = _stacked_rank(block[None], *RANK_TOLS)

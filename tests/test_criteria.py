@@ -1,5 +1,7 @@
 import math
 
+import numpy as np
+
 from polycarleson import criteria
 from polycarleson.battery import get_symbol
 from polycarleson.criteria import (
@@ -169,7 +171,7 @@ class TestTridisc:
             pts = pair_points if tuple(index_set) == (0, 1) else []
             return ContactSet(
                 symbol=sym_, index_set=tuple(index_set), kind="finite" if pts else "empty",
-                points=tuple(TorusPoint(p) for p in pts), residuals=(0.0,) * len(pts),
+                points=np.array(pts, dtype=float).reshape(-1, 3), residuals=np.zeros(len(pts)),
                 grid_res=64, accepted_fraction=0.0, contact_tol=config.contact_tol,
             )
 

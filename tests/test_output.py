@@ -1,6 +1,6 @@
 import numpy as np
 
-from polycarleson.output import csv_text, write_csv, write_json
+from polycarleson.output import csv_text, format_cell, write_csv, write_json
 
 
 def test_write_json_encodes_complex_and_numpy_scalars(tmp_path):
@@ -23,3 +23,8 @@ def test_csv_text_is_what_write_csv_writes(tmp_path):
     write_csv(path, header, rows)
     assert csv_text(header, rows) == "delta,estimate,trusted\n0.5,1e-14,1\n0.25,3,0\n"
     assert path.read_text() == csv_text(header, rows)
+
+
+def test_format_cell_unwraps_numpy_scalars():
+    cells = [np.float64(0.5), np.int64(3), np.bool_(True), np.bool_(False)]
+    assert [format_cell(v) for v in cells] == ["0.5", "3", "1", "0"]

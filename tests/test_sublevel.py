@@ -69,9 +69,8 @@ class TestGeneralSymbol:
 
     def test_fiber_is_the_single_point_one_one(self):
         fiber = find_value_fiber(general_symbol(), 1.0)
-        assert fiber.kind == "finite"
-        assert len(fiber.points) == 1
-        assert max(wrapped(a) for a in fiber.points[0].angles) < 1e-6
+        assert fiber.shape == (1, 2)
+        assert max(wrapped(a) for a in fiber[0]) < 1e-6
 
     def test_proposal_arcs_centred_on_fiber(self):
         delta = 2.0**-6
@@ -99,23 +98,23 @@ class TestGeneralSymbol:
 
 
 class TestValueFiber:
+    """A fiber is a read-only (k, n) angle array; k = 0 for a manifold and for no fiber."""
+
     def test_power_sum_fiber_is_finite(self):
         fiber = find_value_fiber(power_sum_symbol(2), 1.0)
-        assert fiber.kind == "finite"
-        assert len(fiber.points) == 4  # (±1, ±1)
+        assert fiber.shape == (4, 2)  # (±1, ±1)
+        assert not fiber.flags.writeable
+        assert np.all((fiber >= 0.0) & (fiber < 2.0 * math.pi))
 
     def test_power_sum_cube_roots(self):
-        fiber = find_value_fiber(power_sum_symbol(3), 1.0)
-        assert fiber.kind == "finite"
-        assert len(fiber.points) == 27
+        assert find_value_fiber(power_sum_symbol(3), 1.0).shape == (27, 3)
 
     def test_product_fiber_is_manifold(self):
-        fiber = find_value_fiber(product_symbol(2), 1.0)
-        assert fiber.kind == "manifold"
+        assert find_value_fiber(product_symbol(2), 1.0).shape == (0, 2)
 
     def test_contraction_fiber_empty(self):
         f = PolySymbol.monomial(2, (1, 1), coeff=0.5)
-        assert find_value_fiber(f, 1.0).kind == "empty"
+        assert find_value_fiber(f, 1.0).shape == (0, 2)
 
 
 class TestBuildProposal:
