@@ -202,6 +202,12 @@ _RULE_SAFETY = 100.0
 _WEIGHT_ROUNDING = 1e-12
 _WEIGHT_FLOOR = 1e-17
 
+# Rounding |u| - delta can hide the sliver of r where |b| r^m passes the inner
+# edge of D(|u|, delta): within _TANGENCY_ULPS ulps of |u| + delta of tangency
+# the radial interval may round to empty or to width 0 (``_tangency_sliver``).
+_TANGENCY_ULPS = 4.0
+_EPS = float(np.finfo(float).eps)
+
 
 def _segment(alpha: np.ndarray) -> np.ndarray:
     """alpha - sin(alpha) cos(alpha): a disc segment's area over r^2, without cancellation."""
@@ -232,6 +238,36 @@ def _lens_weight(b: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
     return w
 
 
+def _tangency_sliver(b: np.ndarray, u: np.ndarray, delta: float, m: int, beta: WeightParam,
+                     ruled: np.ndarray) -> np.ndarray:
+    """mu_beta mass of the r where |b| r^m may pass ||u| - delta| unseen, on rows near tangency.
+
+    The inputs count as exact reals.  |u| - delta = s + e exactly (Knuth's
+    two-sum), and near tangency |b| - |s| is exact (Sterbenz), so the sign of
+    the gap g = |b| - ||u| - delta| is.  Where g > 0 the circle r = 1 passes
+    the inner edge, and the weight, computed from fl(|u| - delta), may miss or
+    misplace the r with |b| r^m >= ||u| - delta|.  Where g <= 0 but the
+    weight is ``ruled`` (computed on a radial interval) and fl(||u| - delta|)
+    fell below |b|, it may count r that never pass the edge.  Either way the
+    error lies on the sliver |b| r^m >= ||u| - delta| - slack, whose mass
+    bounds it (h/pi lies in [0, 1]).  The other rows are exact up to the
+    rounding allowances: weight 0 or 1 by containment, or an interval that
+    starts where the exact one does.
+    """
+    s = u - delta
+    held = s - u  # the -delta that s holds; s - held the u
+    e = (u - (s - held)) - (delta + held)
+    gap = np.where(s >= 0.0, (b - s) - e, (b + s) + e)
+    mass = np.zeros(b.shape)
+    rows = np.flatnonzero((gap > 0.0) | (ruled & (b > np.abs(s))))  # so b > 0 there
+    if rows.size:
+        x = (gap[rows] + _TANGENCY_ULPS * _EPS * (u[rows] + delta)) / b[rows]
+        x = np.clip(x, 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            mass[rows] = (-np.expm1(2.0 / m * np.log1p(-x))) ** (beta.beta + 1.0)
+    return mass
+
+
 def _radial_cap_weight(bmod, umod, delta: float, m: int,
                        beta: WeightParam) -> tuple[np.ndarray, np.ndarray]:
     """W = ∫ h(|b| r^m, |u|, delta)/pi dmu_beta(r) over the whole radial law, and its error bound.
@@ -253,19 +289,28 @@ def _radial_cap_weight(bmod, umod, delta: float, m: int,
     geometries where the integrand is nearly singular, plus rounding
     allowances (see the constants); weights 0 and 1 from containment are
     exact and carry none, and the lens carries only ``_WEIGHT_ROUNDING``
-    times itself.
+    times itself.  A row within a few ulps of tangency to the inner edge,
+    where rounding |u| - delta can empty the radial interval, adds the
+    mu_beta mass of the sliver it can hide (``_tangency_sliver``).
     """
     b, u = np.broadcast_arrays(np.asarray(bmod, dtype=float), np.asarray(umod, dtype=float))
     # |b| r^m <= |b| < delta - |u|: the whole circle lies in the disc for every r
     weight = np.where(u + b < delta, 1.0, 0.0)
     err = np.zeros(weight.shape)
-    part = np.flatnonzero((weight == 0.0) & ((u < delta) | (np.abs(u - delta) < b)))
+    overlap = b - np.abs(u - delta)  # > 0: the circle r = 1 passes the inner edge
+    ruled = (weight == 0.0) & ((u < delta) | (overlap > 0.0))
+    part = np.flatnonzero(ruled)
+    slack = _TANGENCY_ULPS * _EPS * (np.max(u, initial=0.0) + delta)
+    near = np.flatnonzero(np.abs(overlap, out=overlap) <= slack)
+    if near.size:
+        err[near] = _tangency_sliver(b[near], u[near], delta, m, beta, ruled[near])
     if not part.size:
         return weight, err
     b, u = b[part], u[part]
     if m == 1 and beta.beta == 0.0:
         w = _lens_weight(b, u, delta)
-        weight[part], err[part] = w, _WEIGHT_ROUNDING * w
+        weight[part] = w
+        err[part] += _WEIGHT_ROUNDING * w
         return weight, err
     p1 = beta.beta + 1.0
     with np.errstate(divide="ignore"):
@@ -324,7 +369,8 @@ def _radial_cap_weight(bmod, umod, delta: float, m: int,
                 | (np.abs(bb - np.abs(uu - delta)) < delta))
         e[rows] += (np.where(near, _RULE_SAFETY, 1.0) * span * np.abs(gap)
                     + _WEIGHT_ROUNDING * kink + _WEIGHT_FLOOR)
-    weight[part], err[part] = w, e
+    weight[part] = w
+    err[part] += e
     return weight, err
 
 
@@ -401,6 +447,26 @@ def merge_arcs(arcs: list[Arc]) -> tuple[Arc, ...] | None:
     if total >= TWO_PI - 1e-12:
         return None
     return tuple((s, e - s) for s, e in merged)
+
+
+def intersect_arcs(sets: Sequence[tuple[Arc, ...] | None]) -> tuple[Arc, ...] | None:
+    """Intersection of ``merge_arcs`` outputs (None = full circle); () when it is empty.
+
+    Equal sets count once and full circles not at all, so one set left is
+    returned as it came; otherwise the pieces go through ``merge_arcs`` once.
+    """
+    sets = [arcs for arcs in dict.fromkeys(sets) if arcs is not None]
+    if len(sets) < 2:
+        return sets[0] if sets else None
+    pieces = None
+    for arcs in sets:
+        segs = []
+        for start, length in arcs:  # starts lie in [0, 2 pi); split the arc that wraps
+            end = start + length
+            segs += [(start, end)] if end <= TWO_PI else [(start, TWO_PI), (0.0, end - TWO_PI)]
+        pieces = segs if pieces is None else [
+            (max(a, c), min(b, d)) for a, b in pieces for c, d in segs if max(a, c) < min(b, d)]
+    return merge_arcs([(s, e - s) for s, e in pieces]) if pieces else ()
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@ several are (its sublevel sets wrap around the torus); several terms give
 the deficit simplex {sum_k |c_k| (1 - Re(e^{-i phi_k} z_k^{m_k})) <= delta},
 which contains the set exactly.  Any other f gets per-coordinate arcs of
 width ~ sqrt(delta) around the finite solution set of f = eta on T^n, a
-(k, n) array of angles refined from the contact set's points.
+(k, n) array of angles refined from the contact set's points.  The joint set
+of several bindings lies in each one's arcs, so a coordinate's arcs are the
+intersection of its bindings' arc sets: empty among the proved single-term
+sets, the region is provably empty; empty only with a heuristic fiber-arc
+set among them, it falls back to the sets' union.
 
 Inside the region one coordinate is integrated out (conditional Monte
 Carlo): the lowest z_j that every binding containing it contains as
@@ -54,11 +58,13 @@ from .fitting import loglog_wls, trusted_points
 from .measure import (
     AngleSumWindow,
     AnnulusArc,
+    Arc,
     DeficitSimplex,
     WeightParam,
     _cap_angular_halfwidth,
     _power,
     _radial_cap_weight,
+    intersect_arcs,
     merge_arcs,
     region_contains,
     region_mass,
@@ -237,14 +243,21 @@ def build_proposal(bindings, n: int):
     fiber f = eta and radial depth from the interior-slice Schwarz floor.
 
     The single-term bounds carry the margin K/2, the fiber arcs K; the
-    leakage audit guards the construction at runtime.  The region holds one
-    simplex, from the first such binding; other bindings keep their depth
-    bounds on its coordinates, while their arcs and windows there are
-    dropped (the region only grows).  A later multi-term binding adds no
-    constraint.  Bindings are taken as given: an exact repeat builds the
-    same region as one copy, while repeats of one (symbol, target) at
-    different tolerances give a looser region that still contains the set,
-    so callers merge them first with ``_merge_bindings``.
+    leakage audit guards the construction at runtime.  Depths take the
+    minimum over bindings, and arcs the intersection: each binding's arcs on
+    theta_j, the union of its branches, make one set, and the sets meet
+    (``measure.intersect_arcs``), so a coordinate that one binding alone
+    constrains gets that binding's ``merge_arcs`` set as it is.  An empty
+    meet of the proved single-term sets makes the region PROVABLY_EMPTY.  The
+    fiber arcs carry no proof, so an empty meet that needs one of them falls
+    back to the union of the sets.  The region holds one simplex, from the
+    first such binding; other bindings keep their depth bounds on its
+    coordinates, while their arcs and windows there are dropped (the region
+    only grows).  A later multi-term binding adds no constraint.  Bindings
+    are taken as given: an exact repeat builds the same region as one copy,
+    while repeats of one (symbol, target) at different tolerances give a
+    looser region that still contains the set, so callers merge them first
+    with ``_merge_bindings``.
     """
     K = PROPOSAL_MARGIN
     k_half = K / 2.0
@@ -252,7 +265,8 @@ def build_proposal(bindings, n: int):
         raise ValueError("binding symbol dimension mismatch")
 
     depth_candidates: list[list[float]] = [[] for _ in range(n)]
-    arc_specs: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+    # per coordinate, one (arcs, proved) set per binding: the union of its branches
+    arc_sets: list[list[tuple[list[Arc], bool]]] = [[] for _ in range(n)]
     windows: list[tuple[tuple[int, ...], float, float]] = []
     simplex = None
 
@@ -296,8 +310,8 @@ def build_proposal(bindings, n: int):
                 m = alpha[js[0]]
                 half = k_half * d / m
                 if half < math.pi:
-                    arc_specs[js[0]] += [((base + TWO_PI * k) / m - half, 2.0 * half)
-                                         for k in range(m)]
+                    arc_sets[js[0]].append(([((base + TWO_PI * k) / m - half, 2.0 * half)
+                                             for k in range(m)], True))
             elif k_half * d < math.pi:
                 windows.append((alpha, base, k_half * d))
         else:
@@ -310,12 +324,22 @@ def build_proposal(bindings, n: int):
             half = K * math.sqrt(delta)
             if len(fiber) and half < math.pi:
                 for j in live:
-                    arc_specs[j] += [(a - half, 2.0 * half) for a in fiber[:, j].tolist()]
+                    arc_sets[j].append(([(a - half, 2.0 * half) for a in fiber[:, j].tolist()],
+                                        False))
 
     inner = simplex.coords if simplex is not None else ()
     depths = tuple(min(1.0, min(ds)) if ds else 1.0 for ds in depth_candidates)
-    arcs = tuple(merge_arcs(arc_specs[j]) if arc_specs[j] and j not in inner else None
-                 for j in range(n))
+    arcs = []
+    for j, sets in enumerate(arc_sets):
+        merged = [] if j in inner else [(merge_arcs(specs), proved) for specs, proved in sets]
+        joint = intersect_arcs([a for a, _ in merged])
+        if joint == ():
+            if intersect_arcs([a for a, proved in merged if proved]) == ():
+                return PROVABLY_EMPTY
+            # fiber arcs carry no proof: an empty meet that needs them claims nothing
+            joint = merge_arcs([spec for specs, _ in sets for spec in specs])
+        arcs.append(joint)
+    arcs = tuple(arcs)
 
     window = None
     for alpha, base, width in windows:

@@ -150,15 +150,21 @@ def _halfwidth(rho, u, delta):
     return 2.0 * math.atan2(math.sqrt(max(inside, 0.0)), math.sqrt(max(outside, 0.0)))
 
 
-def product_volume(n, delta, epsrel=1e-13):
-    """Exact V_0({z in D^n : |z_1 ... z_n - 1| <= delta}) by one-dimensional quadrature.
+def product_volume(n, delta, beta=0.0, epsrel=1e-13):
+    """Exact V_beta({z in D^n : |z_1 ... z_n - 1| <= delta}) by quadrature.
 
     The argument of z_1 ... z_n is uniform and independent of rho = r_1 ... r_n,
-    and x = -log rho^2 has the Gamma(n, 1) law, so the volume is
-    E[h(rho, 1, delta)/pi] with h the angular half-width of the set at modulus
-    rho.  h vanishes below rho = 1 - delta, i.e. beyond x = -2 log(1 - delta).
+    so the volume is E[h(rho, 1, delta)/pi] with h the angular half-width of
+    the set at modulus rho.  h vanishes below rho = 1 - delta, i.e. beyond
+    x = -log rho^2 = -2 log(1 - delta).  At beta = 0, x has the Gamma(n, 1)
+    law: one quadrature for any n.  Otherwise x is the sum of the
+    x_j = -log r_j^2, each with CDF (1 - e^{-x})^(beta+1): for n <= 2 the
+    quadrature is nested, over each x_j's CDF value v_j, in which the law is
+    uniform and the integrand stays bounded.
     """
     x_max = -2.0 * math.log1p(-delta) if delta < 1.0 else math.inf
+    if beta != 0.0:
+        return _product_volume_nested(n, delta, beta, x_max, epsrel)
 
     def integrand(x):
         rho = math.exp(-x / 2.0)
@@ -169,6 +175,34 @@ def product_volume(n, delta, epsrel=1e-13):
     return val
 
 
+def _product_volume_nested(n, delta, beta, x_max, epsrel):
+    """product_volume for beta != 0 and n <= 2: nested quadrature over the CDF values v_j."""
+    if n not in (1, 2) or not x_max < math.inf:
+        raise ValueError("the nested product oracle takes n <= 2 and delta < 1")
+    p1 = beta + 1.0
+    cdf = lambda x: (-math.expm1(-x)) ** p1
+    quantile = lambda v: -math.log1p(-v ** (1.0 / p1))
+
+    def halfwidth(x):  # h(rho, 1, delta)/pi at rho = e^{-x/2}, with rho - 1 kept exact
+        fall = math.expm1(-x / 2.0)
+        inside = (delta - fall) * (delta + fall)
+        outside = (2.0 + fall - delta) * (2.0 + fall + delta)
+        return 2.0 * math.atan2(math.sqrt(max(inside, 0.0)), math.sqrt(outside)) / math.pi
+
+    def quad(fn, top):
+        val, _ = integrate.quad(fn, 0.0, top, epsabs=0.0, epsrel=epsrel, limit=200)
+        return val
+
+    if n == 1:
+        return quad(lambda v: halfwidth(quantile(v)), cdf(x_max))
+
+    def inner(v1):
+        x1 = quantile(v1)
+        return quad(lambda v2: halfwidth(x1 + quantile(v2)), cdf(x_max - x1))
+
+    return quad(inner, cdf(x_max))
+
+
 def unit_disc_cap_area(delta):
     """A_0(D(1, delta) ∩ D) for delta < 2: the lens of two discs over pi."""
     area = (delta * delta * math.acos(delta / 2.0) + math.acos(1.0 - delta * delta / 2.0)
@@ -176,7 +210,7 @@ def unit_disc_cap_area(delta):
     return area / math.pi
 
 
-def radial_cap_weight(b, u, delta, m, beta, epsrel=1e-13):
+def radial_cap_weight(b, u, delta, m, beta, epsrel=1e-13, rounded_edges=True):
     """V_beta probability over z = r e^{i theta} in D that |b z^m - u| <= delta, for b, u >= 0.
 
     The disc D(u, delta) meets the circle of radius rho = b r^m in an arc of
@@ -185,17 +219,20 @@ def radial_cap_weight(b, u, delta, m, beta, epsrel=1e-13):
     c = u + delta.  Those two are taken as the doubles the package bounds its
     radial interval by: within an ulp of tangency, where mu_beta near
     beta = -1 puts visible mass on a sliver of r, the weight depends on how
-    they round.  The rest runs at 30 digits (45 give the same doubles on
-    every row the tests use): the angle is integrated exactly (h/pi), the
-    radius by mpmath's tanh-sinh quadrature in v = (1 - r^2)^(beta+1), where
-    mu_beta is Lebesgue measure, and the part of the law where the whole
-    circle lies in the disc is exact.  Raises ArithmeticError when the
+    they round.  ``rounded_edges=False`` takes them as exact reals instead:
+    the weight of the inputs themselves.  The rest runs at 30 digits (45
+    give the same doubles on every row the tests use): the angle is
+    integrated exactly (h/pi), the radius by mpmath's tanh-sinh quadrature
+    in v = (1 - r^2)^(beta+1), where mu_beta is Lebesgue measure, and the
+    part of the law where the whole circle lies in the disc is exact.  Raises ArithmeticError when the
     quadrature's error estimate exceeds epsrel of the weight plus 1e-20.
     """
     if b == 0.0:
         return 1.0 if u < delta else 0.0
     with mp.workdps(30):
-        b, a, c, p1 = mpf(b), mpf(u - delta), mpf(u + delta), mpf(beta) + 1
+        b, p1 = mpf(b), mpf(beta) + 1
+        a, c = ((mpf(u - delta), mpf(u + delta)) if rounded_edges
+                else (mpf(u) - mpf(delta), mpf(u) + mpf(delta)))
         x_lo = min(1, (abs(a) / b) ** (mpf(2) / m))  # r^2 where rho meets the inner edge
         x_hi = min(1, (c / b) ** (mpf(2) / m))        # ... and the outer edge
         total = 1 - (1 - x_lo) ** p1 if a < 0 else mpf(0)

@@ -58,6 +58,14 @@ class TestPreimageRatio:
         assert est.ratio == 0.0
         assert est.trusted
 
+    def test_disjoint_component_arcs_are_empty_by_structure(self):
+        # (z1, z1) near (1, -1): the two bindings' arcs on theta_1 do not meet
+        twice = PolySymbol.from_tables([[((1,), 1.0)], [((1,), 1.0)]], 1)
+        box = CarlesonBox(TorusPoint((0.0, math.pi)), (0.1, 0.1))
+        est = preimage_box_ratio(twice, box, WeightParam(0.0), 10_000, seed=4)
+        assert est.ratio == 0.0 and est.stderr == 0.0 and est.trusted
+        assert est.numerator.reason == "preimage empty by structure"
+
     def test_free_coordinate_is_vacuous(self):
         # radius-2 coordinates impose no constraint on the preimage
         sym = stacked_product(3)

@@ -18,6 +18,7 @@ from polycarleson.measure import (
     _radial_cap_weight,
     carleson_box_measure,
     disc_cap_measure,
+    intersect_arcs,
     merge_arcs,
     radial_sample,
     region_contains,
@@ -238,6 +239,18 @@ class TestRadialCapWeight:
         assert w[:2].tolist() == [0.0, 0.0] and e[:2].tolist() == [0.0, 0.0]
         assert w2.tolist() == [1.0, 1.0, 0.0] and e2.tolist() == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("beta", manifest_betas())
+    def test_bound_covers_rounding_at_tangency(self, m, beta):
+        # fl(|u| - delta) is |b|, so the radial interval rounds to empty, but as
+        # exact reals |b| r^m passes |u| - delta on a sliver of r near 1, which
+        # mu_beta weighs at ~0.03 at beta = -0.9: a weight of 4.7e-11 there
+        b, u, delta = 0.7, 0.7 + 0.2, 0.2
+        assert u - delta == b
+        (w,), (e,) = _radial_cap_weight(np.array([b]), np.array([u]), delta, m, WeightParam(beta))
+        exact = radial_cap_weight(b, u, delta, m, beta, epsrel=1e-12, rounded_edges=False)
+        assert exact > 0.0 and w + e >= exact, (w, e, exact)
+
     def test_rows_are_independent(self):
         # a row's weight does not depend on the rows evaluated with it
         rows = weight_cases()[:30]
@@ -437,6 +450,68 @@ class TestRegions:
         assert mass == 1.0
         assert z.shape == (1000, 2)
         assert np.all(region_contains(region, z))
+
+
+def branches(m, phase, half):
+    """The m arcs {theta : m theta - phase in ±half (mod 2 pi)}, merged."""
+    return merge_arcs([((phase + 2.0 * math.pi * k) / m - half / m, 2.0 * half / m)
+                       for k in range(m)])
+
+
+class TestIntersectArcs:
+    """Arc-set intersections against a dense grid of 10^5 angles."""
+
+    GRID = 100_000
+    THETA = (np.arange(GRID) + 0.5) * (2.0 * math.pi / GRID)
+
+    def inside(self, arcs):
+        if arcs is None:
+            return np.ones(self.GRID, dtype=bool)
+        hit = np.zeros(self.GRID, dtype=bool)
+        for start, length in arcs:
+            hit |= (self.THETA - start) % (2.0 * math.pi) <= length
+        return hit
+
+    def check(self, sets):
+        got = intersect_arcs(sets)
+        want = np.logical_and.reduce([self.inside(a) for a in sets])
+        if got == ():
+            assert not np.any(want)
+            return
+        # each arc end misplaces at most one grid cell
+        cells = np.count_nonzero(self.inside(got) != want)
+        assert cells <= 2 * sum(len(a) for a in sets if a is not None) + 2, (sets, got)
+        if got is not None:
+            assert all(0.0 <= start < 2.0 * math.pi and 0.0 < length < 2.0 * math.pi
+                       for start, length in got)
+            starts = [start for start, _ in got]
+            assert starts == sorted(starts)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_random_branch_sets(self, count):
+        rng = np.random.default_rng(count)
+        for _ in range(20):
+            self.check([branches(int(rng.integers(1, 4)), rng.uniform(-2 * math.pi, 2 * math.pi),
+                                 rng.uniform(0.05, 3.0)) for _ in range(count)])
+
+    def test_wrapping_full_and_disjoint_sets(self):
+        across = merge_arcs([(-0.3, 0.6)])  # wraps through 0
+        assert across[0][0] + across[0][1] > 2.0 * math.pi
+        self.check([across, branches(2, 0.2, 0.5)])
+        self.check([across, branches(3, 0.0, 0.4), branches(1, 6.0, 1.0)])
+        self.check([branches(2, math.pi, 1.0), branches(3, 1.0, 2.0)])
+        # a full circle constrains nothing, and one set left comes back as it was
+        assert intersect_arcs([None, across]) is across
+        assert intersect_arcs([across, None, across]) is across
+        assert intersect_arcs([None, None]) is None
+        assert intersect_arcs([]) is None
+        # disjoint sets meet in nothing
+        assert intersect_arcs([branches(1, 0.0, 0.1), branches(1, math.pi, 0.1)]) == ()
+        assert intersect_arcs([branches(2, 0.0, 0.1), branches(2, math.pi, 0.1)]) == ()
+        self.check([branches(2, 0.0, 0.1), branches(2, math.pi, 0.1)])
+        # a set inside another is the set itself, up to rounding at the wrap
+        got = intersect_arcs([across, branches(1, 0.0, 1.0)])
+        assert len(got) == 1 and got[0] == pytest.approx(across[0], abs=1e-15)
 
 
 # separable self-maps sum_k c_k z_k^{m_k} with c_k > 0 summing to 1 (drawn as
