@@ -83,7 +83,8 @@ def preimage_box_ratio(
     (component, xi_j, delta_j) binding per coordinate, merged once so that a
     component repeating with the same target keeps the smaller radius.  The
     merged list builds the proposal (bindings of radius below 1) and feeds
-    ``estimate_indicator``, which integrates one torus angle in closed form;
+    ``estimate_indicator``, which integrates the coordinates its matching
+    picks (every coordinate of an identity or coordinate-power box);
     the denominator is the product of the box's cap integrals, whose error
     bound enters the stderr.  Radius-2 coordinates are vacuous by
     |Phi_j - xi_j| <= 2 and are left out of the tests.

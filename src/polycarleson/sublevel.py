@@ -17,28 +17,37 @@ intersection of its bindings' arc sets: empty among the proved single-term
 sets, the region is provably empty; empty only with a heuristic fiber-arc
 set among them, it falls back to the sets' union.
 
-Inside the region one coordinate is integrated out (conditional Monte
-Carlo): the lowest z_j that every binding containing it contains as
-a + b z_j^m, a single exponent m with a and b free of z_j.  At fixed other
-coordinates and r_j such a binding holds on m arcs of theta_j, {m theta_j -
-arg(u/b) in ±h} with u = eta - a and half-width h = arccos((rho^2 + |u|^2 -
-delta^2)/(2 rho |u|)), rho = |b| r_j^m.  When no other binding contains z_j,
-r_j is integrated too: each draw contributes W = ∫ h/pi dmu_beta(r_j) over
-the whole radial law, a lens area for m = 1 at beta = 0 and otherwise a
+Inside the region coordinates are integrated out (conditional Monte Carlo)
+along a matching of coordinates to bindings.  The split is the lowest z_j
+that every binding containing it contains as a + b z_j^m, a single exponent
+m with a and b free of z_j.  At fixed other coordinates and r_j such a
+binding holds on m arcs of theta_j, {m theta_j - arg(u/b) in ±h} with
+u = eta - a and half-width h = arccos((rho^2 + |u|^2 - delta^2)/(2 rho
+|u|)), rho = |b| r_j^m.  When no other binding contains z_j, r_j is
+integrated too: each draw contributes W = ∫ h/pi dmu_beta(r_j) over the
+whole radial law, a lens area for m = 1 at beta = 0 and otherwise a
 21-point Gauss-Kronrod rule (``measure._radial_cap_weight``), and z_j takes
 no uniform at all.  Otherwise r_j is drawn and each draw contributes the
 length of the intersection of the arc sets over 2 pi (h/pi for one set): a
 simplex coordinate's r_j, drawn last, takes one uniform through a cosine map
 on the interval where the arc is non-empty, and the draw's likelihood
-(``measure.region_points``) multiplies its weight.  Either way the region
-drops its constraints on what is integrated (theta_j's arcs and the
-angle-sum window, and r_j's depth with it).  Binding sets with no such
-coordinate fall back to plain hit counting.
+(``measure.region_points``) multiplies its weight.  Each further z_k that
+one binding alone contains, with a single exponent, outside the deficit
+simplex, is picked too when its binding holds no other picked coordinate:
+its radius and angle are integrated the same way, and its W multiplies the
+weight, since given the drawn coordinates the picked bindings hold
+independently.  The region drops its constraints on what is integrated
+(the picked coordinates' arcs, the angle-sum window, and the depths of the
+integrated radii).  A box whose bindings each pin their own coordinate, as
+identity2's and coord_square's do, leaves nothing to draw: its estimate is
+a quadrature.  Binding sets with no split coordinate fall back to plain hit
+counting.
 
 The conditioned integrand is a bounded, almost everywhere continuous function
-of the remaining uniforms (2n - 2 of them, or 2n - 1 when r_j is drawn), so
-the points are randomised quasi-Monte Carlo: R >= 64 independently scrambled
-Sobol replicates, mapped into the region by ``measure.restricted_sample``.
+of the remaining uniforms (two per drawn coordinate, one for a drawn split
+radius), so the points are randomised quasi-Monte Carlo: R >= 64
+independently scrambled Sobol replicates, mapped into the region by
+``measure.restricted_sample``.
 The stderr is the replicates' standard error combined with the stated bound
 on the weights' quadrature error.  A uniform i.i.d. "leakage audit" pass
 estimates the mass the region might have missed; estimates failing the
@@ -383,51 +392,79 @@ def _members(bindings: list[Binding], z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _AngleSplit:
-    """Coordinate z_j, which every binding containing it contains with a single exponent.
+    """The coordinates an estimate integrates: ``_split_coordinate``'s matching.
 
     ``parts`` lists (binding index, m, a, b) for each binding that contains
-    z_j, written a + b z_j^m with a and b free of z_j, in binding order: the
-    first is the split binding.  ``coupled``: another binding contains z_j
-    too.
+    the split z_j, written a + b z_j^m with a and b free of z_j, in binding
+    order: the first is the split binding.  ``coupled``: another binding
+    contains z_j too.  ``picks`` lists (k, binding index, m, a, b) for each
+    further coordinate z_k, written so in the one binding that holds it.
     """
 
     j: int
     parts: tuple[tuple[int, int, MonomialTable, MonomialTable], ...]
+    picks: tuple[tuple[int, int, int, MonomialTable, MonomialTable], ...] = ()
 
     @property
     def coupled(self) -> bool:
         return len(self.parts) > 1
 
 
-def _split_coordinate(bindings: list[Binding], n: int) -> _AngleSplit | None:
-    """Lowest j that every binding containing z_j contains with a single exponent."""
-    for j in range(n):
-        parts = []
-        for index, (f, *_) in enumerate(bindings):
-            table = f.components[0]
-            powers = {alpha[j] for alpha, _ in table if alpha[j]}
-            if len(powers) > 1:
-                break
-            if powers:
-                a = tuple((alpha, c) for alpha, c in table if not alpha[j])
-                b = tuple((alpha[:j] + (0,) + alpha[j + 1:], c) for alpha, c in table if alpha[j])
-                parts.append((index, powers.pop(), a, b))
-        else:
-            if parts:
-                return _AngleSplit(j, tuple(parts))
-    return None
+def _holders(bindings: list[Binding], j: int):
+    """(binding index, m, a, b) per binding that contains z_j as a + b z_j^m; None for several m."""
+    parts = []
+    for index, (f, *_) in enumerate(bindings):
+        table = f.components[0]
+        powers = {alpha[j] for alpha, _ in table if alpha[j]}
+        if len(powers) > 1:
+            return None
+        if powers:
+            a = tuple((alpha, c) for alpha, c in table if not alpha[j])
+            b = tuple((alpha[:j] + (0,) + alpha[j + 1:], c) for alpha, c in table if alpha[j])
+            parts.append((index, powers.pop(), a, b))
+    return tuple(parts)
 
 
-def _free_angle(region: AnnulusArc, j: int, radius: bool) -> AnnulusArc:
-    """The region without its arcs on theta_j and its angle-sum window; z_j drawn last in a simplex.
+def _split_coordinate(bindings: list[Binding], n: int, inner=()) -> _AngleSplit | None:
+    """The split and the picks, or None when no coordinate splits.
 
-    With ``radius``, r_j's depth goes too: r_j is then integrated over its whole law.
+    The split is the lowest z_j that every binding containing it contains
+    with a single exponent.  Each further z_k, in coordinate order, is picked
+    when exactly one binding contains it, with a single exponent, that
+    binding holds no coordinate picked before (the split's among them), and
+    z_k is not among the simplex coordinates ``inner``.
     """
-    arcs = region.arcs[:j] + (None,) + region.arcs[j + 1:]
-    depths = region.depths[:j] + (1.0,) + region.depths[j + 1:] if radius else region.depths
+    holders = [_holders(bindings, j) for j in range(n)]
+    for j, parts in enumerate(holders):
+        if parts:
+            break
+    else:
+        return None
+    taken = {index for index, *_ in parts}
+    picks = []
+    for k in range(j + 1, n):
+        held = holders[k]
+        if held and len(held) == 1 and held[0][0] not in taken and k not in inner:
+            taken.add(held[0][0])
+            picks.append((k, *held[0]))
+    return _AngleSplit(j, parts, tuple(picks))
+
+
+def _free_angle(region: AnnulusArc, fixed: tuple[int, ...],
+                integrated: tuple[int, ...]) -> AnnulusArc:
+    """The region without its arcs on the picked coordinates and without its angle-sum window.
+
+    An ``integrated`` coordinate loses its depth too: its radius is then
+    integrated over its whole law.  A ``fixed`` simplex coordinate is drawn
+    last in its simplex.
+    """
+    picked = fixed + integrated
+    arcs = tuple(None if j in picked else a for j, a in enumerate(region.arcs))
+    depths = tuple(1.0 if j in integrated else s for j, s in enumerate(region.depths))
     simplex = region.simplex
-    if j in region.inner:
-        simplex = simplex.last(j)
+    for j in fixed:
+        if j in region.inner:
+            simplex = simplex.last(j)
     return AnnulusArc(depths=depths, arcs=arcs, simplex=simplex)
 
 
@@ -482,64 +519,88 @@ def _arc_set_intersection(arcs) -> np.ndarray:
     return total
 
 
+def _cap_factor(binding: Binding, m: int, a_table: MonomialTable, b_table: MonomialTable,
+                z: np.ndarray, cache: dict, beta: WeightParam) -> tuple[np.ndarray, np.ndarray]:
+    """P(a + b z_k^m holds | the drawn coordinates), z_k over its whole law, and its bound.
+
+    ``_radial_cap_weight`` gives both.  a and b free of every coordinate give
+    one row, which broadcasts over the draws.
+    """
+    _, target, tol = binding
+    constant = not any(any(alpha) for alpha, _ in a_table + b_table)
+    rows = z[:1] if constant else z
+    u = target - _eval_table(a_table, rows, cache)
+    b = _eval_table(b_table, rows, cache)
+    return _radial_cap_weight(np.abs(b), np.abs(u), tol, m, beta)
+
+
 def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndarray,
                          beta: WeightParam,
                          integrated: bool) -> tuple[np.ndarray, np.ndarray | float]:
-    """P(every binding holds | z with z_j integrated out), one weight per row, and error bounds.
+    """P(every binding holds | z with the picked coordinates integrated out), per row, and bounds.
 
-    With ``integrated``, column j of ``z`` is unused, as ``restricted_sample``
-    leaves an integrated coordinate, and no other binding contains z_j: the
-    split binding holds with probability W = ∫ h(|b| r^m, |u|, delta)/pi
-    dmu_beta(r) over the whole radial law (``_radial_cap_weight``, which
-    also bounds each weight's quadrature error), and the other bindings
-    multiply W by their indicators.
+    Given the drawn coordinates, the bindings that hold the split and each
+    pick hold independently, since no two of them share a picked
+    coordinate, and the other bindings are 0/1 indicators of the drawn
+    coordinates: the weight is their product.  A pick z_k's binding holds
+    with probability W_k = ∫ h(|b| r^m, |u|, delta)/pi dmu_beta(r) over
+    z_k's whole radial law (``_cap_factor``), and the product's bound is
+    prod(W + e) - prod(W) over its factors' bounds e, the rule of
+    ``carleson_box_measure``.  ``restricted_sample`` leaves column k unused.
 
+    With ``integrated``, column j of ``z`` is unused too and no other binding
+    contains z_j: the split binding's factor is a W like the picks'.
     Otherwise column j holds the real radius r_j, as ``restricted_sample``
     leaves a fixed coordinate: drawn by the region, by the cosine map on the
     interval where the simplex binding's arc is non-empty when z_j is a
     simplex coordinate, its Jacobian then in the point's likelihood.  Only
     theta_j is integrated, exactly up to rounding.  Each binding a + b z_j^m
     that contains z_j holds on the arc set {m theta_j - arg(u/b) in ±h}, of
-    m arcs, so the probability is the length of the intersection of those
+    m arcs, so the split's factor is the length of the intersection of those
     sets over 2 pi (``_arc_set_intersection``): h/pi when the split binding
-    is the only one.  Bindings free of z_j multiply it by their indicator.
+    is the only one.
     """
     j = split.j
     cache: dict = {}
-    inside = {index for index, *_ in split.parts}
-    others = [binding for i, binding in enumerate(bindings) if i not in inside]
-    arcs = []
-    for index, m, a_table, b_table in split.parts:
-        _, target, tol = bindings[index]
-        u = target - _eval_table(a_table, z, cache)
-        b = _eval_table(b_table, z, cache)
-        if integrated:  # the split binding is the only part
-            # a and b free of every coordinate give one weight for all rows
-            constant = not any(any(alpha) for alpha, _ in a_table + b_table)
-            rows = slice(0, 1) if constant else slice(None)
-            w, err = _radial_cap_weight(np.abs(b[rows]), np.abs(u[rows]), tol, m, beta)
-            w, err = np.broadcast_to(w, z.shape[:1]), np.broadcast_to(err, z.shape[:1])
-            if not others:
-                return w, err
-            ok = _members(others, z)
-            return w * ok, err * ok
-        rho = _power(z[:, j].real, m)
-        rho *= _modulus(b)
-        arcs.append((m, u, b, _cap_angular_halfwidth(rho, _modulus(u), tol)))
-    if split.coupled:
-        # rows with an empty arc set weigh 0; on the rest each set's arcs are
-        # centred on the m-th roots of u/b
-        rows = np.flatnonzero(np.logical_and.reduce([h > 0.0 for *_, h in arcs]))
-        w = np.zeros(len(z))
-        w[rows] = _arc_set_intersection([(m, np.angle(u[rows] * b[rows].conj()), h[rows])
-                                         for m, u, b, h in arcs])
-        w /= TWO_PI
+    held = {index for index, *_ in split.parts} | {index for _, index, *_ in split.picks}
+    others = [binding for i, binding in enumerate(bindings) if i not in held]
+    if integrated:  # the split binding is the only part
+        ((index, m, a_table, b_table),) = split.parts
+        w, err = _cap_factor(bindings[index], m, a_table, b_table, z, cache, beta)
     else:
-        w = arcs[0][3] / math.pi
-    if not others:
-        return w, 0.0
-    w *= _members(others, z)
-    return w, 0.0
+        arcs = []
+        for index, m, a_table, b_table in split.parts:
+            _, target, tol = bindings[index]
+            u = target - _eval_table(a_table, z, cache)
+            b = _eval_table(b_table, z, cache)
+            rho = _power(z[:, j].real, m)
+            rho *= _modulus(b)
+            arcs.append((m, u, b, _cap_angular_halfwidth(rho, _modulus(u), tol)))
+        if split.coupled:
+            # rows with an empty arc set weigh 0; on the rest each set's arcs are
+            # centred on the m-th roots of u/b
+            rows = np.flatnonzero(np.logical_and.reduce([h > 0.0 for *_, h in arcs]))
+            w = np.zeros(len(z))
+            w[rows] = _arc_set_intersection([(m, np.angle(u[rows] * b[rows].conj()), h[rows])
+                                             for m, u, b, h in arcs])
+            w /= TWO_PI
+        else:
+            w = arcs[0][3] / math.pi
+        err = 0.0
+    for _, index, m, a_table, b_table in split.picks:
+        cap, bound = _cap_factor(bindings[index], m, a_table, b_table, z, cache, beta)
+        err = err * (cap + bound) + w * bound
+        w = w * cap
+    if others:
+        ok = _members(others, z)
+        w = w * ok
+        if np.ndim(err):
+            err = err * ok
+    # a and b free of every coordinate leave one row for all draws
+    w = np.broadcast_to(w, z.shape[:1])
+    if np.ndim(err):
+        err = np.broadcast_to(err, z.shape[:1])
+    return w, err
 
 
 def estimate_indicator(
@@ -560,17 +621,19 @@ def estimate_indicator(
     open twin differ by a V_beta-null boundary.  When every binding that
     contains some coordinate z_j contains it with a single exponent, the
     lowest such z_j is integrated in closed form or by quadrature
-    (conditional Monte Carlo, ``_conditional_weights``): each point
-    contributes the probability over z_j that every binding holds.  If no
-    other binding contains z_j and the region has no simplex on it, its
-    radius and angle are both integrated, take no uniform, and the region
-    drops its depth, arcs and angle-sum window there.  Otherwise only
-    theta_j is integrated, as the length of the intersection of the arc sets
-    on which the bindings containing z_j hold, and r_j is drawn, last among
-    the simplex coordinates if it is one.  Binding sets with no such
-    coordinate give plain 0/1 weights.  Each weight is multiplied by its
-    point's likelihood, which is 1 outside a simplex and at most 1 inside,
-    so weights stay in [0, 1].
+    (conditional Monte Carlo, ``_conditional_weights``), and so is every
+    further z_k picked by ``_split_coordinate``'s matching: each point
+    contributes the probability over the picked coordinates that every
+    binding holds.  If no other binding contains z_j and the region has no
+    simplex on it, its radius and angle are both integrated and take no
+    uniform, as every pick's are.  Otherwise only theta_j is integrated, as
+    the length of the intersection of the arc sets on which the bindings
+    containing z_j hold, and r_j is drawn, last among the simplex
+    coordinates if it is one.  The region drops its arcs and angle-sum
+    window on the picked coordinates and its depths on the integrated ones
+    (``_free_angle``).  Binding sets with no such coordinate give plain 0/1
+    weights.  Each weight is multiplied by its point's likelihood, which is
+    1 outside a simplex and at most 1 inside, so weights stay in [0, 1].
 
     The points are R independently scrambled Sobol replicates of 2^k points
     each (``replicate_layout``), drawn by ``restricted_sample``; replicate r
@@ -582,24 +645,25 @@ def estimate_indicator(
     freedom gives its confidence interval.  Combined with it in quadrature
     is mass x the mean of the weights' quadrature error bounds, which bounds
     the estimate's quadrature error: an estimate with nothing random left
-    (identity1) reports that bound and no spread.  ``hits`` counts the
-    draws with positive weight.  A uniform i.i.d. audit pass
-    (``sample_polydisc`` in ``run_batches``' default 2^16-point batches)
-    measures the mass outside the region.  Zero support (no point with
+    (identity1, or an identity2 or coord_square box) reports that bound and
+    no spread, and its region is the whole polydisc, so no audit runs.
+    ``hits`` counts the draws with positive weight.  A uniform i.i.d. audit
+    pass (``sample_polydisc`` in ``run_batches``' default 2^16-point
+    batches) measures the mass outside the region.  Zero support (no point with
     positive weight) or leakage above the threshold fraction of the estimate
     marks the result untrusted; zero support also reports a one-sided upper
     confidence bound.
     """
-    split = _split_coordinate(bindings, n)
+    split = _split_coordinate(bindings, n, region.inner)
     fixed = integrated = ()
     if split is not None:
         # a simplex coordinate's radius is drawn: it depends on the others' deficits
-        drawn = split.coupled or split.j in region.inner
-        region = _free_angle(region, split.j, radius=not drawn)
-        if drawn:
+        if split.coupled or split.j in region.inner:
             fixed = (split.j,)
         else:
             integrated = (split.j,)
+        integrated += tuple(k for k, *_ in split.picks)
+        region = _free_angle(region, fixed, integrated)
     mass = region_mass(region, beta)
 
     replicates, size = replicate_layout(budget)
@@ -611,7 +675,7 @@ def estimate_indicator(
         if split is None:
             w, err = _members(bindings, z).astype(float), 0.0
         else:
-            w, err = _conditional_weights(bindings, split, z, beta, bool(integrated))
+            w, err = _conditional_weights(bindings, split, z, beta, split.j in integrated)
         likelihood = point_mass / mass  # exactly 1.0 outside a simplex
         w, err = w * likelihood, err * likelihood
         return (w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w)),

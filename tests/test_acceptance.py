@@ -114,6 +114,9 @@ def test_criterion_10_property_battery(run):
     assert properties["slice_gradient_constancy_5"] and properties["slice_gradient_constancy_6"]
     assert all(properties[f"boundary_derivative_{i}"] for i in range(7, 11))
     assert result.details["identity_ratio_worst_z"] <= 3.0
+    spec = MANIFEST["property_battery"]
+    boxes = spec["identity_boxes"] * len(spec["identity_betas"])
+    assert result.details["identity_boxes_with_stderr"] == boxes  # every box was tested
     assert result.details["certificates"]
     assert result.passed
 

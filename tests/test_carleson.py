@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polycarleson import carleson
+from polycarleson import carleson, measure, sublevel
 from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
 from polycarleson.measure import CarlesonBox, WeightParam, carleson_box_measure
@@ -41,6 +41,30 @@ class TestPreimageRatio:
             est = preimage_box_ratio(get_symbol("identity1"), box, WeightParam(beta), 4096, seed=6)
             assert est.trusted
             assert abs(est.ratio - 1.0) <= 1e-14, (delta, est.ratio)
+
+    @pytest.mark.parametrize("beta", manifest_betas())
+    @pytest.mark.parametrize("name", ["identity2", "swap2"])
+    def test_identity2_ratio_is_one(self, name, beta):
+        # each binding pins its own coordinate: the numerator is the product of
+        # the denominator's cap integrals, with nothing sampled
+        for radii in ((2.0**-9, 0.3), (2.0**-5, 1.5), (0.3, 0.3)):
+            box = CarlesonBox(TorusPoint((1.3, -2.0)), radii)
+            est = preimage_box_ratio(get_symbol(name), box, WeightParam(beta), 4096, seed=6)
+            assert est.trusted and est.numerator.region_mass == 1.0
+            assert abs(est.ratio - 1.0) <= 1e-14, (radii, est.ratio)
+
+    def test_coord_square_box_draws_nothing(self, monkeypatch):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a zero-dimensional estimate called the Sobol engine")
+
+        monkeypatch.setattr(measure, "sobol_points", no_engine)
+        monkeypatch.setattr(sublevel, "sample_polydisc", no_engine)  # no audit either
+        box = CarlesonBox(TorusPoint((0.0, 0.0)), (0.125, 0.125))
+        est = preimage_box_ratio(get_symbol("coord_square"), box, WeightParam(-0.9), 10_000,
+                                 seed=7)
+        assert est.trusted
+        # the cap weights' stated bounds are the whole stderr, never 0
+        assert 0.0 < est.stderr < 1e-4 * est.ratio
 
     def test_rotation_preserves_ratio(self):
         alpha = np.exp(0.9j)

@@ -464,6 +464,99 @@ class TestCoupledBindings:
         assert agree(est, volume, stderr), (est, volume, stderr)
 
 
+def own_entries(j, n, m, weights):
+    """A binding with c >= 0 summing to 1 that holds z_j alone, with exponent m.
+
+    The weights go to 1, z_j^m and, on the tridisc, z_3 and z_j^m z_3, which
+    the other binding may hold too.
+    """
+    unit = tuple(m if k == j else 0 for k in range(n))
+    monomials = [(0,) * n, unit]
+    if n == 3:
+        monomials += [(0, 0, 1), unit[:2] + (1,)]
+    pairs = [(a, w) for a, w in zip(monomials, weights) if w]
+    total = sum(w for _, w in pairs)
+    return [(a, w / total) for a, w in pairs]
+
+
+# an exponent and four weights, one of them on the binding's own coordinate alone
+OWN_BINDING = st.tuples(st.sampled_from([1, 2]),
+                        st.lists(st.integers(0, 3), min_size=4, max_size=4)
+                        .filter(lambda w: w[1]))
+
+# an indicator on the tridisc's shared coordinate z_3, which holds it with two exponents
+SHARED_INDICATOR = [((0, 0, 1), 0.5), ((0, 0, 2), 0.5)]
+
+
+def resolved(volume, stderr, budget):
+    """The oracle's stderr, with zero hits given the spread of one hit."""
+    return max(stderr, 1.0 / budget) if volume == 0.0 else stderr
+
+
+class TestMatchedBindings:
+    """Bindings that each hold their own coordinate: both are integrated, their weights multiply."""
+
+    ORACLE_DRAWS = 1_000_000
+
+    def check(self, entries, tolerances, n, beta, seed):
+        """The estimate against the uniform oracle; returns it and the matching."""
+        bindings = [(PolySymbol.from_tables([e], n), 1.0, d) for e, d in zip(entries, tolerances)]
+        region = build_proposal(bindings, n)
+        split = sublevel._split_coordinate(bindings, n, region.inner)
+        # z2 is picked unless the second binding's simplex holds it
+        picks = [] if 1 in region.inner else [(1, 1)]
+        assert split.j == 0 and [(k, index) for k, index, *_ in split.picks] == picks
+        est = sublevel.estimate_indicator(bindings, n, WeightParam(beta), region, 200_000, seed,
+                                          "matched")
+        volume, stderr = uniform_joint_volume([(e, 1.0, d) for e, d in zip(entries, tolerances)],
+                                              n, beta, self.ORACLE_DRAWS, seed)
+        stderr = resolved(volume, stderr, self.ORACLE_DRAWS)
+        assert est.trusted
+        assert agree(est, volume, stderr), (entries, tolerances, beta, est, volume, stderr)
+        return est, region
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(first=OWN_BINDING, second=OWN_BINDING,
+           deltas=st.tuples(st.floats(0.05, 0.3), st.floats(0.05, 0.3)),
+           beta=st.sampled_from([0.0, -0.5]), seed=st.integers(0, 2**16))
+    def test_bidisc_sets_are_exact(self, first, second, deltas, beta, seed):
+        # a and b are constants: nothing is drawn, and the volume is the
+        # product of two cap weights, exact to the stated bound
+        entries = [own_entries(0, 2, *first), own_entries(1, 2, *second)]
+        est, _ = self.check(entries, deltas, 2, beta, seed)
+        assert est.region_mass == 1.0  # the whole bidisc
+        exact = math.prod(
+            radial_cap_weight(sum(c for a, c in e if a[j]).real,
+                              1.0 - sum(c for a, c in e if not a[j]).real, d, m, beta)
+            for j, e, d, m in zip((0, 1), entries, deltas, (first[0], second[0])))
+        assert abs(est.volume - exact) <= est.stderr + 1e-13 * exact, (est, exact)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(first=OWN_BINDING, second=OWN_BINDING,
+           deltas=st.tuples(st.floats(0.05, 0.3), st.floats(0.05, 0.3)),
+           indicator=st.one_of(st.none(), st.floats(0.5, 1.0)),
+           beta=st.sampled_from([0.0, -0.5]), seed=st.integers(0, 2**16))
+    def test_tridisc_sets_agree_with_uniform_oracle(self, first, second, deltas, indicator, beta,
+                                                    seed):
+        # both bindings may hold z3, which is drawn; the indicator holds it alone
+        entries = [own_entries(0, 3, *first), own_entries(1, 3, *second)]
+        tolerances = list(deltas)
+        if indicator is not None:
+            entries.append(SHARED_INDICATOR)
+            tolerances.append(indicator)
+        self.check(entries, tolerances, 3, beta, seed)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_simplex_split_and_indicator(self, beta):
+        # (z1 + z3)/2 and (z2 + z3)/2: z1 is the split, drawn last in the first
+        # binding's simplex, z2 is picked and z3 drawn; the indicator on z3
+        # halves the volume or more, which the oracle resolves (> 200 hits)
+        entries = [own_entries(0, 3, 1, (0, 1, 1, 0)), own_entries(1, 3, 1, (0, 1, 1, 0)),
+                   SHARED_INDICATOR]
+        est, region = self.check(entries, (0.3, 0.25, 0.3), 3, beta, 53)
+        assert region.inner == (0, 2) and est.hits > 0
+
+
 class TestArcSetIntersection:
     """Arc-set intersection lengths against a brute-force grid of 10^5 angles."""
 
@@ -532,8 +625,8 @@ class TestReplicates:
         expected = sublevel.ZERO_HIT_FACTOR / 49_664 * est.region_mass + est.leakage
         assert est.upper_bound == pytest.approx(expected, rel=1e-12)
 
-    # The coverage cases below are four: two identity2 boxes and two fit
-    # cells.  Each covers with 95 % odds per seed if the stated interval is
+    # The coverage cases below are four: two fit cells and two box cells.
+    # Each covers with 95 % odds per seed if the stated interval is
     # calibrated, so the number covered is Binomial(60, 0.95); requiring at
     # least COVERED_MIN makes a calibrated estimator fail any of the four
     # with odds below 1e-3 in all.
@@ -548,51 +641,61 @@ class TestReplicates:
     @pytest.mark.parametrize("kind, beta", [("identity2_box", 0.0), ("identity2_box", -0.5),
                                             ("identity1_cap", 0.0), ("identity1_cap", -0.5)])
     def test_t_interval_covers_known_value(self, kind, beta):
-        budget, seeds = 16_384, range(60)
-        replicates, _ = replicate_layout(budget)
-        q = stats.t.ppf(0.975, replicates - 1)
-        weight = WeightParam(beta)
-        if kind == "identity1_cap":
-            # nothing random is left: z_1's radius and angle are both
-            # integrated, so the estimate is a quadrature whose stderr is its
-            # stated error bound; the reference is 100x tighter than that
+        # nothing random is left: every coordinate's radius and angle are
+        # integrated, so the estimate is a quadrature whose stderr is its
+        # stated error bound; the reference is 100x tighter than that
+        budget, weight = 16_384, WeightParam(beta)
+        if kind == "identity2_box":
+            box = CarlesonBox(TorusPoint((0.3, -1.0)), (0.25, 0.125))
+            est = preimage_box_ratio(get_symbol("identity2"), box, weight, budget, seed=0)
+            value, exact, exact_tol = est.ratio, 1.0, 2e-16  # the numerator is the denominator
+        else:
             est = estimate_sublevel(SublevelQuery(get_symbol("identity1"), 1.0, 0.125,
                                                   weight, budget, seed=0))
+            value = est.volume
             if beta == 0.0:  # closed form: a few rounding errors on terms near 0.1
                 exact, exact_tol = unit_disc_cap_area(0.125), 2e-15
             else:
                 exact, exact_tol = radial_cap_weight(1.0, 1.0, 0.125, 1, beta, epsrel=2e-14), 2e-14
-            assert est.trusted and est.stderr > 0
-            assert est.stderr >= 100 * exact_tol * exact
-            assert abs(est.volume - exact) <= est.stderr
-            return
-        # the 95 % Student t interval on R - 1 degrees of freedom must cover an exact value
+        assert est.trusted and est.stderr > 0
+        assert est.stderr >= 100 * exact_tol * exact
+        assert abs(value - exact) <= est.stderr
+
+    @staticmethod
+    def covered_count(estimate, value):
+        """Seeds 0..59 at 16,384 draws whose 95 % Student t interval covers a 2^22-draw reference."""
+        reference = estimate(2**22, 1000)
+        replicates, _ = replicate_layout(16_384)
+        q = stats.t.ppf(0.975, replicates - 1)
         covered = 0
-        for seed in seeds:
-            box = CarlesonBox(TorusPoint((0.3, -1.0)), (0.25, 0.125))
-            est = preimage_box_ratio(get_symbol("identity2"), box, weight, budget, seed=seed)
-            assert est.trusted and est.stderr > 0
-            covered += abs(est.ratio - 1.0) <= q * est.stderr
-        assert covered >= self.COVERED_MIN
+        for seed in range(60):
+            est = estimate(16_384, seed)
+            assert est.trusted and reference.stderr < 0.1 * est.stderr
+            covered += abs(value(est) - value(reference)) <= q * est.stderr
+        return covered
 
     @pytest.mark.parametrize("name", ["product3", "powersum2"])
     def test_t_interval_covers_reference_on_fit_cell(self, name):
-        # one cell of the exponent fits (delta = 2^-6): 60 seeds at 16,384
-        # draws against one estimate at 2^22 draws with a far smaller stderr
+        # one cell of the exponent fits (delta = 2^-6), against one estimate
+        # with a far smaller stderr
         def estimate(budget, seed):
             return estimate_sublevel(SublevelQuery(get_symbol(name), 1.0, 2.0**-6,
                                                    WeightParam(0.0), budget, seed=seed))
 
-        reference = estimate(2**22, 1000)
-        replicates, _ = replicate_layout(16_384)
-        q = stats.t.ppf(0.975, replicates - 1)
-        seeds = range(60)
-        covered = 0
-        for seed in seeds:
-            est = estimate(16_384, seed)
-            assert est.trusted and reference.stderr < 0.1 * est.stderr
-            covered += abs(est.volume - reference.volume) <= q * est.stderr
-        assert covered >= self.COVERED_MIN
+        assert self.covered_count(estimate, lambda est: est.volume) >= self.COVERED_MIN
+
+    @pytest.mark.parametrize("name", ["mean_product", "general2"])
+    def test_t_interval_covers_reference_on_box(self, name):
+        # one box of a scan (delta = 2^-4 at (1, 1)): mean_product's coupled
+        # split draws its radius, general2's z2 lies in both bindings
+        general2 = [[((1, 0), 1 / 3), ((0, 1), 1 / 3), ((1, 1), 1 / 3)], [((0, 1), 1.0)]]
+        sym = PolySymbol.from_tables(general2, 2) if name == "general2" else get_symbol(name)
+        box = CarlesonBox(TorusPoint((0.0, 0.0)), (2.0**-4, 2.0**-4))
+
+        def estimate(budget, seed):
+            return preimage_box_ratio(sym, box, WeightParam(0.0), budget, seed=seed)
+
+        assert self.covered_count(estimate, lambda est: est.ratio) >= self.COVERED_MIN
 
 
 class TestExactMonomialOracle:
