@@ -31,13 +31,14 @@ its own slice of the simplex; each draw carries its exact likelihood factor
 (annulus mass times arc fraction), so the points are importance-weighted
 rather than uniform there.  A coordinate whose angle (``fixed``) or whose
 radius and angle (``integrated``) the caller integrates takes no uniform for
-them; a fixed simplex coordinate, drawn last, takes its radius by a cosine
-map on the interval where the binding's angular arc is non-empty.
-``restricted_sample`` feeds the map i.i.d. uniforms or, for the sublevel
-estimator, scrambled Sobol replicates; ``sample_polydisc``, the leakage
-audit's sampler, feeds it i.i.d. uniforms for the full polydisc.  With each
-point's mass (the region's exact product mass times the point's likelihood)
-averages over the points are unbiased.
+them; the sampler draws a fixed simplex coordinate last, its radius by a
+cosine map on the interval where the binding's angular arc is non-empty.
+``restricted_sample`` feeds the map i.i.d. uniforms from one generator or,
+for the sublevel estimator, scrambled Sobol replicates, one per generator of
+a sequence; ``sample_polydisc``, the leakage audit's sampler, feeds it
+i.i.d. uniforms for the full polydisc.  With each point's mass (the region's
+exact product mass times the point's likelihood) averages over the points
+are unbiased.
 """
 
 from __future__ import annotations
@@ -503,9 +504,9 @@ class DeficitSimplex:
     |f - eta| >= Re(conj(u)/|u| (eta - f)) = sum_k |c_k| x_k - (sum_k |c_k| - |u|),
     so the binding implies the simplex with budget delta + sum_k |c_k| - |u|
     (delta itself at an extremal target |u| = sum_k |c_k|).  Every x_k >= 0
-    on the closed polydisc.  Coordinates are drawn in ``coords`` order;
-    ``last`` moves one to the end.  ``target`` |u| and ``tolerance`` delta
-    also give the binding's angular arc on the last coordinate.
+    on the closed polydisc.  Coordinates are drawn in ``coords`` order, but
+    for a fixed one, which is drawn last (``_simplex_points``).  ``target``
+    |u| and ``tolerance`` delta also give the binding's angular arc on it.
     """
 
     coords: tuple[int, ...]
@@ -524,13 +525,6 @@ class DeficitSimplex:
     @property
     def budget(self) -> float:
         return self.tolerance + math.fsum(self.moduli) - self.target
-
-    def last(self, j: int) -> "DeficitSimplex":
-        """The same simplex with coordinate j drawn last."""
-        order = [k for k, c in enumerate(self.coords) if c != j] + [self.coords.index(j)]
-        pick = lambda seq: tuple(seq[k] for k in order)
-        return DeficitSimplex(pick(self.coords), pick(self.powers), pick(self.moduli),
-                              pick(self.phases), self.target, self.tolerance)
 
     def deficit(self, z: np.ndarray) -> np.ndarray:
         """sum_k |c_k| x_k at each row of z."""
@@ -582,7 +576,7 @@ class AnnulusArc:
 
     @property
     def inner(self) -> tuple[int, ...]:
-        """The simplex coordinates, in drawing order."""
+        """The simplex coordinates."""
         return self.simplex.coords if self.simplex is not None else ()
 
 
@@ -724,8 +718,9 @@ def _simplex_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle
     with q = 1 - r_min^2, and psi = m theta_k - phi_k uniform on ±gamma with
     gamma = arccos((1 - left/|c_k|)/r^m) and branch floor(m u): exactly the
     slice {|c_k| x_k <= left}.  The likelihood picks up q^(beta+1) gamma/pi
-    and left drops by |c_k| x_k.  A fixed coordinate, the last, comes back as
-    its real radius, from ``_arc_radius`` on the binding's arc at
+    and left drops by |c_k| x_k.  The coordinates go in ``coords`` order,
+    but for the fixed one, which has no angle column: it goes last and comes
+    back as its real radius, from ``_arc_radius`` on the binding's arc at
     |u'| = |u - sum_{k drawn} c_k z_k^{m_k}| cut to what the simplex leaves;
     its Jacobian is its factor.
 
@@ -737,7 +732,9 @@ def _simplex_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle
     left = simplex.budget
     likelihood = np.ones(z.shape[1])
     sine = np.zeros(z.shape[1])  # Im sum_k |c_k| e^{-i phi_k} z_k^{m_k} over the drawn coordinates
-    for j, m, c, phi in zip(simplex.coords, simplex.powers, simplex.moduli, simplex.phases):
+    parts = sorted(zip(simplex.coords, simplex.powers, simplex.moduli, simplex.phases),
+                   key=lambda part: part[0] not in angle_u)  # stable: the fixed one last
+    for j, m, c, phi in parts:
         ell = left / c
         floor = np.maximum(1.0 - np.minimum(ell, 1.0), (1.0 - region.depths[j]) ** m)  # r_min^m
         if j not in angle_u:
@@ -792,7 +789,7 @@ def region_points(region: AnnulusArc, beta: WeightParam, u: np.ndarray,
 
     The ``fixed`` coordinates take no angle column and come back as their
     real radii r_j: a caller that integrates those angles in closed form
-    reads only their moduli.  A fixed simplex coordinate must be drawn last.
+    reads only their moduli; at most one of them is a simplex coordinate.
     The ``integrated`` coordinates take no column at all and come back as
     NaN: the caller integrates radius and angle and reads neither.  Both need
     free angles, and an integrated coordinate the full radial range outside
@@ -801,9 +798,10 @@ def region_points(region: AnnulusArc, beta: WeightParam, u: np.ndarray,
     n = region.n
     window, inner = region.window, region.inner
     if any(region.arcs[j] is not None or (window is not None and window.coeffs[j] > 0)
-           or (j in inner and (j in integrated or j != inner[-1]))
-           for j in fixed + integrated):
+           or (j in inner and j in integrated) for j in fixed + integrated):
         raise ValueError("a fixed or integrated coordinate's angle must be unconstrained")
+    if sum(j in inner for j in fixed) > 1:
+        raise ValueError("at most one simplex coordinate can be fixed")
     if any(region.depths[j] < 1.0 for j in integrated):
         raise ValueError("an integrated coordinate's radius must be unconstrained")
     u = np.asarray(u, dtype=float)
@@ -853,29 +851,27 @@ def sample_polydisc(n: int, beta: WeightParam, rng: np.random.Generator, size: i
 def restricted_sample(region: AnnulusArc, beta: WeightParam,
                       rng: np.random.Generator | Sequence[np.random.Generator],
                       size: int, fixed: tuple[int, ...] = (),
-                      sobol: bool = False,
                       integrated: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray | float]:
     """(size, n) points of the region, plus each point's mass.
 
     A point's mass is the region's exact mass (``region_mass``) times its
     likelihood (``region_points``): one float for a region without a
-    simplex, else one per point.  The points are i.i.d., or with ``sobol``
-    scrambled Sobol replicates, one per generator when ``rng`` is a sequence
-    of them, which split ``size`` evenly (powers of two).  The ``fixed`` and
-    ``integrated`` coordinates come back as in ``region_points``.  When they
-    leave no uniform to draw, every point is the same and no generator is
-    read.
+    simplex, else one per point.  One generator gives i.i.d. points; a
+    sequence of generators gives scrambled Sobol replicates, one per
+    generator, which split ``size`` evenly (powers of two).  The ``fixed``
+    and ``integrated`` coordinates come back as in ``region_points``.  When
+    they leave no uniform to draw, every point is the same and no generator
+    is read.
     """
     d = sample_dim(region, fixed, integrated)
     if d == 0:
         u = np.empty((size, 0))
-    elif sobol:
-        replicates = 1 if isinstance(rng, np.random.Generator) else len(rng)
-        if size % replicates:
-            raise ValueError(f"{size} points do not split into {replicates} Sobol replicates")
-        u = sobol_points(rng, d, size // replicates)
-    else:
+    elif isinstance(rng, np.random.Generator):
         u = rng.random((size, d))
+    else:
+        if size % len(rng):
+            raise ValueError(f"{size} points do not split into {len(rng)} Sobol replicates")
+        u = sobol_points(rng, d, size // len(rng))
     z, likelihood = region_points(region, beta, u, fixed, integrated)
     return z, region_mass(region, beta) * likelihood
 

@@ -18,30 +18,30 @@ sets, the region is provably empty; empty only with a heuristic fiber-arc
 set among them, it falls back to the sets' union.
 
 Inside the region coordinates are integrated out (conditional Monte Carlo)
-along a matching of coordinates to bindings.  The split is the lowest z_j
-that every binding containing it contains as a + b z_j^m, a single exponent
-m with a and b free of z_j.  At fixed other coordinates and r_j such a
-binding holds on m arcs of theta_j, {m theta_j - arg(u/b) in ±h} with
-u = eta - a and half-width h = arccos((rho^2 + |u|^2 - delta^2)/(2 rho
-|u|)), rho = |b| r_j^m.  When no other binding contains z_j, r_j is
-integrated too: each draw contributes W = ∫ h/pi dmu_beta(r_j) over the
-whole radial law, a lens area for m = 1 at beta = 0 and otherwise a
-21-point Gauss-Kronrod rule (``measure._radial_cap_weight``), and z_j takes
-no uniform at all.  Otherwise r_j is drawn and each draw contributes the
-length of the intersection of the arc sets over 2 pi (h/pi for one set): a
-simplex coordinate's r_j, drawn last, takes one uniform through a cosine map
-on the interval where the arc is non-empty, and the draw's likelihood
-(``measure.region_points``) multiplies its weight.  Each further z_k that
-one binding alone contains, with a single exponent, outside the deficit
-simplex, is picked too when its binding holds no other picked coordinate:
-its radius and angle are integrated the same way, and its W multiplies the
-weight, since given the drawn coordinates the picked bindings hold
-independently.  The region drops its constraints on what is integrated
-(the picked coordinates' arcs, the angle-sum window, and the depths of the
-integrated radii).  A box whose bindings each pin their own coordinate, as
-identity2's and coord_square's do, leaves nothing to draw: its estimate is
-a quadrature.  Binding sets with no split coordinate fall back to plain hit
-counting.
+along one matching of coordinates to bindings (``_split_coordinate``), which
+gives each coordinate one of three roles.  A binding that contains z_j as
+a + b z_j^m, a single exponent m with a and b free of z_j, holds at fixed
+other coordinates and r_j on m arcs of theta_j, {m theta_j - arg(u/b) in
+±h} with u = eta - a and half-width h = arccos((rho^2 + |u|^2 -
+delta^2)/(2 rho |u|)), rho = |b| r_j^m.  Every coordinate that one binding
+holds alone so, outside the deficit simplex, is integrated whole when its
+binding holds no other matched coordinate: each draw's weight takes the
+factor W = ∫ h/pi dmu_beta(r) over the whole radial law, a lens area for
+m = 1 at beta = 0 and otherwise a 21-point Gauss-Kronrod rule
+(``measure._radial_cap_weight``), and the coordinate takes no uniform.
+Given the drawn coordinates these bindings hold independently, so their W
+multiply.  The split, the lowest coordinate that every binding containing it
+contains so, keeps a drawn radius instead when several bindings contain it
+or the simplex holds it: its factor is the length of the intersection of
+the arc sets over 2 pi (h/pi for one set), and a simplex coordinate's r_j,
+drawn last, takes one uniform through a cosine map on the interval where the
+arc is non-empty, the draw's likelihood (``measure.region_points``)
+multiplying its weight.  Every other coordinate is drawn.  The region drops
+its constraints on what is integrated (the matched coordinates' arcs, the
+angle-sum window, and the depths of the integrated radii).  A box whose
+bindings each pin their own coordinate, as identity2's and coord_square's
+do, leaves nothing to draw: its estimate is a quadrature.  Binding sets with
+no split coordinate fall back to plain hit counting.
 
 The conditioned integrand is a bounded, almost everywhere continuous function
 of the remaining uniforms (two per drawn coordinate, one for a drawn split
@@ -78,6 +78,7 @@ from .measure import (
     region_contains,
     region_mass,
     restricted_sample,
+    sample_dim,
     sample_polydisc,
 )
 from .montecarlo import replicate_bundle, replicate_layout, run_batches, sum_counts
@@ -391,23 +392,28 @@ def _members(bindings: list[Binding], z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _AngleSplit:
-    """The coordinates an estimate integrates: ``_split_coordinate``'s matching.
+class _Matching:
+    """Each coordinate's role in an estimate: ``_split_coordinate``'s matching.
 
-    ``parts`` lists (binding index, m, a, b) for each binding that contains
-    the split z_j, written a + b z_j^m with a and b free of z_j, in binding
-    order: the first is the split binding.  ``coupled``: another binding
-    contains z_j too.  ``picks`` lists (k, binding index, m, a, b) for each
-    further coordinate z_k, written so in the one binding that holds it.
+    ``angle`` is (j, parts) for a split z_j that keeps a drawn radius, with
+    (binding index, m, a, b) in ``parts`` for each binding that contains it
+    as a + b z_j^m, a and b free of z_j, in binding order; else None.
+    ``picks`` lists (k, binding index, m, a, b) for each coordinate z_k
+    integrated whole, written so in the one binding that holds it.
     """
 
-    j: int
-    parts: tuple[tuple[int, int, MonomialTable, MonomialTable], ...]
-    picks: tuple[tuple[int, int, int, MonomialTable, MonomialTable], ...] = ()
+    angle: tuple[int, tuple[tuple[int, int, MonomialTable, MonomialTable], ...]] | None
+    picks: tuple[tuple[int, int, int, MonomialTable, MonomialTable], ...]
 
     @property
-    def coupled(self) -> bool:
-        return len(self.parts) > 1
+    def fixed(self) -> tuple[int, ...]:
+        """The coordinate whose angle alone is integrated: it takes no angle column."""
+        return () if self.angle is None else (self.angle[0],)
+
+    @property
+    def integrated(self) -> tuple[int, ...]:
+        """The coordinates whose radius and angle are integrated: they take no column."""
+        return tuple(k for k, *_ in self.picks)
 
 
 def _holders(bindings: list[Binding], j: int):
@@ -425,47 +431,44 @@ def _holders(bindings: list[Binding], j: int):
     return tuple(parts)
 
 
-def _split_coordinate(bindings: list[Binding], n: int, inner=()) -> _AngleSplit | None:
-    """The split and the picks, or None when no coordinate splits.
+def _split_coordinate(bindings: list[Binding], n: int, inner=()) -> _Matching:
+    """The one place that gives each coordinate its role.
 
     The split is the lowest z_j that every binding containing it contains
-    with a single exponent.  Each further z_k, in coordinate order, is picked
-    when exactly one binding contains it, with a single exponent, that
-    binding holds no coordinate picked before (the split's among them), and
-    z_k is not among the simplex coordinates ``inner``.
+    with a single exponent.  It keeps a drawn radius (``angle``) when several
+    bindings contain it or it is among the simplex coordinates ``inner``.
+    Then, from z_j on in coordinate order, z_k is picked when exactly one
+    binding contains it, with a single exponent, outside ``inner``, and that
+    binding holds no coordinate picked before nor the angle's: an uncoupled
+    split outside the simplex is the first pick.  With no split, nothing is
+    integrated.
     """
     holders = [_holders(bindings, j) for j in range(n)]
-    for j, parts in enumerate(holders):
-        if parts:
-            break
-    else:
-        return None
-    taken = {index for index, *_ in parts}
-    picks = []
-    for k in range(j + 1, n):
+    j = next((j for j, parts in enumerate(holders) if parts), n)
+    angle, taken, picks = None, set(), []
+    if j < n and (len(holders[j]) > 1 or j in inner):
+        angle = (j, holders[j])
+        taken = {index for index, *_ in holders[j]}
+    for k in range(j, n):
         held = holders[k]
         if held and len(held) == 1 and held[0][0] not in taken and k not in inner:
             taken.add(held[0][0])
             picks.append((k, *held[0]))
-    return _AngleSplit(j, parts, tuple(picks))
+    return _Matching(angle, tuple(picks))
 
 
 def _free_angle(region: AnnulusArc, fixed: tuple[int, ...],
                 integrated: tuple[int, ...]) -> AnnulusArc:
-    """The region without its arcs on the picked coordinates and without its angle-sum window.
+    """The region without its arcs on the matched coordinates and without its angle-sum window.
 
     An ``integrated`` coordinate loses its depth too: its radius is then
-    integrated over its whole law.  A ``fixed`` simplex coordinate is drawn
-    last in its simplex.
+    integrated over its whole law.  The simplex stays as it is: the sampler
+    draws a ``fixed`` simplex coordinate last (``measure._simplex_points``).
     """
     picked = fixed + integrated
     arcs = tuple(None if j in picked else a for j, a in enumerate(region.arcs))
     depths = tuple(1.0 if j in integrated else s for j, s in enumerate(region.depths))
-    simplex = region.simplex
-    for j in fixed:
-        if j in region.inner:
-            simplex = simplex.last(j)
-    return AnnulusArc(depths=depths, arcs=arcs, simplex=simplex)
+    return AnnulusArc(depths=depths, arcs=arcs, simplex=region.simplex)
 
 
 def _modulus(x: np.ndarray) -> np.ndarray:
@@ -534,49 +537,48 @@ def _cap_factor(binding: Binding, m: int, a_table: MonomialTable, b_table: Monom
     return _radial_cap_weight(np.abs(b), np.abs(u), tol, m, beta)
 
 
-def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndarray,
-                         beta: WeightParam,
-                         integrated: bool) -> tuple[np.ndarray, np.ndarray | float]:
-    """P(every binding holds | z with the picked coordinates integrated out), per row, and bounds.
+def _conditional_weights(bindings: list[Binding], match: _Matching, z: np.ndarray,
+                         beta: WeightParam) -> tuple[np.ndarray, np.ndarray | float]:
+    """P(every binding holds | z with the matched coordinates integrated out), per row, and bounds.
 
-    Given the drawn coordinates, the bindings that hold the split and each
-    pick hold independently, since no two of them share a picked
+    Given the drawn coordinates, the bindings that hold the angle and each
+    pick hold independently, since no two of them share a matched
     coordinate, and the other bindings are 0/1 indicators of the drawn
-    coordinates: the weight is their product.  A pick z_k's binding holds
-    with probability W_k = ∫ h(|b| r^m, |u|, delta)/pi dmu_beta(r) over
-    z_k's whole radial law (``_cap_factor``), and the product's bound is
-    prod(W + e) - prod(W) over its factors' bounds e, the rule of
-    ``carleson_box_measure``.  ``restricted_sample`` leaves column k unused.
+    coordinates: the weight is their product, 1 with nothing matched.  A
+    pick z_k's binding holds with probability W_k = ∫ h(|b| r^m, |u|,
+    delta)/pi dmu_beta(r) over z_k's whole radial law (``_cap_factor``), and
+    the product's bound is prod(W + e) - prod(W) over its factors' bounds e,
+    the rule of ``carleson_box_measure``.  ``restricted_sample`` leaves
+    column k unused.
 
-    With ``integrated``, column j of ``z`` is unused too and no other binding
-    contains z_j: the split binding's factor is a W like the picks'.
-    Otherwise column j holds the real radius r_j, as ``restricted_sample``
+    The angle's column j holds the real radius r_j, as ``restricted_sample``
     leaves a fixed coordinate: drawn by the region, by the cosine map on the
     interval where the simplex binding's arc is non-empty when z_j is a
     simplex coordinate, its Jacobian then in the point's likelihood.  Only
     theta_j is integrated, exactly up to rounding.  Each binding a + b z_j^m
     that contains z_j holds on the arc set {m theta_j - arg(u/b) in ±h}, of
-    m arcs, so the split's factor is the length of the intersection of those
-    sets over 2 pi (``_arc_set_intersection``): h/pi when the split binding
-    is the only one.
+    m arcs, so the angle's factor is the length of the intersection of those
+    sets over 2 pi (``_arc_set_intersection``): h/pi for one binding.
+
+    The first factor is taken as it is, not multiplied into w = 1, err = 0:
+    the five array operations that would copy it cost ~0.14 ms per 2^16-row
+    bundle, ~2 % of a product2 estimate.
     """
-    j = split.j
     cache: dict = {}
-    held = {index for index, *_ in split.parts} | {index for _, index, *_ in split.picks}
+    parts = () if match.angle is None else match.angle[1]
+    held = {index for index, *_ in parts} | {index for _, index, *_ in match.picks}
     others = [binding for i, binding in enumerate(bindings) if i not in held]
-    if integrated:  # the split binding is the only part
-        ((index, m, a_table, b_table),) = split.parts
-        w, err = _cap_factor(bindings[index], m, a_table, b_table, z, cache, beta)
-    else:
+    factors = []  # (weight, bound) of each binding that holds a matched coordinate
+    if parts:
         arcs = []
-        for index, m, a_table, b_table in split.parts:
+        for index, m, a_table, b_table in parts:
             _, target, tol = bindings[index]
             u = target - _eval_table(a_table, z, cache)
             b = _eval_table(b_table, z, cache)
-            rho = _power(z[:, j].real, m)
+            rho = _power(z[:, match.angle[0]].real, m)
             rho *= _modulus(b)
             arcs.append((m, u, b, _cap_angular_halfwidth(rho, _modulus(u), tol)))
-        if split.coupled:
+        if len(arcs) > 1:
             # rows with an empty arc set weigh 0; on the rest each set's arcs are
             # centred on the m-th roots of u/b
             rows = np.flatnonzero(np.logical_and.reduce([h > 0.0 for *_, h in arcs]))
@@ -586,9 +588,11 @@ def _conditional_weights(bindings: list[Binding], split: _AngleSplit, z: np.ndar
             w /= TWO_PI
         else:
             w = arcs[0][3] / math.pi
-        err = 0.0
-    for _, index, m, a_table, b_table in split.picks:
-        cap, bound = _cap_factor(bindings[index], m, a_table, b_table, z, cache, beta)
+        factors.append((w, 0.0))
+    factors += [_cap_factor(bindings[index], m, a_table, b_table, z, cache, beta)
+                for _, index, m, a_table, b_table in match.picks]
+    w, err = factors[0] if factors else (1.0, 0.0)
+    for cap, bound in factors[1:]:
         err = err * (cap + bound) + w * bound
         w = w * cap
     if others:
@@ -618,22 +622,18 @@ def estimate_indicator(
     ``bindings`` lists (scalar symbol, target, tolerance) tests
     |f(z) - target| <= tolerance, the triples ``build_proposal`` takes.
     Callers merge repeats first (``_merge_bindings``); a closed test and its
-    open twin differ by a V_beta-null boundary.  When every binding that
-    contains some coordinate z_j contains it with a single exponent, the
-    lowest such z_j is integrated in closed form or by quadrature
-    (conditional Monte Carlo, ``_conditional_weights``), and so is every
-    further z_k picked by ``_split_coordinate``'s matching: each point
-    contributes the probability over the picked coordinates that every
-    binding holds.  If no other binding contains z_j and the region has no
-    simplex on it, its radius and angle are both integrated and take no
-    uniform, as every pick's are.  Otherwise only theta_j is integrated, as
-    the length of the intersection of the arc sets on which the bindings
-    containing z_j hold, and r_j is drawn, last among the simplex
-    coordinates if it is one.  The region drops its arcs and angle-sum
-    window on the picked coordinates and its depths on the integrated ones
-    (``_free_angle``).  Binding sets with no such coordinate give plain 0/1
-    weights.  Each weight is multiplied by its point's likelihood, which is
-    1 outside a simplex and at most 1 inside, so weights stay in [0, 1].
+    open twin differ by a V_beta-null boundary.  ``_split_coordinate``'s
+    matching gives each coordinate its role, and each point contributes the
+    probability over the matched coordinates that every binding holds
+    (conditional Monte Carlo, ``_conditional_weights``).  The picks, each
+    held by one binding alone, are integrated whole, radius and angle, and
+    take no uniform.  The angle's coordinate, a split that several bindings
+    contain or that the simplex holds, keeps a drawn radius, and only its
+    angle is integrated.  The region drops its arcs and angle-sum window on
+    the matched coordinates and its depths on the integrated ones
+    (``_free_angle``).  With nothing matched the weights are plain 0/1
+    indicators.  Each weight is multiplied by its point's likelihood, which
+    is 1 outside a simplex and at most 1 inside, so weights stay in [0, 1].
 
     The points are R independently scrambled Sobol replicates of 2^k points
     each (``replicate_layout``), drawn by ``restricted_sample``; replicate r
@@ -644,9 +644,10 @@ def estimate_indicator(
     standard error (ddof 1), so a Student t quantile with R - 1 degrees of
     freedom gives its confidence interval.  Combined with it in quadrature
     is mass x the mean of the weights' quadrature error bounds, which bounds
-    the estimate's quadrature error: an estimate with nothing random left
-    (identity1, or an identity2 or coord_square box) reports that bound and
-    no spread, and its region is the whole polydisc, so no audit runs.
+    the estimate's quadrature error: an estimate with nothing drawn
+    (identity1, or an identity2 or coord_square box) reports that bound at
+    any budget, and its region is the whole polydisc, so no audit runs.  A
+    single sampled replicate reports stderr infinity.
     ``hits`` counts the draws with positive weight.  A uniform i.i.d. audit
     pass (``sample_polydisc`` in ``run_batches``' default 2^16-point
     batches) measures the mass outside the region.  Zero support (no point with
@@ -654,15 +655,9 @@ def estimate_indicator(
     marks the result untrusted; zero support also reports a one-sided upper
     confidence bound.
     """
-    split = _split_coordinate(bindings, n, region.inner)
-    fixed = integrated = ()
-    if split is not None:
-        # a simplex coordinate's radius is drawn: it depends on the others' deficits
-        if split.coupled or split.j in region.inner:
-            fixed = (split.j,)
-        else:
-            integrated = (split.j,)
-        integrated += tuple(k for k, *_ in split.picks)
+    match = _split_coordinate(bindings, n, region.inner)
+    fixed, integrated = match.fixed, match.integrated
+    if fixed or integrated:  # with nothing matched the region keeps its window
         region = _free_angle(region, fixed, integrated)
     mass = region_mass(region, beta)
 
@@ -670,12 +665,8 @@ def estimate_indicator(
     draws = replicates * size
 
     def main_worker(rngs, count):
-        z, point_mass = restricted_sample(region, beta, rngs, count, fixed, sobol=True,
-                                          integrated=integrated)
-        if split is None:
-            w, err = _members(bindings, z).astype(float), 0.0
-        else:
-            w, err = _conditional_weights(bindings, split, z, beta, split.j in integrated)
+        z, point_mass = restricted_sample(region, beta, rngs, count, fixed, integrated)
+        w, err = _conditional_weights(bindings, match, z, beta)
         likelihood = point_mass / mass  # exactly 1.0 outside a simplex
         w, err = w * likelihood, err * likelihood
         return (w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w)),
@@ -691,10 +682,11 @@ def estimate_indicator(
     restricted = mass * mean
     # every weight is off by at most its bound, so the mean by at most theirs
     quadrature = mass * math.fsum(e for _, _, e in batches) / draws
-    stderr = math.inf  # a single replicate has no spread
     if replicates > 1:
         spread = math.fsum((m - mean) ** 2 for m in means) / (replicates - 1)
         stderr = math.hypot(mass * math.sqrt(spread / replicates), quadrature)
+    else:  # one replicate shows no spread, and with nothing drawn there is none
+        stderr = quadrature if sample_dim(region, fixed, integrated) == 0 else math.inf
 
     leakage = 0.0
     leak_stderr = 0.0

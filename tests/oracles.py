@@ -129,6 +129,8 @@ def uniform_joint_volume(bindings, n, beta, budget, seed):
     |f(z) - target| <= tolerance for f given by its (exponent tuple,
     coefficient) entries.  Draws ``budget`` i.i.d. points of V_beta, whose
     |z_j|^2 = 1 - (1 - U)^(1/(beta+1)) is U itself at beta = 0 (Lebesgue).
+    With no hit the stderr is the spread of one hit, 1/budget: the volume
+    may be anywhere below about that.
     """
     rng = np.random.default_rng(seed)
     r = np.sqrt(1.0 - (1.0 - rng.random((budget, n))) ** (1.0 / (beta + 1.0)))
@@ -140,7 +142,7 @@ def uniform_joint_volume(bindings, n, beta, budget, seed):
             f += c * np.prod(z ** np.asarray(alpha), axis=1)
         ok &= np.abs(f - target) <= tol
     p = np.count_nonzero(ok) / budget
-    return p, float(np.sqrt(p * (1.0 - p) / budget))
+    return p, float(np.sqrt(p * (1.0 - p) / budget)) if p else 1.0 / budget
 
 
 def _halfwidth(rho, u, delta):

@@ -53,6 +53,14 @@ class TestPreimageRatio:
             assert est.trusted and est.numerator.region_mass == 1.0
             assert abs(est.ratio - 1.0) <= 1e-14, (radii, est.ratio)
 
+    def test_identity2_stderr_at_any_budget(self):
+        # nothing is drawn: a single replicate states the quadrature bound that 64 do
+        box = CarlesonBox(TorusPoint((1.3, -2.0)), (2.0**-5, 1.5))
+        one, many = (preimage_box_ratio(get_symbol("identity2"), box, WeightParam(-0.5), budget,
+                                        seed=6) for budget in (1, 4096))
+        assert 0.0 < one.stderr < math.inf
+        assert one.stderr == pytest.approx(many.stderr, rel=1e-12)
+
     def test_coord_square_box_draws_nothing(self, monkeypatch):
         def no_engine(*args, **kwargs):
             raise AssertionError("a zero-dimensional estimate called the Sobol engine")

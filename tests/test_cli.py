@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import warnings
 
 import pytest
@@ -12,6 +13,12 @@ from polycarleson.output import json_text
 
 def run_cli(args):
     return main(args)
+
+
+def assert_finite_stderr(path):
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    column = header.index("stderr")
+    assert rows and all(math.isfinite(float(row[column])) for row in rows), rows
 
 
 class TestConfigRoundTrip:
@@ -147,6 +154,14 @@ class TestExponentCommand:
         svg = (tmp_path / "exponent_product2.svg").read_text()
         assert svg.startswith("<svg") and "slope" in svg
 
+    def test_quadrature_at_budget_one(self, tmp_path, capsys):
+        # identity1 draws nothing: one replicate still states its quadrature bound
+        code = run_cli(["exponent", "--symbol", "identity1", "--budget", "1",
+                        "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["slope_stderr"])
+        assert_finite_stderr(tmp_path / "exponent_identity1.csv")
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = ExperimentConfig(subcommand="exponent", symbol="product2",
                                budget=100000, seed=1,
@@ -253,6 +268,17 @@ class TestCarlesonCommand:
                         "--out-dir", str(tmp_path)])
         assert code == 0
         assert len(list(tmp_path.glob("carleson_*.csv"))) == 1
+
+    @pytest.mark.parametrize("symbol, extra", [("identity2", ["--format", "csv"]),
+                                               ("coord_square", ["--beta", "-0.9"])],
+                             ids=["identity2", "coord_square"])
+    def test_quadrature_at_budget_one(self, tmp_path, capsys, symbol, extra):
+        # every box draws nothing: one replicate still states its quadrature bound
+        code = run_cli(["carleson", "--symbol", symbol, "--shrink", "1,1", "--budget", "1",
+                        *extra, "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["slope_stderr"])
+        assert_finite_stderr(tmp_path / f"carleson_{symbol}.csv")
 
     def test_missing_shrink_exit_2(self, tmp_path):
         assert run_cli(["carleson", "--symbol", "identity2",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -437,7 +438,21 @@ class TestRegions:
         assert np.array_equal(together, np.concatenate(apart))
         rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
         with pytest.raises(ValueError):
-            restricted_sample(AnnulusArc.full(1), WeightParam(0.0), rngs, 1024, sobol=True)
+            restricted_sample(AnnulusArc.full(1), WeightParam(0.0), rngs, 1024)
+
+    def test_restricted_sample_dispatch(self):
+        # one generator gives i.i.d. points, a list one Sobol replicate per generator
+        window = AngleSumWindow(coeffs=(1, 2), center=1.0, halfwidth=0.1, solve_index=1)
+        region = AnnulusArc(depths=(0.2, 0.3), arcs=(merge_arcs([(-0.2, 0.4)]), None),
+                            window=window)
+        beta = WeightParam(-0.5)
+        d = sample_dim(region)
+        z, mass = restricted_sample(region, beta, np.random.default_rng(26), 1024)
+        iid, _ = region_points(region, beta, np.random.default_rng(26).random((1024, d)))
+        assert np.array_equal(z, iid) and mass == region_mass(region, beta)
+        z, _ = restricted_sample(region, beta, [np.random.default_rng(s) for s in (1, 2)], 1024)
+        u = sobol_points([np.random.default_rng(s) for s in (1, 2)], d, 512)
+        assert np.array_equal(z, region_points(region, beta, u)[0])
 
     def test_empty_region_raises(self):
         with pytest.raises(EmptyRegion):
@@ -569,14 +584,27 @@ class TestDeficitSimplex:
         z, likelihood = region_points(region, WeightParam(beta), u)
         assert np.all(region_contains(region, z))
         assert np.all((0.0 <= likelihood) & (likelihood <= 1.0))
-        if isinstance(region, AnnulusArc) and region.simplex is not None:
-            # the last coordinate, fixed: a real radius whose Jacobian keeps the likelihood <= 1
-            last = region.simplex.coords[-1]
-            u = u[:, :sample_dim(region, fixed=(last,))]
-            z, likelihood = region_points(region, WeightParam(beta), u, fixed=(last,))
-            assert np.all((z[:, last].imag == 0.0) & (z[:, last].real >= 0.0))
-            assert np.all(z[:, last].real < 1.0)
+        simplex = region.simplex if isinstance(region, AnnulusArc) else None
+        for k, j in enumerate(simplex.coords if simplex is not None else ()):
+            # coordinate j fixed: a real radius whose Jacobian keeps the likelihood <= 1,
+            # drawn last, bit for bit as from a simplex that lists it last
+            order = [i for i in range(len(simplex.coords)) if i != k] + [k]
+            last = dataclasses.replace(simplex, **{
+                name: tuple(getattr(simplex, name)[i] for i in order)
+                for name in ("coords", "powers", "moduli", "phases")})
+            v = u[:, :sample_dim(region, fixed=(j,))]
+            z, likelihood = region_points(region, WeightParam(beta), v, fixed=(j,))
+            z_last, likelihood_last = region_points(dataclasses.replace(region, simplex=last),
+                                                    WeightParam(beta), v, fixed=(j,))
+            assert np.array_equal(z, z_last) and np.array_equal(likelihood, likelihood_last)
+            assert np.all((z[:, j].imag == 0.0) & (z[:, j].real >= 0.0))
+            assert np.all(z[:, j].real < 1.0)
             assert np.all((0.0 <= likelihood) & (likelihood <= 1.0))
+        if simplex is not None and len(simplex.coords) > 1:
+            pair = simplex.coords[:2]
+            with pytest.raises(ValueError, match="at most one"):
+                region_points(region, WeightParam(beta), u[:, :sample_dim(region, fixed=pair)],
+                              fixed=pair)
 
     # (A - B)/stderr is close to normal for both estimates: |z| > 4 has odds
     # 6.3e-5 per example, below 2e-3 for the 30

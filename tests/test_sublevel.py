@@ -138,7 +138,6 @@ class TestBuildProposal:
         assert simplex.phases == pytest.approx((math.pi / 2,) * 3)
         assert simplex.budget == pytest.approx(0.01)
         assert measure.region_mass(region, WeightParam(0.0)) == 1.0
-        assert simplex.last(0).coords == (1, 2, 0)
 
     def test_simplex_drops_other_arcs_and_windows(self):
         # mean_product's box: the z1 z2 binding keeps its depths, loses its window
@@ -383,7 +382,7 @@ class TestConditionalEstimator:
         # z1 and z2 each appear with exponents 1 and 2: no angle integrates out
         entries = [((1, 0), 0.25), ((2, 0), 0.25), ((0, 1), 0.25), ((0, 2), 0.25)]
         f = PolySymbol.from_tables([entries], 2)
-        assert sublevel._split_coordinate([(f, 1.0, 0.25)], 2) is None
+        assert sublevel._split_coordinate([(f, 1.0, 0.25)], 2) == sublevel._Matching(None, ())
         est = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=0.25, beta=WeightParam(0.0),
                                               budget=200_000, seed=23))
         volume, stderr = uniform_joint_volume([(entries, 1.0, 0.25)], 2, 0.0, 1_000_000, 23)
@@ -419,8 +418,9 @@ class TestCoupledBindings:
     def test_pairs_agree_with_uniform_oracle(self, first, second, deltas, beta, seed):
         entries = [coupled_entries(*first), coupled_entries(*second)]
         bindings = [(PolySymbol.from_tables([e], 2), 1.0, d) for e, d in zip(entries, deltas)]
-        split = sublevel._split_coordinate(bindings, 2)
-        assert split.j == 0 and [m for _, m, _, _ in split.parts] == [first[0], second[0]]
+        match = sublevel._split_coordinate(bindings, 2)
+        (j, parts), picks = match.angle, match.picks
+        assert j == 0 and [m for _, m, _, _ in parts] == [first[0], second[0]] and picks == ()
         est = sublevel.estimate_indicator(bindings, 2, WeightParam(beta),
                                           build_proposal(bindings, 2), 200_000, seed, "coupled")
         volume, stderr = uniform_joint_volume(list(zip(entries, (1.0, 1.0), deltas)), 2, beta,
@@ -455,7 +455,7 @@ class TestCoupledBindings:
         entries = [[((1, 0), 0.5), ((0, 1), 0.5)],
                    [((1, 0), 0.25), ((2, 0), 0.25), ((0, 1), 0.25), ((0, 2), 0.25)]]
         bindings = [(PolySymbol.from_tables([e], 2), 1.0, 0.2) for e in entries]
-        assert sublevel._split_coordinate(bindings, 2) is None
+        assert sublevel._split_coordinate(bindings, 2) == sublevel._Matching(None, ())
         est = sublevel.estimate_indicator(bindings, 2, WeightParam(beta),
                                           build_proposal(bindings, 2), 200_000, 37, "no-split")
         volume, stderr = uniform_joint_volume([(e, 1.0, 0.2) for e in entries], 2, beta,
@@ -488,11 +488,6 @@ OWN_BINDING = st.tuples(st.sampled_from([1, 2]),
 SHARED_INDICATOR = [((0, 0, 1), 0.5), ((0, 0, 2), 0.5)]
 
 
-def resolved(volume, stderr, budget):
-    """The oracle's stderr, with zero hits given the spread of one hit."""
-    return max(stderr, 1.0 / budget) if volume == 0.0 else stderr
-
-
 class TestMatchedBindings:
     """Bindings that each hold their own coordinate: both are integrated, their weights multiply."""
 
@@ -502,15 +497,16 @@ class TestMatchedBindings:
         """The estimate against the uniform oracle; returns it and the matching."""
         bindings = [(PolySymbol.from_tables([e], n), 1.0, d) for e, d in zip(entries, tolerances)]
         region = build_proposal(bindings, n)
-        split = sublevel._split_coordinate(bindings, n, region.inner)
-        # z2 is picked unless the second binding's simplex holds it
-        picks = [] if 1 in region.inner else [(1, 1)]
-        assert split.j == 0 and [(k, index) for k, index, *_ in split.picks] == picks
+        match = sublevel._split_coordinate(bindings, n, region.inner)
+        # z1 keeps a drawn radius in the first binding's simplex and is picked
+        # otherwise; z2 is picked unless the second binding's simplex holds it
+        fixed = (0,) if 0 in region.inner else ()
+        picks = [(k, k) for k in (0, 1) if k not in region.inner]
+        assert match.fixed == fixed and [(k, index) for k, index, *_ in match.picks] == picks
         est = sublevel.estimate_indicator(bindings, n, WeightParam(beta), region, 200_000, seed,
                                           "matched")
         volume, stderr = uniform_joint_volume([(e, 1.0, d) for e, d in zip(entries, tolerances)],
                                               n, beta, self.ORACLE_DRAWS, seed)
-        stderr = resolved(volume, stderr, self.ORACLE_DRAWS)
         assert est.trusted
         assert agree(est, volume, stderr), (entries, tolerances, beta, est, volume, stderr)
         return est, region
