@@ -19,7 +19,6 @@ import numpy as np
 from .config import DEFAULTS, LabConfig
 from .contact import ContactSet, RankBatch, RankReport, find_contact_set, rank_report
 from .inequality_lab import jc_check
-from .measure import WeightParam
 from .output import json_text
 from .symbols import PolySymbol, TorusPoint
 
@@ -202,7 +201,7 @@ def check_rank_sufficiency(sym: PolySymbol, config: LabConfig = DEFAULTS,
                    config=config)
 
 
-def decide_bidisc(sym: PolySymbol, beta: WeightParam | float = 0.0,
+def decide_bidisc(sym: PolySymbol, beta: float = 0.0,
                   config: LabConfig = DEFAULTS, grid_res: int | None = None) -> Decision:
     """Complete boundedness decision on the bidisc.
 
@@ -214,8 +213,7 @@ def decide_bidisc(sym: PolySymbol, beta: WeightParam | float = 0.0,
     sym.require_certificate()
     if sym.n_in != 2 or sym.n_out != 2:
         raise ValueError("bidisc decision needs a self-map of D^2")
-    b = beta.beta if isinstance(beta, WeightParam) else float(beta)
-    spaces = (f"A2_beta(D^2), beta={b:g}", "H2(D^2)")
+    spaces = (f"A2_beta(D^2), beta={float(beta):g}", "H2(D^2)")
     ev, decision = _joint_rank(sym, spaces, "joint", "rank within the tolerance band",
                                config, grid_res)
     if decision is not None:

@@ -27,6 +27,7 @@ _MOBIUS_DELTAS = (0.5, 0.25, 0.125, 0.0625, 0.03125)
 _MOBIUS_SAMPLES = 256  # phases per (parameter, delta) case
 _LINEARIZATION_RADII = (0.2, 0.1, 0.05)  # largest first
 _LINEARIZATION_FILL = 20_000  # random points added at each radius
+_SWEEP_CAP = 150_000  # grid points kept per scale sweep (strided beyond it)
 _SLICE_SAMPLES = 100  # interior slice points compared with the reference gradient
 
 
@@ -95,7 +96,7 @@ def mobius_margin_check(
 
 
 def _scale_sweep(zeta: np.ndarray, radius: float, rng: np.random.Generator,
-                 random_count: int, cap: int = 150_000) -> np.ndarray:
+                 random_count: int) -> np.ndarray:
     """Sample points of D^n at scale ``radius`` around a torus point.
 
     Coordinates are parametrized by boundary distance sigma (log-spaced down
@@ -110,8 +111,8 @@ def _scale_sweep(zeta: np.ndarray, radius: float, rng: np.random.Generator,
     per = [(s, t) for s in sigmas for t in ts]
     grids = np.meshgrid(*([np.arange(len(per))] * n), indexing="ij")
     combos = np.stack([g.reshape(-1) for g in grids], axis=1)
-    if len(combos) > cap:
-        stride = int(math.ceil(len(combos) / cap))
+    if len(combos) > _SWEEP_CAP:
+        stride = int(math.ceil(len(combos) / _SWEEP_CAP))
         combos = combos[::stride]
     per_arr = np.array(per)
     sigma = per_arr[combos, 0]

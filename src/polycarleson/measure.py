@@ -112,7 +112,7 @@ class CarlesonBox:
 _R_MAX = float(np.nextafter(1.0, 0.0))
 
 
-def radial_sample(beta: WeightParam | float, u, depth: float = 1.0):
+def radial_sample(beta: WeightParam, u, depth: float = 1.0):
     """Inverse-CDF radius on [1 - depth, 1), clamped to _R_MAX.
 
     Maps uniform u in [0,1) to the radial law with density
@@ -120,10 +120,10 @@ def radial_sample(beta: WeightParam | float, u, depth: float = 1.0):
     r = sqrt(1 - ((1-u) t)^{1/(beta+1)}) with tail mass
     t = (depth (2 - depth))^{beta+1}.  Depth 1 is the whole law (t = 1).
     """
-    b = beta.beta if isinstance(beta, WeightParam) else float(beta)
+    p1 = beta.beta + 1.0
     u = np.asarray(u, dtype=float)
-    tail = (depth * (2.0 - depth)) ** (b + 1.0)  # 1 - F(1 - depth)
-    return np.minimum(np.sqrt(1.0 - ((1.0 - u) * tail) ** (1.0 / (b + 1.0))), _R_MAX)
+    tail = (depth * (2.0 - depth)) ** p1  # 1 - F(1 - depth)
+    return np.minimum(np.sqrt(1.0 - ((1.0 - u) * tail) ** (1.0 / p1)), _R_MAX)
 
 
 def annulus_mass(beta: WeightParam, s: float) -> float:
@@ -859,14 +859,10 @@ def restricted_sample(region: AnnulusArc, beta: WeightParam,
     simplex, else one per point.  One generator gives i.i.d. points; a
     sequence of generators gives scrambled Sobol replicates, one per
     generator, which split ``size`` evenly (powers of two).  The ``fixed``
-    and ``integrated`` coordinates come back as in ``region_points``.  When
-    they leave no uniform to draw, every point is the same and no generator
-    is read.
+    and ``integrated`` coordinates come back as in ``region_points``.
     """
     d = sample_dim(region, fixed, integrated)
-    if d == 0:
-        u = np.empty((size, 0))
-    elif isinstance(rng, np.random.Generator):
+    if isinstance(rng, np.random.Generator):
         u = rng.random((size, d))
     else:
         if size % len(rng):

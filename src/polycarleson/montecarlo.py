@@ -196,16 +196,15 @@ def _sobol_digits(dim: int, m: int) -> np.ndarray:
     return ((v[:, None, :] >> _DIGIT_BITS[:, None]) & 1).astype(float)
 
 
-def sobol_points(rng: np.random.Generator | Sequence[np.random.Generator], dim: int,
-                 count: int) -> np.ndarray:
+def sobol_points(rngs: Sequence[np.random.Generator], dim: int, count: int) -> np.ndarray:
     """Scrambled Sobol replicates of ``count`` (a power of two) points in [0, 1)^dim.
 
-    One replicate per generator: ``rng`` is one generator or a sequence of
-    them, and the (replicates * count, dim) result lists the replicates in
-    order.  Each replicate holds the points of ``scipy.stats.qmc.Sobol(dim,
-    scramble=True, rng=generator).random_base2(m)``, in its order: a linear
-    matrix scramble and a digital shift (Matousek's) drawn from a child of the
-    generator, so every point is uniform and each replicate is a (t, m, s)-net.
+    One replicate per generator of ``rngs``, and the (replicates * count,
+    dim) result lists the replicates in order.  Each replicate holds the
+    points of ``scipy.stats.qmc.Sobol(dim, scramble=True,
+    rng=generator).random_base2(m)``, in its order: a linear matrix scramble
+    and a digital shift (Matousek's) drawn from a child of the generator, so
+    every point is uniform and each replicate is a (t, m, s)-net.
     The scramble acts on the m direction numbers, and the points are their XOR
     span in Gray-code order, built by doubling for all replicates at once.
     A scipy engine per replicate costs ~1 ms of interpreter time instead.
@@ -214,7 +213,6 @@ def sobol_points(rng: np.random.Generator | Sequence[np.random.Generator], dim: 
     if count != 1 << m:
         raise ValueError(f"a Sobol replicate needs a power-of-two size, not {count}")
     directions = _sobol_digits(dim, m)  # checks dim and m before any draw
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     shift = np.empty((len(rngs), dim), dtype=np.uint32)
     ltm = np.empty((len(rngs), dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32)
     for i, g in enumerate(rngs):

@@ -40,8 +40,8 @@ multiplying its weight.  Every other coordinate is drawn.  The region drops
 its constraints on what is integrated (the matched coordinates' arcs, the
 angle-sum window, and the depths of the integrated radii).  A box whose
 bindings each pin their own coordinate, as identity2's and coord_square's
-do, leaves nothing to draw: its estimate is a quadrature.  Binding sets with
-no split coordinate fall back to plain hit counting.
+do, leaves nothing to draw: its estimate is one quadrature, computed once.
+Binding sets with no split coordinate fall back to plain hit counting.
 
 The conditioned integrand is a bounded, almost everywhere continuous function
 of the remaining uniforms (two per drawn coordinate, one for a drawn split
@@ -526,14 +526,11 @@ def _cap_factor(binding: Binding, m: int, a_table: MonomialTable, b_table: Monom
                 z: np.ndarray, cache: dict, beta: WeightParam) -> tuple[np.ndarray, np.ndarray]:
     """P(a + b z_k^m holds | the drawn coordinates), z_k over its whole law, and its bound.
 
-    ``_radial_cap_weight`` gives both.  a and b free of every coordinate give
-    one row, which broadcasts over the draws.
+    ``_radial_cap_weight`` gives both.
     """
     _, target, tol = binding
-    constant = not any(any(alpha) for alpha, _ in a_table + b_table)
-    rows = z[:1] if constant else z
-    u = target - _eval_table(a_table, rows, cache)
-    b = _eval_table(b_table, rows, cache)
+    u = target - _eval_table(a_table, z, cache)
+    b = _eval_table(b_table, z, cache)
     return _radial_cap_weight(np.abs(b), np.abs(u), tol, m, beta)
 
 
@@ -591,7 +588,7 @@ def _conditional_weights(bindings: list[Binding], match: _Matching, z: np.ndarra
         factors.append((w, 0.0))
     factors += [_cap_factor(bindings[index], m, a_table, b_table, z, cache, beta)
                 for _, index, m, a_table, b_table in match.picks]
-    w, err = factors[0] if factors else (1.0, 0.0)
+    w, err = factors[0] if factors else (np.ones(len(z)), 0.0)
     for cap, bound in factors[1:]:
         err = err * (cap + bound) + w * bound
         w = w * cap
@@ -600,10 +597,6 @@ def _conditional_weights(bindings: list[Binding], match: _Matching, z: np.ndarra
         w = w * ok
         if np.ndim(err):
             err = err * ok
-    # a and b free of every coordinate leave one row for all draws
-    w = np.broadcast_to(w, z.shape[:1])
-    if np.ndim(err):
-        err = np.broadcast_to(err, z.shape[:1])
     return w, err
 
 
@@ -644,11 +637,13 @@ def estimate_indicator(
     standard error (ddof 1), so a Student t quantile with R - 1 degrees of
     freedom gives its confidence interval.  Combined with it in quadrature
     is mass x the mean of the weights' quadrature error bounds, which bounds
-    the estimate's quadrature error: an estimate with nothing drawn
-    (identity1, or an identity2 or coord_square box) reports that bound at
-    any budget, and its region is the whole polydisc, so no audit runs.  A
-    single sampled replicate reports stderr infinity.
-    ``hits`` counts the draws with positive weight.  A uniform i.i.d. audit
+    the estimate's quadrature error.  A single replicate reports stderr
+    infinity.  ``hits`` counts the draws with positive weight.  An estimate
+    with nothing to draw (identity1, or an identity2 or coord_square box)
+    is one quadrature over the whole polydisc, computed once with no
+    generator, thread or audit: its stderr is the weight's stated bound,
+    both are the same at every budget and seed, and ``hits`` counts the
+    R * 2^k draws it stands for (0 for a zero weight).  A uniform i.i.d. audit
     pass (``sample_polydisc`` in ``run_batches``' default 2^16-point
     batches) measures the mass outside the region.  Zero support (no point with
     positive weight) or leakage above the threshold fraction of the estimate
@@ -664,29 +659,35 @@ def estimate_indicator(
     replicates, size = replicate_layout(budget)
     draws = replicates * size
 
-    def main_worker(rngs, count):
-        z, point_mass = restricted_sample(region, beta, rngs, count, fixed, integrated)
-        w, err = _conditional_weights(bindings, match, z, beta)
-        likelihood = point_mass / mass  # exactly 1.0 outside a simplex
-        w, err = w * likelihood, err * likelihood
-        return (w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w)),
-                float(np.sum(err)))
+    if sample_dim(region, fixed, integrated) == 0:
+        # every coordinate integrated: constant tables over the whole polydisc
+        w, err = _conditional_weights(bindings, match, np.zeros((1, n), dtype=complex), beta)
+        restricted, stderr = float(w[0]), float(err[0])
+        hits = draws if restricted > 0.0 else 0
+    else:
+        def main_worker(rngs, count):
+            z, point_mass = restricted_sample(region, beta, rngs, count, fixed, integrated)
+            w, err = _conditional_weights(bindings, match, z, beta)
+            likelihood = point_mass / mass  # exactly 1.0 outside a simplex
+            w, err = w * likelihood, err * likelihood
+            return (w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w)),
+                    float(np.sum(err)))
 
-    batches = run_batches(draws, seed, label, main_worker, threads=threads, batch_size=size,
-                          bundle=replicate_bundle(size))
-    # bundles come back in batch order and each replicate mean depends on its
-    # stream alone: the same floats at any thread count
-    means = np.concatenate([m for m, _, _ in batches]).tolist()
-    hits = sum(k for _, k, _ in batches)
-    mean = math.fsum(means) / replicates
-    restricted = mass * mean
-    # every weight is off by at most its bound, so the mean by at most theirs
-    quadrature = mass * math.fsum(e for _, _, e in batches) / draws
-    if replicates > 1:
-        spread = math.fsum((m - mean) ** 2 for m in means) / (replicates - 1)
-        stderr = math.hypot(mass * math.sqrt(spread / replicates), quadrature)
-    else:  # one replicate shows no spread, and with nothing drawn there is none
-        stderr = quadrature if sample_dim(region, fixed, integrated) == 0 else math.inf
+        batches = run_batches(draws, seed, label, main_worker, threads=threads, batch_size=size,
+                              bundle=replicate_bundle(size))
+        # bundles come back in batch order and each replicate mean depends on its
+        # stream alone: the same floats at any thread count
+        means = np.concatenate([m for m, _, _ in batches]).tolist()
+        hits = sum(k for _, k, _ in batches)
+        mean = math.fsum(means) / replicates
+        restricted = mass * mean
+        # every weight is off by at most its bound, so the mean by at most theirs
+        quadrature = mass * math.fsum(e for _, _, e in batches) / draws
+        if replicates > 1:
+            spread = math.fsum((m - mean) ** 2 for m in means) / (replicates - 1)
+            stderr = math.hypot(mass * math.sqrt(spread / replicates), quadrature)
+        else:  # one replicate shows no spread
+            stderr = math.inf
 
     leakage = 0.0
     leak_stderr = 0.0

@@ -179,10 +179,6 @@ class PolySymbol:
 
     # -- calculus ----------------------------------------------------------
 
-    def derivative_table(self, i: int, j: int) -> MonomialTable:
-        """Exact table of d(component i)/dz_j."""
-        return _derivative_table_cached(self.components[i], j)
-
     def jacobian(self, z) -> np.ndarray:
         """Exact Jacobian matrix (n_out x n_in) at a point."""
         z = np.asarray(z, dtype=complex)
@@ -197,9 +193,9 @@ class PolySymbol:
             raise DimensionMismatch(f"batch has shape {z.shape}, expected (N, {self.n_in})")
         out = np.empty((z.shape[0], self.n_out, self.n_in), dtype=complex)
         cache: dict[tuple[int, int], np.ndarray] = {}
-        for i in range(self.n_out):
+        for i, table in enumerate(self.components):
             for j in range(self.n_in):
-                out[:, i, j] = _eval_table(self.derivative_table(i, j), z, cache)
+                out[:, i, j] = _eval_table(_derivative_table_cached(table, j), z, cache)
         return out
 
     # -- structure introspection --------------------------------------------

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from polycarleson import carleson, measure, sublevel
+from polycarleson import carleson, sublevel
 from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
 from polycarleson.measure import CarlesonBox, WeightParam, carleson_box_measure
+from polycarleson.montecarlo import replicate_layout
 from polycarleson.sublevel import SublevelQuery, estimate_sublevel
 from polycarleson.symbols import PolySymbol, TorusPoint
 
@@ -53,24 +54,40 @@ class TestPreimageRatio:
             assert est.trusted and est.numerator.region_mass == 1.0
             assert abs(est.ratio - 1.0) <= 1e-14, (radii, est.ratio)
 
-    def test_identity2_stderr_at_any_budget(self):
-        # nothing is drawn: a single replicate states the quadrature bound that 64 do
+    @staticmethod
+    def one_quadrature(monkeypatch, name, box, beta):
+        """The box's estimate at budgets 1, 4096 and 10^7 and two seeds, with no sampler to call.
+
+        Nothing is drawn: the estimate is one quadrature, computed once, so
+        its value and stderr are the same bits at every budget and seed, and
+        ``hits`` counts the draws it stands for.
+        """
+        def no_draws(*args, **kwargs):
+            raise AssertionError("an estimate with nothing to draw ran the sampler")
+
+        monkeypatch.setattr(sublevel, "run_batches", no_draws)  # the audit's too
+        monkeypatch.setattr(sublevel, "restricted_sample", no_draws)
+        estimates = []
+        for budget in (1, 4096, 10**7):
+            replicates, size = replicate_layout(budget)
+            for seed in (6, 7):
+                est = preimage_box_ratio(get_symbol(name), box, WeightParam(beta), budget, seed)
+                assert est.trusted and est.numerator.hits == replicates * size
+                estimates.append(est)
+        first = estimates[0].numerator
+        assert all((e.numerator.volume, e.numerator.stderr) == (first.volume, first.stderr)
+                   for e in estimates)
+        return estimates[0]
+
+    def test_identity2_stderr_at_any_budget(self, monkeypatch):
         box = CarlesonBox(TorusPoint((1.3, -2.0)), (2.0**-5, 1.5))
-        one, many = (preimage_box_ratio(get_symbol("identity2"), box, WeightParam(-0.5), budget,
-                                        seed=6) for budget in (1, 4096))
-        assert 0.0 < one.stderr < math.inf
-        assert one.stderr == pytest.approx(many.stderr, rel=1e-12)
+        for beta in (0.0, -0.5):
+            est = self.one_quadrature(monkeypatch, "identity2", box, beta)
+            assert 0.0 < est.stderr < math.inf
 
     def test_coord_square_box_draws_nothing(self, monkeypatch):
-        def no_engine(*args, **kwargs):
-            raise AssertionError("a zero-dimensional estimate called the Sobol engine")
-
-        monkeypatch.setattr(measure, "sobol_points", no_engine)
-        monkeypatch.setattr(sublevel, "sample_polydisc", no_engine)  # no audit either
         box = CarlesonBox(TorusPoint((0.0, 0.0)), (0.125, 0.125))
-        est = preimage_box_ratio(get_symbol("coord_square"), box, WeightParam(-0.9), 10_000,
-                                 seed=7)
-        assert est.trusted
+        est = self.one_quadrature(monkeypatch, "coord_square", box, -0.9)
         # the cap weights' stated bounds are the whole stderr, never 0
         assert 0.0 < est.stderr < 1e-4 * est.ratio
 
@@ -105,6 +122,10 @@ class TestPreimageRatio:
         est = preimage_box_ratio(sym, box, WeightParam(0.0), 2_000_000, seed=5)
         assert est.trusted
         assert est.ratio > 0.0
+        # with every radius 2 no binding is left: every draw weighs 1
+        box = CarlesonBox(TorusPoint((0.0, 0.0, 0.0)), (2.0, 2.0, 2.0))
+        est = preimage_box_ratio(sym, box, WeightParam(0.0), 4096, seed=5)
+        assert est.trusted and est.numerator.volume == 1.0 and est.numerator.hits == 4096
 
     def test_repeated_component_builds_the_tighter_proposal(self, monkeypatch):
         # z1 z2 z3 twice, at radii 0.3 and 0.1: the proposal is the 0.1 binding's alone

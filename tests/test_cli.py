@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -370,6 +374,17 @@ class TestBatteryCommand:
         written = sorted(p.name for p in tmp_path.glob("exponent_*.csv"))
         assert written == [f"exponent_{name}_beta0.csv"
                            for name in ("powersum2", "powersum3", "product2", "product3")]
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for args in (["--help"],
+                     ["exponent", "--symbol", "identity1", "--budget", "1",
+                      "--out-dir", str(tmp_path)]):
+            done = subprocess.run([sys.executable, "-m", "polycarleson", *args], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
 
 
 class TestThreadsEnvVar:

@@ -382,7 +382,7 @@ class TestRegions:
         arcs = merge_arcs([(-0.2, 0.4), (2.0, 0.3)])
         region = AnnulusArc(depths=(0.2, 0.3, 0.4), arcs=(arcs, None, None), window=window)
         assert sample_dim(region, fixed=(2,)) == 5
-        u = sobol_points(np.random.default_rng(24), 5, 4096)
+        u = sobol_points([np.random.default_rng(24)], 5, 4096)
         z, _ = region_points(region, WeightParam(-0.5), u, fixed=(2,))
         assert np.all(region_contains(region, z))
         assert np.all(z[:, 2].imag == 0.0)
@@ -394,7 +394,7 @@ class TestRegions:
         # coordinate 0's radius and angle are both left to the caller
         region = AnnulusArc(depths=(1.0, 0.3), arcs=(None, merge_arcs([(-0.2, 0.4)])))
         assert sample_dim(region, integrated=(0,)) == 2
-        u = sobol_points(np.random.default_rng(25), 2, 1024)
+        u = sobol_points([np.random.default_rng(25)], 2, 1024)
         z, _ = region_points(region, WeightParam(0.5), u, integrated=(0,))
         assert np.all(np.isnan(z[:, 0]))
         assert np.all(region_contains(AnnulusArc(depths=(0.3,), arcs=(region.arcs[1],)), z[:, 1:]))
@@ -405,7 +405,7 @@ class TestRegions:
     @pytest.mark.parametrize("dim, m", [(1, 0), (2, 5), (5, 12), (7, 14), (16, 10)])
     def test_sobol_points_match_scipy(self, dim, m):
         # the scramble, order and bits of scipy's engine on the same generator
-        ours = sobol_points(np.random.default_rng(7), dim, 1 << m)
+        ours = sobol_points([np.random.default_rng(7)], dim, 1 << m)
         theirs = qmc.Sobol(dim, scramble=True, rng=np.random.default_rng(7)).random_base2(m)
         assert np.array_equal(ours, theirs)
 
@@ -426,15 +426,15 @@ class TestRegions:
     def test_sobol_points_reject_untabled_sizes(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="dimensions 1..16"):
-            sobol_points(rng, 17, 16)
+            sobol_points([rng], 17, 16)
         with pytest.raises(ValueError, match="dimensions 1..16"):
-            sobol_points(rng, 0, 16)
+            sobol_points([rng], 0, 16)
         with pytest.raises(ValueError, match="at most 2"):
-            sobol_points(rng, 2, 1 << (SOBOL_BITS + 1))
+            sobol_points([rng], 2, 1 << (SOBOL_BITS + 1))
 
     def test_sobol_points_one_replicate_per_generator(self):
         together = sobol_points([np.random.default_rng(s) for s in (1, 2, 3)], 4, 256)
-        apart = [sobol_points(np.random.default_rng(s), 4, 256) for s in (1, 2, 3)]
+        apart = [sobol_points([np.random.default_rng(s)], 4, 256) for s in (1, 2, 3)]
         assert np.array_equal(together, np.concatenate(apart))
         rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
         with pytest.raises(ValueError):

@@ -799,6 +799,22 @@ class TestIntegratedRadius:
         estimate_sublevel(SublevelQuery(product_symbol(3), 1.0, 2.0**-5, WeightParam(0.0), 4096))
         assert set(dims) == {4}  # 2n - 2: the radii and angles of z_2 and z_3
 
+    @pytest.mark.parametrize("delta", [0.1, 0.2])
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_constant_pick_beside_drawn_coordinates(self, delta, beta):
+        # z1's binding has constant a and b, z2's has b = z3, and z3 is drawn:
+        # the constant pick's weight is the same in every row of a drawing estimate
+        z1 = PolySymbol.monomial(3, (1, 0, 0))
+        z2z3 = PolySymbol.monomial(3, (0, 1, 1))
+        bindings = [(z1, 1.0, delta), (z2z3, 1.0, delta)]
+        match = sublevel._split_coordinate(bindings, 3)
+        assert match.fixed == () and match.integrated == (0, 1)
+        est = sublevel.estimate_indicator(bindings, 3, WeightParam(beta),
+                                          build_proposal(bindings, 3), 1 << 16, 5, "constant pick")
+        exact = disc_cap_measure(1.0, delta, WeightParam(beta))[0] * product_volume(2, delta, beta)
+        assert est.trusted
+        assert abs(est.volume - exact) <= 4.0 * est.stderr, (est, exact)
+
     def test_coupled_split_keeps_its_radius(self, monkeypatch):
         # mean_product's z1 z2 binding contains the split coordinate z1 too
         dims = self.sobol_dims(monkeypatch)
