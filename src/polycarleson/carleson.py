@@ -27,7 +27,8 @@ class RatioEstimate:
     """Preimage volume estimate over the box measure; trust is the numerator's.
 
     The stderr combines the numerator's with the denominator's error bound
-    (``carleson_box_measure``) in quadrature.
+    (``carleson_box_measure``) in quadrature.  ``replicates`` are the
+    numerator's over the denominator.
     """
 
     numerator: SublevelEstimate
@@ -46,6 +47,10 @@ class RatioEstimate:
     @property
     def trusted(self) -> bool:
         return self.numerator.trusted
+
+    @property
+    def replicates(self) -> tuple[float, ...]:
+        return tuple(m / self.denominator for m in self.numerator.replicates)
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,11 @@ def ratio_growth_scan(
 
     ``shrink`` flags which coordinates shrink with delta; the rest stay
     unconstrained.  Slope near 0 is evidence of boundedness, decisively
-    negative slope certifies an unbounded Carleson family.  Refuses to fit on
-    fewer than 4 trusted points.
+    negative slope certifies an unbounded Carleson family.  Every box is
+    ``preimage_box_ratio`` at the same ``seed``, so replicate r at every delta
+    comes from the same stream and the slope's stderr is the replicates'
+    spread of the linearised slope (``fitting.loglog_wls``).  Refuses to fit
+    on fewer than 4 trusted points.
     """
     shrink = tuple(bool(s) for s in shrink)
     if len(shrink) != sym.n_out:
@@ -140,12 +148,9 @@ def ratio_growth_scan(
     if not any(shrink):
         raise ValueError("at least one coordinate must shrink")
     deltas = _check_geometric(delta_grid)
-    estimates = []
-    for k, d in enumerate(deltas):
-        box = _scan_boxes(center, shrink, d)
-        estimates.append(
-            preimage_box_ratio(sym, box, beta, budget, seed=seed + 7919 * k, threads=threads)
-        )
+    estimates = [preimage_box_ratio(sym, _scan_boxes(center, shrink, d), beta, budget,
+                                    seed=seed, threads=threads)
+                 for d in deltas]
     fit = loglog_wls(*trusted_points(deltas, [e.ratio for e in estimates], estimates))
     return RatioScan(
         symbol=sym, center=center, shrink=shrink, beta=beta, deltas=deltas,

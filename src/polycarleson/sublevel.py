@@ -57,7 +57,7 @@ audit are flagged untrusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -138,6 +138,12 @@ class SublevelEstimate:
     Student t with R - 1 degrees of freedom.  The zero-support
     upper bound and the audit's budget count the R * 2^k draws actually
     made, not the nominal budget.
+
+    ``replicates`` holds the R replicate means times the region mass, whose
+    mean is the estimate less its leakage: a fit over a grid whose points
+    share one stream pairs them by r (``fitting.loglog_wls``).  A quadrature,
+    an empty set and a single replicate keep none.  No CSV or JSON writes
+    them, and ``==`` does not compare them.
     """
 
     volume: float          # restricted estimate plus measured leakage
@@ -149,6 +155,7 @@ class SublevelEstimate:
     upper_bound: float | None
     trusted: bool
     reason: str
+    replicates: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     @staticmethod
     def empty(reason: str) -> "SublevelEstimate":
@@ -635,9 +642,10 @@ def estimate_indicator(
     (``replicate_bundle``) and evaluates them together.  The estimate is mass
     x the mean of the replicate means, and the stderr is mass x their
     standard error (ddof 1), so a Student t quantile with R - 1 degrees of
-    freedom gives its confidence interval.  Combined with it in quadrature
-    is mass x the mean of the weights' quadrature error bounds, which bounds
-    the estimate's quadrature error.  A single replicate reports stderr
+    freedom gives its confidence interval; the estimate keeps the R scaled
+    means as ``replicates``.  Combined with it in quadrature is mass x the
+    mean of the weights' quadrature error bounds, which bounds the
+    estimate's quadrature error.  A single replicate reports stderr
     infinity.  ``hits`` counts the draws with positive weight.  An estimate
     with nothing to draw (identity1, or an identity2 or coord_square box)
     is one quadrature over the whole polydisc, computed once with no
@@ -659,6 +667,7 @@ def estimate_indicator(
     replicates, size = replicate_layout(budget)
     draws = replicates * size
 
+    scaled = ()
     if sample_dim(region, fixed, integrated) == 0:
         # every coordinate integrated: constant tables over the whole polydisc
         w, err = _conditional_weights(bindings, match, np.zeros((1, n), dtype=complex), beta)
@@ -686,6 +695,7 @@ def estimate_indicator(
         if replicates > 1:
             spread = math.fsum((m - mean) ** 2 for m in means) / (replicates - 1)
             stderr = math.hypot(mass * math.sqrt(spread / replicates), quadrature)
+            scaled = tuple(mass * m for m in means)
         else:  # one replicate shows no spread
             stderr = math.inf
 
@@ -724,7 +734,7 @@ def estimate_indicator(
     return SublevelEstimate(
         volume=total, stderr=total_stderr, hits=hits, region_mass=mass,
         leakage=leakage, leakage_stderr=leak_stderr, upper_bound=upper,
-        trusted=trusted, reason=reason,
+        trusted=trusted, reason=reason, replicates=scaled,
     )
 
 
@@ -776,15 +786,19 @@ def fit_exponent(
 ) -> ExponentFit:
     """Weighted log-log fit of sublevel volume against delta over a geometric grid.
 
-    Untrusted points and exact zeros (sets empty by structure) are excluded;
-    the fit refuses to run on fewer than four trusted positive points.
+    Every grid point is ``estimate_sublevel`` at the same ``seed``, so
+    replicate r at every delta scrambles the same stream (common random
+    numbers).  The proposals are self-similar in delta, so a replicate's
+    means move together along the grid and the slope, taken from the
+    replicates' spread (``fitting.loglog_wls``), cancels most of their
+    error.  Untrusted points and exact zeros (sets empty by structure) are
+    excluded; the fit refuses to run on fewer than four trusted positive
+    points.
     """
     deltas = _check_geometric(delta_grid)
-    points = []
-    for k, delta in enumerate(deltas):
-        q = SublevelQuery(f=f, eta=eta, delta=delta, beta=beta, budget=budget,
-                          seed=seed + 7919 * k, threads=threads)
-        points.append(estimate_sublevel(q))
+    points = [estimate_sublevel(SublevelQuery(f=f, eta=eta, delta=delta, beta=beta,
+                                              budget=budget, seed=seed, threads=threads))
+              for delta in deltas]
     fit = loglog_wls(*trusted_points(deltas, [p.volume for p in points], points))
     return ExponentFit(
         slope=fit.slope,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -183,6 +184,34 @@ class TestScans:
         header, rows = scan.csv_rows()
         assert header == ["beta", "delta", "ratio", "stderr", "trusted"]
         assert len(rows) == 4
+
+    def test_every_box_shares_the_seed(self):
+        center, weight = TorusPoint((0.0, 0.0)), WeightParam(0.0)
+        deltas = [2.0**-k for k in range(3, 7)]
+        scan = ratio_growth_scan(get_symbol("mean_product"), center, (True, True), weight,
+                                 deltas, 8192, seed=12)
+        for delta, est in zip(deltas, scan.estimates):
+            box = CarlesonBox(center, (delta, delta))
+            alone = preimage_box_ratio(get_symbol("mean_product"), box, weight, 8192, seed=12)
+            assert est == alone and est.replicates == alone.replicates
+            assert est.replicates and est.replicates == tuple(
+                m / est.denominator for m in est.numerator.replicates)
+        bare = dataclasses.replace(scan, estimates=tuple(
+            dataclasses.replace(e, numerator=dataclasses.replace(e.numerator, replicates=()))
+            for e in scan.estimates))
+        assert bare.csv_rows() == scan.csv_rows()
+
+    @pytest.mark.parametrize("name, beta", [("identity2", 0.0), ("coord_square", -0.9)])
+    def test_quadrature_scan_keeps_the_independent_rule(self, name, beta):
+        # boxes that draw nothing keep no replicates: the slope's stderr is
+        # sqrt(sum (c_k rel_k)^2) over the point stderrs, as for independent points
+        deltas = [2.0**-k for k in range(3, 8)]
+        scan = ratio_growth_scan(get_symbol(name), TorusPoint((0.0, 0.0)), (True, True),
+                                 WeightParam(beta), deltas, 100_000, seed=5)
+        assert all(e.replicates == () for e in scan.estimates)
+        xc = np.log(deltas) - np.mean(np.log(deltas))
+        rel = np.array([e.stderr / e.ratio for e in scan.estimates])
+        assert scan.slope_stderr == float(np.sqrt(np.sum((xc * rel) ** 2)) / np.sum(xc * xc))
 
     def test_requires_some_shrink(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -317,6 +318,39 @@ class TestFitExponent:
         header, rows = fit.csv_rows()
         assert header == ["delta", "estimate", "stderr", "hits", "region_mass", "trusted"]
         assert len(rows) == 4
+
+    def test_every_point_shares_the_seed(self):
+        # one seed, and so one stream label, for the whole grid; the replicates
+        # reach no CSV column
+        deltas = [2.0**-k for k in range(4, 8)]
+        fit = fit_exponent(product_symbol(2), 1.0, WeightParam(0.0), delta_grid=deltas,
+                           budget=8192, seed=17)
+        for delta, point in zip(deltas, fit.points):
+            alone = estimate_sublevel(SublevelQuery(product_symbol(2), 1.0, delta,
+                                                    WeightParam(0.0), 8192, seed=17))
+            assert point == alone and point.replicates == alone.replicates
+            assert len(point.replicates) == replicate_layout(8192)[0]
+        bare = dataclasses.replace(fit, points=tuple(dataclasses.replace(p, replicates=())
+                                                     for p in fit.points))
+        assert bare.csv_rows() == fit.csv_rows()
+        assert not any("replicate" in column for column in fit.csv_rows()[0])
+
+    def test_shared_replicate_error_cancels_in_the_slope(self):
+        # replicate r off by the same factor at every point moves each log y
+        # alike, so the slope's replicate part is 0 and the rest is all
+        xs = [2.0**-k for k in range(4, 9)]
+        ys = [0.37 * x**3 for x in xs]
+        factors = 1.0 + 1e-3 * np.random.default_rng(3).standard_normal(64)
+        shared = [tuple(y * factors / factors.mean()) for y in ys]
+        rest = [1e-6] * len(xs)
+        assert loglog_wls(xs, ys, rest, shared).slope_stderr == pytest.approx(
+            loglog_wls(xs, ys, rest).slope_stderr, rel=1e-6)
+        # independent replicates give the independent rule's size
+        rng = np.random.default_rng(4)
+        alone = [tuple(y * (1.0 + 1e-3 * rng.standard_normal(64))) for y in ys]
+        rel = [float(np.std(m, ddof=1) / np.sqrt(64) / y) for m, y in zip(alone, ys)]
+        assert loglog_wls(xs, ys, [0.0] * len(xs), alone).slope_stderr == pytest.approx(
+            loglog_wls(xs, ys, rel).slope_stderr, rel=0.3)
 
 
 # every monomial of degree <= 2 in two variables
@@ -694,6 +728,41 @@ class TestReplicates:
         assert self.covered_count(estimate, lambda est: est.ratio) >= self.COVERED_MIN
 
 
+class TestSlopeCoverage:
+    """The slope's t-interval from one stream per grid covers the exact grid slope.
+
+    Each case covers with 95 % odds per seed if the stated interval is
+    calibrated, so the number covered is Binomial(60, 0.95); requiring at
+    least SLOPE_COVERED_MIN makes a calibrated fit fail either case with
+    odds below 1e-3 in all.
+    """
+
+    SLOPE_COVERAGE_CASES = 2
+    SLOPE_COVERED_MIN = int(stats.binom.ppf(1e-3 / SLOPE_COVERAGE_CASES, 60, 0.95))
+    GRID = tuple(2.0**-k for k in range(4, 10))
+
+    def test_coverage_rule_has_stated_odds(self):
+        fail_one = stats.binom.cdf(self.SLOPE_COVERED_MIN - 1, 60, 0.95)
+        assert self.SLOPE_COVERAGE_CASES * fail_one <= 1e-3
+        assert stats.binom.cdf(self.SLOPE_COVERED_MIN, 60, 0.95) > 1e-3 / self.SLOPE_COVERAGE_CASES
+
+    @pytest.mark.parametrize("name", ["product2", "powersum2"])
+    def test_t_interval_covers_exact_grid_slope(self, name):
+        # the OLS slope of the exact log volumes is what the fit estimates;
+        # the oracles' errors are far below the slope's stderr at 16,384 draws
+        volume = (lambda d: product_volume(2, d)) if name == "product2" else powersum2_volume
+        exact = loglog_wls(self.GRID, [volume(d) for d in self.GRID], [0.0] * len(self.GRID))
+        replicates, _ = replicate_layout(16_384)
+        q = stats.t.ppf(0.975, replicates - 1)
+        covered = 0
+        for seed in range(60):
+            fit = fit_exponent(get_symbol(name), 1.0, WeightParam(0.0), delta_grid=self.GRID,
+                               budget=16_384, seed=seed)
+            assert all(p.trusted for p in fit.points) and fit.slope_stderr > 0
+            covered += abs(fit.slope - exact.slope) <= q * fit.slope_stderr
+        assert covered >= self.SLOPE_COVERED_MIN
+
+
 class TestExactMonomialOracle:
     """Products against their exact volumes, at every delta of the fit grid."""
 
@@ -855,7 +924,9 @@ class TestThreadDeterminism:
                                     2_500_000, seed=31, threads=t),
     ], ids=["product2_fit", "mean_product_scan"])
     def test_csv_identical_across_threads(self, run):
-        texts = [csv_text(*run(t).csv_rows()) for t in (1, 4, 8)]
+        # the slope's stderr reads the replicates, which no CSV carries
+        runs = [run(t) for t in (1, 4, 8)]
+        texts = [(csv_text(*r.csv_rows()), r.slope, r.slope_stderr) for r in runs]
         assert texts[1] == texts[0] and texts[2] == texts[0]
 
     def test_multi_batch_audit_identical_across_threads(self):
