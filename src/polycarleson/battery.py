@@ -27,7 +27,7 @@ from .criteria import (
     decide_bidisc,
     decide_tridisc,
 )
-from .fitting import FitRefused
+from .fitting import FitRefused, loglog_wls
 from .inequality_lab import (
     jc_check,
     linearization_bound_check,
@@ -398,7 +398,7 @@ def criterion_4(run: BatteryRun):
     t0 = time.perf_counter()
     for beta in spec["betas"]:
         vals = [disc_cap_measure(1.0, d, WeightParam(beta))[0] for d in spec["grid"]]
-        slope = float(np.polyfit(np.log(spec["grid"]), np.log(vals), 1)[0])
+        slope = loglog_wls(spec["grid"], vals, [0.0] * len(vals)).slope
         ok = abs(slope - (beta + 2.0)) <= spec["tolerance"]
         passed &= ok
         details[f"beta={beta:g}"] = {"slope": slope, "target": beta + 2.0, "ok": ok}

@@ -4,8 +4,9 @@ Subcommands: ``decide`` (rank-based boundedness verdicts), ``exponent``
 (sublevel volume scaling fits), ``carleson`` (box-ratio scans), ``contact``
 (contact-set dumps), ``check-props`` (criterion 10's analytic property checks,
 the list ``battery.property_reports`` pins), ``battery`` (the full pinned
-acceptance suite).  Options come from an optional JSON config file with
-command-line flags taking precedence.  Exit codes: 0 all asserted properties
+acceptance suite).  Options come from an optional JSON config file, which may
+set any key, with command-line flags taking precedence; each subcommand takes
+only the flags it reads (``COMMANDS``).  Exit codes: 0 all asserted properties
 pass, 1 a property failed, 2 usage or config error, 3 untrusted estimates
 encountered.
 """
@@ -29,10 +30,9 @@ from .criteria import INCONCLUSIVE, check_rank_sufficiency, decide_bidisc, decid
 from .contact import find_contact_set
 from .fitting import FitRefused
 from .measure import WeightParam
-from .montecarlo import resolve_threads
 from .output import json_text, write_csv, write_json, write_result
 from .sublevel import DEFAULT_DELTA_GRID, fit_exponent
-from .symbols import PolySymbol, SymbolNotSelfMap, TorusPoint
+from .symbols import PolySymbol, TorusPoint
 
 USAGE_ERROR = 2
 UNTRUSTED = 3
@@ -151,38 +151,36 @@ def _eta(text: str) -> list[float]:
     return parts
 
 
+# every flag a subcommand may take, with its argparse keywords; COMMANDS says
+# which subcommand takes which
+_FLAGS = {
+    "--config": {"help": "JSON config file; flags override its keys"},
+    "--out-dir": {},
+    "--symbol": {"help": "battery name, literal JSON, or file path"},
+    "--seed": {"type": int},
+    "--threads": {"type": int, "help": "worker threads (default: POLYCARLESON_THREADS, else 1)"},
+    "--budget": {"type": int},
+    "--beta": {"type": float},
+    "--format": {"dest": "formats", "action": "append", "choices": FORMATS},
+    "--delta-grid": {"type": _floats, "help": "comma-separated radii"},
+    "--eta": {"type": _eta, "help": "unimodular target, as 're,im' or angle"},
+    "--shrink": {"type": _ints, "help": "comma mask, e.g. 1,1,0"},
+    "--center": {"type": _floats, "help": "comma-separated torus angles"},
+    "--index-set": {"type": _ints, "help": "1-based component indices, e.g. 1,2"},
+    "--only": {"type": _ints, "help": "comma-separated criterion numbers"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="polycarleson",
         description="Composition-operator boundedness laboratory on the polydisc",
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file; flags override its keys")
-        sp.add_argument("--symbol", help="battery name, literal JSON, or file path")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--budget", type=int)
-        sp.add_argument("--beta", type=float)
-        sp.add_argument("--out-dir", dest="out_dir")
-        sp.add_argument("--format", dest="formats", action="append", choices=FORMATS)
-        sp.add_argument("--delta-grid", dest="delta_grid", type=_floats,
-                        help="comma-separated radii")
-
-    for name in ("decide", "exponent", "carleson", "contact", "check-props", "battery"):
+    for name, (_, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
-        common(sp)
-        if name == "exponent":
-            sp.add_argument("--eta", type=_eta, help="unimodular target, as 're,im' or angle")
-        if name == "carleson":
-            sp.add_argument("--shrink", type=_ints, help="comma mask, e.g. 1,1,0")
-            sp.add_argument("--center", type=_floats, help="comma-separated torus angles")
-        if name == "contact":
-            sp.add_argument("--index-set", dest="index_set", type=_ints,
-                            help="1-based component indices, e.g. 1,2")
-        if name == "battery":
-            sp.add_argument("--only", type=_ints, help="comma-separated criterion numbers")
+        for flag in ("--config", "--out-dir", *flags):
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 
@@ -225,8 +223,7 @@ def _cmd_decide(cfg: ExperimentConfig, out_dir: Path) -> int:
         return USAGE_ERROR
     payload = result.to_dict()
     print(json_text(payload))
-    if "json" in cfg.formats:
-        write_json(out_dir / f"decide_{_stem(cfg.symbol)}.json", payload)
+    write_json(out_dir / f"decide_{_stem(cfg.symbol)}.json", payload)
     return UNTRUSTED if result.outcome == INCONCLUSIVE else 0
 
 
@@ -278,9 +275,7 @@ def _cmd_contact(cfg: ExperimentConfig, out_dir: Path) -> int:
     sym = load_symbol(cfg.symbol)
     indices = [i - 1 for i in cfg.index_set] if cfg.index_set else list(range(sym.n_out))
     cs = find_contact_set(sym, indices, config=cfg.lab_config())
-    header, rows = cs.to_csv_rows()
-    if "csv" in cfg.formats:
-        write_csv(out_dir / f"contact_{_stem(cfg.symbol)}.csv", header, rows)
+    write_csv(out_dir / f"contact_{_stem(cfg.symbol)}.csv", *cs.to_csv_rows())
     print(json_text({"kind": cs.kind, "points": len(cs.points),
                      "accepted_fraction": cs.accepted_fraction}, indent=None))
     return 0
@@ -291,8 +286,7 @@ def _cmd_check_props(cfg: ExperimentConfig, out_dir: Path) -> int:
     for i, rep in enumerate(reports):
         print(json_text({"name": rep.name, "passed": rep.passed,
                          "empirical_constant": rep.empirical_constant}, indent=None))
-        if "json" in cfg.formats:
-            write_json(out_dir / f"property_{rep.name}_{i}.json", rep.to_dict())
+        write_json(out_dir / f"property_{rep.name}_{i}.json", rep.to_dict())
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -307,13 +301,16 @@ def _stem(symbol_spec: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in s)[:60] or "symbol"
 
 
+# each subcommand's handler and the flags it reads, besides --config and --out-dir;
+# a fit and a scan read the same run flags
+_RUN = ("--symbol", "--seed", "--threads", "--budget", "--beta", "--format", "--delta-grid")
 COMMANDS = {
-    "decide": _cmd_decide,
-    "exponent": _cmd_exponent,
-    "carleson": _cmd_carleson,
-    "contact": _cmd_contact,
-    "check-props": _cmd_check_props,
-    "battery": _cmd_battery,
+    "decide": (_cmd_decide, ("--symbol", "--beta")),
+    "exponent": (_cmd_exponent, (*_RUN, "--eta")),
+    "carleson": (_cmd_carleson, (*_RUN, "--shrink", "--center")),
+    "contact": (_cmd_contact, ("--symbol", "--index-set")),
+    "check-props": (_cmd_check_props, ("--seed",)),
+    "battery": (_cmd_battery, ("--threads", "--only")),
 }
 
 
@@ -325,7 +322,6 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
-        cfg.threads = resolve_threads(cfg.threads)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
@@ -333,8 +329,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         with _warning_log(out_dir):
-            return COMMANDS[cfg.subcommand](cfg, out_dir)
-    except (ValueError, SymbolNotSelfMap, KeyError) as exc:
+            return COMMANDS[cfg.subcommand][0](cfg, out_dir)
+    except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,7 @@ import pytest
 from polycarleson import battery, cli
 from polycarleson.cli import ExperimentConfig, _build_parser, _merge_config, load_symbol, main
 from polycarleson.contact import find_contact_set
+from polycarleson.montecarlo import resolve_threads
 from polycarleson.output import json_text
 
 
@@ -58,6 +60,59 @@ class TestFlags:
             assert run_cli([*args, "--symbol", "product2", "--out-dir", str(tmp_path)]) == 2, args
 
 
+# each subcommand's flags besides --config and --out-dir, which every one takes
+_RUN = ["--symbol", "--seed", "--threads", "--budget", "--beta", "--format", "--delta-grid"]
+SUBCOMMAND_FLAGS = {
+    "decide": ["--symbol", "--beta"],
+    "exponent": [*_RUN, "--eta"],
+    "carleson": [*_RUN, "--shrink", "--center"],
+    "contact": ["--symbol", "--index-set"],
+    "check-props": ["--seed"],
+    "battery": ["--threads", "--only"],
+}
+# the 59 (subcommand, flag) pairs the parsers once took: these nine on every
+# subcommand and each one's own
+_OLD_COMMON = ["--config", "--symbol", "--seed", "--threads", "--budget", "--beta",
+               "--out-dir", "--format", "--delta-grid"]
+_OLD_OWN = {"exponent": ["--eta"], "carleson": ["--shrink", "--center"],
+            "contact": ["--index-set"], "battery": ["--only"]}
+OLD_PAIRS = [(name, flag) for name in SUBCOMMAND_FLAGS
+             for flag in _OLD_COMMON + _OLD_OWN.get(name, [])]
+FLAG_VALUES = {"--config": "cfg.json", "--symbol": "product2", "--seed": "1",
+               "--threads": "2", "--budget": "10", "--beta": "0.5", "--out-dir": "out",
+               "--format": "csv", "--delta-grid": "0.5,0.25", "--eta": "0",
+               "--shrink": "1,0", "--center": "0,0", "--index-set": "1,2", "--only": "4"}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("name, flag", OLD_PAIRS, ids=[f"{n}{f}" for n, f in OLD_PAIRS])
+    def test_only_read_flags_parse(self, capsys, name, flag):
+        args = [name, flag, FLAG_VALUES[flag]]
+        if flag in ["--config", "--out-dir", *SUBCOMMAND_FLAGS[name]]:
+            _build_parser().parse_args(args)
+        else:
+            assert run_cli(args) == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(SUBCOMMAND_FLAGS))
+    def test_help_lists_exactly_its_flags(self, capsys, name):
+        assert run_cli([name, "--help"]) == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--config", "--out-dir", *SUBCOMMAND_FLAGS[name]}
+
+    @pytest.mark.parametrize("args, artifact", [
+        (["decide", "--symbol", "identity2"], "decide_identity2.json"),
+        (["contact", "--symbol", "mixed_pair"], "contact_mixed_pair.csv"),
+        (["check-props", "--seed", "5"], "property_mobius_margin_0.json"),
+    ], ids=["decide", "contact", "check-props"])
+    def test_one_artifact_whatever_the_formats(self, tmp_path, capsys, args, artifact):
+        # every subcommand takes every config key; formats reach only exponent and carleson
+        path = tmp_path / "cfg.json"
+        path.write_text('{"formats": ["svg"], "budget": 10, "shrink": [1, 0], "only": [4]}')
+        assert run_cli([*args, "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / artifact).exists()
+
+
 class TestWarningLog:
     def test_warnings_mirrored_as_jsonl(self, tmp_path, monkeypatch):
         def noisy(cfg, out_dir):
@@ -65,7 +120,7 @@ class TestWarningLog:
             warnings.warn("second", UserWarning)
             return 0
 
-        monkeypatch.setitem(cli.COMMANDS, "decide", noisy)
+        monkeypatch.setitem(cli.COMMANDS, "decide", (noisy, ()))
         assert run_cli(["decide", "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "warnings.jsonl").read_text() == (
             '{"category": "RuntimeWarning", "message": "grid too coarse"}\n'
@@ -388,7 +443,11 @@ class TestModuleEntryPoint:
 
 
 class TestThreadsEnvVar:
-    def test_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("POLYCARLESON_THREADS", "2")
-        code = run_cli(["decide", "--symbol", "identity2", "--out-dir", str(tmp_path)])
-        assert code == 0
+    def test_env_fallback(self, monkeypatch):
+        # the library resolves threads=None, so the CLI passes --threads through
+        for env, threads in (("3", 3), ("x", 1), (None, 1)):
+            if env is None:
+                monkeypatch.delenv("POLYCARLESON_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("POLYCARLESON_THREADS", env)
+            assert resolve_threads(None) == threads, env
