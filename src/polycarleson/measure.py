@@ -15,12 +15,12 @@ the closed-form angular measure alone integrates theta_j.
 
 Sampling regions are annulus-arc products (``AnnulusArc``; depth 1 and no
 arc in every coordinate is the whole polydisc, ``AnnulusArc.full``) with an
-optional angle-sum window (the shape carved out by near-torus sublevel sets)
-and an optional deficit simplex.  The simplex is the exact shape of a
-separable binding |c0 + sum_k c_k z_k^{m_k} - eta| <= delta whose target is
-extremal: with x_k = 1 - Re(e^{-i phi_k} z_k^{m_k}) >= 0 it is
-{sum_k |c_k| x_k <= budget}, and it contains the binding's sublevel set with
-no margin (``DeficitSimplex``).
+optional angle-sum window (the shape carved out by near-torus sublevel sets),
+an optional deficit simplex and optional single-term caps.  The simplex is
+the exact shape of a separable binding |c0 + sum_k c_k z_k^{m_k} - eta| <=
+delta whose target is extremal: with x_k = 1 - Re(e^{-i phi_k} z_k^{m_k}) >= 0
+it is {sum_k |c_k| x_k <= budget}, and it contains the binding's sublevel set
+with no margin (``DeficitSimplex``).
 
 Every sampler goes through one inverse-CDF map, ``region_points``, from
 uniforms to region points: one uniform per radius (``radial_sample`` on the
@@ -33,6 +33,9 @@ rather than uniform there.  A coordinate whose angle (``fixed``) or whose
 radius and angle (``integrated``) the caller integrates takes no uniform for
 them; the sampler draws a fixed simplex coordinate last, its radius by a
 cosine map on the interval where the binding's angular arc is non-empty.
+A capped coordinate (``TermCap``) is drawn exactly from a binding's set
+{|c z^m - u| <= delta}: its radius by the same cosine map, its angle
+uniform on the set's m arcs, and the draw carries that likelihood factor.
 ``restricted_sample`` feeds the map i.i.d. uniforms from one generator or,
 for the sublevel estimator, scrambled Sobol replicates, one per generator of
 a sequence; ``sample_polydisc``, the leakage audit's sampler, feeds it
@@ -213,8 +216,13 @@ _EPS = float(np.finfo(float).eps)
 def _segment(alpha: np.ndarray) -> np.ndarray:
     """alpha - sin(alpha) cos(alpha): a disc segment's area over r^2, without cancellation."""
     x = 2.0 * alpha
-    out = np.empty_like(x)
     small = x < 0.25
+    if not small.any():  # the rule below, with no gather or scatter
+        out = np.sin(x)
+        np.subtract(x, out, out=out)
+        out /= 2.0
+        return out
+    out = np.empty_like(x)
     big = np.flatnonzero(~small)
     out[big] = (x[big] - np.sin(x[big])) / 2.0  # loses at most 7 bits above 0.25
     x = x[small]
@@ -229,13 +237,19 @@ def _lens_weight(b: np.ndarray, u: np.ndarray, delta: float) -> np.ndarray:
     inner = u + delta <= b  # D(u, delta) inside D(0, b)
     w = (delta / b) ** 2
     lens = np.flatnonzero(~inner)
-    if lens.size:
+    if not lens.size:
+        return w
+    whole = lens.size == w.size  # every row a lens: no gather or scatter
+    if not whole:
         b, u = b[lens], u[lens]
-        # b - u and u - b are exact when b and u are close: the thin-lens factors keep their digits
-        root = np.sqrt(((b - u) + delta) * ((u + b) - delta) * ((u - b) + delta) * (u + b + delta))
-        at_origin = np.arctan2(root, (u - delta) * (u + delta) + b * b)
-        at_centre = np.arctan2(root, (u - b) * (u + b) + delta * delta)
-        w[lens] = (_segment(at_origin) + (delta / b) ** 2 * _segment(at_centre)) / math.pi
+    # b - u and u - b are exact when b and u are close: the thin-lens factors keep their digits
+    root = np.sqrt(((b - u) + delta) * ((u + b) - delta) * ((u - b) + delta) * (u + b + delta))
+    at_origin = np.arctan2(root, (u - delta) * (u + delta) + b * b)
+    at_centre = np.arctan2(root, (u - b) * (u + b) + delta * delta)
+    lens_w = (_segment(at_origin) + (delta / b) ** 2 * _segment(at_centre)) / math.pi
+    if whole:
+        return lens_w
+    w[lens] = lens_w
     return w
 
 
@@ -307,9 +321,14 @@ def _radial_cap_weight(bmod, umod, delta: float, m: int,
         err[near] = _tangency_sliver(b[near], u[near], delta, m, beta, ruled[near])
     if not part.size:
         return weight, err
-    b, u = b[part], u[part]
+    whole = part.size == weight.size  # every row ruled: no gather or scatter
+    if not whole:
+        b, u = b[part], u[part]
     if m == 1 and beta.beta == 0.0:
         w = _lens_weight(b, u, delta)
+        if whole:
+            err += _WEIGHT_ROUNDING * w
+            return w, err
         weight[part] = w
         err[part] += _WEIGHT_ROUNDING * w
         return weight, err
@@ -370,6 +389,9 @@ def _radial_cap_weight(bmod, umod, delta: float, m: int,
                 | (np.abs(bb - np.abs(uu - delta)) < delta))
         e[rows] += (np.where(near, _RULE_SAFETY, 1.0) * span * np.abs(gap)
                     + _WEIGHT_ROUNDING * kink + _WEIGHT_FLOOR)
+    if whole:
+        err += e
+        return w, err
     weight[part] = w
     err[part] += e
     return weight, err
@@ -535,19 +557,42 @@ class DeficitSimplex:
 
 
 @dataclass(frozen=True)
+class TermCap:
+    """{z_j : |c z_j^m - u| <= tolerance}: the exact set of a binding whose one non-constant
+    term is c z_j^m, with u its target less its constant part.
+
+    The region draws z_j from it (``_cap_points``): r_j on the radial
+    interval where its arc set is non-empty, theta_j on the m arcs
+    {m theta_j - arg(u/c) in ±h}.
+    """
+
+    coord: int
+    power: int
+    coeff: complex
+    target: complex
+    tolerance: float
+
+    def __post_init__(self):
+        if self.power < 1 or self.coeff == 0:
+            raise ValueError("a cap needs a positive power and a non-zero coefficient")
+
+
+@dataclass(frozen=True)
 class AnnulusArc:
     """Product region {r_j in [1-s_j, 1), theta_j in arcs_j} ∩ optional angle-sum window
-    ∩ optional deficit simplex.
+    ∩ optional deficit simplex ∩ optional caps.
 
     arcs entry None means the full circle.  Depth 1 means the full radial
     range.  Simplex coordinates have no arc and no window coefficient; their
-    depths still bound their radii.
+    depths still bound their radii.  A capped coordinate (``caps``) has no
+    depth, no arc and no window coefficient, and lies outside the simplex.
     """
 
     depths: tuple[float, ...]
     arcs: tuple[tuple[Arc, ...] | None, ...]
     window: AngleSumWindow | None = None
     simplex: DeficitSimplex | None = None
+    caps: tuple[TermCap, ...] = ()
 
     def __post_init__(self):
         if len(self.depths) != len(self.arcs):
@@ -564,6 +609,12 @@ class AnnulusArc:
         for j in self.simplex.coords if self.simplex is not None else ():
             if self.arcs[j] is not None or (self.window is not None and self.window.coeffs[j]):
                 raise ValueError("a simplex coordinate takes no arc and no window")
+        capped = [cap.coord for cap in self.caps]
+        if len(set(capped)) < len(capped) or any(
+                self.arcs[j] is not None or depths[j] < 1.0 or j in self.inner
+                or (self.window is not None and self.window.coeffs[j]) for j in capped):
+            raise ValueError("a capped coordinate takes one cap and no depth, arc, window "
+                             "or simplex")
 
     @staticmethod
     def full(n: int) -> "AnnulusArc":
@@ -583,8 +634,9 @@ class AnnulusArc:
 def region_mass(region: AnnulusArc, beta: WeightParam) -> float:
     """Exact V_beta mass of a sampling region's product part, in closed form.
 
-    A simplex's coordinates count with mass 1 here: each of their draws
-    carries its own likelihood factor in [0, 1] (``region_points``).
+    A simplex's coordinates and the capped ones count with mass 1 here: each
+    of their draws carries its own likelihood factor in [0, 1]
+    (``region_points``).
     """
     total = 1.0
     for j, (s, arcs) in enumerate(zip(region.depths, region.arcs)):
@@ -770,6 +822,33 @@ def _simplex_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle
     return likelihood
 
 
+def _cap_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle_u: dict,
+                z: np.ndarray, likelihood):
+    """Draw the capped coordinates into rows of z; return the likelihood times their factors.
+
+    A cap {|c z_j^m - u| <= delta} takes r_j from ``_arc_radius`` on the
+    interval where its arc set is non-empty, and theta_j uniform on the m
+    arcs {m theta_j - arg(u/c) in ±h(r_j)} (``_branch_angle``): its factor
+    is the radius's Jacobian times h(r_j)/pi, so every point lies in the cap
+    and the mean factor is the cap's V_beta mass.
+    """
+    for cap in region.caps:
+        j, m, delta = cap.coord, cap.power, cap.tolerance
+        c, u = abs(cap.coeff), abs(cap.target)
+        r, factor = _arc_radius(np.array([u]), delta, c, m, 0.0, beta, radius_u[j])
+        h = _cap_angular_halfwidth(_power(r, m) * c, u, delta)
+        phase = (math.atan2(cap.target.imag, cap.target.real)
+                 - math.atan2(cap.coeff.imag, cap.coeff.real))
+        cos_theta, sin_theta, _ = _branch_angle(angle_u[j], m, h, phase)
+        np.multiply(r, cos_theta, out=z[j].real)
+        np.multiply(r, sin_theta, out=z[j].imag)
+        h *= factor
+        h /= math.pi
+        h *= likelihood
+        likelihood = h
+    return likelihood
+
+
 def region_points(region: AnnulusArc, beta: WeightParam, u: np.ndarray,
                   fixed: tuple[int, ...] = (),
                   integrated: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray | float]:
@@ -779,26 +858,30 @@ def region_points(region: AnnulusArc, beta: WeightParam, u: np.ndarray,
     columns give the drawn angles, each through the inverse CDF of its arc
     set.  The window's solve coordinate reads one column u: the branch is
     floor(m u) and the window offset comes from frac(m u).  Outside a simplex
-    the points follow V_beta restricted to the region and the likelihood is
-    1.0.  The simplex coordinates are drawn in turn from their slices of the
+    and the caps the points follow V_beta restricted to the region and the
+    likelihood is 1.0.  The simplex coordinates are drawn in turn from their slices of the
     simplex (``_simplex_points``), and each point's likelihood, in [0, 1],
     is the product of its draws' factors: averages of likelihood times
     integrand are unbiased over the simplex, and the mean likelihood is its
     V_beta mass.  The map is piecewise smooth, so scrambled Sobol points pass
     through it as well as i.i.d. ones.
 
+    The capped coordinates read their two columns as the others do, and each
+    is drawn from its cap (``_cap_points``), its factor in the likelihood.
+
     The ``fixed`` coordinates take no angle column and come back as their
     real radii r_j: a caller that integrates those angles in closed form
     reads only their moduli; at most one of them is a simplex coordinate.
     The ``integrated`` coordinates take no column at all and come back as
     NaN: the caller integrates radius and angle and reads neither.  Both need
-    free angles, and an integrated coordinate the full radial range outside
-    any simplex.
+    free angles and no cap, and an integrated coordinate the full radial
+    range outside any simplex.
     """
     n = region.n
     window, inner = region.window, region.inner
+    capped = [cap.coord for cap in region.caps]
     if any(region.arcs[j] is not None or (window is not None and window.coeffs[j] > 0)
-           or (j in inner and j in integrated) for j in fixed + integrated):
+           or (j in inner and j in integrated) or j in capped for j in fixed + integrated):
         raise ValueError("a fixed or integrated coordinate's angle must be unconstrained")
     if sum(j in inner for j in fixed) > 1:
         raise ValueError("at most one simplex coordinate can be fixed")
@@ -811,9 +894,9 @@ def region_points(region: AnnulusArc, beta: WeightParam, u: np.ndarray,
     live = [j for j in drawn if j not in fixed]
     radius_u = dict(zip(drawn, u.T))
     angle_u = dict(zip(live, u[:, len(drawn):].T))
-    r, theta = {}, {}  # of the coordinates outside the simplex
+    r, theta = {}, {}  # of the coordinates outside the simplex and the caps
     for j in range(n):
-        if j in inner:
+        if j in inner or j in capped:
             continue
         r[j] = radial_sample(beta, radius_u[j], region.depths[j]) if j in radius_u else np.nan
         if j not in angle_u:
@@ -840,6 +923,8 @@ def region_points(region: AnnulusArc, beta: WeightParam, u: np.ndarray,
             np.multiply(r[j], np.cos(theta[j]), out=z[j].real)
             np.multiply(r[j], np.sin(theta[j]), out=z[j].imag)
     likelihood = _simplex_points(region, beta, radius_u, angle_u, z) if inner else 1.0
+    if capped:
+        likelihood = _cap_points(region, beta, radius_u, angle_u, z, likelihood)
     return z.T, likelihood
 
 
@@ -856,7 +941,7 @@ def restricted_sample(region: AnnulusArc, beta: WeightParam,
 
     A point's mass is the region's exact mass (``region_mass``) times its
     likelihood (``region_points``): one float for a region without a
-    simplex, else one per point.  One generator gives i.i.d. points; a
+    simplex or a cap, else one per point.  One generator gives i.i.d. points; a
     sequence of generators gives scrambled Sobol replicates, one per
     generator, which split ``size`` evenly (powers of two).  The ``fixed``
     and ``integrated`` coordinates come back as in ``region_points``.
@@ -875,29 +960,40 @@ def restricted_sample(region: AnnulusArc, beta: WeightParam,
 # Rounding allowance of a simplex membership test: sampled points sit on the
 # simplex's faces up to a few ulps of each |c_k| x_k.
 _DEFICIT_SLACK = 1e-12
+# Rounding allowance of a cap membership test: the binding itself adds its
+# constant and its term in another order.
+_CAP_SLACK = 1e-12
 
 
 def region_contains(region: AnnulusArc, z: np.ndarray) -> np.ndarray:
-    """Vectorized membership test for points of D^n (boolean array of length N)."""
+    """Vectorized membership test for points of D^n (boolean array of length N).
+
+    Moduli and angles are computed only for the coordinates that a depth, an
+    arc set or the window constrains.
+    """
     z = np.asarray(z, dtype=complex)
     ok = np.ones(z.shape[0], dtype=bool)
-    r = np.abs(z)
-    theta = np.angle(z) % TWO_PI
+    window = region.window
+    theta = {}
     for j in range(region.n):
         s = region.depths[j]
         if s < 1.0:
-            ok &= r[:, j] >= 1.0 - s
+            ok &= np.abs(z[:, j]) >= 1.0 - s
         arcs = region.arcs[j]
+        if arcs is not None or (window is not None and window.coeffs[j]):
+            theta[j] = np.angle(z[:, j]) % TWO_PI
         if arcs is not None:
             in_arc = np.zeros(z.shape[0], dtype=bool)
             for start, length in arcs:
-                in_arc |= (theta[:, j] - start) % TWO_PI <= length
+                in_arc |= (theta[j] - start) % TWO_PI <= length
             ok &= in_arc
-    if region.window is not None:
-        w = region.window
-        phase = sum(w.coeffs[j] * theta[:, j] for j in range(region.n))
-        dev = (phase - w.center + math.pi) % TWO_PI - math.pi
-        ok &= np.abs(dev) <= w.halfwidth
+    if window is not None:
+        phase = sum(window.coeffs[j] * t for j, t in theta.items() if window.coeffs[j])
+        dev = (phase - window.center + math.pi) % TWO_PI - math.pi
+        ok &= np.abs(dev) <= window.halfwidth
     if region.simplex is not None:
         ok &= region.simplex.deficit(z) <= region.simplex.budget + _DEFICIT_SLACK
+    for cap in region.caps:
+        term = cap.coeff * _power(z[:, cap.coord], cap.power)
+        ok &= np.abs(term - cap.target) <= cap.tolerance + _CAP_SLACK
     return ok

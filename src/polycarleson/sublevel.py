@@ -19,7 +19,7 @@ set among them, it falls back to the sets' union.
 
 Inside the region coordinates are integrated out (conditional Monte Carlo)
 along one matching of coordinates to bindings (``_split_coordinate``), which
-gives each coordinate one of three roles.  A binding that contains z_j as
+gives each coordinate one of four roles.  A binding that contains z_j as
 a + b z_j^m, a single exponent m with a and b free of z_j, holds at fixed
 other coordinates and r_j on m arcs of theta_j, {m theta_j - arg(u/b) in
 ±h} with u = eta - a and half-width h = arccos((rho^2 + |u|^2 -
@@ -36,9 +36,15 @@ or the simplex holds it: its factor is the length of the intersection of
 the arc sets over 2 pi (h/pi for one set), and a simplex coordinate's r_j,
 drawn last, takes one uniform through a cosine map on the interval where the
 arc is non-empty, the draw's likelihood (``measure.region_points``)
-multiplying its weight.  Every other coordinate is drawn.  The region drops
-its constraints on what is integrated (the matched coordinates' arcs, the
-angle-sum window, and the depths of the integrated radii).  A box whose
+multiplying its weight.  Every other coordinate is drawn.  A drawn z_k
+outside the simplex is capped when a binding that no matched coordinate
+holds reads c0 + c z_k^m: z_k is then drawn from that binding's exact cap
+{|c z_k^m - u| <= delta} (``measure.TermCap``), r_k by the same cosine map
+and theta_k uniform on the cap's m arcs, the likelihood taking the Jacobian
+times h/pi, and the binding holds at every draw, with no margin.  The
+region drops its constraints on what is integrated or capped (the matched
+and capped coordinates' arcs, the angle-sum window, and the depths of the
+integrated and capped radii).  A box whose
 bindings each pin their own coordinate, as identity2's and coord_square's
 do, leaves nothing to draw: its estimate is one quadrature, computed once.
 Binding sets with no split coordinate fall back to plain hit counting.
@@ -69,6 +75,7 @@ from .measure import (
     AnnulusArc,
     Arc,
     DeficitSimplex,
+    TermCap,
     WeightParam,
     _cap_angular_halfwidth,
     _power,
@@ -407,10 +414,13 @@ class _Matching:
     as a + b z_j^m, a and b free of z_j, in binding order; else None.
     ``picks`` lists (k, binding index, m, a, b) for each coordinate z_k
     integrated whole, written so in the one binding that holds it.
+    ``caps`` lists (binding index, cap) for each drawn coordinate that the
+    region draws from that binding's exact set (``measure.TermCap``).
     """
 
     angle: tuple[int, tuple[tuple[int, int, MonomialTable, MonomialTable], ...]] | None
     picks: tuple[tuple[int, int, int, MonomialTable, MonomialTable], ...]
+    caps: tuple[tuple[int, TermCap], ...] = ()
 
     @property
     def fixed(self) -> tuple[int, ...]:
@@ -449,6 +459,12 @@ def _split_coordinate(bindings: list[Binding], n: int, inner=()) -> _Matching:
     binding holds no coordinate picked before nor the angle's: an uncoupled
     split outside the simplex is the first pick.  With no split, nothing is
     integrated.
+
+    Every other coordinate is drawn, and a drawn z_k outside ``inner`` is
+    capped when a binding held by no matched coordinate has c z_k^m as its
+    one non-constant term: the first such binding's exact set
+    {|c z_k^m - u| <= delta} (``measure.TermCap``) then replaces z_k's
+    region, so that binding holds at every draw.
     """
     holders = [_holders(bindings, j) for j in range(n)]
     j = next((j for j, parts in enumerate(holders) if parts), n)
@@ -461,21 +477,35 @@ def _split_coordinate(bindings: list[Binding], n: int, inner=()) -> _Matching:
         if held and len(held) == 1 and held[0][0] not in taken and k not in inner:
             taken.add(held[0][0])
             picks.append((k, *held[0]))
-    return _Matching(angle, tuple(picks))
+    matched = {k for k, *_ in picks} | ({angle[0]} if angle else set())
+    caps = []
+    for index, (f, target, tol) in enumerate(bindings):
+        table = f.components[0]
+        terms = [(alpha, c) for alpha, c in table if any(alpha)]
+        live = [k for k in range(n) if len(terms) == 1 and terms[0][0][k]]
+        if len(live) != 1 or index in taken or live[0] in matched | set(inner):
+            continue
+        (alpha, c), k = terms[0], live[0]
+        u = complex(target) - sum((coef for a, coef in table if not any(a)), 0j)
+        caps.append((index, TermCap(k, alpha[k], complex(c), u, float(tol))))
+        matched.add(k)  # one cap per coordinate
+    return _Matching(angle, tuple(picks), tuple(caps))
 
 
-def _free_angle(region: AnnulusArc, fixed: tuple[int, ...],
-                integrated: tuple[int, ...]) -> AnnulusArc:
+def _free_angle(region: AnnulusArc, match: _Matching) -> AnnulusArc:
     """The region without its arcs on the matched coordinates and without its angle-sum window.
 
-    An ``integrated`` coordinate loses its depth too: its radius is then
-    integrated over its whole law.  The simplex stays as it is: the sampler
-    draws a ``fixed`` simplex coordinate last (``measure._simplex_points``).
+    An integrated coordinate loses its depth too: its radius is then
+    integrated over its whole law.  A capped coordinate loses its depth and
+    arcs from every binding to its cap, which alone contains the joint set.
+    The simplex stays as it is: the sampler draws a fixed simplex coordinate
+    last (``measure._simplex_points``).
     """
-    picked = fixed + integrated
-    arcs = tuple(None if j in picked else a for j, a in enumerate(region.arcs))
-    depths = tuple(1.0 if j in integrated else s for j, s in enumerate(region.depths))
-    return AnnulusArc(depths=depths, arcs=arcs, simplex=region.simplex)
+    caps = tuple(cap for _, cap in match.caps)
+    whole = match.integrated + tuple(cap.coord for cap in caps)
+    arcs = tuple(None if j in match.fixed or j in whole else a for j, a in enumerate(region.arcs))
+    depths = tuple(1.0 if j in whole else s for j, s in enumerate(region.depths))
+    return AnnulusArc(depths=depths, arcs=arcs, simplex=region.simplex, caps=caps)
 
 
 def _modulus(x: np.ndarray) -> np.ndarray:
@@ -533,12 +563,12 @@ def _cap_factor(binding: Binding, m: int, a_table: MonomialTable, b_table: Monom
                 z: np.ndarray, cache: dict, beta: WeightParam) -> tuple[np.ndarray, np.ndarray]:
     """P(a + b z_k^m holds | the drawn coordinates), z_k over its whole law, and its bound.
 
-    ``_radial_cap_weight`` gives both.
+    ``_radial_cap_weight`` gives both.  Only the moduli of u and b stay alive
+    through it.
     """
     _, target, tol = binding
-    u = target - _eval_table(a_table, z, cache)
-    b = _eval_table(b_table, z, cache)
-    return _radial_cap_weight(np.abs(b), np.abs(u), tol, m, beta)
+    umod = np.abs(target - _eval_table(a_table, z, cache))
+    return _radial_cap_weight(np.abs(_eval_table(b_table, z, cache)), umod, tol, m, beta)
 
 
 def _conditional_weights(bindings: list[Binding], match: _Matching, z: np.ndarray,
@@ -553,7 +583,8 @@ def _conditional_weights(bindings: list[Binding], match: _Matching, z: np.ndarra
     delta)/pi dmu_beta(r) over z_k's whole radial law (``_cap_factor``), and
     the product's bound is prod(W + e) - prod(W) over its factors' bounds e,
     the rule of ``carleson_box_measure``.  ``restricted_sample`` leaves
-    column k unused.
+    column k unused.  A capped coordinate's binding holds at every draw of
+    the region, whose likelihood carries the cap's mass, so it is no factor.
 
     The angle's column j holds the real radius r_j, as ``restricted_sample``
     leaves a fixed coordinate: drawn by the region, by the cosine map on the
@@ -570,7 +601,8 @@ def _conditional_weights(bindings: list[Binding], match: _Matching, z: np.ndarra
     """
     cache: dict = {}
     parts = () if match.angle is None else match.angle[1]
-    held = {index for index, *_ in parts} | {index for _, index, *_ in match.picks}
+    held = ({index for index, *_ in parts} | {index for _, index, *_ in match.picks}
+            | {index for index, _ in match.caps})
     others = [binding for i, binding in enumerate(bindings) if i not in held]
     factors = []  # (weight, bound) of each binding that holds a matched coordinate
     if parts:
@@ -629,11 +661,14 @@ def estimate_indicator(
     held by one binding alone, are integrated whole, radius and angle, and
     take no uniform.  The angle's coordinate, a split that several bindings
     contain or that the simplex holds, keeps a drawn radius, and only its
-    angle is integrated.  The region drops its arcs and angle-sum window on
-    the matched coordinates and its depths on the integrated ones
+    angle is integrated.  A drawn coordinate that a binding of one term
+    c z_k^m holds comes from that binding's cap, which then holds at every
+    draw.  The region drops its arcs and angle-sum window on the matched and
+    capped coordinates and its depths on the integrated and capped ones
     (``_free_angle``).  With nothing matched the weights are plain 0/1
     indicators.  Each weight is multiplied by its point's likelihood, which
-    is 1 outside a simplex and at most 1 inside, so weights stay in [0, 1].
+    is 1 outside a simplex and a cap and at most 1 inside, so weights stay in
+    [0, 1].
 
     The points are R independently scrambled Sobol replicates of 2^k points
     each (``replicate_layout``), drawn by ``restricted_sample``; replicate r
@@ -653,15 +688,16 @@ def estimate_indicator(
     both are the same at every budget and seed, and ``hits`` counts the
     R * 2^k draws it stands for (0 for a zero weight).  A uniform i.i.d. audit
     pass (``sample_polydisc`` in ``run_batches``' default 2^16-point
-    batches) measures the mass outside the region.  Zero support (no point with
+    batches) measures the mass outside the region, testing the region only
+    on its points where every binding holds.  Zero support (no point with
     positive weight) or leakage above the threshold fraction of the estimate
     marks the result untrusted; zero support also reports a one-sided upper
     confidence bound.
     """
     match = _split_coordinate(bindings, n, region.inner)
     fixed, integrated = match.fixed, match.integrated
-    if fixed or integrated:  # with nothing matched the region keeps its window
-        region = _free_angle(region, fixed, integrated)
+    if fixed or integrated or match.caps:  # with nothing matched the region keeps its window
+        region = _free_angle(region, match)
     mass = region_mass(region, beta)
 
     replicates, size = replicate_layout(budget)
@@ -677,7 +713,7 @@ def estimate_indicator(
         def main_worker(rngs, count):
             z, point_mass = restricted_sample(region, beta, rngs, count, fixed, integrated)
             w, err = _conditional_weights(bindings, match, z, beta)
-            likelihood = point_mass / mass  # exactly 1.0 outside a simplex
+            likelihood = point_mass / mass  # exactly 1.0 outside a simplex and the caps
             w, err = w * likelihood, err * likelihood
             return (w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w)),
                     float(np.sum(err)))
@@ -706,8 +742,8 @@ def estimate_indicator(
 
         def audit_worker(rng, count):
             z = sample_polydisc(n, beta, rng, count)
-            outside = _members(bindings, z) & ~region_contains(region, z)
-            return (int(np.count_nonzero(outside)),)
+            z = z[_members(bindings, z)]
+            return (len(z) - int(np.count_nonzero(region_contains(region, z))),)
 
         (leak_hits,) = sum_counts(
             run_batches(audit_budget, seed, label + "/audit", audit_worker, threads=threads)

@@ -302,3 +302,50 @@ def powersum2_volume(delta, nodes=64):
     u = np.sqrt(np.maximum(1.0 - s * cos + s * s / 4.0, 0.25))
     inner = np.sum(half_square_weight(u, delta, nodes) * 2.0 * (1.0 - s1) * q * wq, axis=1)
     return float(np.sum(inner * 2.0 * phi_max * p * wp)) / math.pi
+
+
+def _cap_probability(b, u, delta, beta, nodes):
+    """P(|b z - u| <= delta) over z with law V_beta, for u - b < delta < u, vectorised over b, u.
+
+    r runs from (u - delta)/b to 1, taken in v = (1 - r^2)^(beta+1), where
+    mu_beta is Lebesgue measure, as v = top (1 - q^2): the square-root end of
+    h at the inner edge becomes smooth in q, and r is analytic in v at r = 1
+    when 1/(beta+1) is an integer.
+    """
+    p1 = beta + 1.0
+    q, wq = _gauss01(nodes)
+    b, u = np.asarray(b, dtype=float)[..., None], np.asarray(u, dtype=float)[..., None]
+    lo = np.minimum((u - delta) / b, 1.0)  # r where b r meets the inner edge
+    top = (1.0 - lo * lo) ** p1
+    rho = b * np.sqrt(1.0 - (top * (1.0 - q * q)) ** (1.0 / p1))
+    inside = (delta - rho + u) * (delta + rho - u)
+    outside = (rho + u - delta) * (rho + u + delta)
+    h = 2.0 * np.arctan2(np.sqrt(np.maximum(inside, 0.0)), np.sqrt(outside))
+    return np.sum(h / math.pi * 2.0 * top * q * wq, axis=-1)
+
+
+def general2_box_volume(delta, beta, nodes=48):
+    """Exact V_beta of general2's box preimage at (1, 1), by nested quadrature; delta <= 1/4.
+
+    general2 = ((z1 + z2 + z1 z2)/3, z2), and the preimage is
+    {|b z1 - u| <= delta, |z2 - 1| <= delta} with b = (1 + z2)/3 and
+    u = 1 - z2/3.  Given z2, z1 lies in the set with probability
+    ``_cap_probability(|b|, |u|)``, which a tensor Gauss-Legendre rule
+    integrates over z2's cap.  On the cap |u| - |b| <= 2 delta/3 (|u|^2 -
+    |b|^2 = 8 (1 - Re z2)/9) and |u| >= 2/3, so nothing changes shape
+    inside.  z2's radius is taken as in ``_cap_probability``, from
+    r2 = 1 - delta, where the cap's angular half-width H opens like a square
+    root, and by the symmetry z2 -> conj(z2) its angle runs over [0, H].
+    48 nodes per axis agree with 96 to ~2e-13 relative on
+    delta = 2^-3 ... 2^-7 at beta = 0 and -0.5.
+    """
+    p1 = beta + 1.0
+    if not 0.0 < delta <= 0.25 or 1.0 / p1 != round(1.0 / p1):
+        raise ValueError("the general2 box oracle takes delta <= 1/4 and an integer 1/(beta+1)")
+    (p, wp), (t, wt) = _gauss01(nodes), _gauss01(nodes)
+    top = (delta * (2.0 - delta)) ** p1  # v at r2 = 1 - delta
+    r2 = np.sqrt(1.0 - (top * (1.0 - p * p)) ** (1.0 / p1))
+    half = np.arccos(np.minimum((r2 * r2 + (1.0 - delta) * (1.0 + delta)) / (2.0 * r2), 1.0))
+    z2 = r2[:, None] * np.exp(1j * half[:, None] * t)
+    prob = _cap_probability(np.abs(1.0 + z2) / 3.0, np.abs(3.0 - z2) / 3.0, delta, beta, nodes)
+    return float(np.sum(half / math.pi * (prob @ wt) * 2.0 * top * p * wp))

@@ -7,11 +7,13 @@ import pytest
 from polycarleson import carleson, sublevel
 from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
+from polycarleson.fitting import loglog_wls
 from polycarleson.measure import CarlesonBox, WeightParam, carleson_box_measure
 from polycarleson.montecarlo import replicate_layout
 from polycarleson.sublevel import SublevelQuery, estimate_sublevel
 from polycarleson.symbols import PolySymbol, TorusPoint
 
+from oracles import general2_box_volume, radial_cap_weight, unit_disc_cap_area
 from test_measure import manifest_betas
 
 
@@ -218,6 +220,42 @@ class TestScans:
             ratio_growth_scan(get_symbol("identity2"), TorusPoint((0.0, 0.0)),
                               (False, False), WeightParam(0.0),
                               [0.5, 0.25, 0.125, 0.0625], 1000)
+
+
+GENERAL2 = [[((1, 0), 1 / 3), ((0, 1), 1 / 3), ((1, 1), 1 / 3)], [((0, 1), 1.0)]]
+GRID_3_7 = tuple(2.0**-k for k in range(3, 8))
+
+
+class TestGeneral2Boxes:
+    """general2's boxes at (1, 1): z1 integrated whole, z2 drawn from its own binding's cap."""
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_boxes_match_exact_volume(self, beta):
+        # |t| > 4 has odds 1.7e-4 per box on 63 degrees of freedom: some box of
+        # the ten fails with odds below 2e-3
+        sym = PolySymbol.from_tables(GENERAL2, 2)
+        draws = math.prod(replicate_layout(1 << 18))
+        for delta in GRID_3_7:
+            box = CarlesonBox(TorusPoint((0.0, 0.0)), (delta, delta))
+            est = preimage_box_ratio(sym, box, WeightParam(beta), 1 << 18, seed=71).numerator
+            exact = general2_box_volume(delta, beta)
+            assert est.trusted and est.leakage == 0.0 and est.hits >= 0.999 * draws
+            assert abs(est.volume - exact) <= 4.0 * est.stderr, (delta, est, exact)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_scan_slope_matches_exact_grid_slope(self, beta):
+        # the scan's slope is the OLS slope of the log ratios, which the exact
+        # grid slope is for the exact ratios
+        sym = PolySymbol.from_tables(GENERAL2, 2)
+        scan = ratio_growth_scan(sym, TorusPoint((0.0, 0.0)), (1, 1), WeightParam(beta), GRID_3_7,
+                                 1 << 18, seed=73)
+        caps = [unit_disc_cap_area(d) if beta == 0.0 else radial_cap_weight(1.0, 1.0, d, 1, beta)
+                for d in GRID_3_7]
+        exact = loglog_wls(GRID_3_7, [general2_box_volume(d, beta) / cap**2
+                                      for d, cap in zip(GRID_3_7, caps)], [0.0] * len(caps))
+        assert all(e.trusted for e in scan.estimates)
+        assert abs(scan.slope - exact.slope) <= 4.0 * scan.slope_stderr, (scan.slope, exact.slope,
+                                                                         scan.slope_stderr)
 
 
 class TestBetaUniformity:

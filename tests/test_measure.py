@@ -14,6 +14,7 @@ from polycarleson.measure import (
     AnnulusArc,
     CarlesonBox,
     EmptyRegion,
+    TermCap,
     WeightParam,
     _cap_angular_halfwidth,
     _radial_cap_weight,
@@ -624,6 +625,52 @@ class TestDeficitSimplex:
         b = hits.mean()
         sb = math.sqrt(b * (1.0 - b) / hits.size)
         assert abs(a - b) <= 4.0 * math.hypot(sa, sb), (a, sa, b, sb)
+
+
+# m: (coefficient c, target u, tolerance delta) of a cap {|c z^m - u| <= delta}
+CAP_CASES = {
+    1: (1.0, 1.0, 0.1),                                          # extremal, |u| = |c|
+    2: (0.5 * complex(math.cos(0.3), math.sin(0.3)), 0.45j, 0.2),  # |u| < |c|
+    3: (0.7, 0.05j, 0.2),                                        # |u| < delta: holds the origin
+}
+
+
+class TestTermCap:
+    """A capped coordinate is drawn from its binding's exact set, its factor in the likelihood."""
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5, -0.9])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_draws_lie_in_the_cap_and_weigh_its_mass(self, m, beta):
+        # z1 is capped beside z0 on an annulus of depth 0.5; (A - B)/stderr with
+        # B exact: |t| > 4 has odds 6.3e-5 per case
+        c, u, delta = CAP_CASES[m]
+        region = AnnulusArc(depths=(0.5, 1.0), arcs=(None, None),
+                            caps=(TermCap(1, m, c, u, delta),))
+        weight = WeightParam(beta)
+        rng = np.random.default_rng(60 + m)
+        z, point_mass = restricted_sample(region, weight, rng, 200_000)
+        assert np.all(np.abs(c * z[:, 1] ** m - u) <= delta * (1.0 + 1e-12))
+        assert np.all(region_contains(region, z))
+        likelihood = point_mass / region_mass(region, weight)
+        assert np.all((0.0 <= likelihood) & (likelihood <= 1.0))
+        mean, stderr = likelihood.mean(), likelihood.std(ddof=1) / math.sqrt(likelihood.size)
+        exact = radial_cap_weight(abs(c), abs(u), delta, m, beta)
+        assert abs(mean - exact) <= 4.0 * stderr, (mean, stderr, exact)
+        # no point of the binding in z0's annulus lies outside the region
+        z = sample_polydisc(2, weight, rng, 400_000)
+        held = (np.abs(c * z[:, 1] ** m - u) <= delta) & (np.abs(z[:, 0]) >= 0.5)
+        assert np.count_nonzero(held) > 100
+        assert np.all(region_contains(region, z[held]))
+
+    def test_capped_coordinate_takes_no_other_constraint(self):
+        cap = TermCap(0, 1, 1.0, 1.0, 0.1)
+        for depths, arcs in (((0.5,), (None,)), ((1.0,), (merge_arcs([(0.0, 1.0)]),))):
+            with pytest.raises(ValueError, match="capped"):
+                AnnulusArc(depths=depths, arcs=arcs, caps=(cap,))
+        region = AnnulusArc(depths=(1.0,), arcs=(None,), caps=(cap,))
+        assert sample_dim(region) == 2 and region_mass(region, WeightParam(0.0)) == 1.0
+        with pytest.raises(ValueError):
+            region_points(region, WeightParam(0.0), np.zeros((4, 0)), integrated=(0,))
 
 
 class TestDeterministicBatching:

@@ -498,6 +498,41 @@ class TestCoupledBindings:
         assert agree(est, volume, stderr), (est, volume, stderr)
 
 
+# z1 alone with exponent m, and z2 beside it: the z1^m z2 term always (so no simplex)
+CAPPED_BINDING = st.tuples(st.sampled_from([1, 2]),
+                           st.lists(st.integers(0, 3), min_size=4, max_size=4)
+                           .filter(lambda w: w[1]))
+
+# z2's own binding: an exponent, the weight on 1 and the weight on z2^m
+OWN_TERM = st.tuples(st.sampled_from([1, 2, 3]), st.integers(0, 2), st.integers(1, 3))
+
+
+class TestCappedBindings:
+    """A drawn coordinate with its own single-term binding is drawn from that binding's cap."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(shared=CAPPED_BINDING, own=OWN_TERM,
+           deltas=st.tuples(st.floats(0.05, 0.3), st.floats(0.05, 0.3)),
+           beta=st.sampled_from([0.0, -0.5]), seed=st.integers(0, 2**16))
+    def test_pairs_agree_with_uniform_oracle(self, shared, own, deltas, beta, seed):
+        # the first binding holds z1 alone and z2 besides; the second is
+        # w0 + w1 z2^m: z1 is picked and z2 comes from the second's cap
+        m, w0, w1 = own
+        entries = [coupled_entries(*shared),
+                   [(a, w / (w0 + w1)) for a, w in (((0, 0), w0), ((0, m), w1)) if w]]
+        bindings = [(PolySymbol.from_tables([e], 2), 1.0, d) for e, d in zip(entries, deltas)]
+        region = build_proposal(bindings, 2)
+        match = sublevel._split_coordinate(bindings, 2, region.inner)
+        assert match.angle is None and [(k, index) for k, index, *_ in match.picks] == [(0, 0)]
+        assert [(index, cap.coord, cap.power) for index, cap in match.caps] == [(1, 1, m)]
+        est = sublevel.estimate_indicator(bindings, 2, WeightParam(beta), region, 200_000, seed,
+                                          "capped")
+        volume, stderr = uniform_joint_volume(list(zip(entries, (1.0, 1.0), deltas)), 2, beta,
+                                              1_000_000, seed)
+        assert est.trusted and est.leakage == 0.0 and est.region_mass == 1.0
+        assert agree(est, volume, stderr), (entries, deltas, beta, est, volume, stderr)
+
+
 def own_entries(j, n, m, weights):
     """A binding with c >= 0 summing to 1 that holds z_j alone, with exponent m.
 
