@@ -29,23 +29,25 @@ window's branch and offset).  Simplex coordinates are drawn one after the
 other from what the earlier ones leave of the budget, each from V_beta on
 its own slice of the simplex; each draw carries its exact likelihood factor
 (annulus mass times arc fraction), so the points are importance-weighted
-rather than uniform there.  A coordinate whose angle (``fixed``) or whose
-radius and angle (``integrated``) the caller integrates takes no uniform for
-them; the sampler draws a fixed simplex coordinate last, its radius by a
-cosine map on the interval where the binding's angular arc is non-empty.
-A capped coordinate (``TermCap``) is drawn exactly from a binding's set
+rather than uniform there.  The region names the coordinates whose angle
+(``fixed``) or whose radius and angle (``integrated``) the caller
+integrates, and the sampler reads no uniform for them; it reads nothing but
+the region.  A fixed simplex coordinate is drawn last, its radius by a
+cosine map on the interval where the binding's angular arc is non-empty.  A
+capped coordinate (``TermCap``) is drawn exactly from a binding's set
 {|c z^m - u| <= delta}: its radius by the same cosine map, its angle
 uniform on the set's m arcs, and the draw carries that likelihood factor.
 ``restricted_sample`` feeds the map i.i.d. uniforms from one generator or,
 for the sublevel estimator, scrambled Sobol replicates, one per generator of
 a sequence; ``sample_polydisc``, the leakage audit's sampler, feeds it
-i.i.d. uniforms for the full polydisc.  With each point's mass (the region's
-exact product mass times the point's likelihood) averages over the points
-are unbiased.
+i.i.d. uniforms for the full polydisc.  With each point's likelihood, the
+region's exact product mass (``region_mass``) times the mean of likelihood
+times integrand is unbiased.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -100,7 +102,7 @@ class CarlesonBox:
         radii = tuple(min(float(d), 2.0) for d in self.radii)
         if len(radii) != self.center.n:
             raise ValueError("box radii and center dimension differ")
-        if any(d <= 0.0 for d in radii):
+        if not all(d > 0.0 for d in radii):  # NaN fails too
             raise ValueError("box radii must be positive")
         object.__setattr__(self, "radii", radii)
 
@@ -408,10 +410,10 @@ def disc_cap_measure(a: complex, delta: float, beta: WeightParam) -> tuple[float
     closed forms with a rounding allowance; the rest carry the Kronrod
     rule's stated bound.
     """
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError("cap radius must be positive")
-    w, e = _radial_cap_weight(np.ones(1), np.array([abs(complex(a))]), delta, 1, beta)
+    delta, a = float(delta), complex(a)
+    if not (delta > 0.0 and cmath.isfinite(a)):  # NaN fails too
+        raise ValueError("cap radius must be positive and its centre finite")
+    w, e = _radial_cap_weight(np.ones(1), np.array([abs(a)]), delta, 1, beta)
     return float(w[0]), float(e[0])
 
 
@@ -580,12 +582,17 @@ class TermCap:
 @dataclass(frozen=True)
 class AnnulusArc:
     """Product region {r_j in [1-s_j, 1), theta_j in arcs_j} ∩ optional angle-sum window
-    ∩ optional deficit simplex ∩ optional caps.
+    ∩ optional deficit simplex ∩ optional caps, and the coordinates a draw leaves out.
 
     arcs entry None means the full circle.  Depth 1 means the full radial
     range.  Simplex coordinates have no arc and no window coefficient; their
     depths still bound their radii.  A capped coordinate (``caps``) has no
     depth, no arc and no window coefficient, and lies outside the simplex.
+    The caller integrates the angle of a ``fixed`` coordinate (at most one
+    simplex coordinate) and the radius and angle of an ``integrated`` one
+    (depth 1, outside the simplex), so a draw takes no uniform for them
+    (``region_points``); neither has an arc, a window coefficient or a cap.
+    These roles constrain no point.
     """
 
     depths: tuple[float, ...]
@@ -593,6 +600,8 @@ class AnnulusArc:
     window: AngleSumWindow | None = None
     simplex: DeficitSimplex | None = None
     caps: tuple[TermCap, ...] = ()
+    fixed: tuple[int, ...] = ()
+    integrated: tuple[int, ...] = ()
 
     def __post_init__(self):
         if len(self.depths) != len(self.arcs):
@@ -601,20 +610,27 @@ class AnnulusArc:
         if any(s <= 0.0 for s in depths):
             raise EmptyRegion("annulus depths must be positive")
         object.__setattr__(self, "depths", depths)
+        coeffs = self.window.coeffs if self.window is not None else (0,) * len(depths)
         if self.window is not None:
-            if len(self.window.coeffs) != len(depths):
+            if len(coeffs) != len(depths):
                 raise ValueError("window coefficient length mismatch")
             if self.arcs[self.window.solve_index] is not None:
                 raise ValueError("window solve coordinate must have a full-circle arc")
-        for j in self.simplex.coords if self.simplex is not None else ():
-            if self.arcs[j] is not None or (self.window is not None and self.window.coeffs[j]):
-                raise ValueError("a simplex coordinate takes no arc and no window")
-        capped = [cap.coord for cap in self.caps]
+        # the coordinates whose angle no arc and no window constrain
+        free = {j for j, arcs in enumerate(self.arcs) if arcs is None and not coeffs[j]}
+        if any(j not in free for j in self.inner):
+            raise ValueError("a simplex coordinate takes no arc and no window")
+        capped = tuple(cap.coord for cap in self.caps)
         if len(set(capped)) < len(capped) or any(
-                self.arcs[j] is not None or depths[j] < 1.0 or j in self.inner
-                or (self.window is not None and self.window.coeffs[j]) for j in capped):
-            raise ValueError("a capped coordinate takes one cap and no depth, arc, window "
-                             "or simplex")
+                j not in free or depths[j] < 1.0 or j in self.inner for j in capped):
+            raise ValueError("a capped coordinate takes one cap, no depth, arc, window or simplex")
+        roles = self.fixed + self.integrated + capped
+        if len(set(roles)) < len(roles) or any(j not in free for j in roles):
+            raise ValueError("a fixed or integrated angle has no other role, arc, window or cap")
+        if any(depths[j] < 1.0 or j in self.inner for j in self.integrated):
+            raise ValueError("an integrated coordinate takes no depth and no simplex")
+        if sum(j in self.inner for j in self.fixed) > 1:
+            raise ValueError("at most one simplex coordinate can be fixed")
 
     @staticmethod
     def full(n: int) -> "AnnulusArc":
@@ -662,10 +678,10 @@ def _arc_angle(arcs: tuple[Arc, ...], u: np.ndarray) -> np.ndarray:
     return (starts[pick] + (t - (cum[pick] - lengths[pick]))) % TWO_PI
 
 
-def sample_dim(region: AnnulusArc, fixed: tuple[int, ...] = (),
-               integrated: tuple[int, ...] = ()) -> int:
-    """Uniforms per point that ``region_points`` reads: the drawn radii and the drawn angles."""
-    return 2 * region.n - len(fixed) - 2 * len(integrated)
+def sample_dim(region: AnnulusArc) -> int:
+    """Uniforms per point that ``region_points`` reads: two per coordinate, less the region's
+    fixed angles and integrated coordinates."""
+    return 2 * region.n - len(region.fixed) - 2 * len(region.integrated)
 
 
 def _arc_radius(umod, delta: float, c: float, m: int, floor, beta: WeightParam,
@@ -771,8 +787,8 @@ def _simplex_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle
     gamma = arccos((1 - left/|c_k|)/r^m) and branch floor(m u): exactly the
     slice {|c_k| x_k <= left}.  The likelihood picks up q^(beta+1) gamma/pi
     and left drops by |c_k| x_k.  The coordinates go in ``coords`` order,
-    but for the fixed one, which has no angle column: it goes last and comes
-    back as its real radius, from ``_arc_radius`` on the binding's arc at
+    but for the region's fixed one, which has no angle column: it goes last and
+    comes back as its real radius, from ``_arc_radius`` on the binding's arc at
     |u'| = |u - sum_{k drawn} c_k z_k^{m_k}| cut to what the simplex leaves;
     its Jacobian is its factor.
 
@@ -785,11 +801,11 @@ def _simplex_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle
     likelihood = np.ones(z.shape[1])
     sine = np.zeros(z.shape[1])  # Im sum_k |c_k| e^{-i phi_k} z_k^{m_k} over the drawn coordinates
     parts = sorted(zip(simplex.coords, simplex.powers, simplex.moduli, simplex.phases),
-                   key=lambda part: part[0] not in angle_u)  # stable: the fixed one last
+                   key=lambda part: part[0] in region.fixed)  # stable: the fixed one last
     for j, m, c, phi in parts:
         ell = left / c
         floor = np.maximum(1.0 - np.minimum(ell, 1.0), (1.0 - region.depths[j]) ** m)  # r_min^m
-        if j not in angle_u:
+        if j in region.fixed:
             re = c + simplex.tolerance - left  # conj(u') u/|u| = re - i sine
             z[j], jacobian = _arc_radius(np.sqrt(re * re + sine * sine), simplex.tolerance, c, m,
                                          floor, beta, radius_u[j])
@@ -849,9 +865,8 @@ def _cap_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle_u: 
     return likelihood
 
 
-def region_points(region: AnnulusArc, beta: WeightParam, u: np.ndarray,
-                  fixed: tuple[int, ...] = (),
-                  integrated: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray | float]:
+def region_points(region: AnnulusArc, beta: WeightParam,
+                  u: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Map uniforms u, shape (size, sample_dim), to region points and their likelihoods.
 
     The first columns give the drawn radii r_j in coordinate order; the next
@@ -869,29 +884,20 @@ def region_points(region: AnnulusArc, beta: WeightParam, u: np.ndarray,
     The capped coordinates read their two columns as the others do, and each
     is drawn from its cap (``_cap_points``), its factor in the likelihood.
 
-    The ``fixed`` coordinates take no angle column and come back as their
-    real radii r_j: a caller that integrates those angles in closed form
-    reads only their moduli; at most one of them is a simplex coordinate.
-    The ``integrated`` coordinates take no column at all and come back as
-    NaN: the caller integrates radius and angle and reads neither.  Both need
-    free angles and no cap, and an integrated coordinate the full radial
-    range outside any simplex.
+    The region's ``fixed`` coordinates take no angle column and come back as
+    their real radii r_j: a caller that integrates those angles in closed
+    form reads only their moduli.  Its ``integrated`` coordinates take no
+    column at all and come back as NaN: the caller integrates radius and
+    angle and reads neither.
     """
     n = region.n
     window, inner = region.window, region.inner
     capped = [cap.coord for cap in region.caps]
-    if any(region.arcs[j] is not None or (window is not None and window.coeffs[j] > 0)
-           or (j in inner and j in integrated) or j in capped for j in fixed + integrated):
-        raise ValueError("a fixed or integrated coordinate's angle must be unconstrained")
-    if sum(j in inner for j in fixed) > 1:
-        raise ValueError("at most one simplex coordinate can be fixed")
-    if any(region.depths[j] < 1.0 for j in integrated):
-        raise ValueError("an integrated coordinate's radius must be unconstrained")
     u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[1] != sample_dim(region, fixed, integrated):
+    if u.ndim != 2 or u.shape[1] != sample_dim(region):
         raise ValueError("uniforms need one column per drawn radius and per drawn angle")
-    drawn = [j for j in range(n) if j not in integrated]
-    live = [j for j in drawn if j not in fixed]
+    drawn = [j for j in range(n) if j not in region.integrated]
+    live = [j for j in drawn if j not in region.fixed]
     radius_u = dict(zip(drawn, u.T))
     angle_u = dict(zip(live, u[:, len(drawn):].T))
     r, theta = {}, {}  # of the coordinates outside the simplex and the caps
@@ -935,26 +941,24 @@ def sample_polydisc(n: int, beta: WeightParam, rng: np.random.Generator, size: i
 
 def restricted_sample(region: AnnulusArc, beta: WeightParam,
                       rng: np.random.Generator | Sequence[np.random.Generator],
-                      size: int, fixed: tuple[int, ...] = (),
-                      integrated: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray | float]:
-    """(size, n) points of the region, plus each point's mass.
+                      size: int) -> tuple[np.ndarray, np.ndarray | float]:
+    """(size, n) points of the region, plus each point's likelihood (``region_points``).
 
-    A point's mass is the region's exact mass (``region_mass``) times its
-    likelihood (``region_points``): one float for a region without a
-    simplex or a cap, else one per point.  One generator gives i.i.d. points; a
-    sequence of generators gives scrambled Sobol replicates, one per
-    generator, which split ``size`` evenly (powers of two).  The ``fixed``
-    and ``integrated`` coordinates come back as in ``region_points``.
+    The likelihood is 1.0 for a region without a simplex or a cap, else one
+    float per point; times the region's exact mass (``region_mass``) it is
+    the point's mass.  One generator gives i.i.d. points; a sequence of
+    generators gives scrambled Sobol replicates, one per generator, which
+    split ``size`` evenly (powers of two).  The region's fixed and integrated
+    coordinates come back as in ``region_points``.
     """
-    d = sample_dim(region, fixed, integrated)
+    d = sample_dim(region)
     if isinstance(rng, np.random.Generator):
         u = rng.random((size, d))
     else:
         if size % len(rng):
             raise ValueError(f"{size} points do not split into {len(rng)} Sobol replicates")
         u = sobol_points(rng, d, size // len(rng))
-    z, likelihood = region_points(region, beta, u, fixed, integrated)
-    return z, region_mass(region, beta) * likelihood
+    return region_points(region, beta, u)
 
 
 # Rounding allowance of a simplex membership test: sampled points sit on the

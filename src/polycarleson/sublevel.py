@@ -63,7 +63,7 @@ audit are flagged untrusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -416,21 +416,13 @@ class _Matching:
     integrated whole, written so in the one binding that holds it.
     ``caps`` lists (binding index, cap) for each drawn coordinate that the
     region draws from that binding's exact set (``measure.TermCap``).
+    ``_free_angle`` writes the angle's coordinate into the region as its
+    ``fixed`` one and the picks as its ``integrated`` ones.
     """
 
     angle: tuple[int, tuple[tuple[int, int, MonomialTable, MonomialTable], ...]] | None
     picks: tuple[tuple[int, int, int, MonomialTable, MonomialTable], ...]
     caps: tuple[tuple[int, TermCap], ...] = ()
-
-    @property
-    def fixed(self) -> tuple[int, ...]:
-        """The coordinate whose angle alone is integrated: it takes no angle column."""
-        return () if self.angle is None else (self.angle[0],)
-
-    @property
-    def integrated(self) -> tuple[int, ...]:
-        """The coordinates whose radius and angle are integrated: they take no column."""
-        return tuple(k for k, *_ in self.picks)
 
 
 def _holders(bindings: list[Binding], j: int):
@@ -493,19 +485,24 @@ def _split_coordinate(bindings: list[Binding], n: int, inner=()) -> _Matching:
 
 
 def _free_angle(region: AnnulusArc, match: _Matching) -> AnnulusArc:
-    """The region without its arcs on the matched coordinates and without its angle-sum window.
+    """The region that draws what the matching leaves: each coordinate's role written into it.
 
-    An integrated coordinate loses its depth too: its radius is then
+    The angle's coordinate becomes the region's ``fixed`` one and the picks
+    its ``integrated`` ones; both lose their arcs, and the angle-sum window
+    goes.  An integrated coordinate loses its depth too: its radius is then
     integrated over its whole law.  A capped coordinate loses its depth and
     arcs from every binding to its cap, which alone contains the joint set.
     The simplex stays as it is: the sampler draws a fixed simplex coordinate
     last (``measure._simplex_points``).
     """
+    fixed = () if match.angle is None else (match.angle[0],)
+    integrated = tuple(k for k, *_ in match.picks)
     caps = tuple(cap for _, cap in match.caps)
-    whole = match.integrated + tuple(cap.coord for cap in caps)
-    arcs = tuple(None if j in match.fixed or j in whole else a for j, a in enumerate(region.arcs))
+    whole = integrated + tuple(cap.coord for cap in caps)
+    arcs = tuple(None if j in fixed or j in whole else a for j, a in enumerate(region.arcs))
     depths = tuple(1.0 if j in whole else s for j, s in enumerate(region.depths))
-    return AnnulusArc(depths=depths, arcs=arcs, simplex=region.simplex, caps=caps)
+    return AnnulusArc(depths=depths, arcs=arcs, simplex=region.simplex, caps=caps,
+                      fixed=fixed, integrated=integrated)
 
 
 def _modulus(x: np.ndarray) -> np.ndarray:
@@ -583,13 +580,13 @@ def _conditional_weights(bindings: list[Binding], match: _Matching, z: np.ndarra
     delta)/pi dmu_beta(r) over z_k's whole radial law (``_cap_factor``), and
     the product's bound is prod(W + e) - prod(W) over its factors' bounds e,
     the rule of ``carleson_box_measure``.  ``restricted_sample`` leaves
-    column k unused.  A capped coordinate's binding holds at every draw of
+    column k NaN.  A capped coordinate's binding holds at every draw of
     the region, whose likelihood carries the cap's mass, so it is no factor.
 
     The angle's column j holds the real radius r_j, as ``restricted_sample``
-    leaves a fixed coordinate: drawn by the region, by the cosine map on the
-    interval where the simplex binding's arc is non-empty when z_j is a
-    simplex coordinate, its Jacobian then in the point's likelihood.  Only
+    leaves the region's fixed coordinate: drawn by the region, by the cosine
+    map on the interval where the simplex binding's arc is non-empty when
+    z_j is a simplex coordinate, its Jacobian then in the point's likelihood.  Only
     theta_j is integrated, exactly up to rounding.  Each binding a + b z_j^m
     that contains z_j holds on the arc set {m theta_j - arg(u/b) in ±h}, of
     m arcs, so the angle's factor is the length of the intersection of those
@@ -663,12 +660,12 @@ def estimate_indicator(
     contain or that the simplex holds, keeps a drawn radius, and only its
     angle is integrated.  A drawn coordinate that a binding of one term
     c z_k^m holds comes from that binding's cap, which then holds at every
-    draw.  The region drops its arcs and angle-sum window on the matched and
-    capped coordinates and its depths on the integrated and capped ones
-    (``_free_angle``).  With nothing matched the weights are plain 0/1
-    indicators.  Each weight is multiplied by its point's likelihood, which
-    is 1 outside a simplex and a cap and at most 1 inside, so weights stay in
-    [0, 1].
+    draw.  ``_free_angle`` writes these roles into the region, the sampler's
+    one input, which drops its arcs and angle-sum window on the matched and
+    capped coordinates and its depths on the integrated and capped ones.
+    With nothing matched the weights are plain 0/1 indicators.  Each weight
+    is multiplied by its point's likelihood, which is 1 outside a simplex
+    and a cap and at most 1 inside, so weights stay in [0, 1].
 
     The points are R independently scrambled Sobol replicates of 2^k points
     each (``replicate_layout``), drawn by ``restricted_sample``; replicate r
@@ -695,8 +692,7 @@ def estimate_indicator(
     confidence bound.
     """
     match = _split_coordinate(bindings, n, region.inner)
-    fixed, integrated = match.fixed, match.integrated
-    if fixed or integrated or match.caps:  # with nothing matched the region keeps its window
+    if match.angle or match.picks or match.caps:  # with nothing matched the region keeps its window
         region = _free_angle(region, match)
     mass = region_mass(region, beta)
 
@@ -704,16 +700,15 @@ def estimate_indicator(
     draws = replicates * size
 
     scaled = ()
-    if sample_dim(region, fixed, integrated) == 0:
+    if sample_dim(region) == 0:
         # every coordinate integrated: constant tables over the whole polydisc
         w, err = _conditional_weights(bindings, match, np.zeros((1, n), dtype=complex), beta)
         restricted, stderr = float(w[0]), float(err[0])
         hits = draws if restricted > 0.0 else 0
     else:
         def main_worker(rngs, count):
-            z, point_mass = restricted_sample(region, beta, rngs, count, fixed, integrated)
+            z, likelihood = restricted_sample(region, beta, rngs, count)
             w, err = _conditional_weights(bindings, match, z, beta)
-            likelihood = point_mass / mass  # exactly 1.0 outside a simplex and the caps
             w, err = w * likelihood, err * likelihood
             return (w.reshape(len(rngs), size).mean(axis=1), int(np.count_nonzero(w)),
                     float(np.sum(err)))
@@ -737,7 +732,7 @@ def estimate_indicator(
 
     leakage = 0.0
     leak_stderr = 0.0
-    if region != AnnulusArc.full(n):
+    if replace(region, fixed=(), integrated=()) != AnnulusArc.full(n):  # roles bound no point
         audit_budget = max(1, int(round(draws * LEAKAGE_FRACTION)))
 
         def audit_worker(rng, count):

@@ -41,3 +41,18 @@ def test_traced_fit_and_scan_see_the_library():
     # box denominators: carleson_box_measure, through measure.disc_cap_measure
     assert counts["carleson.carleson_box_measure"] == counts["carleson.preimage_box_ratio"], counts
     assert counts["measure.disc_cap_measure"] == 2 * counts["carleson.preimage_box_ratio"], counts
+
+
+INSTALL = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import spans
+spans.install(spans.Collector())
+"""
+
+
+def test_every_wrapped_name_exists():
+    # install looks up each traced name in its module, so a renamed or removed one raises
+    out = subprocess.run([sys.executable, "-c", INSTALL, str(ROOT / "bench"), str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr

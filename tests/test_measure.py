@@ -13,6 +13,7 @@ from polycarleson.measure import (
     AngleSumWindow,
     AnnulusArc,
     CarlesonBox,
+    DeficitSimplex,
     EmptyRegion,
     TermCap,
     WeightParam,
@@ -129,6 +130,12 @@ class TestDiscCap:
     def test_disjoint(self):
         assert disc_cap_measure(2.0, 0.5, WeightParam(1.0)) == (0.0, 0.0)
         assert disc_cap_measure(2.0, 0.5, WeightParam(0.0)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("a, delta", [(1.0, math.nan), (math.nan, 0.1), (1.0, 0.0),
+                                          (complex(1.0, math.inf), 0.1), (1.0, -math.inf)])
+    def test_rejects_non_finite_or_non_positive_input(self, a, delta):
+        with pytest.raises(ValueError, match="cap"):
+            disc_cap_measure(a, delta, WeightParam(0.0))
 
     def test_grid_oracle_boundary_cap(self):
         got = cap(1.0, 0.25, 0.0)
@@ -272,6 +279,13 @@ class TestBoxMeasure:
     def test_clamped_to_full_disc(self):
         box = CarlesonBox(TorusPoint((0.0, 1.0)), (2.0, 2.0))
         assert carleson_box_measure(box, WeightParam(0.7))[0] == pytest.approx(1.0, abs=1e-8)
+        # an infinite radius clamps to 2 as well
+        assert CarlesonBox(TorusPoint((0.0, 1.0)), (math.inf, 0.5)).radii == (2.0, 0.5)
+
+    @pytest.mark.parametrize("radius", [math.nan, -math.inf, 0.0, -0.1])
+    def test_rejects_radii_that_are_not_positive(self, radius):
+        with pytest.raises(ValueError, match="positive"):
+            CarlesonBox(TorusPoint((0.0, 0.0)), (radius, 0.1))
 
     def test_product_rule(self):
         box = CarlesonBox(TorusPoint((0.0, 0.0)), (0.25, 0.25))
@@ -327,8 +341,8 @@ class TestRegions:
     def test_full_annulus_reduces_to_polydisc_law(self):
         region = AnnulusArc(depths=(1.0, 1.0), arcs=(None, None))
         rng = np.random.default_rng(5)
-        z, mass = restricted_sample(region, WeightParam(0.5), rng, 200_000)
-        assert mass == pytest.approx(1.0)
+        z, likelihood = restricted_sample(region, WeightParam(0.5), rng, 200_000)
+        assert likelihood == 1.0 and region_mass(region, WeightParam(0.5)) == 1.0
         m = np.mean(np.abs(z[:, 0]) ** 2)
         oracle = radial_moment(0.5, 2)
         assert abs(m - oracle) < 4e-3
@@ -342,18 +356,19 @@ class TestRegions:
         window = AngleSumWindow(coeffs=(1, 1), center=0.0, halfwidth=0.05, solve_index=1)
         region = AnnulusArc(depths=(0.2, 0.2), arcs=(None, None), window=window)
         rng = np.random.default_rng(22)
-        z, mass = restricted_sample(region, WeightParam(0.0), rng, 50_000)
-        assert np.all(region_contains(region, z))
+        z, likelihood = restricted_sample(region, WeightParam(0.0), rng, 50_000)
+        assert np.all(region_contains(region, z)) and likelihood == 1.0
         expected = (0.2 * 1.8) ** 2 * (0.1 / (2 * math.pi))
-        assert mass == pytest.approx(expected)
+        assert region_mass(region, WeightParam(0.0)) == pytest.approx(expected)
 
     def test_multi_arc_sampler(self):
         arcs = merge_arcs([(0.0 - 0.2, 0.4), (math.pi - 0.2, 0.4)])
         region = AnnulusArc(depths=(0.5,), arcs=(arcs,))
         rng = np.random.default_rng(23)
-        z, mass = restricted_sample(region, WeightParam(0.0), rng, 20_000)
-        assert np.all(region_contains(region, z))
-        assert mass == pytest.approx((1 - 0.25) * (0.8 / (2 * math.pi)))
+        z, likelihood = restricted_sample(region, WeightParam(0.0), rng, 20_000)
+        assert np.all(region_contains(region, z)) and likelihood == 1.0
+        expected = (1 - 0.25) * (0.8 / (2 * math.pi))
+        assert region_mass(region, WeightParam(0.0)) == pytest.approx(expected)
 
     def test_importance_consistency_with_plain_sampling(self):
         # indicator of a small boundary box, estimated two ways
@@ -371,7 +386,8 @@ class TestRegions:
 
         region = AnnulusArc(depths=(2 * delta,), arcs=(merge_arcs([(-2 * delta, 4 * delta)]),))
         rng2 = np.random.default_rng(32)
-        z2, mass = restricted_sample(region, beta, rng2, 500_000)
+        z2, likelihood = restricted_sample(region, beta, rng2, 500_000)
+        mass = region_mass(region, beta) * likelihood
         p2 = indicator(z2).mean()
         est2 = mass * p2
         s2 = mass * math.sqrt(p2 * (1 - p2) / len(z2))
@@ -381,27 +397,40 @@ class TestRegions:
         # coordinate 2 takes no angle column and comes back as its real radius
         window = AngleSumWindow(coeffs=(1, 2, 0), center=1.0, halfwidth=0.1, solve_index=1)
         arcs = merge_arcs([(-0.2, 0.4), (2.0, 0.3)])
-        region = AnnulusArc(depths=(0.2, 0.3, 0.4), arcs=(arcs, None, None), window=window)
-        assert sample_dim(region, fixed=(2,)) == 5
+        region = AnnulusArc(depths=(0.2, 0.3, 0.4), arcs=(arcs, None, None), window=window,
+                            fixed=(2,))
+        assert sample_dim(region) == 5
         u = sobol_points([np.random.default_rng(24)], 5, 4096)
-        z, _ = region_points(region, WeightParam(-0.5), u, fixed=(2,))
+        z, _ = region_points(region, WeightParam(-0.5), u)
         assert np.all(region_contains(region, z))
         assert np.all(z[:, 2].imag == 0.0)
         assert np.all((z[:, 2].real >= 0.6) & (z[:, 2].real < 1.0))
-        with pytest.raises(ValueError):
-            region_points(region, WeightParam(0.0), u, fixed=(1,))
+        # a fixed coordinate takes no window coefficient (z2's is 2) and no arc (z1 has one)
+        for j in (0, 1):
+            with pytest.raises(ValueError, match="fixed or integrated"):
+                dataclasses.replace(region, fixed=(j,))
 
     def test_integrated_coordinate_takes_no_column(self):
         # coordinate 0's radius and angle are both left to the caller
-        region = AnnulusArc(depths=(1.0, 0.3), arcs=(None, merge_arcs([(-0.2, 0.4)])))
-        assert sample_dim(region, integrated=(0,)) == 2
+        region = AnnulusArc(depths=(1.0, 0.3), arcs=(None, merge_arcs([(-0.2, 0.4)])),
+                            integrated=(0,))
+        assert sample_dim(region) == 2
         u = sobol_points([np.random.default_rng(25)], 2, 1024)
-        z, _ = region_points(region, WeightParam(0.5), u, integrated=(0,))
+        z, _ = region_points(region, WeightParam(0.5), u)
         assert np.all(np.isnan(z[:, 0]))
         assert np.all(region_contains(AnnulusArc(depths=(0.3,), arcs=(region.arcs[1],)), z[:, 1:]))
-        with pytest.raises(ValueError):  # the radius of an integrated coordinate must be free
-            region_points(AnnulusArc(depths=(1.0, 0.3), arcs=(None, None)), WeightParam(0.0), u,
-                          integrated=(1,))
+        with pytest.raises(ValueError, match="no depth"):  # its radius must be free
+            AnnulusArc(depths=(1.0, 0.3), arcs=(None, None), integrated=(1,))
+        with pytest.raises(ValueError, match="fixed or integrated"):  # and its angle
+            dataclasses.replace(region, integrated=(1,), depths=(1.0, 1.0))
+        simplex = DeficitSimplex(coords=(0, 1), powers=(1, 1), moduli=(0.5, 0.5),
+                                 phases=(0.0, 0.0), target=1.0, tolerance=0.1)
+        with pytest.raises(ValueError, match="no simplex"):
+            AnnulusArc(depths=(1.0, 1.0), arcs=(None, None), simplex=simplex, integrated=(0,))
+        with pytest.raises(ValueError, match="at most one"):
+            AnnulusArc(depths=(1.0, 1.0), arcs=(None, None), simplex=simplex, fixed=(0, 1))
+        with pytest.raises(ValueError, match="no other role"):
+            AnnulusArc(depths=(1.0, 1.0), arcs=(None, None), fixed=(0,), integrated=(0,))
 
     @pytest.mark.parametrize("dim, m", [(1, 0), (2, 5), (5, 12), (7, 14), (16, 10)])
     def test_sobol_points_match_scipy(self, dim, m):
@@ -448,9 +477,9 @@ class TestRegions:
                             window=window)
         beta = WeightParam(-0.5)
         d = sample_dim(region)
-        z, mass = restricted_sample(region, beta, np.random.default_rng(26), 1024)
+        z, likelihood = restricted_sample(region, beta, np.random.default_rng(26), 1024)
         iid, _ = region_points(region, beta, np.random.default_rng(26).random((1024, d)))
-        assert np.array_equal(z, iid) and mass == region_mass(region, beta)
+        assert np.array_equal(z, iid) and likelihood == 1.0
         z, _ = restricted_sample(region, beta, [np.random.default_rng(s) for s in (1, 2)], 1024)
         u = sobol_points([np.random.default_rng(s) for s in (1, 2)], d, 512)
         assert np.array_equal(z, region_points(region, beta, u)[0])
@@ -462,8 +491,8 @@ class TestRegions:
     def test_full_polydisc_region(self):
         region = AnnulusArc.full(2)
         rng = np.random.default_rng(41)
-        z, mass = restricted_sample(region, WeightParam(0.0), rng, 1000)
-        assert mass == 1.0
+        z, likelihood = restricted_sample(region, WeightParam(0.0), rng, 1000)
+        assert likelihood == 1.0
         assert z.shape == (1000, 2)
         assert np.all(region_contains(region, z))
 
@@ -593,10 +622,11 @@ class TestDeficitSimplex:
             last = dataclasses.replace(simplex, **{
                 name: tuple(getattr(simplex, name)[i] for i in order)
                 for name in ("coords", "powers", "moduli", "phases")})
-            v = u[:, :sample_dim(region, fixed=(j,))]
-            z, likelihood = region_points(region, WeightParam(beta), v, fixed=(j,))
-            z_last, likelihood_last = region_points(dataclasses.replace(region, simplex=last),
-                                                    WeightParam(beta), v, fixed=(j,))
+            fixed = dataclasses.replace(region, fixed=(j,))
+            v = u[:, :sample_dim(fixed)]
+            z, likelihood = region_points(fixed, WeightParam(beta), v)
+            z_last, likelihood_last = region_points(dataclasses.replace(fixed, simplex=last),
+                                                    WeightParam(beta), v)
             assert np.array_equal(z, z_last) and np.array_equal(likelihood, likelihood_last)
             assert np.all((z[:, j].imag == 0.0) & (z[:, j].real >= 0.0))
             assert np.all(z[:, j].real < 1.0)
@@ -604,8 +634,7 @@ class TestDeficitSimplex:
         if simplex is not None and len(simplex.coords) > 1:
             pair = simplex.coords[:2]
             with pytest.raises(ValueError, match="at most one"):
-                region_points(region, WeightParam(beta), u[:, :sample_dim(region, fixed=pair)],
-                              fixed=pair)
+                dataclasses.replace(region, fixed=pair)
 
     # (A - B)/stderr is close to normal for both estimates: |z| > 4 has odds
     # 6.3e-5 per example, below 2e-3 for the 30
@@ -618,8 +647,8 @@ class TestDeficitSimplex:
         weight = WeightParam(beta)
         region = build_proposal([(f, eta, delta)], n)
         rng = np.random.default_rng(3)
-        _, point_mass = restricted_sample(region, weight, rng, 200_000)
-        point_mass = np.broadcast_to(point_mass, (200_000,))
+        _, likelihood = restricted_sample(region, weight, rng, 200_000)
+        point_mass = np.broadcast_to(region_mass(region, weight) * likelihood, (200_000,))
         a, sa = point_mass.mean(), point_mass.std(ddof=1) / math.sqrt(point_mass.size)
         hits = region_contains(region, sample_polydisc(n, weight, rng, 400_000))
         b = hits.mean()
@@ -648,10 +677,9 @@ class TestTermCap:
                             caps=(TermCap(1, m, c, u, delta),))
         weight = WeightParam(beta)
         rng = np.random.default_rng(60 + m)
-        z, point_mass = restricted_sample(region, weight, rng, 200_000)
+        z, likelihood = restricted_sample(region, weight, rng, 200_000)
         assert np.all(np.abs(c * z[:, 1] ** m - u) <= delta * (1.0 + 1e-12))
         assert np.all(region_contains(region, z))
-        likelihood = point_mass / region_mass(region, weight)
         assert np.all((0.0 <= likelihood) & (likelihood <= 1.0))
         mean, stderr = likelihood.mean(), likelihood.std(ddof=1) / math.sqrt(likelihood.size)
         exact = radial_cap_weight(abs(c), abs(u), delta, m, beta)
@@ -669,8 +697,9 @@ class TestTermCap:
                 AnnulusArc(depths=depths, arcs=arcs, caps=(cap,))
         region = AnnulusArc(depths=(1.0,), arcs=(None,), caps=(cap,))
         assert sample_dim(region) == 2 and region_mass(region, WeightParam(0.0)) == 1.0
-        with pytest.raises(ValueError):
-            region_points(region, WeightParam(0.0), np.zeros((4, 0)), integrated=(0,))
+        for role in ("fixed", "integrated"):  # a capped coordinate takes no other role
+            with pytest.raises(ValueError, match="fixed or integrated"):
+                dataclasses.replace(region, **{role: (0,)})
 
 
 class TestDeterministicBatching:

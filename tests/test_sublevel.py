@@ -571,7 +571,8 @@ class TestMatchedBindings:
         # otherwise; z2 is picked unless the second binding's simplex holds it
         fixed = (0,) if 0 in region.inner else ()
         picks = [(k, k) for k in (0, 1) if k not in region.inner]
-        assert match.fixed == fixed and [(k, index) for k, index, *_ in match.picks] == picks
+        assert [(k, index) for k, index, *_ in match.picks] == picks
+        assert sublevel._free_angle(region, match).fixed == fixed
         est = sublevel.estimate_indicator(bindings, n, WeightParam(beta), region, 200_000, seed,
                                           "matched")
         volume, stderr = uniform_joint_volume([(e, 1.0, d) for e, d in zip(entries, tolerances)],
@@ -911,10 +912,11 @@ class TestIntegratedRadius:
         z1 = PolySymbol.monomial(3, (1, 0, 0))
         z2z3 = PolySymbol.monomial(3, (0, 1, 1))
         bindings = [(z1, 1.0, delta), (z2z3, 1.0, delta)]
-        match = sublevel._split_coordinate(bindings, 3)
-        assert match.fixed == () and match.integrated == (0, 1)
-        est = sublevel.estimate_indicator(bindings, 3, WeightParam(beta),
-                                          build_proposal(bindings, 3), 1 << 16, 5, "constant pick")
+        region = build_proposal(bindings, 3)
+        drawn = sublevel._free_angle(region, sublevel._split_coordinate(bindings, 3))
+        assert drawn.fixed == () and drawn.integrated == (0, 1)
+        est = sublevel.estimate_indicator(bindings, 3, WeightParam(beta), region, 1 << 16, 5,
+                                          "constant pick")
         exact = disc_cap_measure(1.0, delta, WeightParam(beta))[0] * product_volume(2, delta, beta)
         assert est.trusted
         assert abs(est.volume - exact) <= 4.0 * est.stderr, (est, exact)
