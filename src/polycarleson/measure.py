@@ -29,14 +29,15 @@ window's branch and offset).  Simplex coordinates are drawn one after the
 other from what the earlier ones leave of the budget, each from V_beta on
 its own slice of the simplex; each draw carries its exact likelihood factor
 (annulus mass times arc fraction), so the points are importance-weighted
-rather than uniform there.  The region names the coordinates whose angle
-(``fixed``) or whose radius and angle (``integrated``) the caller
-integrates, and the sampler reads no uniform for them; it reads nothing but
-the region.  A fixed simplex coordinate is drawn last, its radius by a
-cosine map on the interval where the binding's angular arc is non-empty.  A
-capped coordinate (``TermCap``) is drawn exactly from a binding's set
-{|c z^m - u| <= delta}: its radius by the same cosine map, its angle
-uniform on the set's m arcs, and the draw carries that likelihood factor.
+rather than uniform there.  The region names the one coordinate whose angle
+(``fixed``) and the coordinates whose radius and angle (``integrated``) the
+caller integrates, and the sampler reads no uniform for them; it reads
+nothing but the region.  A fixed simplex coordinate is drawn last, its
+radius by a cosine map on the interval where the binding's angular arc is
+non-empty.  A capped coordinate (``TermCap``) is drawn exactly from a
+binding's set {|c z^m - u| <= delta}: its radius by the same cosine map, its
+angle uniform on the set's m arcs, and the draw carries that likelihood
+factor.
 ``restricted_sample`` feeds the map i.i.d. uniforms from one generator or,
 for the sublevel estimator, scrambled Sobol replicates, one per generator of
 a sequence; ``sample_polydisc``, the leakage audit's sampler, feeds it
@@ -408,11 +409,15 @@ def disc_cap_measure(a: complex, delta: float, beta: WeightParam) -> tuple[float
     estimator its split-coordinate weights.  Caps that contain the disc or
     miss it are exact; centred caps and caps at beta = 0 (lens areas) are
     closed forms with a rounding allowance; the rest carry the Kronrod
-    rule's stated bound.
+    rule's stated bound.  A cap that holds the disc returns before the
+    kernel, by the kernel's own test |a| + 1 < delta, so an infinite radius
+    reaches no arithmetic on it.
     """
     delta, a = float(delta), complex(a)
     if not (delta > 0.0 and cmath.isfinite(a)):  # NaN fails too
         raise ValueError("cap radius must be positive and its centre finite")
+    if abs(a) + 1.0 < delta:
+        return 1.0, 0.0
     w, e = _radial_cap_weight(np.ones(1), np.array([abs(a)]), delta, 1, beta)
     return float(w[0]), float(e[0])
 
@@ -588,11 +593,11 @@ class AnnulusArc:
     range.  Simplex coordinates have no arc and no window coefficient; their
     depths still bound their radii.  A capped coordinate (``caps``) has no
     depth, no arc and no window coefficient, and lies outside the simplex.
-    The caller integrates the angle of a ``fixed`` coordinate (at most one
-    simplex coordinate) and the radius and angle of an ``integrated`` one
-    (depth 1, outside the simplex), so a draw takes no uniform for them
-    (``region_points``); neither has an arc, a window coefficient or a cap.
-    These roles constrain no point.
+    The caller integrates the angle of the one ``fixed`` coordinate, if any,
+    and the radius and angle of an ``integrated`` one (depth 1, outside the
+    simplex), so a draw takes no uniform for them (``region_points``);
+    neither has an arc, a window coefficient or a cap.  These roles
+    constrain no point.
     """
 
     depths: tuple[float, ...]
@@ -600,7 +605,7 @@ class AnnulusArc:
     window: AngleSumWindow | None = None
     simplex: DeficitSimplex | None = None
     caps: tuple[TermCap, ...] = ()
-    fixed: tuple[int, ...] = ()
+    fixed: int | None = None
     integrated: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -624,13 +629,11 @@ class AnnulusArc:
         if len(set(capped)) < len(capped) or any(
                 j not in free or depths[j] < 1.0 or j in self.inner for j in capped):
             raise ValueError("a capped coordinate takes one cap, no depth, arc, window or simplex")
-        roles = self.fixed + self.integrated + capped
+        roles = (() if self.fixed is None else (self.fixed,)) + self.integrated + capped
         if len(set(roles)) < len(roles) or any(j not in free for j in roles):
             raise ValueError("a fixed or integrated angle has no other role, arc, window or cap")
         if any(depths[j] < 1.0 or j in self.inner for j in self.integrated):
             raise ValueError("an integrated coordinate takes no depth and no simplex")
-        if sum(j in self.inner for j in self.fixed) > 1:
-            raise ValueError("at most one simplex coordinate can be fixed")
 
     @staticmethod
     def full(n: int) -> "AnnulusArc":
@@ -680,8 +683,8 @@ def _arc_angle(arcs: tuple[Arc, ...], u: np.ndarray) -> np.ndarray:
 
 def sample_dim(region: AnnulusArc) -> int:
     """Uniforms per point that ``region_points`` reads: two per coordinate, less the region's
-    fixed angles and integrated coordinates."""
-    return 2 * region.n - len(region.fixed) - 2 * len(region.integrated)
+    fixed angle and integrated coordinates."""
+    return 2 * region.n - (region.fixed is not None) - 2 * len(region.integrated)
 
 
 def _arc_radius(umod, delta: float, c: float, m: int, floor, beta: WeightParam,
@@ -801,11 +804,11 @@ def _simplex_points(region: AnnulusArc, beta: WeightParam, radius_u: dict, angle
     likelihood = np.ones(z.shape[1])
     sine = np.zeros(z.shape[1])  # Im sum_k |c_k| e^{-i phi_k} z_k^{m_k} over the drawn coordinates
     parts = sorted(zip(simplex.coords, simplex.powers, simplex.moduli, simplex.phases),
-                   key=lambda part: part[0] in region.fixed)  # stable: the fixed one last
+                   key=lambda part: part[0] == region.fixed)  # stable: the fixed one last
     for j, m, c, phi in parts:
         ell = left / c
         floor = np.maximum(1.0 - np.minimum(ell, 1.0), (1.0 - region.depths[j]) ** m)  # r_min^m
-        if j in region.fixed:
+        if j == region.fixed:
             re = c + simplex.tolerance - left  # conj(u') u/|u| = re - i sine
             z[j], jacobian = _arc_radius(np.sqrt(re * re + sine * sine), simplex.tolerance, c, m,
                                          floor, beta, radius_u[j])
@@ -884,11 +887,11 @@ def region_points(region: AnnulusArc, beta: WeightParam,
     The capped coordinates read their two columns as the others do, and each
     is drawn from its cap (``_cap_points``), its factor in the likelihood.
 
-    The region's ``fixed`` coordinates take no angle column and come back as
-    their real radii r_j: a caller that integrates those angles in closed
-    form reads only their moduli.  Its ``integrated`` coordinates take no
-    column at all and come back as NaN: the caller integrates radius and
-    angle and reads neither.
+    The region's ``fixed`` coordinate takes no angle column and comes back as
+    its real radius r_j: a caller that integrates that angle in closed form
+    reads only its modulus.  Its ``integrated`` coordinates take no column
+    at all and come back as NaN: the caller integrates radius and angle and
+    reads neither.
     """
     n = region.n
     window, inner = region.window, region.inner
@@ -897,7 +900,7 @@ def region_points(region: AnnulusArc, beta: WeightParam,
     if u.ndim != 2 or u.shape[1] != sample_dim(region):
         raise ValueError("uniforms need one column per drawn radius and per drawn angle")
     drawn = [j for j in range(n) if j not in region.integrated]
-    live = [j for j in drawn if j not in region.fixed]
+    live = [j for j in drawn if j != region.fixed]
     radius_u = dict(zip(drawn, u.T))
     angle_u = dict(zip(live, u[:, len(drawn):].T))
     r, theta = {}, {}  # of the coordinates outside the simplex and the caps

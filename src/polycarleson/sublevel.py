@@ -41,12 +41,13 @@ outside the simplex is capped when a binding that no matched coordinate
 holds reads c0 + c z_k^m: z_k is then drawn from that binding's exact cap
 {|c z_k^m - u| <= delta} (``measure.TermCap``), r_k by the same cosine map
 and theta_k uniform on the cap's m arcs, the likelihood taking the Jacobian
-times h/pi, and the binding holds at every draw, with no margin.  The
-region drops its constraints on what is integrated or capped (the matched
-and capped coordinates' arcs, the angle-sum window, and the depths of the
-integrated and capped radii).  A box whose
-bindings each pin their own coordinate, as identity2's and coord_square's
-do, leaves nothing to draw: its estimate is one quadrature, computed once.
+times h/pi, and the binding holds at every draw, with no margin.  The same
+pass writes every role into the region it draws from, which drops the
+proposal's constraints on what is integrated or capped (the matched and
+capped coordinates' arcs, the angle-sum window, and the depths of the
+integrated and capped radii).  A box whose bindings each pin their own
+coordinate, as identity2's and coord_square's do, leaves nothing to draw:
+its estimate is one quadrature, computed once.
 Binding sets with no split coordinate fall back to plain hit counting.
 
 The conditioned integrand is a bounded, almost everywhere continuous function
@@ -407,22 +408,20 @@ def _members(bindings: list[Binding], z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Matching:
-    """Each coordinate's role in an estimate: ``_split_coordinate``'s matching.
+    """The weights' half of ``_split_coordinate``'s matching; the drawn region holds the rest.
 
     ``angle`` is (j, parts) for a split z_j that keeps a drawn radius, with
     (binding index, m, a, b) in ``parts`` for each binding that contains it
     as a + b z_j^m, a and b free of z_j, in binding order; else None.
     ``picks`` lists (k, binding index, m, a, b) for each coordinate z_k
     integrated whole, written so in the one binding that holds it.
-    ``caps`` lists (binding index, cap) for each drawn coordinate that the
-    region draws from that binding's exact set (``measure.TermCap``).
-    ``_free_angle`` writes the angle's coordinate into the region as its
-    ``fixed`` one and the picks as its ``integrated`` ones.
+    ``others`` lists, in binding order, the bindings that hold no matched
+    coordinate and no cap: the weights test them as 0/1 indicators.
     """
 
     angle: tuple[int, tuple[tuple[int, int, MonomialTable, MonomialTable], ...]] | None
     picks: tuple[tuple[int, int, int, MonomialTable, MonomialTable], ...]
-    caps: tuple[tuple[int, TermCap], ...] = ()
+    others: tuple[Binding, ...]
 
 
 def _holders(bindings: list[Binding], j: int):
@@ -440,24 +439,34 @@ def _holders(bindings: list[Binding], j: int):
     return tuple(parts)
 
 
-def _split_coordinate(bindings: list[Binding], n: int, inner=()) -> _Matching:
-    """The one place that gives each coordinate its role.
+def _split_coordinate(bindings: list[Binding],
+                      region: AnnulusArc) -> tuple[_Matching, AnnulusArc]:
+    """The one place that gives each coordinate its role: the matching and the drawn region.
 
     The split is the lowest z_j that every binding containing it contains
     with a single exponent.  It keeps a drawn radius (``angle``) when several
-    bindings contain it or it is among the simplex coordinates ``inner``.
+    bindings contain it or it is among the proposal's simplex coordinates.
     Then, from z_j on in coordinate order, z_k is picked when exactly one
-    binding contains it, with a single exponent, outside ``inner``, and that
-    binding holds no coordinate picked before nor the angle's: an uncoupled
-    split outside the simplex is the first pick.  With no split, nothing is
-    integrated.
+    binding contains it, with a single exponent, outside the simplex, and
+    that binding holds no coordinate picked before nor the angle's: an
+    uncoupled split outside the simplex is the first pick.  With no split,
+    nothing is integrated.
 
-    Every other coordinate is drawn, and a drawn z_k outside ``inner`` is
+    Every other coordinate is drawn, and a drawn z_k outside the simplex is
     capped when a binding held by no matched coordinate has c z_k^m as its
     one non-constant term: the first such binding's exact set
     {|c z_k^m - u| <= delta} (``measure.TermCap``) then replaces z_k's
     region, so that binding holds at every draw.
+
+    The drawn region is the proposal with these roles written in: the
+    angle's coordinate is its ``fixed`` one and the picks its
+    ``integrated`` ones, and both lose their arcs; the integrated and capped
+    coordinates lose their depths and arcs too, and the angle-sum window
+    goes.  The simplex stays as it is: the sampler draws a fixed simplex
+    coordinate last (``measure._simplex_points``).  With nothing matched or
+    capped the proposal itself comes back, window and all.
     """
+    n, inner = region.n, region.inner
     holders = [_holders(bindings, j) for j in range(n)]
     j = next((j for j, parts in enumerate(holders) if parts), n)
     angle, taken, picks = None, set(), []
@@ -479,30 +488,20 @@ def _split_coordinate(bindings: list[Binding], n: int, inner=()) -> _Matching:
             continue
         (alpha, c), k = terms[0], live[0]
         u = complex(target) - sum((coef for a, coef in table if not any(a)), 0j)
-        caps.append((index, TermCap(k, alpha[k], complex(c), u, float(tol))))
+        caps.append(TermCap(k, alpha[k], complex(c), u, float(tol)))
+        taken.add(index)
         matched.add(k)  # one cap per coordinate
-    return _Matching(angle, tuple(picks), tuple(caps))
-
-
-def _free_angle(region: AnnulusArc, match: _Matching) -> AnnulusArc:
-    """The region that draws what the matching leaves: each coordinate's role written into it.
-
-    The angle's coordinate becomes the region's ``fixed`` one and the picks
-    its ``integrated`` ones; both lose their arcs, and the angle-sum window
-    goes.  An integrated coordinate loses its depth too: its radius is then
-    integrated over its whole law.  A capped coordinate loses its depth and
-    arcs from every binding to its cap, which alone contains the joint set.
-    The simplex stays as it is: the sampler draws a fixed simplex coordinate
-    last (``measure._simplex_points``).
-    """
-    fixed = () if match.angle is None else (match.angle[0],)
-    integrated = tuple(k for k, *_ in match.picks)
-    caps = tuple(cap for _, cap in match.caps)
+    match = _Matching(angle, tuple(picks),
+                      tuple(binding for i, binding in enumerate(bindings) if i not in taken))
+    if not matched:
+        return match, region
+    fixed = None if angle is None else angle[0]
+    integrated = tuple(k for k, *_ in picks)
     whole = integrated + tuple(cap.coord for cap in caps)
-    arcs = tuple(None if j in fixed or j in whole else a for j, a in enumerate(region.arcs))
-    depths = tuple(1.0 if j in whole else s for j, s in enumerate(region.depths))
-    return AnnulusArc(depths=depths, arcs=arcs, simplex=region.simplex, caps=caps,
-                      fixed=fixed, integrated=integrated)
+    arcs = tuple(None if k == fixed or k in whole else a for k, a in enumerate(region.arcs))
+    depths = tuple(1.0 if k in whole else s for k, s in enumerate(region.depths))
+    return match, AnnulusArc(depths=depths, arcs=arcs, simplex=region.simplex, caps=tuple(caps),
+                             fixed=fixed, integrated=integrated)
 
 
 def _modulus(x: np.ndarray) -> np.ndarray:
@@ -556,32 +555,22 @@ def _arc_set_intersection(arcs) -> np.ndarray:
     return total
 
 
-def _cap_factor(binding: Binding, m: int, a_table: MonomialTable, b_table: MonomialTable,
-                z: np.ndarray, cache: dict, beta: WeightParam) -> tuple[np.ndarray, np.ndarray]:
-    """P(a + b z_k^m holds | the drawn coordinates), z_k over its whole law, and its bound.
-
-    ``_radial_cap_weight`` gives both.  Only the moduli of u and b stay alive
-    through it.
-    """
-    _, target, tol = binding
-    umod = np.abs(target - _eval_table(a_table, z, cache))
-    return _radial_cap_weight(np.abs(_eval_table(b_table, z, cache)), umod, tol, m, beta)
-
-
 def _conditional_weights(bindings: list[Binding], match: _Matching, z: np.ndarray,
                          beta: WeightParam) -> tuple[np.ndarray, np.ndarray | float]:
     """P(every binding holds | z with the matched coordinates integrated out), per row, and bounds.
 
     Given the drawn coordinates, the bindings that hold the angle and each
     pick hold independently, since no two of them share a matched
-    coordinate, and the other bindings are 0/1 indicators of the drawn
-    coordinates: the weight is their product, 1 with nothing matched.  A
-    pick z_k's binding holds with probability W_k = ∫ h(|b| r^m, |u|,
-    delta)/pi dmu_beta(r) over z_k's whole radial law (``_cap_factor``), and
-    the product's bound is prod(W + e) - prod(W) over its factors' bounds e,
-    the rule of ``carleson_box_measure``.  ``restricted_sample`` leaves
-    column k NaN.  A capped coordinate's binding holds at every draw of
-    the region, whose likelihood carries the cap's mass, so it is no factor.
+    coordinate, and the matching's ``others`` are 0/1 indicators of the
+    drawn coordinates: the weight is their product, 1 with nothing matched.
+    A pick z_k's binding holds with probability W_k = ∫ h(|b| r^m, |u|,
+    delta)/pi dmu_beta(r) over z_k's whole radial law, which
+    ``_radial_cap_weight`` gives with its bound from the moduli of u and b,
+    and the product's bound is prod(W + e) - prod(W) over its factors'
+    bounds e, the rule of ``carleson_box_measure``.  ``restricted_sample``
+    leaves column k NaN.  A capped coordinate's binding holds at every draw
+    of the region, whose likelihood carries the cap's mass, so it is neither
+    a factor nor among the ``others``.
 
     The angle's column j holds the real radius r_j, as ``restricted_sample``
     leaves the region's fixed coordinate: drawn by the region, by the cosine
@@ -598,9 +587,6 @@ def _conditional_weights(bindings: list[Binding], match: _Matching, z: np.ndarra
     """
     cache: dict = {}
     parts = () if match.angle is None else match.angle[1]
-    held = ({index for index, *_ in parts} | {index for _, index, *_ in match.picks}
-            | {index for index, _ in match.caps})
-    others = [binding for i, binding in enumerate(bindings) if i not in held]
     factors = []  # (weight, bound) of each binding that holds a matched coordinate
     if parts:
         arcs = []
@@ -622,14 +608,17 @@ def _conditional_weights(bindings: list[Binding], match: _Matching, z: np.ndarra
         else:
             w = arcs[0][3] / math.pi
         factors.append((w, 0.0))
-    factors += [_cap_factor(bindings[index], m, a_table, b_table, z, cache, beta)
-                for _, index, m, a_table, b_table in match.picks]
+    for _, index, m, a_table, b_table in match.picks:
+        _, target, tol = bindings[index]
+        umod = np.abs(target - _eval_table(a_table, z, cache))
+        factors.append(_radial_cap_weight(np.abs(_eval_table(b_table, z, cache)), umod, tol, m,
+                                          beta))
     w, err = factors[0] if factors else (np.ones(len(z)), 0.0)
     for cap, bound in factors[1:]:
         err = err * (cap + bound) + w * bound
         w = w * cap
-    if others:
-        ok = _members(others, z)
+    if match.others:
+        ok = _members(match.others, z)
         w = w * ok
         if np.ndim(err):
             err = err * ok
@@ -660,10 +649,11 @@ def estimate_indicator(
     contain or that the simplex holds, keeps a drawn radius, and only its
     angle is integrated.  A drawn coordinate that a binding of one term
     c z_k^m holds comes from that binding's cap, which then holds at every
-    draw.  ``_free_angle`` writes these roles into the region, the sampler's
-    one input, which drops its arcs and angle-sum window on the matched and
-    capped coordinates and its depths on the integrated and capped ones.
-    With nothing matched the weights are plain 0/1 indicators.  Each weight
+    draw.  ``_split_coordinate`` writes these roles into the region it
+    returns, the sampler's one input, which drops the proposal's arcs and
+    angle-sum window on the matched and capped coordinates and its depths on
+    the integrated and capped ones.  With nothing matched the region is the
+    proposal and the weights are plain 0/1 indicators.  Each weight
     is multiplied by its point's likelihood, which is 1 outside a simplex
     and a cap and at most 1 inside, so weights stay in [0, 1].
 
@@ -691,9 +681,7 @@ def estimate_indicator(
     marks the result untrusted; zero support also reports a one-sided upper
     confidence bound.
     """
-    match = _split_coordinate(bindings, n, region.inner)
-    if match.angle or match.picks or match.caps:  # with nothing matched the region keeps its window
-        region = _free_angle(region, match)
+    match, region = _split_coordinate(bindings, region)
     mass = region_mass(region, beta)
 
     replicates, size = replicate_layout(budget)
@@ -732,7 +720,7 @@ def estimate_indicator(
 
     leakage = 0.0
     leak_stderr = 0.0
-    if replace(region, fixed=(), integrated=()) != AnnulusArc.full(n):  # roles bound no point
+    if replace(region, fixed=None, integrated=()) != AnnulusArc.full(n):  # roles bound no point
         audit_budget = max(1, int(round(draws * LEAKAGE_FRACTION)))
 
         def audit_worker(rng, count):

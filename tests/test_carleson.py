@@ -8,12 +8,12 @@ from polycarleson import carleson, sublevel
 from polycarleson.battery import get_symbol
 from polycarleson.carleson import preimage_box_ratio, ratio_growth_scan
 from polycarleson.fitting import loglog_wls
-from polycarleson.measure import CarlesonBox, WeightParam, carleson_box_measure
+from polycarleson.measure import CarlesonBox, WeightParam, carleson_box_measure, disc_cap_measure
 from polycarleson.montecarlo import replicate_layout
 from polycarleson.sublevel import SublevelQuery, estimate_sublevel
 from polycarleson.symbols import PolySymbol, TorusPoint
 
-from oracles import general2_box_volume, radial_cap_weight, unit_disc_cap_area
+from oracles import general2_box_volume, product_volume, radial_cap_weight, unit_disc_cap_area
 from test_measure import manifest_betas
 
 
@@ -256,6 +256,26 @@ class TestGeneral2Boxes:
         assert all(e.trusted for e in scan.estimates)
         assert abs(scan.slope - exact.slope) <= 4.0 * scan.slope_stderr, (scan.slope, exact.slope,
                                                                          scan.slope_stderr)
+
+
+class TestStackedProductBoxes:
+    """stacked_product3/4 boxes about 0: one binding |z_1 ... z_n - 1| <= delta over n - 1 caps."""
+
+    @pytest.mark.parametrize("n, seed", [(3, 79), (4, 83)])
+    def test_scan_matches_exact_ratios(self, n, seed):
+        # a box ratio is product_volume(n, delta) / cap(delta)^(n - 1) at beta = 0.
+        # |t| > 4 has odds 1.7e-4 per box on 63 degrees of freedom, and so has
+        # the slope's: some check of the twelve fails with odds below 2.1e-3
+        scan = ratio_growth_scan(get_symbol(f"stacked_product{n}"), TorusPoint((0.0,) * n),
+                                 (True,) * (n - 1) + (False,), WeightParam(0.0), GRID_3_7,
+                                 1 << 18, seed=seed)
+        exact = [product_volume(n, d) / disc_cap_measure(1.0, d, WeightParam(0.0))[0] ** (n - 1)
+                 for d in GRID_3_7]
+        for delta, est, ratio in zip(GRID_3_7, scan.estimates, exact):
+            assert est.trusted and abs(est.ratio - ratio) <= 4.0 * est.stderr, (delta, est, ratio)
+        slope = loglog_wls(GRID_3_7, exact, [0.0] * len(exact)).slope
+        assert abs(scan.slope - slope) <= 4.0 * scan.slope_stderr, (scan.slope, slope,
+                                                                   scan.slope_stderr)
 
 
 class TestBetaUniformity:

@@ -1,17 +1,23 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports and names only what exists.
 
 No linter ships with the project, so this walks the syntax trees with the
 standard library.  ``__init__.py`` re-exports names it does not use and is
-exempt.
+exempt from the import check.
 """
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polycarleson"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# every module but __main__, which runs the command line when imported
+IMPORTED = {p.stem: importlib.import_module(f"polycarleson.{p.stem}")
+            for p in MODULES if p.stem != "__main__"}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -52,6 +58,32 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def doc_references(text: str) -> set[str]:
+    """The double-backticked private, CamelCase and dotted names in a module's text."""
+    refs = re.findall(r"``([A-Za-z_][\w.]*)``", text)
+    return {ref for ref in refs
+            if ref.startswith("_") or "." in ref or re.match(r"[A-Z]\w*[a-z]", ref)}
+
+
+def resolves(ref: str) -> bool:
+    """Whether ``ref`` is a package module's attribute path, or a module name and one."""
+    head, *rest = ref.split(".")
+    for space in [IMPORTED, *map(vars, IMPORTED.values())]:
+        if head in space:
+            try:
+                functools.reduce(getattr, rest, space[head])
+                return True
+            except AttributeError:
+                continue
+    return False
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_docstring_references_exist(path):
+    missing = sorted(ref for ref in doc_references(path.read_text()) if not resolves(ref))
+    assert not missing, f"{path.name} names what the package does not define: {missing}"
 
 
 def config_imports(tree: ast.Module) -> list[int]:

@@ -131,6 +131,18 @@ class TestDiscCap:
         assert disc_cap_measure(2.0, 0.5, WeightParam(1.0)) == (0.0, 0.0)
         assert disc_cap_measure(2.0, 0.5, WeightParam(0.0)) == (0.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", manifest_betas())
+    def test_cap_that_holds_the_disc(self, beta):
+        # an infinite radius returns before the kernel; a cap tangent to the
+        # disc from outside, as every radius-2 box coordinate at |xi| = 1 is,
+        # still goes through it and keeps its rounding allowance
+        for a in (0.0, 0.5, 0.999, 1.0, 0.6 + 0.8j):
+            assert disc_cap_measure(a, math.inf, WeightParam(beta)) == (1.0, 0.0)
+            assert disc_cap_measure(a, math.nextafter(abs(a) + 1.0, 3.0),
+                                    WeightParam(beta)) == (1.0, 0.0)
+            assert disc_cap_measure(a, abs(a) + 1.0, WeightParam(beta)) == (1.0, 1e-12)
+
     @pytest.mark.parametrize("a, delta", [(1.0, math.nan), (math.nan, 0.1), (1.0, 0.0),
                                           (complex(1.0, math.inf), 0.1), (1.0, -math.inf)])
     def test_rejects_non_finite_or_non_positive_input(self, a, delta):
@@ -398,7 +410,7 @@ class TestRegions:
         window = AngleSumWindow(coeffs=(1, 2, 0), center=1.0, halfwidth=0.1, solve_index=1)
         arcs = merge_arcs([(-0.2, 0.4), (2.0, 0.3)])
         region = AnnulusArc(depths=(0.2, 0.3, 0.4), arcs=(arcs, None, None), window=window,
-                            fixed=(2,))
+                            fixed=2)
         assert sample_dim(region) == 5
         u = sobol_points([np.random.default_rng(24)], 5, 4096)
         z, _ = region_points(region, WeightParam(-0.5), u)
@@ -408,7 +420,7 @@ class TestRegions:
         # a fixed coordinate takes no window coefficient (z2's is 2) and no arc (z1 has one)
         for j in (0, 1):
             with pytest.raises(ValueError, match="fixed or integrated"):
-                dataclasses.replace(region, fixed=(j,))
+                dataclasses.replace(region, fixed=j)
 
     def test_integrated_coordinate_takes_no_column(self):
         # coordinate 0's radius and angle are both left to the caller
@@ -427,10 +439,8 @@ class TestRegions:
                                  phases=(0.0, 0.0), target=1.0, tolerance=0.1)
         with pytest.raises(ValueError, match="no simplex"):
             AnnulusArc(depths=(1.0, 1.0), arcs=(None, None), simplex=simplex, integrated=(0,))
-        with pytest.raises(ValueError, match="at most one"):
-            AnnulusArc(depths=(1.0, 1.0), arcs=(None, None), simplex=simplex, fixed=(0, 1))
         with pytest.raises(ValueError, match="no other role"):
-            AnnulusArc(depths=(1.0, 1.0), arcs=(None, None), fixed=(0,), integrated=(0,))
+            AnnulusArc(depths=(1.0, 1.0), arcs=(None, None), fixed=0, integrated=(0,))
 
     @pytest.mark.parametrize("dim, m", [(1, 0), (2, 5), (5, 12), (7, 14), (16, 10)])
     def test_sobol_points_match_scipy(self, dim, m):
@@ -622,7 +632,7 @@ class TestDeficitSimplex:
             last = dataclasses.replace(simplex, **{
                 name: tuple(getattr(simplex, name)[i] for i in order)
                 for name in ("coords", "powers", "moduli", "phases")})
-            fixed = dataclasses.replace(region, fixed=(j,))
+            fixed = dataclasses.replace(region, fixed=j)
             v = u[:, :sample_dim(fixed)]
             z, likelihood = region_points(fixed, WeightParam(beta), v)
             z_last, likelihood_last = region_points(dataclasses.replace(fixed, simplex=last),
@@ -631,10 +641,6 @@ class TestDeficitSimplex:
             assert np.all((z[:, j].imag == 0.0) & (z[:, j].real >= 0.0))
             assert np.all(z[:, j].real < 1.0)
             assert np.all((0.0 <= likelihood) & (likelihood <= 1.0))
-        if simplex is not None and len(simplex.coords) > 1:
-            pair = simplex.coords[:2]
-            with pytest.raises(ValueError, match="at most one"):
-                dataclasses.replace(region, fixed=pair)
 
     # (A - B)/stderr is close to normal for both estimates: |z| > 4 has odds
     # 6.3e-5 per example, below 2e-3 for the 30
@@ -697,9 +703,9 @@ class TestTermCap:
                 AnnulusArc(depths=depths, arcs=arcs, caps=(cap,))
         region = AnnulusArc(depths=(1.0,), arcs=(None,), caps=(cap,))
         assert sample_dim(region) == 2 and region_mass(region, WeightParam(0.0)) == 1.0
-        for role in ("fixed", "integrated"):  # a capped coordinate takes no other role
+        for role in ({"fixed": 0}, {"integrated": (0,)}):  # a capped coordinate takes no other role
             with pytest.raises(ValueError, match="fixed or integrated"):
-                dataclasses.replace(region, **{role: (0,)})
+                dataclasses.replace(region, **role)
 
 
 class TestDeterministicBatching:

@@ -416,7 +416,10 @@ class TestConditionalEstimator:
         # z1 and z2 each appear with exponents 1 and 2: no angle integrates out
         entries = [((1, 0), 0.25), ((2, 0), 0.25), ((0, 1), 0.25), ((0, 2), 0.25)]
         f = PolySymbol.from_tables([entries], 2)
-        assert sublevel._split_coordinate([(f, 1.0, 0.25)], 2) == sublevel._Matching(None, ())
+        bindings = [(f, 1.0, 0.25)]
+        region = build_proposal(bindings, 2)
+        match, drawn = sublevel._split_coordinate(bindings, region)
+        assert match == sublevel._Matching(None, (), tuple(bindings)) and drawn is region
         est = estimate_sublevel(SublevelQuery(f=f, eta=1.0, delta=0.25, beta=WeightParam(0.0),
                                               budget=200_000, seed=23))
         volume, stderr = uniform_joint_volume([(entries, 1.0, 0.25)], 2, 0.0, 1_000_000, 23)
@@ -452,11 +455,13 @@ class TestCoupledBindings:
     def test_pairs_agree_with_uniform_oracle(self, first, second, deltas, beta, seed):
         entries = [coupled_entries(*first), coupled_entries(*second)]
         bindings = [(PolySymbol.from_tables([e], 2), 1.0, d) for e, d in zip(entries, deltas)]
-        match = sublevel._split_coordinate(bindings, 2)
+        region = build_proposal(bindings, 2)
+        match, drawn = sublevel._split_coordinate(bindings, region)
         (j, parts), picks = match.angle, match.picks
         assert j == 0 and [m for _, m, _, _ in parts] == [first[0], second[0]] and picks == ()
-        est = sublevel.estimate_indicator(bindings, 2, WeightParam(beta),
-                                          build_proposal(bindings, 2), 200_000, seed, "coupled")
+        assert drawn.fixed == 0 and match.others == ()
+        est = sublevel.estimate_indicator(bindings, 2, WeightParam(beta), region, 200_000, seed,
+                                          "coupled")
         volume, stderr = uniform_joint_volume(list(zip(entries, (1.0, 1.0), deltas)), 2, beta,
                                               1_000_000, seed)
         assert agree(est, volume, stderr), (entries, deltas, beta, est, volume, stderr)
@@ -489,9 +494,11 @@ class TestCoupledBindings:
         entries = [[((1, 0), 0.5), ((0, 1), 0.5)],
                    [((1, 0), 0.25), ((2, 0), 0.25), ((0, 1), 0.25), ((0, 2), 0.25)]]
         bindings = [(PolySymbol.from_tables([e], 2), 1.0, 0.2) for e in entries]
-        assert sublevel._split_coordinate(bindings, 2) == sublevel._Matching(None, ())
-        est = sublevel.estimate_indicator(bindings, 2, WeightParam(beta),
-                                          build_proposal(bindings, 2), 200_000, 37, "no-split")
+        region = build_proposal(bindings, 2)
+        match, drawn = sublevel._split_coordinate(bindings, region)
+        assert match == sublevel._Matching(None, (), tuple(bindings)) and drawn is region
+        est = sublevel.estimate_indicator(bindings, 2, WeightParam(beta), region, 200_000, 37,
+                                          "no-split")
         volume, stderr = uniform_joint_volume([(e, 1.0, 0.2) for e in entries], 2, beta,
                                               1_000_000, 37)
         assert est.hits > 0
@@ -522,9 +529,9 @@ class TestCappedBindings:
                    [(a, w / (w0 + w1)) for a, w in (((0, 0), w0), ((0, m), w1)) if w]]
         bindings = [(PolySymbol.from_tables([e], 2), 1.0, d) for e, d in zip(entries, deltas)]
         region = build_proposal(bindings, 2)
-        match = sublevel._split_coordinate(bindings, 2, region.inner)
+        match, drawn = sublevel._split_coordinate(bindings, region)
         assert match.angle is None and [(k, index) for k, index, *_ in match.picks] == [(0, 0)]
-        assert [(index, cap.coord, cap.power) for index, cap in match.caps] == [(1, 1, m)]
+        assert [(cap.coord, cap.power) for cap in drawn.caps] == [(1, m)] and match.others == ()
         est = sublevel.estimate_indicator(bindings, 2, WeightParam(beta), region, 200_000, seed,
                                           "capped")
         volume, stderr = uniform_joint_volume(list(zip(entries, (1.0, 1.0), deltas)), 2, beta,
@@ -566,13 +573,13 @@ class TestMatchedBindings:
         """The estimate against the uniform oracle; returns it and the matching."""
         bindings = [(PolySymbol.from_tables([e], n), 1.0, d) for e, d in zip(entries, tolerances)]
         region = build_proposal(bindings, n)
-        match = sublevel._split_coordinate(bindings, n, region.inner)
+        match, drawn = sublevel._split_coordinate(bindings, region)
         # z1 keeps a drawn radius in the first binding's simplex and is picked
         # otherwise; z2 is picked unless the second binding's simplex holds it
-        fixed = (0,) if 0 in region.inner else ()
+        fixed = 0 if 0 in region.inner else None
         picks = [(k, k) for k in (0, 1) if k not in region.inner]
         assert [(k, index) for k, index, *_ in match.picks] == picks
-        assert sublevel._free_angle(region, match).fixed == fixed
+        assert drawn.fixed == fixed
         est = sublevel.estimate_indicator(bindings, n, WeightParam(beta), region, 200_000, seed,
                                           "matched")
         volume, stderr = uniform_joint_volume([(e, 1.0, d) for e, d in zip(entries, tolerances)],
@@ -913,8 +920,8 @@ class TestIntegratedRadius:
         z2z3 = PolySymbol.monomial(3, (0, 1, 1))
         bindings = [(z1, 1.0, delta), (z2z3, 1.0, delta)]
         region = build_proposal(bindings, 3)
-        drawn = sublevel._free_angle(region, sublevel._split_coordinate(bindings, 3))
-        assert drawn.fixed == () and drawn.integrated == (0, 1)
+        _, drawn = sublevel._split_coordinate(bindings, region)
+        assert drawn.fixed is None and drawn.integrated == (0, 1)
         est = sublevel.estimate_indicator(bindings, 3, WeightParam(beta), region, 1 << 16, 5,
                                           "constant pick")
         exact = disc_cap_measure(1.0, delta, WeightParam(beta))[0] * product_volume(2, delta, beta)
